@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import ParameterError
 from .geometry import RANK_TOLERANCE, SubsetBasis
-from .proposal import _ReservoirBank
+from .proposal import _fill_bank
 from .stream import as_source, iterate_once
 
 
@@ -75,16 +75,7 @@ def squared_length_sample(data, p, count, rng, auditor=None):
     distinct picks.
     """
     src = as_source(data, auditor=auditor)
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    bank = _ReservoirBank(count)
-    n = 0
-    for index, point in enumerate(iterate_once(src, "selection")):
-        point = np.ascontiguousarray(point, dtype=np.float64)
-        bank.offer(index, point, float(np.linalg.norm(point)) ** p, rng)
-        n += 1
-    if n == 0:
-        raise InputError("empty stream")
-    if not bank.filled:
-        raise InputError("all points have zero norm; nothing can be drawn")
-    return _span_of_rows(bank.win_index, bank.win_rows, src.d)
+    rows, indices, _ = _fill_bank(iterate_once(src, "selection"),
+                                  lambda x: float(np.linalg.norm(x)) ** p, count, rng,
+                                  "all points have zero norm; nothing can be drawn")
+    return _span_of_rows(indices, rows, src.d)

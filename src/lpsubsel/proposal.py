@@ -1,10 +1,14 @@
 """One-pass construction of i.i.d. draws from the mixture proposal
 distribution q(x) = 0.5 * d(x, span pivot)^p / err_p(X, pivot) + 0.5/n.
 
-Two banks of single-slot weighted reservoirs run over one shared pass,
-one keyed by the distance weight and one uniform; each pool slot then
-takes its draw from one bank by a fair coin. q is bounded below by
-1/(2n), the floor the walk's mixing analysis relies on.
+Each pool slot flips a fair coin before the pass that assigns it to one
+of two banks of single-slot weighted reservoirs, one keyed by the
+distance weight and one uniform; both banks run over one shared pass.
+A bank replaces each slot with probability w/W as row weights w arrive,
+W being the running weight total (sequential with-replacement sampling,
+Chao 1982), so its cost is the number of slots written rather than a
+scan of every slot per row. q is bounded below by 1/(2n), the floor the
+walk's mixing analysis relies on.
 """
 
 from dataclasses import dataclass, field
@@ -99,37 +103,94 @@ class ProposalPool:
 
 
 class _ReservoirBank:
-    """A bank of `slots` independent single-slot weighted reservoirs.
+    """A bank of independent single-slot weighted reservoirs.
 
-    Each slot runs an exponential race: per point it sees arrival time
-    Exp(1)/weight and keeps the earliest arrival. Winning probability is
-    proportional to the weight; slots are mutually independent, giving
-    i.i.d. draws with replacement after one shared pass.
+    Every streamed row goes through `_kernels.update_bank`, which keeps
+    the running weight total W and replaces each slot independently with
+    probability w/W (Chao 1982). After the pass each slot holds a row
+    drawn with probability proportional to its weight, independently of
+    the other slots: i.i.d. draws with replacement from one shared pass.
+    The first row of positive weight fills every slot. A slot records
+    the row's position in a `_RowStore`, not the row itself.
     """
 
     def __init__(self, slots):
-        self.slots = slots
-        self.best = None
-        self.win_index = None
-        self.win_weight = None
-        self.win_rows = None
+        self.total = np.zeros(1)  # running weight total W, updated by the kernel
+        self.win = np.full(slots, -1, dtype=np.intp)
 
-    def _allocate(self, d):
-        self.best = np.full(self.slots, np.inf)
-        self.win_index = np.full(self.slots, -1, dtype=np.intp)
-        self.win_weight = np.zeros(self.slots)
-        self.win_rows = np.zeros((self.slots, d))
-
-    def offer(self, index, point, weight, rng):
-        if self.best is None:
-            self._allocate(point.shape[0])
-        exps = rng.standard_exponential(self.slots)
-        _kernels.update_bank(exps, float(weight), index, point, self.best,
-                             self.win_index, self.win_weight, self.win_rows)
+    def offer(self, position, weight, rng):
+        """Offer the row that would be kept at `position`; returns slots taken."""
+        return _kernels.update_bank(float(weight), position, self.total, self.win, rng)
 
     @property
-    def filled(self):
-        return self.best is not None and bool((self.win_index >= 0).all())
+    def weight_total(self):
+        return float(self.total[0])
+
+
+class _RowStore:
+    """The rows some reservoir slot holds, with stream positions and weights.
+
+    A replacement then writes one integer rather than a row. The store
+    holds up to twice the slots of the banks that share it; when it fills,
+    rows no slot holds any more are dropped and the slots renumbered.
+    """
+
+    def __init__(self, slots):
+        self.size = 0
+        self.rows = None
+        self.index = np.empty(2 * slots, dtype=np.intp)
+        self.weight = np.empty(2 * slots)
+
+    def keep(self, index, point, weight, banks):
+        if self.rows is None:
+            self.rows = np.empty((len(self.index), point.shape[0]))
+        self.rows[self.size] = point
+        self.index[self.size] = index
+        self.weight[self.size] = weight
+        self.size += 1
+        if self.size == len(self.index):
+            # a bank that has seen no positive weight holds no row yet
+            filled = [bank for bank in banks if bank.weight_total > 0.0]
+            held = np.zeros(self.size, dtype=bool)
+            for bank in filled:
+                held[bank.win] = True
+            renumber = np.cumsum(held) - 1
+            for bank in filled:
+                bank.win = renumber[bank.win]
+            live = np.flatnonzero(held)
+            self.size = len(live)
+            self.rows[:self.size] = self.rows[live]
+            self.index[:self.size] = self.index[live]
+            self.weight[:self.size] = self.weight[live]
+
+    def gather(self, positions):
+        """(rows, stream positions, weights) at the given store positions."""
+        return self.rows[positions], self.index[positions], self.weight[positions]
+
+
+def _fill_bank(stream, weight_fn, count, rng, zero_message):
+    """`count` i.i.d. draws from a stream, P(x) proportional to weight_fn(x).
+
+    Returns (rows, stream positions, weights) in slot order. Raises
+    InputError for an empty stream, and with `zero_message` when no row
+    has positive weight, so nothing can be drawn.
+    """
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
+    bank = _ReservoirBank(count)
+    store = _RowStore(count)
+    n = 0
+    for index, point in enumerate(stream):
+        point = np.ascontiguousarray(point, dtype=np.float64)
+        weight = weight_fn(point)
+        if bank.offer(store.size, weight, rng):
+            store.keep(index, point, weight, (bank,))
+        n += 1
+    if n == 0:
+        raise InputError("empty stream")
+    if bank.weight_total <= 0.0:
+        raise InputError(zero_message)
+    return store.gather(bank.win)
 
 
 def reservoir_draw_iid(stream, weight_fn, count, rng):
@@ -138,57 +199,49 @@ def reservoir_draw_iid(stream, weight_fn, count, rng):
     One shared pass, one single-slot reservoir per draw; the weight total
     is never needed in advance. Returns a list of (point, weight) pairs.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    bank = _ReservoirBank(count)
-    n = 0
-    for index, point in enumerate(stream):
-        point = np.ascontiguousarray(point, dtype=np.float64)
-        bank.offer(index, point, weight_fn(point), rng)
-        n += 1
-    if n == 0:
-        raise InputError("empty stream")
-    if not bank.filled:
-        raise InputError("all weights are zero; nothing can be drawn")
-    return [(bank.win_rows[j].copy(), float(bank.win_weight[j])) for j in range(count)]
+    rows, _, weights = _fill_bank(stream, weight_fn, count, rng,
+                                  "all weights are zero; nothing can be drawn")
+    return [(rows[j], float(weights[j])) for j in range(count)]
 
 
 def draw_mixture_pool(stream, p, pool_size, rng, pivot=None):
     """Build a ProposalPool of `pool_size` i.i.d. draws from q in one pass.
 
-    Runs the distance-weight bank and the uniform bank over the same
-    stream; afterwards each slot flips a fair coin to pick its bank, and
-    q-masses are attached using the weight total and n accumulated during
-    the pass.
+    Each slot first flips a fair coin that assigns it to the distance-weight
+    bank or to the uniform bank; both banks then run over the same stream,
+    so between them they hold `pool_size` slots. q-masses are attached
+    after the pass from the distance-weight total and n.
     """
     mixture = MixtureWeights(p=p, pivot=pivot)
     if pool_size < 1:
         raise ParameterError(f"pool_size must be >= 1, got {pool_size}")
-    weighted = _ReservoirBank(pool_size)
-    uniform = _ReservoirBank(pool_size)
+    take_weighted = rng.random(pool_size) < 0.5
+    weighted = _ReservoirBank(int(np.count_nonzero(take_weighted)))
+    uniform = _ReservoirBank(pool_size - len(weighted.win))
+    banks = (weighted, uniform)
+    store = _RowStore(pool_size)
     n = 0
-    weight_total = 0.0
     for index, point in enumerate(stream):
         point = np.ascontiguousarray(point, dtype=np.float64)
         w = mixture.raw_weight(point)
-        weight_total += w
-        weighted.offer(index, point, w, rng)
-        uniform.offer(index, point, 1.0, rng)
+        # both banks see the row; it is kept if either takes a slot
+        taken = weighted.offer(store.size, w, rng)
+        taken += uniform.offer(store.size, 1.0, rng)
+        if taken:
+            store.keep(index, point, w, banks)
         n += 1
     if n == 0:
         raise InputError("empty stream")
+    weight_total = weighted.weight_total
     if weight_total <= 0.0:
         raise InputError("all distance weights are zero; the mixture is undefined")
 
-    take_weighted = rng.random(pool_size) < 0.5
-    points = np.where(take_weighted[:, None], weighted.win_rows, uniform.win_rows)
-    indices = np.where(take_weighted, weighted.win_index, uniform.win_index)
-    # q-mass depends on the drawn point only, not on which bank produced it.
-    if pivot is None:
-        drawn_w = np.linalg.norm(points, axis=1) ** p
-    else:
-        drawn_w = pivot.distances(points) ** p
+    slots = np.empty(pool_size, dtype=np.intp)
+    slots[take_weighted] = weighted.win
+    slots[~take_weighted] = uniform.win
+    # the store keeps each row's distance weight, whichever bank drew it
+    points, indices, drawn_w = store.gather(slots)
     qmass = 0.5 * drawn_w / weight_total + 0.5 / n
-    return ProposalPool(points=points, indices=indices.astype(np.intp),
+    return ProposalPool(points=points, indices=indices,
                         qmass=qmass, stream_length=n,
                         weight_total=weight_total, p=p)

@@ -6,6 +6,8 @@ one-pass claim of the sampler is a tested contract, not a convention.
 A pass counts only when the stream is consumed to exhaustion.
 """
 
+import math
+
 import numpy as np
 
 from .errors import FormatError, InputError, ParameterError, StreamError
@@ -120,8 +122,8 @@ def open_csv(path, header=False, auditor=None):
     """Open a CSV of points (one point per line, comma-separated decimals).
 
     The dimension d comes from the first data row. The file is scanned
-    once up front to establish n and fail fast on ragged or non-numeric
-    rows; that scan is ingestion metadata, not an audited pass.
+    once up front to establish n and fail fast on ragged, non-numeric or
+    non-finite rows; that scan is ingestion metadata, not an audited pass.
     """
     d = None
     n = 0
@@ -136,6 +138,11 @@ def open_csv(path, header=False, auditor=None):
                 if not line:
                     continue
                 values = _parse_row(line, row_number, d)
+                # a finite sum proves every cell finite; an overflowing one
+                # falls back to the exact per-cell check
+                if not (math.isfinite(sum(values))
+                        or all(map(math.isfinite, values))):
+                    raise FormatError(f"row {row_number}: non-finite cell")
                 if d is None:
                     d = len(values)
                 n += 1

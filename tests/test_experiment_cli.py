@@ -153,6 +153,17 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo", ["mcmc-one-pass", "exact-adaptive"])
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_cli_non_finite_cell_exits_2(tmp_path, capsys, cell, algo):
+    rows = [[str(v) for v in row]
+            for row in np.random.default_rng(8).standard_normal((6, 3))]
+    rows[3][1] = cell
+    path = _write_csv(tmp_path, rows)
+    assert main(["--input", path, "--algo", algo, "--k", "1", "--t", "2"]) == 2
+    assert "row 4" in capsys.readouterr().err
+
+
 def test_cli_guard_violation_exits_3(tmp_path, capsys):
     rng = np.random.default_rng(5)
     path = _write_csv(tmp_path, rng.standard_normal((20, 3)))

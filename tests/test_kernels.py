@@ -1,118 +1,72 @@
 import numpy as np
-import pytest
 
-from lpsubsel._kernels import available_backends, pyfallback
-
-BACKENDS = available_backends()
-
-
-def _random_walk_inputs(rng, n_walks=8, width=12):
-    dist_pow = rng.random((n_walks, width)) * 3.0
-    dist_pow[0, 0] = 0.0            # covered start
-    dist_pow[1, :] = 0.0            # fully covered walk
-    qmass = rng.random((n_walks, width)) * 0.2 + 0.05
-    uniforms = rng.random((n_walks, width - 1)) * 0.999 + 5e-4
-    return dist_pow, qmass, uniforms
-
-
-def test_native_backend_expected():
-    # the build ships the compiled extension; fallback-only environments
-    # are legal but this tree is expected to have built it
-    assert "python" in BACKENDS
-    if "native" not in BACKENDS:
-        pytest.skip("compiled extension not built")
-
-
-@pytest.mark.skipif("native" not in BACKENDS, reason="compiled extension not built")
-def test_run_walks_backend_parity():
-    rng = np.random.default_rng(100)
-    for _ in range(25):
-        dist_pow, qmass, uniforms = _random_walk_inputs(rng)
-        out_a = np.empty(dist_pow.shape[0], dtype=np.intp)
-        out_b = np.empty(dist_pow.shape[0], dtype=np.intp)
-        BACKENDS["native"].run_walks(dist_pow, qmass, uniforms, out_a)
-        BACKENDS["python"].run_walks(dist_pow, qmass, uniforms, out_b)
-        np.testing.assert_array_equal(out_a, out_b)
-
-
-@pytest.mark.skipif("native" not in BACKENDS, reason="compiled extension not built")
-def test_update_bank_backend_parity():
-    rng = np.random.default_rng(101)
-    slots, d = 64, 3
-    states = {}
-    for name, mod in BACKENDS.items():
-        states[name] = dict(
-            best=np.full(slots, np.inf),
-            win_index=np.full(slots, -1, dtype=np.intp),
-            win_weight=np.zeros(slots),
-            win_rows=np.zeros((slots, d)),
-        )
-    for i in range(200):
-        exps = rng.standard_exponential(slots)
-        point = rng.standard_normal(d)
-        weight = float(rng.random()) if i % 7 else 0.0
-        wins = {}
-        for name, mod in BACKENDS.items():
-            s = states[name]
-            wins[name] = mod.update_bank(exps, weight, i, point, s["best"],
-                                         s["win_index"], s["win_weight"], s["win_rows"])
-        assert wins["native"] == wins["python"]
-    for key in ("best", "win_index", "win_weight", "win_rows"):
-        np.testing.assert_array_equal(states["native"][key], states["python"][key])
+from lpsubsel import _kernels
 
 
 def test_update_bank_zero_weight_never_wins():
-    best = np.full(4, np.inf)
-    win_index = np.full(4, -1, dtype=np.intp)
-    win_weight = np.zeros(4)
-    win_rows = np.zeros((4, 2))
-    wins = pyfallback.update_bank(np.ones(4), 0.0, 5, np.ones(2), best,
-                                  win_index, win_weight, win_rows)
-    assert wins == 0 and (win_index == -1).all()
+    rng = np.random.default_rng(0)
+    total, win = np.zeros(1), np.full(4, -1, dtype=np.intp)
+    for value, weight in enumerate((0.0, -1.0, -0.0)):
+        assert _kernels.update_bank(weight, value, total, win, rng) == 0
+    assert total[0] == 0.0 and (win == -1).all()
+
+    # after a positive row, a nonpositive one still leaves W and the slots alone
+    _kernels.update_bank(2.0, 7, total, win, rng)
+    for weight in (0.0, -3.0):
+        assert _kernels.update_bank(weight, 8, total, win, rng) == 0
+        assert total[0] == 2.0 and (win == 7).all()
 
 
 def test_update_bank_records_winner():
-    best = np.full(3, np.inf)
-    win_index = np.full(3, -1, dtype=np.intp)
-    win_weight = np.zeros(3)
-    win_rows = np.zeros((3, 2))
-    point = np.array([1.0, 2.0])
-    wins = pyfallback.update_bank(np.array([0.5, 1.0, 2.0]), 2.0, 7, point,
-                                  best, win_index, win_weight, win_rows)
-    assert wins == 3
-    np.testing.assert_allclose(best, [0.25, 0.5, 1.0])
-    assert (win_index == 7).all() and (win_weight == 2.0).all()
-    np.testing.assert_array_equal(win_rows, np.tile(point, (3, 1)))
+    rng = np.random.default_rng(1)
+    total, win = np.zeros(1), np.full(3, -1, dtype=np.intp)
+    # the first positive row replaces with probability w/W = 1: every slot
+    assert _kernels.update_bank(2.0, 7, total, win, rng) == 3
+    assert total[0] == 2.0 and (win == 7).all()
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_run_walks_conventions(backend):
-    mod = BACKENDS[backend]
+def test_update_bank_returns_slots_written():
+    rng = np.random.default_rng(2)
+    total, win = np.zeros(1), np.full(200, -1, dtype=np.intp)
+    written_total = 0
+    for value in range(50):
+        before = win.copy()
+        written = _kernels.update_bank(1.0 + value % 3, value, total, win, rng)
+        assert written == int(np.count_nonzero(win == value))
+        # slots not written keep their previous winner
+        kept = win != value
+        np.testing.assert_array_equal(win[kept], before[kept])
+        written_total += written
+    assert total[0] == sum(1.0 + v % 3 for v in range(50))
+    assert written_total > win.size  # later rows do replace earlier winners
+
+
+def test_run_walks_conventions():
     out = np.empty(1, dtype=np.intp)
 
     # covered current point always moves, even onto another covered point
     dist_pow = np.array([[0.0, 0.0, 1.0]])
     qmass = np.full((1, 3), 0.25)
     uniforms = np.array([[0.999, 0.999]])
-    mod.run_walks(dist_pow, qmass, uniforms, out)
+    _kernels.run_walks(dist_pow, qmass, uniforms, out)
     assert out[0] == 2
 
     # zero-distance proposal from a live point is never accepted
     dist_pow = np.array([[1.0, 0.0, 0.0]])
-    mod.run_walks(dist_pow, qmass, np.array([[1e-9, 1e-9]]), out)
+    _kernels.run_walks(dist_pow, qmass, np.array([[1e-9, 1e-9]]), out)
     assert out[0] == 0
 
     # acceptance is strict: ratio must exceed the variate
     qmass = np.full((1, 2), 0.5)
-    mod.run_walks(np.array([[1.0, 4.0]]), qmass, np.array([[0.9999]]), out)
+    _kernels.run_walks(np.array([[1.0, 4.0]]), qmass, np.array([[0.9999]]), out)
     assert out[0] == 1  # ratio 4 > any variate below 1
-    mod.run_walks(np.array([[4.0, 1.0]]), qmass, np.array([[0.2]]), out)
+    _kernels.run_walks(np.array([[4.0, 1.0]]), qmass, np.array([[0.2]]), out)
     assert out[0] == 1  # ratio 0.25 > 0.2, move
-    mod.run_walks(np.array([[4.0, 1.0]]), qmass, np.array([[0.26]]), out)
+    _kernels.run_walks(np.array([[4.0, 1.0]]), qmass, np.array([[0.26]]), out)
     assert out[0] == 0  # ratio 0.25 <= 0.26, stay
 
 
 def test_run_walks_zero_steps_returns_start():
     out = np.empty(2, dtype=np.intp)
-    pyfallback.run_walks(np.ones((2, 1)), np.ones((2, 1)), np.empty((2, 0)), out)
+    _kernels.run_walks(np.ones((2, 1)), np.ones((2, 1)), np.empty((2, 0)), out)
     assert (out == 0).all()

@@ -66,8 +66,11 @@ def test_reservoir_uniform_weights():
     np.testing.assert_allclose(freq, 0.25, atol=0.01)
 
 
-def test_reservoir_three_to_one_weights():
-    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+@pytest.mark.parametrize("rows", [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]],
+                         ids=["heavy_first", "heavy_last"])
+def test_reservoir_three_to_one_weights(rows):
+    # an off-by-one in the running total biases draws by stream position
+    rows = np.array(rows)
     rng = np.random.default_rng(2)
     draws = reservoir_draw_iid(_stream(rows), lambda x: 3.0 if x[0] else 1.0,
                                100_000, rng)
@@ -89,6 +92,24 @@ def test_reservoir_norm_power_weights_match_exact_normalization():
     for point, _ in draws:
         counts[lookup[tuple(point)]] += 1
     assert tv_distance(counts / counts.sum(), exact) <= 0.02
+
+
+def test_reservoir_exact_across_store_compaction():
+    # 20,000 rows into 500 slots: the bank's row store fills and drops rows
+    # no slot holds many times over. Row i is (i, w_i), with w = 1 on the
+    # first half and 3 on the second, so each draw names its stream position.
+    n = 20_000
+    rows = np.column_stack([np.arange(n), np.where(np.arange(n) < n // 2, 1.0, 3.0)])
+    rng = np.random.default_rng(13)
+    draws = reservoir_draw_iid(_stream(rows), lambda x: x[1], 500, rng)
+    positions = np.array([int(point[0]) for point, _ in draws])
+    assert all((point == rows[int(point[0])]).all() and weight == point[1]
+               for point, weight in draws)
+    late = positions >= n // 2
+    assert late.mean() == pytest.approx(0.75, abs=0.06)  # 3 sigma
+    # positions are uniform inside each half: each mean within 3 sigma of its middle
+    assert positions[late].mean() == pytest.approx(1.5 * n // 2, abs=450)
+    assert positions[~late].mean() == pytest.approx(0.5 * n // 2, abs=800)
 
 
 def test_reservoir_errors():
@@ -135,6 +156,42 @@ def test_pool_matches_exact_mixture_small_n():
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     df = X.n - 1
     assert chi2 <= df + 3.0 * np.sqrt(2.0 * df)
+
+
+def test_pool_slots_pairwise_independent():
+    # chi-square contingency test on adjacent slot pairs of one pool: slots
+    # that shared a thinning decision would show up as dependence
+    pool = draw_mixture_pool(_stream(SIX_POINTS), 2.0, 100_000,
+                             np.random.default_rng(12))
+    n = len(SIX_POINTS)
+    table = np.zeros((n, n))
+    np.add.at(table, (pool.indices[0::2], pool.indices[1::2]), 1.0)
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    chi2 = float(((table - expected) ** 2 / expected).sum())
+    df = (n - 1) ** 2
+    assert chi2 <= df + 3.0 * np.sqrt(2.0 * df)
+
+
+def test_pool_exact_across_store_compaction():
+    # 20,000 zero rows, then 20,000 rows, into 500 slots: the shared row
+    # store fills and is compacted while the distance bank has seen no
+    # positive weight yet, and many times after. Norms are 1 on the first
+    # half of the nonzero rows and sqrt(3) on the second.
+    zeros, n = 20_000, 20_000
+    norms = np.where(np.arange(n) < n // 2, 1.0, np.sqrt(3.0))
+    X = PointSet(np.vstack([np.zeros((zeros, 2)), np.column_stack([norms, np.zeros(n)])]))
+    exact = MixtureWeights(p=2.0).masses(X)
+    pool = draw_mixture_pool(iter(X.points), 2.0, 500, np.random.default_rng(14))
+    np.testing.assert_array_equal(pool.points, X.points[pool.indices])
+    np.testing.assert_allclose(pool.qmass, exact[pool.indices], rtol=1e-12)
+    positions = pool.indices - zeros
+    late = positions >= n // 2
+    share = exact[zeros + n // 2:].sum()
+    assert late.mean() == pytest.approx(share, abs=3.0 * np.sqrt(share * (1 - share) / 500))
+    # positions are uniform inside each half: each mean within 3 sigma of its middle
+    for half, middle in ((late, 1.5 * n / 2), ((positions >= 0) & ~late, 0.5 * n / 2)):
+        sigma = (n / 2) / np.sqrt(12.0 * half.sum())
+        assert positions[half].mean() == pytest.approx(middle, abs=3.0 * sigma)
 
 
 def test_pool_consumes_exactly_one_selection_pass():

@@ -7,7 +7,7 @@ from lpsubsel import (ParameterError, PointSet, SamplerConfig, SubsetBasis,
                       acceptance_ratio, adaptive_distribution, as_source,
                       draw_mixture_pool, one_pass_adaptive_sample, open_unit,
                       random_walk, theorem_params, tv_distance)
-from lpsubsel._kernels import pyfallback
+from lpsubsel import _kernels
 
 from helpers import basis_from
 
@@ -130,7 +130,7 @@ def test_random_walk_matches_kernel_backend():
     qmat = np.array([[d[2] for d in draws]])
     variates = open_unit(np.random.default_rng(99), 8).reshape(1, -1)
     out = np.empty(1, dtype=np.intp)
-    pyfallback.run_walks(dist_pow, qmat, variates, out)
+    _kernels.run_walks(dist_pow, qmat, variates, out)
     assert draws[int(out[0])][1] == ref[1]
 
 
