@@ -10,7 +10,8 @@ oracles that verify the distributional guarantees at desk scale.
 
 from ._kernels import BACKEND
 from .baselines import exact_adaptive_sample, squared_length_sample
-from .errors import FormatError, GuardError, InputError, ParameterError, StreamError
+from .errors import (FormatError, GuardError, InputError, ParameterError,
+                     SourceChangedError, StreamError)
 from .experiment import (EvaluationRecord, ExperimentSpec, RunReport,
                          evaluate_subset, run_experiment)
 from .geometry import (RANK_TOLERANCE, ErrParams, PointSet, SubsetBasis,
@@ -32,7 +33,8 @@ __all__ = [
     "DatasetSource", "DistributionTable", "ErrParams", "EvaluationRecord",
     "ExperimentSpec", "FormatError", "GuardError", "InputError",
     "MixtureWeights", "OracleReport", "ParameterError", "PassAuditor",
-    "PointSet", "ProposalPool", "RunReport", "SamplerConfig", "StreamError",
+    "PointSet", "ProposalPool", "RunReport", "SamplerConfig", "SourceChangedError",
+    "StreamError",
     "SubsetBasis", "WalkState",
     "acceptance_ratio", "adaptive_distribution", "as_source",
     "brute_force_candidate_err", "dist_to_span", "draw_mixture_pool",

@@ -1,5 +1,7 @@
 """Multi-pass and one-shot baselines the one-pass sampler is compared against."""
 
+import math
+
 import numpy as np
 
 from .errors import ParameterError
@@ -39,20 +41,21 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
     proportional to d(x, span S)^p, then draws t i.i.d. indices from it
     and extends S (duplicates collapse). Terminates early once the error
     hits zero, where the distribution is undefined. Its defining cost is
-    l selection passes on the auditor.
+    l selection passes on the auditor; every pass refills one (n, d)
+    buffer in place.
     """
     src = as_source(data, auditor=auditor)
     if t < 1 or l < 0:
         raise ParameterError(f"need t >= 1 and l >= 0, got t={t}, l={l}")
     basis = SubsetBasis.empty(src.d)
     members = set()
-    rows = None
-    for _ in range(l):
+    rows = np.empty((src.n, src.d))
+    for round_ in range(l):
         # termination check against the previous round's buffer costs no pass
-        if rows is not None and float((basis.distances(rows) ** p).sum()) <= 0.0:
+        if round_ and float((basis.distances(rows) ** p).sum()) <= 0.0:
             break
-        rows = np.vstack([np.asarray(x, dtype=np.float64)
-                          for x in iterate_once(src, "selection")])
+        for i, x in enumerate(iterate_once(src, "selection")):
+            rows[i] = x
         dist_pow = basis.distances(rows) ** p
         total = float(dist_pow.sum())
         if total <= 0.0:
@@ -76,6 +79,6 @@ def squared_length_sample(data, p, count, rng, auditor=None):
     """
     src = as_source(data, auditor=auditor)
     rows, indices, _ = _fill_bank(iterate_once(src, "selection"),
-                                  lambda x: float(np.linalg.norm(x)) ** p, count, rng,
+                                  lambda x: math.sqrt(float(x.dot(x))) ** p, count, rng,
                                   "all points have zero norm; nothing can be drawn")
     return _span_of_rows(indices, rows, src.d)

@@ -23,3 +23,7 @@ class GuardError(RuntimeError):
 
 class StreamError(RuntimeError):
     """I/O failed while a pass was in progress; the pass is not counted."""
+
+
+class SourceChangedError(InputError):
+    """A file's row count changed between opening it and a later pass."""

@@ -144,31 +144,34 @@ def _resolve_source(spec):
 
 def _evaluation_pass(source, bases, p, collect_rows):
     """One shared evaluation pass: per-candidate err_p plus the empty-span
-    error, optionally materializing the dataset for the oracles."""
+    error, optionally materializing the dataset for the oracles.
+
+    Rows are copied into one preallocated buffer as they arrive and scored
+    _EVAL_CHUNK at a time. To materialize, the buffer holds all n rows, so
+    the pass never holds the data twice; otherwise it holds one chunk.
+    """
     sums = np.zeros(len(bases))
     empty_sum = 0.0
-    rows_out = [] if collect_rows else None
-    chunk = []
+    buf = np.empty((source.n if collect_rows else _EVAL_CHUNK, source.d))
+    start = end = 0
 
     def flush():
         nonlocal empty_sum
-        if not chunk:
-            return
-        arr = np.vstack(chunk)
-        chunk.clear()
+        arr = buf[start:end]
         empty_sum += float(np.sum(np.linalg.norm(arr, axis=1) ** p))
         for i, b in enumerate(bases):
             sums[i] += float(np.sum(b.distances(arr) ** p))
-        if rows_out is not None:
-            rows_out.append(arr)
 
     for x in iterate_once(source, "evaluation"):
-        chunk.append(np.asarray(x, dtype=np.float64))
-        if len(chunk) >= _EVAL_CHUNK:
+        buf[end] = x
+        end += 1
+        if end - start == _EVAL_CHUNK:
             flush()
-    flush()
-    X = PointSet(np.vstack(rows_out)) if collect_rows else None
-    return sums, empty_sum, X
+            start = end if collect_rows else 0
+            end = start
+    if end > start:
+        flush()
+    return sums, empty_sum, PointSet(buf) if collect_rows else None
 
 
 def run_experiment(spec):

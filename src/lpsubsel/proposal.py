@@ -11,6 +11,7 @@ scan of every slot per row. q is bounded below by 1/(2n), the floor the
 walk's mixing analysis relies on.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,8 @@ class MixtureWeights:
     def raw_weight(self, x):
         """The unnormalized distance weight d(x, span pivot)^p."""
         if self.pivot is None:
-            return float(np.linalg.norm(x)) ** self.p
+            # np.linalg.norm's own formula for a 1-D real vector, without its overhead
+            return math.sqrt(float(x.dot(x))) ** self.p
         return self.pivot.distance(x) ** self.p
 
     def masses(self, X):

@@ -4,16 +4,30 @@ Every full sequential read of a dataset is a "pass" and is charged to
 either selection (sampling) or evaluation (error measurement), so the
 one-pass claim of the sampler is a tested contract, not a convention.
 A pass counts only when the stream is consumed to exhaustion.
+
+CSV files have one parser, `_csv_blocks`, shared by `open_csv`'s scan and
+every pass: numpy's loader parses blocks of lines, and a block it rejects
+falls back to float() per cell, so what is accepted, and the row an error
+names, are those of the per-cell parse.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from .errors import FormatError, InputError, ParameterError, StreamError
+from .errors import (FormatError, InputError, ParameterError, SourceChangedError,
+                     StreamError)
 from .geometry import PointSet
 
 _PURPOSES = ("selection", "evaluation")
+
+# Lines parsed per loader call. Larger blocks parse no faster and leave
+# more per-line strings alive at once, which raised peak RSS.
+_BLOCK_ROWS = 128
+
+# Characters numpy's loader strips around a cell but float() rejects.
+_LOADER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 class PassAuditor:
@@ -47,6 +61,61 @@ def _parse_row(line, row_number, expected_d):
         return [float(c) for c in cells]
     except ValueError:
         raise FormatError(f"row {row_number}: non-numeric cell") from None
+
+
+def _parse_block(lines, first_line, d):
+    """Parse lines one row at a time with float(), raising the first fault.
+
+    The reference semantics of the file format: blank lines are skipped,
+    and the first ragged, non-numeric or non-finite row, in file order,
+    is reported with its 1-based line number.
+    """
+    rows = []
+    for row_number, raw in enumerate(lines, first_line):
+        line = raw.strip()
+        if not line:
+            continue
+        values = _parse_row(line, row_number, d)
+        if not all(map(math.isfinite, values)):
+            raise FormatError(f"row {row_number}: non-finite cell")
+        d = len(values)
+        rows.append(values)
+    return np.array(rows)
+
+
+def _csv_blocks(path, header, d):
+    """Yield the rows of a CSV file as (rows, d) float arrays, in file order.
+
+    Reads up to `_BLOCK_ROWS` lines at a time and parses them with numpy's
+    loader. A block the loader rejects, whose width is not d, or that holds
+    a non-finite cell is parsed again by `_parse_block`, which either
+    accepts it or raises the first fault; the loader accepts a subset of
+    what float() does and parses it to the same doubles. d=None takes the
+    width from the first row. OSError is left to the caller.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        line_number = 1
+        if header:
+            next(fh, None)
+            line_number = 2
+        while True:
+            lines = list(itertools.islice(fh, _BLOCK_ROWS))
+            if not lines:
+                return
+            text = "".join(lines)
+            if not text.isspace():
+                block = None
+                if not any(ch in text for ch in _LOADER_ONLY_SPACE):
+                    try:
+                        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+                    except ValueError:
+                        pass
+                if (block is None or (d is not None and block.shape[1] != d)
+                        or not np.isfinite(block).all()):
+                    block = _parse_block(lines, line_number, d)
+                d = block.shape[1]
+                yield block
+            line_number += len(lines)
 
 
 class DatasetSource:
@@ -93,19 +162,21 @@ class DatasetSource:
         self.auditor.record(purpose)
 
     def _iterate_file(self):
+        rows = 0
         try:
-            with open(self._path, encoding="utf-8", newline="") as fh:
-                row_number = 0
-                for raw in fh:
-                    row_number += 1
-                    line = raw.strip()
-                    if row_number == 1 and self._header:
-                        continue
-                    if not line:
-                        continue
-                    yield np.array(_parse_row(line, row_number, self.d))
+            blocks = _csv_blocks(self._path, self._header, self.d)
+            for block in blocks:
+                rows += len(block)
+                if rows > self.n:
+                    rows += sum(map(len, blocks))
+                    break
+                yield from block
         except OSError as exc:
             raise StreamError(f"I/O failure while streaming {self._path}: {exc}") from exc
+        if rows != self.n:
+            raise SourceChangedError(
+                f"{self._path} changed since it was opened: "
+                f"{self.n} rows then, {rows} now")
 
     def materialize(self, purpose="evaluation"):
         """Load the full dataset into a PointSet, consuming one audited pass."""
@@ -119,33 +190,23 @@ def iterate_once(source, purpose):
 
 
 def open_csv(path, header=False, auditor=None):
-    """Open a CSV of points (one point per line, comma-separated decimals).
+    """Open a CSV of points: one point per line, comma-separated numbers.
 
-    The dimension d comes from the first data row. The file is scanned
-    once up front to establish n and fail fast on ragged, non-numeric or
-    non-finite rows; that scan is ingestion metadata, not an audited pass.
+    A cell is anything float() accepts, surrounding whitespace included;
+    blank lines are skipped, and header=True skips the first line. The
+    dimension d comes from the first data row. The file is scanned once up
+    front to establish n and fail fast on ragged, non-numeric or non-finite
+    (NaN, infinite) rows, each reported with its 1-based line; that scan is
+    ingestion metadata, not an audited pass. Every pass parses the file
+    again with the same parser and raises SourceChangedError if its row
+    count is no longer n.
     """
     d = None
     n = 0
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            row_number = 0
-            for raw in fh:
-                row_number += 1
-                line = raw.strip()
-                if row_number == 1 and header:
-                    continue
-                if not line:
-                    continue
-                values = _parse_row(line, row_number, d)
-                # a finite sum proves every cell finite; an overflowing one
-                # falls back to the exact per-cell check
-                if not (math.isfinite(sum(values))
-                        or all(map(math.isfinite, values))):
-                    raise FormatError(f"row {row_number}: non-finite cell")
-                if d is None:
-                    d = len(values)
-                n += 1
+        for block in _csv_blocks(path, header, None):
+            d = block.shape[1]
+            n += len(block)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if n == 0:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lpsubsel import (ExperimentSpec, InputError, ParameterError, PointSet,
-                      evaluate_subset, run_experiment)
+                      evaluate_subset, experiment, run_experiment, svd_optimal_err2)
 from lpsubsel.cli import main
 
 from helpers import low_rank_plus_noise
@@ -54,6 +54,14 @@ def test_reports_are_deterministic_modulo_timings():
     b = run_experiment(_spec()).to_dict()
     a.pop("timings"), b.pop("timings")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_svd_oracle_sees_every_row_beyond_one_chunk():
+    # more rows than one evaluation chunk, so the oracle's buffer fills in parts
+    X = np.random.default_rng(13).standard_normal((2500, 4))
+    report = run_experiment(_spec(input=X, algorithm="squared-length", oracle="svd"))
+    assert report.oracle_err == svd_optimal_err2(PointSet(X), 2)
+    assert report.empty_err == pytest.approx(float((X ** 2).sum()), rel=1e-12)
 
 
 def test_additive_inequality_with_svd_oracle():
@@ -162,6 +170,25 @@ def test_cli_non_finite_cell_exits_2(tmp_path, capsys, cell, algo):
     path = _write_csv(tmp_path, rows)
     assert main(["--input", path, "--algo", algo, "--k", "1", "--t", "2"]) == 2
     assert "row 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["mcmc-one-pass", "exact-adaptive"])
+@pytest.mark.parametrize("rows_after", [10, 14])
+def test_cli_file_changed_after_open_exits_2(tmp_path, capsys, monkeypatch, algo, rows_after):
+    rng = np.random.default_rng(10)
+    path = _write_csv(tmp_path, rng.standard_normal((12, 3)))
+    real_open_csv = experiment.open_csv
+
+    def open_then_rewrite(*args, **kwargs):
+        source = real_open_csv(*args, **kwargs)
+        _write_csv(tmp_path, rng.standard_normal((rows_after, 3)))
+        return source
+
+    monkeypatch.setattr(experiment, "open_csv", open_then_rewrite)
+    code = main(["--input", path, "--algo", algo, "--k", "1", "--t", "2",
+                 "--oracle", "svd"])
+    assert code == 2
+    assert f"12 rows then, {rows_after} now" in capsys.readouterr().err
 
 
 def test_cli_guard_violation_exits_3(tmp_path, capsys):

@@ -55,6 +55,16 @@ def test_mixture_undefined_when_pivot_spans_data():
         MixtureWeights(p=2.0, pivot=pivot).masses(X)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_raw_weight_is_bit_identical_to_norm_power(p):
+    rng = np.random.default_rng(17)
+    weights = MixtureWeights(p=p)
+    for d in (1, 7, 32, 64):
+        rows = rng.standard_normal((200, d)) * np.exp(3.0 * rng.standard_normal((200, 1)))
+        for x in rows:
+            assert weights.raw_weight(x) == float(np.linalg.norm(x)) ** p
+
+
 def test_reservoir_uniform_weights():
     rows = np.eye(4)
     rng = np.random.default_rng(1)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from lpsubsel import (FormatError, InputError, ParameterError, PassAuditor,
-                      StreamError, as_source, iterate_once, open_csv,
-                      one_pass_adaptive_sample, theorem_params)
+                      SourceChangedError, StreamError, as_source, iterate_once,
+                      open_csv, one_pass_adaptive_sample, theorem_params)
+from lpsubsel.stream import _BLOCK_ROWS
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -40,6 +41,101 @@ def test_open_csv_header_and_crlf(tmp_path):
     rows = np.vstack(list(iterate_once(src, "evaluation")))
     np.testing.assert_allclose(rows, [[1.0, 0.0], [0.0, 2.0]])
     assert src.auditor.evaluation_passes == 1
+
+
+def _rows_text(count, d=3):
+    return "".join(",".join(f"{i}.5" for _ in range(d)) + "\n" for i in range(count))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1,2", "expected 3 values, got 2"),
+    ("1,x,2", "non-numeric cell"),
+    ("1,nan,2", "non-finite cell"),
+    ("1,-inf,2", "non-finite cell"),
+    ("1e999,0,0", "non-finite cell"),
+])
+@pytest.mark.parametrize("line", [_BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 7])
+def test_fault_reports_its_line_across_blocks(tmp_path, bad, message, line):
+    # the second value of `line` puts the fault on the last line of the file
+    lines = _rows_text(line - 1).splitlines(keepends=True) + [bad + "\n"]
+    path = _write(tmp_path, "".join(lines))
+    with pytest.raises(FormatError, match=f"^row {line}: {message}$"):
+        open_csv(path)
+
+
+def test_first_fault_of_a_block_wins(tmp_path):
+    lines = _rows_text(12).splitlines(keepends=True)
+    lines[4] = "1,nan,2\n"
+    lines[9] = "1,2\n"
+    with pytest.raises(FormatError, match="^row 5: non-finite cell$"):
+        open_csv(_write(tmp_path, "".join(lines)))
+    lines[4] = "1,2,3\n"
+    with pytest.raises(FormatError, match="^row 10: expected 3 values, got 2$"):
+        open_csv(_write(tmp_path, "".join(lines)))
+
+
+def test_header_crlf_and_blank_lines_across_a_block_boundary(tmp_path):
+    values = np.arange(3.0 * (_BLOCK_ROWS + 4)).reshape(-1, 3)
+    lines = [",".join(map(repr, row)) + "\r\n" for row in values.tolist()]
+    # blank, whitespace-only and CR-only lines on both sides of line _BLOCK_ROWS
+    for at, filler in ((_BLOCK_ROWS - 2, "\r\n"), (_BLOCK_ROWS - 1, "  \t \r\n"),
+                       (_BLOCK_ROWS, "\r"), (_BLOCK_ROWS + 1, " \n")):
+        lines.insert(at, filler)
+    # the trailing blank lines fill the last block on their own
+    path = _write(tmp_path, "a,b,c\r\n" + "".join(lines) + "\n \n" + "\n" * _BLOCK_ROWS)
+    src = open_csv(path, header=True)
+    assert (src.n, src.d) == values.shape
+    np.testing.assert_array_equal(np.vstack(list(iterate_once(src, "selection"))), values)
+    # without the header flag the header is a non-numeric first row
+    with pytest.raises(FormatError, match="^row 1: non-numeric cell$"):
+        open_csv(path)
+    # the header counts as line 1 in messages
+    bad = _write(tmp_path, "a,b\n" + "1,2\n" * (_BLOCK_ROWS - 1) + "1,x\n", "bad.csv")
+    with pytest.raises(FormatError, match=f"^row {_BLOCK_ROWS + 1}: non-numeric cell$"):
+        open_csv(bad, header=True)
+
+
+def test_cells_float_accepts_but_the_loader_does_not(tmp_path):
+    src = open_csv(_write(tmp_path, "1_0, 2\n\u0661,3.5\n"))
+    np.testing.assert_array_equal(np.vstack(list(iterate_once(src, "selection"))),
+                                  [[10.0, 2.0], [1.0, 3.5]])
+
+
+def test_separator_characters_stay_non_numeric(tmp_path):
+    # numpy's loader strips \x1c-\x1f around a cell; float() does not
+    with pytest.raises(FormatError, match="^row 2: non-numeric cell$"):
+        open_csv(_write(tmp_path, "1,2\n3\x1c,4\n"))
+
+
+def test_single_column_file(tmp_path):
+    src = open_csv(_write(tmp_path, "1.5\n\n-2\n3e2\n"))
+    assert (src.n, src.d) == (3, 1)
+    rows = list(iterate_once(src, "selection"))
+    assert [r.shape for r in rows] == [(1,)] * 3
+    np.testing.assert_array_equal(np.vstack(rows), [[1.5], [-2.0], [300.0]])
+
+
+def test_parse_is_bit_identical_to_float(tmp_path):
+    X = np.random.default_rng(21).standard_normal((3000, 32)) * np.logspace(-5, 5, 32)
+    path = str(tmp_path / "big.csv")
+    np.savetxt(path, X, fmt="%.8g", delimiter=",")
+    with open(path, encoding="utf-8") as fh:
+        expected = np.array([[float(c) for c in line.split(",")] for line in fh])
+    src = open_csv(path)
+    assert (src.n, src.d) == (3000, 32)
+    got = np.vstack(list(iterate_once(src, "evaluation")))
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("rows", [5, 3 * _BLOCK_ROWS + 3])
+def test_pass_over_a_changed_file_names_both_counts(tmp_path, rows):
+    path = _write(tmp_path, _rows_text(_BLOCK_ROWS))
+    src = open_csv(path)
+    _write(tmp_path, _rows_text(rows))
+    with pytest.raises(SourceChangedError,
+                       match=f"{_BLOCK_ROWS} rows then, {rows} now"):
+        list(iterate_once(src, "selection"))
+    assert src.auditor.selection_passes == 0
 
 
 def test_missing_file_is_input_error(tmp_path):
