@@ -1,11 +1,31 @@
 """The two hot kernels: weighted reservoir bank updates and Metropolis walk chains.
 
-Both are plain NumPy. The sampler and the proposal pass look them up as
-module attributes at call time, one `update_bank` call per streamed row
-per bank and one `run_walks` call per round.
+Both are plain Python over NumPy state. The sampler and the proposal pass
+look them up as module attributes at call time, one `update_bank` call
+per streamed row per bank and one `run_walks` call per round.
+
+`update_bank` is sequential with-replacement sampling by binomial thinning
+(Chao 1982) in skip-ahead form. Thinning replaces each of a bank's s slots
+independently with probability w/W as a row of weight w raises the running
+total to W. Rows i+1..j then all write nothing with probability
+prod (W_{r-1}/W_r)^s = (W_i/W_j)^s, which telescopes, so after a write at
+total W_i the bank draws a skip limit L = W_i * U^(-1/s), U uniform on
+(0, 1]: rows write nothing exactly while the total stays <= L (the
+with-replacement form of the exponential jumps of Li 1994). The row that
+crosses L writes Binomial(s, w/W) slots conditioned on at least one, as a
+uniform subset, and draws a fresh L. Both steps are the thinning law
+itself, so the bank's law is unchanged; a row below the limit costs one
+add and one compare and draws no variate.
 """
 
+import math
+
 BACKEND = "python"
+
+# Uniform variates a bank draws from its generator per call.
+UNIFORM_BLOCK = 256
+
+_LOG_HALF = math.log(0.5)
 
 
 def run_walks(dist_pow, qmass, uniforms, out):
@@ -22,9 +42,10 @@ def run_walks(dist_pow, qmass, uniforms, out):
     """
     n_walks, width = dist_pow.shape
     for w in range(n_walks):
-        dp = dist_pow[w]
-        q = qmass[w]
-        u = uniforms[w]
+        # Python floats give the same IEEE results as numpy scalars, faster
+        dp = dist_pow[w].tolist()
+        q = qmass[w].tolist()
+        u = uniforms[w].tolist()
         cur = 0
         for j in range(1, width):
             if dp[cur] == 0.0 or dp[j] * q[cur] > u[j - 1] * dp[cur] * q[j]:
@@ -33,27 +54,71 @@ def run_walks(dist_pow, qmass, uniforms, out):
     return out
 
 
-def update_bank(weight, value, total, win, rng):
+def update_bank(bank, weight, value):
     """Feed one streamed row to a bank of independent single-slot reservoirs.
 
-    Sequential with-replacement weighted sampling (Chao 1982) by binomial
-    thinning: the row first adds `weight` to the running total W held in
-    the one-element array `total`, then replaces each slot independently
-    with probability weight/W by writing `value` into it. The replaced set
-    is drawn as a Binomial(slots, weight/W) count of distinct slots chosen
-    uniformly, which is the same law, so the cost is the number of slots
-    written, not the number of slots. After the pass each slot holds row i
-    with probability w_i / W_n, independently of every other slot. A weight
-    that is not positive writes nothing and leaves W unchanged. Returns the
-    number of slots written.
+    `bank` holds the running total `total` and the skip limit `limit` as
+    floats, the slots `win`, its generator `rng` and a list `uniforms` of
+    unused variates on (0, 1] (see `proposal._ReservoirBank`). A positive
+    `weight` is added to the total; if the total then exceeds the limit,
+    the row writes `value` into Binomial(slots, weight/total) slots,
+    conditioned on at least one, and the limit is redrawn. The first
+    positive row fills every slot. A weight that is not positive (or is
+    NaN) writes nothing and leaves the total alone. Returns the number of
+    slots written.
     """
-    if not weight > 0.0:
-        return 0
-    total[0] += weight
+    if weight > 0.0:
+        total = bank.total + weight
+        bank.total = total
+        if total > bank.limit:
+            return _cross(bank, weight / total, value)
+    return 0
+
+
+def _uniform(bank):
+    """One variate on (0, 1] from the bank's block, refilled when empty."""
+    if not bank.uniforms:
+        bank.uniforms = (1.0 - bank.rng.random(UNIFORM_BLOCK)).tolist()
+    return bank.uniforms.pop()
+
+
+def _cross(bank, pi, value):
+    """Write the row that crossed the skip limit, then draw the next limit.
+
+    The count is Binomial(s, pi) conditioned on >= 1. When P(none) < 1/2
+    the bank redraws the binomial until it is positive (fewer than two
+    draws on average). Otherwise it draws the first written slot F from
+    the truncated geometric law, then Binomial(s-F-1, pi) more slots after
+    F: the set independent Bernoulli(pi) slots give, conditioned on being
+    non-empty, which given its size is a uniform subset.
+    """
+    win, rng = bank.win, bank.rng
     slots = win.shape[0]
-    written = int(rng.binomial(slots, weight / total[0]))
-    if written == slots:
+    total = bank.total
+    if pi == 0.0:
+        # only once the total has overflowed; no row can write again
+        bank.limit = total
+        return 0
+    if pi == 1.0:
+        # the first positive row, or one that dwarfs the total before it
         win[:] = value
-    elif written:
-        win[rng.choice(slots, written, replace=False, shuffle=False)] = value
+        written = slots
+    elif (log_keep := math.log1p(-pi)) * slots < _LOG_HALF:  # P(none) < 1/2
+        written = 0
+        while not written:
+            written = int(rng.binomial(slots, pi))
+        if written == slots:
+            win[:] = value
+        else:
+            win[rng.choice(slots, written, replace=False, shuffle=False)] = value
+    else:
+        some = -math.expm1(slots * log_keep)  # P(at least one slot is written)
+        first = min(int(math.log1p(-_uniform(bank) * some) / log_keep), slots - 1)
+        win[first] = value
+        rest = slots - first - 1
+        written = int(rng.binomial(rest, pi))
+        if written:
+            win[first + 1 + rng.choice(rest, written, replace=False, shuffle=False)] = value
+        written += 1
+    bank.limit = total * _uniform(bank) ** (-1.0 / slots)
     return written

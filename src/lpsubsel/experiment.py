@@ -142,25 +142,32 @@ def _resolve_source(spec):
     return as_source(spec.input)
 
 
-def _evaluation_pass(source, bases, p, collect_rows):
+def _evaluation_pass(source, bases, p, oracle):
     """One shared evaluation pass: per-candidate err_p plus the empty-span
-    error, optionally materializing the dataset for the oracles.
+    error, and what the oracle needs to see of the dataset.
 
     Rows are copied into one preallocated buffer as they arrive and scored
-    _EVAL_CHUNK at a time. To materialize, the buffer holds all n rows, so
-    the pass never holds the data twice; otherwise it holds one chunk.
+    _EVAL_CHUNK at a time. For the brute-force oracle the buffer holds all
+    n rows, so the pass never holds the data twice; otherwise it holds one
+    chunk. For the SVD oracle each scored chunk is folded into the R factor
+    of a running QR decomposition: X = QR with Q orthonormal, so R has the
+    singular values of X in at most d rows.
     """
+    collect_rows = oracle == "bruteforce"
+    r_factor = np.empty((0, source.d)) if oracle == "svd" else None
     sums = np.zeros(len(bases))
     empty_sum = 0.0
     buf = np.empty((source.n if collect_rows else _EVAL_CHUNK, source.d))
     start = end = 0
 
     def flush():
-        nonlocal empty_sum
+        nonlocal empty_sum, r_factor
         arr = buf[start:end]
         empty_sum += float(np.sum(np.linalg.norm(arr, axis=1) ** p))
         for i, b in enumerate(bases):
             sums[i] += float(np.sum(b.distances(arr) ** p))
+        if r_factor is not None:
+            r_factor = np.linalg.qr(np.vstack((r_factor, arr)), mode="r")
 
     for x in iterate_once(source, "evaluation"):
         buf[end] = x
@@ -171,7 +178,9 @@ def _evaluation_pass(source, bases, p, collect_rows):
             end = start
     if end > start:
         flush()
-    return sums, empty_sum, PointSet(buf) if collect_rows else None
+    if collect_rows:
+        return sums, empty_sum, PointSet(buf)
+    return sums, empty_sum, None if r_factor is None else PointSet(r_factor)
 
 
 def run_experiment(spec):
@@ -198,8 +207,7 @@ def run_experiment(spec):
         timings.update(selection_seconds=time.perf_counter() - t0, walk_seconds=0.0)
 
     t0 = time.perf_counter()
-    sums, empty_sum, X = _evaluation_pass(source, bases, spec.p,
-                                          collect_rows=spec.oracle != "none")
+    sums, empty_sum, X = _evaluation_pass(source, bases, spec.p, spec.oracle)
     timings["evaluation_seconds"] = time.perf_counter() - t0
     if empty_sum <= 0.0:
         raise InputError("all points are zero; errors are degenerate")
@@ -210,7 +218,7 @@ def run_experiment(spec):
 
     oracle_err = oracle_root = delta_term = None
     if spec.oracle == "svd":
-        oracle_err = svd_optimal_err2(X, spec.k)
+        oracle_err = svd_optimal_err2(X, spec.k)  # X is the R factor here
         oracle_root = oracle_err ** 0.5
         delta_term = spec.delta * empty_sum ** 0.5 if spec.p == 2 else None
     elif spec.oracle == "bruteforce":

@@ -6,8 +6,10 @@ of two banks of single-slot weighted reservoirs, one keyed by the
 distance weight and one uniform; both banks run over one shared pass.
 A bank replaces each slot with probability w/W as row weights w arrive,
 W being the running weight total (sequential with-replacement sampling,
-Chao 1982), so its cost is the number of slots written rather than a
-scan of every slot per row. q is bounded below by 1/(2n), the floor the
+Chao 1982). It does so in skip-ahead form: after each write it draws the
+total up to which no row writes anything, so a row costs one add and one
+compare until a row crosses that limit, and only that row draws random
+numbers (see `_kernels`). q is bounded below by 1/(2n), the floor the
 walk's mixing analysis relies on.
 """
 
@@ -114,19 +116,23 @@ class _ReservoirBank:
     the other slots: i.i.d. draws with replacement from one shared pass.
     The first row of positive weight fills every slot. A slot records
     the row's position in a `_RowStore`, not the row itself.
+
+    The kernel skips ahead: after a write at total W it sets the skip
+    limit L = W * U^(-1/s) for s slots and U uniform on (0, 1], and rows
+    write nothing while the total stays <= L. Under thinning, rows after
+    that write leave all s slots alone up to total W' with probability
+    (W/W')^s = P(L >= W'), so the limit has the thinning law exactly.
+    A bank with no slots never crosses its limit but still keeps W.
     """
 
-    def __init__(self, slots):
-        self.total = np.zeros(1)  # running weight total W, updated by the kernel
+    __slots__ = ("total", "limit", "win", "rng", "uniforms")
+
+    def __init__(self, slots, rng):
+        self.total = 0.0  # running weight total W
+        self.limit = 0.0 if slots else math.inf  # skip limit L
         self.win = np.full(slots, -1, dtype=np.intp)
-
-    def offer(self, position, weight, rng):
-        """Offer the row that would be kept at `position`; returns slots taken."""
-        return _kernels.update_bank(float(weight), position, self.total, self.win, rng)
-
-    @property
-    def weight_total(self):
-        return float(self.total[0])
+        self.rng = rng
+        self.uniforms = []  # unused variates on (0, 1], drawn in blocks
 
 
 class _RowStore:
@@ -152,7 +158,7 @@ class _RowStore:
         self.size += 1
         if self.size == len(self.index):
             # a bank that has seen no positive weight holds no row yet
-            filled = [bank for bank in banks if bank.weight_total > 0.0]
+            filled = [bank for bank in banks if bank.total > 0.0]
             held = np.zeros(self.size, dtype=bool)
             for bank in filled:
                 held[bank.win] = True
@@ -179,18 +185,18 @@ def _fill_bank(stream, weight_fn, count, rng, zero_message):
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    bank = _ReservoirBank(count)
+    bank = _ReservoirBank(count, rng)
     store = _RowStore(count)
     n = 0
     for index, point in enumerate(stream):
         point = np.ascontiguousarray(point, dtype=np.float64)
-        weight = weight_fn(point)
-        if bank.offer(store.size, weight, rng):
+        weight = float(weight_fn(point))
+        if _kernels.update_bank(bank, weight, store.size):
             store.keep(index, point, weight, (bank,))
         n += 1
     if n == 0:
         raise InputError("empty stream")
-    if bank.weight_total <= 0.0:
+    if bank.total <= 0.0:
         raise InputError(zero_message)
     return store.gather(bank.win)
 
@@ -218,23 +224,23 @@ def draw_mixture_pool(stream, p, pool_size, rng, pivot=None):
     if pool_size < 1:
         raise ParameterError(f"pool_size must be >= 1, got {pool_size}")
     take_weighted = rng.random(pool_size) < 0.5
-    weighted = _ReservoirBank(int(np.count_nonzero(take_weighted)))
-    uniform = _ReservoirBank(pool_size - len(weighted.win))
+    weighted = _ReservoirBank(int(np.count_nonzero(take_weighted)), rng)
+    uniform = _ReservoirBank(pool_size - len(weighted.win), rng)
     banks = (weighted, uniform)
     store = _RowStore(pool_size)
     n = 0
     for index, point in enumerate(stream):
         point = np.ascontiguousarray(point, dtype=np.float64)
-        w = mixture.raw_weight(point)
+        w = float(mixture.raw_weight(point))
         # both banks see the row; it is kept if either takes a slot
-        taken = weighted.offer(store.size, w, rng)
-        taken += uniform.offer(store.size, 1.0, rng)
+        taken = _kernels.update_bank(weighted, w, store.size)
+        taken += _kernels.update_bank(uniform, 1.0, store.size)
         if taken:
             store.keep(index, point, w, banks)
         n += 1
     if n == 0:
         raise InputError("empty stream")
-    weight_total = weighted.weight_total
+    weight_total = weighted.total
     if weight_total <= 0.0:
         raise InputError("all distance weights are zero; the mixture is undefined")
 

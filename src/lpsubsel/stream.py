@@ -83,6 +83,14 @@ def _parse_block(lines, first_line, d):
     return np.array(rows)
 
 
+def _read_lines(fh, count, path):
+    """Up to `count` more lines of a text file opened as UTF-8."""
+    try:
+        return list(itertools.islice(fh, count))
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not valid UTF-8") from None
+
+
 def _csv_blocks(path, header, d):
     """Yield the rows of a CSV file as (rows, d) float arrays, in file order.
 
@@ -91,15 +99,16 @@ def _csv_blocks(path, header, d):
     a non-finite cell is parsed again by `_parse_block`, which either
     accepts it or raises the first fault; the loader accepts a subset of
     what float() does and parses it to the same doubles. d=None takes the
-    width from the first row. OSError is left to the caller.
+    width from the first row. Bytes that are not UTF-8 raise FormatError;
+    OSError is left to the caller.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         line_number = 1
         if header:
-            next(fh, None)
+            _read_lines(fh, 1, path)
             line_number = 2
         while True:
-            lines = list(itertools.islice(fh, _BLOCK_ROWS))
+            lines = _read_lines(fh, _BLOCK_ROWS, path)
             if not lines:
                 return
             text = "".join(lines)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lpsubsel import (ExperimentSpec, InputError, ParameterError, PointSet,
-                      evaluate_subset, experiment, run_experiment, svd_optimal_err2)
+                      brute_force_candidate_err, evaluate_subset, experiment,
+                      run_experiment, svd_optimal_err2)
 from lpsubsel.cli import main
 
 from helpers import low_rank_plus_noise
@@ -62,6 +63,29 @@ def test_svd_oracle_sees_every_row_beyond_one_chunk():
     report = run_experiment(_spec(input=X, algorithm="squared-length", oracle="svd"))
     assert report.oracle_err == svd_optimal_err2(PointSet(X), 2)
     assert report.empty_err == pytest.approx(float((X ** 2).sum()), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(5, 8), (300, 6)], ids=["n_below_d", "n_below_chunk"])
+def test_svd_oracle_from_r_factor_matches_direct_svd(shape):
+    X = np.random.default_rng(14).standard_normal(shape)
+    report = run_experiment(_spec(input=X, algorithm="squared-length", oracle="svd"))
+    assert report.oracle_err == pytest.approx(svd_optimal_err2(PointSet(X), 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [300, 2500])
+def test_svd_oracle_rank_deficient_is_zero(n):
+    # rank-2 data at k = 2: the optimum is 0 up to rounding, over one chunk and several
+    X = low_rank_plus_noise(n, 6, 2, noise=0.0, rng=np.random.default_rng(15)).points
+    report = run_experiment(_spec(input=X, algorithm="squared-length", oracle="svd"))
+    tol = 1e-12 * float((X ** 2).sum())
+    assert report.oracle_err == pytest.approx(svd_optimal_err2(PointSet(X), 2), abs=tol)
+    assert report.oracle_err == pytest.approx(0.0, abs=tol)
+
+
+def test_bruteforce_oracle_sees_every_row():
+    X = np.random.default_rng(16).standard_normal((12, 3))
+    report = run_experiment(_spec(input=X, k=1, oracle="bruteforce"))
+    assert report.oracle_err == brute_force_candidate_err(PointSet(X), 1, 2.0)
 
 
 def test_additive_inequality_with_svd_oracle():
@@ -170,6 +194,15 @@ def test_cli_non_finite_cell_exits_2(tmp_path, capsys, cell, algo):
     path = _write_csv(tmp_path, rows)
     assert main(["--input", path, "--algo", algo, "--k", "1", "--t", "2"]) == 2
     assert "row 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["mcmc-one-pass", "exact-adaptive"])
+def test_cli_non_utf8_file_exits_2(tmp_path, capsys, algo):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"1,2\n\xff\xfe,3\n")
+    assert main(["--input", str(path), "--algo", algo, "--k", "1", "--t", "2"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "not valid UTF-8" in err
 
 
 @pytest.mark.parametrize("algo", ["mcmc-one-pass", "exact-adaptive"])

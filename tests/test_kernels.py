@@ -1,44 +1,107 @@
+import math
+
 import numpy as np
+import pytest
 
 from lpsubsel import _kernels
+from lpsubsel.proposal import _ReservoirBank
 
 
 def test_update_bank_zero_weight_never_wins():
-    rng = np.random.default_rng(0)
-    total, win = np.zeros(1), np.full(4, -1, dtype=np.intp)
-    for value, weight in enumerate((0.0, -1.0, -0.0)):
-        assert _kernels.update_bank(weight, value, total, win, rng) == 0
-    assert total[0] == 0.0 and (win == -1).all()
+    bank = _ReservoirBank(4, np.random.default_rng(0))
+    for value, weight in enumerate((0.0, -1.0, -0.0, math.nan)):
+        assert _kernels.update_bank(bank, weight, value) == 0
+    assert bank.total == 0.0 and (bank.win == -1).all()
 
     # after a positive row, a nonpositive one still leaves W and the slots alone
-    _kernels.update_bank(2.0, 7, total, win, rng)
-    for weight in (0.0, -3.0):
-        assert _kernels.update_bank(weight, 8, total, win, rng) == 0
-        assert total[0] == 2.0 and (win == 7).all()
+    _kernels.update_bank(bank, 2.0, 7)
+    for weight in (0.0, -3.0, math.nan):
+        assert _kernels.update_bank(bank, weight, 8) == 0
+        assert bank.total == 2.0 and (bank.win == 7).all()
 
 
 def test_update_bank_records_winner():
-    rng = np.random.default_rng(1)
-    total, win = np.zeros(1), np.full(3, -1, dtype=np.intp)
+    bank = _ReservoirBank(3, np.random.default_rng(1))
     # the first positive row replaces with probability w/W = 1: every slot
-    assert _kernels.update_bank(2.0, 7, total, win, rng) == 3
-    assert total[0] == 2.0 and (win == 7).all()
+    assert _kernels.update_bank(bank, 2.0, 7) == 3
+    assert bank.total == 2.0 and (bank.win == 7).all()
 
 
 def test_update_bank_returns_slots_written():
-    rng = np.random.default_rng(2)
-    total, win = np.zeros(1), np.full(200, -1, dtype=np.intp)
+    bank = _ReservoirBank(200, np.random.default_rng(2))
     written_total = 0
     for value in range(50):
-        before = win.copy()
-        written = _kernels.update_bank(1.0 + value % 3, value, total, win, rng)
-        assert written == int(np.count_nonzero(win == value))
+        before = bank.win.copy()
+        written = _kernels.update_bank(bank, 1.0 + value % 3, value)
+        assert written == int(np.count_nonzero(bank.win == value))
         # slots not written keep their previous winner
-        kept = win != value
-        np.testing.assert_array_equal(win[kept], before[kept])
+        kept = bank.win != value
+        np.testing.assert_array_equal(bank.win[kept], before[kept])
         written_total += written
-    assert total[0] == sum(1.0 + v % 3 for v in range(50))
-    assert written_total > win.size  # later rows do replace earlier winners
+    assert bank.total == sum(1.0 + v % 3 for v in range(50))
+    assert written_total > bank.win.size  # later rows do replace earlier winners
+
+
+def _binomial_pmf(s, pi):
+    k = np.arange(s + 1)
+    log_comb = np.array([math.lgamma(s + 1) - math.lgamma(j + 1) - math.lgamma(s - j + 1)
+                         for j in k])
+    return np.exp(log_comb + k * np.log(pi) + (s - k) * np.log1p(-pi))
+
+
+# Heavy rows give P(no write) < 1/2 and light ones P(no write) >= 1/2 at
+# both slot counts, so a crossing row draws its count both ways.
+_LAW_WEIGHTS = (1.0, 1.0, 0.004, 3.0, 0.01, 0.5, 0.0001, 8.0, 0.002, 1.5, 0.02, 0.3)
+
+
+@pytest.mark.parametrize("slots,trials", [(8, 4000), (3000, 1500)], ids=["s8", "s3000"])
+def test_update_bank_write_counts_follow_thinning_law(slots, trials):
+    # Row j writes Binomial(s, w_j/W_j) slots, P(no write) = (1 - w_j/W_j)^s
+    # included, whatever the skip limit drawn at earlier rows. One pooled
+    # chi-square over every row's count histogram, bins merged so that each
+    # expects at least 5, at 3 sigma like the other chi-square gates.
+    weights = np.array(_LAW_WEIGHTS)
+    pis = weights / np.cumsum(weights)
+    p_none = (1.0 - pis[1:]) ** slots
+    assert (p_none < 0.5).any() and (p_none >= 0.5).any()
+
+    counts = np.zeros((len(weights), slots + 1))
+    for seed in range(trials):
+        bank = _ReservoirBank(slots, np.random.default_rng(seed))
+        for j, w in enumerate(weights):
+            counts[j, _kernels.update_bank(bank, float(w), j)] += 1
+    assert counts[0, slots] == trials  # the first row fills every slot
+
+    chi2, df = 0.0, 0
+    for j in range(1, len(weights)):
+        expected = trials * _binomial_pmf(slots, pis[j])
+        edges = [0]
+        acc = 0.0
+        for k, e in enumerate(expected):
+            acc += e
+            if acc >= 5.0:
+                edges.append(k + 1)
+                acc = 0.0
+        edges[-1] = slots + 1  # a short tail joins the last full bin
+        obs = np.add.reduceat(counts[j], edges[:-1])
+        exp = np.add.reduceat(expected, edges[:-1])
+        chi2 += float(((obs - exp) ** 2 / exp).sum())
+        df += len(exp) - 1
+    assert chi2 <= df + 3.0 * np.sqrt(2.0 * df)
+
+
+@pytest.mark.parametrize("slots", [8, 60])
+def test_update_bank_writes_distinct_slots(slots):
+    # A slot drawn twice at one row would be counted twice but changed once.
+    # Each row's weight sets w/W so that P(no write) alternates 0.6 and 0.1,
+    # so both ways of drawing a crossing row's slots write several slots.
+    bank = _ReservoirBank(slots, np.random.default_rng(slots))
+    _kernels.update_bank(bank, 1.0, 0)
+    for value in range(1, 400):
+        pi = 1.0 - (0.6 if value % 2 else 0.1) ** (1.0 / slots)
+        before = bank.win.copy()
+        written = _kernels.update_bank(bank, bank.total * pi / (1.0 - pi), value)
+        assert written == int(np.count_nonzero(bank.win != before))
 
 
 def test_run_walks_conventions():
