@@ -25,8 +25,6 @@ BACKEND = "python"
 # Uniform variates a bank draws from its generator per call.
 UNIFORM_BLOCK = 256
 
-_LOG_HALF = math.log(0.5)
-
 
 def run_walks(dist_pow, qmass, uniforms, out):
     """Run one m-step accept/reject chain per row over precomputed arrays.
@@ -85,12 +83,11 @@ def _uniform(bank):
 def _cross(bank, pi, value):
     """Write the row that crossed the skip limit, then draw the next limit.
 
-    The count is Binomial(s, pi) conditioned on >= 1. When P(none) < 1/2
-    the bank redraws the binomial until it is positive (fewer than two
-    draws on average). Otherwise it draws the first written slot F from
-    the truncated geometric law, then Binomial(s-F-1, pi) more slots after
-    F: the set independent Bernoulli(pi) slots give, conditioned on being
-    non-empty, which given its size is a uniform subset.
+    The count is Binomial(s, pi) conditioned on >= 1. The bank draws the
+    first written slot F from the truncated geometric law, then
+    Binomial(s-F-1, pi) more slots after F: the set independent
+    Bernoulli(pi) slots give, conditioned on being non-empty, which given
+    its size is a uniform subset.
     """
     win, rng = bank.win, bank.rng
     slots = win.shape[0]
@@ -103,22 +100,16 @@ def _cross(bank, pi, value):
         # the first positive row, or one that dwarfs the total before it
         win[:] = value
         written = slots
-    elif (log_keep := math.log1p(-pi)) * slots < _LOG_HALF:  # P(none) < 1/2
-        written = 0
-        while not written:
-            written = int(rng.binomial(slots, pi))
-        if written == slots:
-            win[:] = value
-        else:
-            win[rng.choice(slots, written, replace=False, shuffle=False)] = value
     else:
+        log_keep = math.log1p(-pi)
         some = -math.expm1(slots * log_keep)  # P(at least one slot is written)
-        first = min(int(math.log1p(-_uniform(bank) * some) / log_keep), slots - 1)
+        # 1 - U lies in [0, 1), so the log stays finite when some rounds to 1
+        first = min(int(math.log1p((_uniform(bank) - 1.0) * some) / log_keep), slots - 1)
         win[first] = value
         rest = slots - first - 1
         written = int(rng.binomial(rest, pi))
         if written:
-            win[first + 1 + rng.choice(rest, written, replace=False, shuffle=False)] = value
+            win[first + 1:][rng.choice(rest, written, replace=False, shuffle=False)] = value
         written += 1
     bank.limit = total * _uniform(bank) ** (-1.0 / slots)
     return written

@@ -50,7 +50,8 @@ def _binomial_pmf(s, pi):
 
 
 # Heavy rows give P(no write) < 1/2 and light ones P(no write) >= 1/2 at
-# both slot counts, so a crossing row draws its count both ways.
+# both slot counts, so crossing rows draw their first written slot F both
+# near the front of the bank and spread over all of it.
 _LAW_WEIGHTS = (1.0, 1.0, 0.004, 3.0, 0.01, 0.5, 0.0001, 8.0, 0.002, 1.5, 0.02, 0.3)
 
 
@@ -94,7 +95,7 @@ def test_update_bank_write_counts_follow_thinning_law(slots, trials):
 def test_update_bank_writes_distinct_slots(slots):
     # A slot drawn twice at one row would be counted twice but changed once.
     # Each row's weight sets w/W so that P(no write) alternates 0.6 and 0.1,
-    # so both ways of drawing a crossing row's slots write several slots.
+    # so crossing rows write both one slot and several after the first.
     bank = _ReservoirBank(slots, np.random.default_rng(slots))
     _kernels.update_bank(bank, 1.0, 0)
     for value in range(1, 400):
@@ -102,6 +103,19 @@ def test_update_bank_writes_distinct_slots(slots):
         before = bank.win.copy()
         written = _kernels.update_bank(bank, bank.total * pi / (1.0 - pi), value)
         assert written == int(np.count_nonzero(bank.win != before))
+
+
+@pytest.mark.parametrize("u", [1.0, 2.0 ** -53], ids=["u_one", "u_tiny"])
+def test_update_bank_crossing_with_extreme_variate(u):
+    # At s = 3000 and w/W = 1/2, (1 - w/W)^s is below the smallest float, so
+    # P(some slot is written) rounds to 1; the first written slot must still
+    # come out finite and in range at either end of the variates' range.
+    bank = _ReservoirBank(3000, np.random.default_rng(3))
+    _kernels.update_bank(bank, 1.0, 0)
+    bank.limit = 0.0  # the next positive row crosses
+    bank.uniforms = [0.5, u]  # popped from the end: u draws the first slot
+    written = _kernels.update_bank(bank, 1.0, 1)
+    assert 1 <= written == int(np.count_nonzero(bank.win == 1))
 
 
 def test_run_walks_conventions():
