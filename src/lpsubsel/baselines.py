@@ -6,27 +6,29 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import RANK_TOLERANCE, SubsetBasis
-from .proposal import _fill_bank
+from .proposal import MixtureWeights, _fill_bank, _overflow
 from .stream import as_source, iterate_once
 
 
-def _span_of_rows(indices, rows, d):
+def _span_of_rows(indices, rows, row_of, d):
     """SubsetBasis over all the given draws, duplicates kept in order.
 
+    Draw j is the row `rows[row_of[j]]` at stream position `indices[j]`.
     Equivalent to extending one draw at a time, but the span is grown by
-    scanning for the first row outside it (rank grows at most d times), so
-    large with-replacement subsets stay cheap to assemble.
+    scanning for the first draw outside it (rank grows at most d times),
+    and each scan scores every distinct row once, so large with-replacement
+    subsets stay cheap to assemble.
     """
     tracker = SubsetBasis.empty(d)
     norms = np.maximum(np.linalg.norm(rows, axis=1), 1e-300)
-    blocked = np.zeros(len(rows), dtype=bool)
+    blocked = np.zeros(len(row_of), dtype=bool)
     while tracker.rank < d:
-        outside = ~blocked & (tracker.distances(rows) > RANK_TOLERANCE * norms)
+        outside = ~blocked & (tracker.distances(rows) > RANK_TOLERANCE * norms)[row_of]
         candidates = np.flatnonzero(outside)
         if candidates.size == 0:
             break
         j = int(candidates[0])
-        grown = tracker.extended(int(indices[j]), rows[j])
+        grown = tracker.extended(int(indices[j]), rows[row_of[j]])
         if grown.rank == tracker.rank:
             blocked[j] = True  # borderline residual, dependent after re-orthogonalization
             continue
@@ -42,7 +44,8 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
     and extends S (duplicates collapse). Terminates early once the error
     hits zero, where the distribution is undefined. Its defining cost is
     l selection passes on the auditor; every pass refills one (n, d)
-    buffer in place.
+    buffer in place. Raises InputError naming the row at which a round's
+    weight total overflows.
     """
     src = as_source(data, auditor=auditor)
     if t < 1 or l < 0:
@@ -56,8 +59,14 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
             break
         for i, x in enumerate(iterate_once(src, "selection")):
             rows[i] = x
-        dist_pow = basis.distances(rows) ** p
-        total = float(dist_pow.sum())
+        with np.errstate(over="ignore"):
+            dist_pow = basis.distances(rows) ** p
+            total = float(dist_pow.sum())
+            if total == math.inf:
+                running = np.cumsum(dist_pow)
+                # the pairwise sum can overflow where the running one just does not
+                row = int(np.argmax(running == math.inf)) if running[-1] == math.inf else len(rows) - 1
+                raise _overflow(row, float(dist_pow[row]))
         if total <= 0.0:
             break
         picks = rng.choice(rows.shape[0], size=t, p=dist_pow / total)
@@ -78,7 +87,7 @@ def squared_length_sample(data, p, count, rng, auditor=None):
     distinct picks.
     """
     src = as_source(data, auditor=auditor)
-    rows, indices, _ = _fill_bank(iterate_once(src, "selection"),
-                                  lambda x: math.sqrt(float(x.dot(x))) ** p, count, rng,
-                                  "all points have zero norm; nothing can be drawn")
-    return _span_of_rows(indices, rows, src.d)
+    rows, row_of, row_index, _ = _fill_bank(
+        iterate_once(src, "selection"), MixtureWeights(p=p).raw_weight, count, rng,
+        "all points have zero norm; nothing can be drawn")
+    return _span_of_rows(row_index[row_of], rows, row_of, src.d)

@@ -11,6 +11,11 @@ total up to which no row writes anything, so a row costs one add and one
 compare until a row crosses that limit, and only that row draws random
 numbers (see `_kernels`). q is bounded below by 1/(2n), the floor the
 walk's mixing analysis relies on.
+
+A slot holds a position in a row store rather than a row, and the pass
+ends by dropping the rows no slot holds, so the finished pool keeps each
+drawn row once: at most min(n, pool size) rows, however many slots draw
+the same row.
 """
 
 import math
@@ -46,11 +51,16 @@ class MixtureWeights:
             raise InputError(f"p must be a finite real >= 1, got {self.p}")
 
     def raw_weight(self, x):
-        """The unnormalized distance weight d(x, span pivot)^p."""
+        """The unnormalized distance weight d(x, span pivot)^p; inf if it overflows."""
         if self.pivot is None:
             # np.linalg.norm's own formula for a 1-D real vector, without its overhead
-            return math.sqrt(float(x.dot(x))) ** self.p
-        return self.pivot.distance(x) ** self.p
+            distance = math.sqrt(float(x.dot(x)))
+        else:
+            distance = self.pivot.distance(x)
+        try:
+            return distance ** self.p
+        except OverflowError:  # float ** raises where numpy gives inf
+            return math.inf
 
     def masses(self, X):
         """Exact q as a vector over X; requires the pivot not to span X."""
@@ -73,13 +83,16 @@ class MixtureWeights:
 
 @dataclass(frozen=True)
 class ProposalPool:
-    """Finalized i.i.d. draws from q, in slot order.
+    """Finalized i.i.d. draws from q, in slot order, holding each drawn row once.
 
-    Each slot records the drawn point, its position in the stream, and its
-    q-mass (computed at pass end from the accumulated weight total and n).
+    `rows` holds every row some slot drew, once each, so at most
+    min(n, size) of them; slot j drew `rows[row_of[j]]`. Each slot also
+    records its row's position in the stream and its q-mass (computed at
+    pass end from the accumulated weight total and n).
     """
 
-    points: np.ndarray          # (size, d)
+    rows: np.ndarray            # (distinct, d), each drawn row once
+    row_of: np.ndarray          # (size,) position in rows
     indices: np.ndarray         # (size,) stream positions
     qmass: np.ndarray           # (size,)
     stream_length: int
@@ -92,6 +105,11 @@ class ProposalPool:
             raise InputError("recorded q-mass outside [1/(2n), 1]")
 
     @property
+    def points(self):
+        """The drawn point of every slot, (size, d): a gathered copy."""
+        return self.rows[self.row_of]
+
+    @property
     def size(self):
         return len(self.qmass)
 
@@ -99,11 +117,7 @@ class ProposalPool:
         return self.size
 
     def __getitem__(self, i):
-        return self.points[i], int(self.indices[i]), float(self.qmass[i])
-
-    def slice(self, start, stop):
-        """Array views (points, indices, qmass) for slots [start, stop)."""
-        return self.points[start:stop], self.indices[start:stop], self.qmass[start:stop]
+        return self.rows[self.row_of[i]], int(self.indices[i]), float(self.qmass[i])
 
 
 class _ReservoirBank:
@@ -140,7 +154,8 @@ class _RowStore:
 
     A replacement then writes one integer rather than a row. The store
     holds up to twice the slots of the banks that share it; when it fills,
-    rows no slot holds any more are dropped and the slots renumbered.
+    rows no slot holds any more are dropped and the slots renumbered, and
+    `finish` does the same once more at the end of the pass.
     """
 
     def __init__(self, slots):
@@ -157,48 +172,76 @@ class _RowStore:
         self.weight[self.size] = weight
         self.size += 1
         if self.size == len(self.index):
-            # a bank that has seen no positive weight holds no row yet
-            filled = [bank for bank in banks if bank.total > 0.0]
-            held = np.zeros(self.size, dtype=bool)
-            for bank in filled:
-                held[bank.win] = True
-            renumber = np.cumsum(held) - 1
-            for bank in filled:
-                bank.win = renumber[bank.win]
-            live = np.flatnonzero(held)
-            self.size = len(live)
+            live = self._compact(banks)
             self.rows[:self.size] = self.rows[live]
             self.index[:self.size] = self.index[live]
             self.weight[:self.size] = self.weight[live]
 
-    def gather(self, positions):
-        """(rows, stream positions, weights) at the given store positions."""
-        return self.rows[positions], self.index[positions], self.weight[positions]
+    def finish(self, banks):
+        """(rows, stream positions, weights) of the rows the slots hold, once each.
+
+        The slots of `banks` are renumbered into the returned arrays.
+        """
+        live = self._compact(banks)
+        return self.rows[live], self.index[live], self.weight[live]
+
+    def _compact(self, banks):
+        """Renumber the slots of `banks` over the rows they hold; returns those rows' positions."""
+        # a bank that has seen no positive weight holds no row yet
+        filled = [bank for bank in banks if bank.total > 0.0]
+        held = np.zeros(self.size, dtype=bool)
+        for bank in filled:
+            held[bank.win] = True
+        renumber = np.cumsum(held) - 1
+        for bank in filled:
+            bank.win = renumber[bank.win]
+        live = np.flatnonzero(held)
+        self.size = len(live)
+        return live
+
+
+def _overflow(index, weight):
+    """InputError for the row whose weight makes the running total infinite.
+
+    `index` is the row's 0-based stream position; the message names it
+    1-based among the data rows.
+    """
+    if weight == math.inf:
+        cause = "its weight overflows to inf"
+    else:
+        cause = f"its weight {weight:.6g} makes the running weight total overflow"
+    return InputError(f"data row {index + 1}: {cause}; rescale the data or lower p")
 
 
 def _fill_bank(stream, weight_fn, count, rng, zero_message):
     """`count` i.i.d. draws from a stream, P(x) proportional to weight_fn(x).
 
-    Returns (rows, stream positions, weights) in slot order. Raises
-    InputError for an empty stream, and with `zero_message` when no row
-    has positive weight, so nothing can be drawn.
+    Returns (rows, row_of, stream positions, weights): each drawn row
+    once, with its stream position and weight, and the position in rows
+    of every slot's draw. Raises InputError for an empty stream, with
+    `zero_message` when no row has positive weight, so nothing can be
+    drawn, and naming the row at which the weight total overflows.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     bank = _ReservoirBank(count, rng)
     store = _RowStore(count)
     n = 0
-    for index, point in enumerate(stream):
-        point = np.ascontiguousarray(point, dtype=np.float64)
-        weight = float(weight_fn(point))
-        if _kernels.update_bank(bank, weight, store.size):
-            store.keep(index, point, weight, (bank,))
-        n += 1
+    with np.errstate(over="ignore"):  # an overflowing weight is raised below
+        for index, point in enumerate(stream):
+            point = np.ascontiguousarray(point, dtype=np.float64)
+            weight = float(weight_fn(point))
+            if bank.total + weight == math.inf:
+                raise _overflow(index, weight)
+            if _kernels.update_bank(bank, weight, store.size):
+                store.keep(index, point, weight, (bank,))
+            n += 1
     if n == 0:
         raise InputError("empty stream")
     if bank.total <= 0.0:
         raise InputError(zero_message)
-    return store.gather(bank.win)
+    rows, indices, weights = store.finish((bank,))
+    return rows, bank.win, indices, weights
 
 
 def reservoir_draw_iid(stream, weight_fn, count, rng):
@@ -207,9 +250,9 @@ def reservoir_draw_iid(stream, weight_fn, count, rng):
     One shared pass, one single-slot reservoir per draw; the weight total
     is never needed in advance. Returns a list of (point, weight) pairs.
     """
-    rows, _, weights = _fill_bank(stream, weight_fn, count, rng,
-                                  "all weights are zero; nothing can be drawn")
-    return [(rows[j], float(weights[j])) for j in range(count)]
+    rows, row_of, _, weights = _fill_bank(stream, weight_fn, count, rng,
+                                          "all weights are zero; nothing can be drawn")
+    return [(rows[r], float(weights[r])) for r in row_of.tolist()]
 
 
 def draw_mixture_pool(stream, p, pool_size, rng, pivot=None):
@@ -218,7 +261,9 @@ def draw_mixture_pool(stream, p, pool_size, rng, pivot=None):
     Each slot first flips a fair coin that assigns it to the distance-weight
     bank or to the uniform bank; both banks then run over the same stream,
     so between them they hold `pool_size` slots. q-masses are attached
-    after the pass from the distance-weight total and n.
+    after the pass from the distance-weight total and n. The pool keeps
+    each drawn row once (see `ProposalPool`). Raises InputError naming the
+    row at which the distance-weight total overflows.
     """
     mixture = MixtureWeights(p=p, pivot=pivot)
     if pool_size < 1:
@@ -229,27 +274,30 @@ def draw_mixture_pool(stream, p, pool_size, rng, pivot=None):
     banks = (weighted, uniform)
     store = _RowStore(pool_size)
     n = 0
-    for index, point in enumerate(stream):
-        point = np.ascontiguousarray(point, dtype=np.float64)
-        w = float(mixture.raw_weight(point))
-        # both banks see the row; it is kept if either takes a slot
-        taken = _kernels.update_bank(weighted, w, store.size)
-        taken += _kernels.update_bank(uniform, 1.0, store.size)
-        if taken:
-            store.keep(index, point, w, banks)
-        n += 1
+    with np.errstate(over="ignore"):  # an overflowing weight is raised below
+        for index, point in enumerate(stream):
+            point = np.ascontiguousarray(point, dtype=np.float64)
+            w = float(mixture.raw_weight(point))
+            if weighted.total + w == math.inf:
+                raise _overflow(index, w)
+            # both banks see the row; it is kept if either takes a slot
+            taken = _kernels.update_bank(weighted, w, store.size)
+            taken += _kernels.update_bank(uniform, 1.0, store.size)
+            if taken:
+                store.keep(index, point, w, banks)
+            n += 1
     if n == 0:
         raise InputError("empty stream")
     weight_total = weighted.total
     if weight_total <= 0.0:
         raise InputError("all distance weights are zero; the mixture is undefined")
 
-    slots = np.empty(pool_size, dtype=np.intp)
-    slots[take_weighted] = weighted.win
-    slots[~take_weighted] = uniform.win
+    rows, row_index, row_w = store.finish(banks)
+    row_of = np.empty(pool_size, dtype=np.intp)
+    row_of[take_weighted] = weighted.win
+    row_of[~take_weighted] = uniform.win
     # the store keeps each row's distance weight, whichever bank drew it
-    points, indices, drawn_w = store.gather(slots)
-    qmass = 0.5 * drawn_w / weight_total + 0.5 / n
-    return ProposalPool(points=points, indices=indices,
+    qmass = (0.5 * row_w / weight_total + 0.5 / n)[row_of]
+    return ProposalPool(rows=rows, row_of=row_of, indices=row_index[row_of],
                         qmass=qmass, stream_length=n,
                         weight_total=weight_total, p=p)

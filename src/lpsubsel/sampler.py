@@ -202,8 +202,10 @@ def one_pass_adaptive_sample(source, config, timings=None):
     One selection pass builds the shared proposal pool for all repetitions;
     each repetition then runs l rounds of t independent m-step walks against
     its current subset and keeps only each walk's final point. Walks within
-    a round all see the basis frozen at the round start. Returns one
-    SubsetBasis per repetition (duplicate picks collapse).
+    a round all see the basis frozen at the round start, so each round
+    scores d(x, span S)^p once per distinct row its slots drew, not once
+    per slot. Returns one SubsetBasis per repetition (duplicate picks
+    collapse).
 
     If `timings` is a dict it receives the wall-clock split between the
     streaming pass and the walk phase.
@@ -237,20 +239,25 @@ def one_pass_adaptive_sample(source, config, timings=None):
                 break
             start = (rep * config.l + rnd) * block
             assert start + block <= pool.size, "pool sized too small (sizing bug)"
-            pts, idxs, qm = pool.slice(start, start + block)
-            dist_pow = np.ascontiguousarray(
-                (basis.distances(pts) ** config.p).reshape(config.t, width))
-            qmat = np.ascontiguousarray(qm.reshape(config.t, width))
+            slot_rows = pool.row_of[start:start + block]
+            # score each distinct row the round's slots drew once, then
+            # spread the scores over the slots
+            drawn = np.zeros(len(pool.rows), dtype=bool)
+            drawn[slot_rows] = True
+            scores = np.empty(len(pool.rows))
+            scores[drawn] = basis.distances(pool.rows[drawn]) ** config.p
+            dist_pow = scores[slot_rows].reshape(config.t, width)
+            qmat = pool.qmass[start:start + block].reshape(config.t, width)
             variates = np.empty((config.t, config.m))
             for w in range(config.t):
                 variates[w] = open_unit(walk_rng(config.seed, rep, rnd, w), config.m)
             _kernels.run_walks(dist_pow, qmat, variates, finals)
             for w in range(config.t):
-                sel = w * width + int(finals[w])
-                idx = int(idxs[sel])
+                sel = start + w * width + int(finals[w])
+                idx = int(pool.indices[sel])
                 if idx not in members:
                     members.add(idx)
-                    basis = basis.extended(idx, pts[sel])
+                    basis = basis.extended(idx, pool.rows[pool.row_of[sel]])
         bases.append(basis)
     t2 = time.perf_counter()
     if timings is not None:

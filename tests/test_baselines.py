@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lpsubsel import (InputError, PointSet, SubsetBasis, adaptive_distribution,
-                      as_source, exact_adaptive_sample, squared_length_sample,
-                      tv_distance)
+from lpsubsel import (RANK_TOLERANCE, InputError, PointSet, SubsetBasis,
+                      adaptive_distribution, as_source, exact_adaptive_sample,
+                      squared_length_sample, tv_distance)
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.5, 0.5], [-2.0, 1.0]])
@@ -78,3 +78,42 @@ def test_squared_length_one_pass():
     src = as_source(SIX_POINTS)
     squared_length_sample(src, 2.0, count=10, rng=np.random.default_rng(5))
     assert src.auditor.selection_passes == 1
+
+
+def _span_draw_by_draw(indices, points, d):
+    """Reference span assembly: every draw scored on its own copy of its row."""
+    tracker = SubsetBasis.empty(d)
+    norms = np.maximum(np.linalg.norm(points, axis=1), 1e-300)
+    blocked = np.zeros(len(points), dtype=bool)
+    while tracker.rank < d:
+        outside = ~blocked & (tracker.distances(points) > RANK_TOLERANCE * norms)
+        candidates = np.flatnonzero(outside)
+        if candidates.size == 0:
+            break
+        j = int(candidates[0])
+        grown = tracker.extended(int(indices[j]), points[j])
+        if grown.rank == tracker.rank:
+            blocked[j] = True
+            continue
+        tracker = grown
+    return tracker
+
+
+# members recorded before the bank kept each drawn row once
+@pytest.mark.parametrize("d, p, seed, members", [
+    (5, 2.0, 8, [14, 24, 12, 11, 23, 30, 23, 14, 33, 24, 23, 23,
+                 9, 39, 23, 6, 29, 30, 14, 6, 19, 11, 12, 6]),
+    (5, 3.0, 9, [6, 30, 30, 23, 30, 23, 11, 30, 30, 28, 23, 28,
+                 30, 14, 23, 23, 35, 19, 23, 14, 11, 8, 23, 23]),
+    (30, 2.0, 8, None),  # 24 draws in d = 30: the span stays short of R^d
+], ids=["d5_p2", "d5_p3", "d30_p2"])
+def test_squared_length_fixed_seed_matches_draw_by_draw_span(d, p, seed, members):
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((40, d)) * np.exp(rng.standard_normal((40, 1)))
+    basis = squared_length_sample(X, p, 24, np.random.default_rng(seed))
+    if members is not None:
+        assert list(basis.member_indices) == members
+    drawn = list(basis.member_indices)
+    want = _span_draw_by_draw(drawn, X[drawn], d)
+    assert basis.rank == want.rank <= len(set(drawn))
+    np.testing.assert_array_equal(basis.basis, want.basis)

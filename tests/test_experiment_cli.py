@@ -243,3 +243,18 @@ def test_cli_exact_adaptive_and_header(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["selection_passes"] == 2
+
+
+@pytest.mark.parametrize("algo", ["mcmc-one-pass", "exact-adaptive", "squared-length"])
+@pytest.mark.parametrize("text, p, row", [
+    ("1e200,1\n1,2\n2,1\n", 2, 1),  # ||x||^2 overflows inside the norm
+    ("1,2\n1e103,0\n2,1\n", 3, 2),  # a finite norm whose cube overflows
+    ("1e154,0\n1e154,0\n", 2, 2),   # finite weights whose total overflows
+], ids=["inf_norm", "inf_power", "total_overflows"])
+def test_cli_overflowing_weight_exits_2(tmp_path, capsys, algo, text, p, row):
+    path = tmp_path / "huge.csv"
+    path.write_text(text, encoding="utf-8")
+    code = main(["--input", str(path), "--algo", algo, "--k", "1", "--t", "2",
+                 "--p", str(p)])
+    assert code == 2
+    assert f"error: data row {row}: " in capsys.readouterr().err

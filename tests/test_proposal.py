@@ -4,6 +4,7 @@ import pytest
 from lpsubsel import (InputError, MixtureWeights, ParameterError, PointSet,
                       SubsetBasis, as_source, draw_mixture_pool, extend_basis,
                       iterate_once, open_unit, reservoir_draw_iid, tv_distance)
+from lpsubsel.proposal import _fill_bank
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.0, 0.0], [-2.0, 1.0]])
@@ -122,6 +123,19 @@ def test_reservoir_exact_across_store_compaction():
     assert positions[~late].mean() == pytest.approx(0.5 * n // 2, abs=800)
 
 
+def test_reservoir_fixed_seed_draws():
+    # recorded before the bank kept each drawn row once: the same draws
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((40, 5)) * np.exp(rng.standard_normal((40, 1)))
+    rows = np.column_stack([np.arange(40), X])
+    draws = reservoir_draw_iid(_stream(rows), lambda x: float(x[1:].dot(x[1:])), 16,
+                               np.random.default_rng(10))
+    assert [int(point[0]) for point, _ in draws] == [
+        30, 28, 39, 12, 30, 23, 28, 21, 30, 30, 23, 30, 30, 15, 30, 23]
+    assert all(weight == float(X[int(point[0])].dot(X[int(point[0])]))
+               for point, weight in draws)
+
+
 def test_reservoir_errors():
     rng = np.random.default_rng(4)
     with pytest.raises(InputError):
@@ -236,3 +250,30 @@ def test_pool_slot_triples():
     assert 0 <= index < len(SIX_POINTS)
     assert 1.0 / 12 - 1e-15 <= qmass <= 1.0
     assert len(pool) == 16
+
+
+def _assert_rows_held_once(rows, row_of, positions, X, slots):
+    """Each drawn row is held once, every held row is some slot's draw, and
+    slot j's draw is the stream's row at positions[j]."""
+    assert len(rows) <= min(len(X), slots) and len(row_of) == slots
+    np.testing.assert_array_equal(np.unique(row_of), np.arange(len(rows)))
+    # column 0 of row i is i: the held rows are distinct stream positions
+    assert len(np.unique(rows[:, 0])) == len(rows)
+    np.testing.assert_array_equal(rows[row_of], X[positions])
+
+
+@pytest.mark.parametrize("n, slots", [(40, 3000), (20_000, 500)],
+                         ids=["n_below_pool", "store_compacts"])
+def test_pool_and_bank_hold_each_drawn_row_once(n, slots):
+    # with 20,000 rows into 500 slots the row store fills and is compacted
+    # many times before the pass ends
+    X = np.column_stack([np.arange(n, dtype=float), 1.0 + np.arange(n) % 7])
+    pool = draw_mixture_pool(_stream(X), 2.0, slots, np.random.default_rng(15))
+    _assert_rows_held_once(pool.rows, pool.row_of, pool.indices, X, slots)
+    np.testing.assert_array_equal(pool.points, X[pool.indices])
+    point, index, _ = pool[slots - 1]
+    np.testing.assert_array_equal(point, X[index])
+    rows, row_of, row_index, weights = _fill_bank(_stream(X), lambda x: x[1], slots,
+                                                  np.random.default_rng(16), "no weight")
+    _assert_rows_held_once(rows, row_of, row_index[row_of], X, slots)
+    np.testing.assert_array_equal(weights, X[row_index, 1])

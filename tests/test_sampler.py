@@ -7,7 +7,8 @@ from lpsubsel import (ParameterError, PointSet, SamplerConfig, SubsetBasis,
                       acceptance_ratio, adaptive_distribution, as_source,
                       draw_mixture_pool, one_pass_adaptive_sample, open_unit,
                       random_walk, theorem_params, tv_distance)
-from lpsubsel import _kernels
+from lpsubsel import _kernels, sampler
+from lpsubsel.sampler import pool_rng, walk_rng
 
 from helpers import basis_from
 
@@ -188,3 +189,78 @@ def test_one_pass_single_draw_matches_adaptive_distribution():
         basis = one_pass_adaptive_sample(as_source(X), cfg)[0]
         counts[basis.member_indices[0]] += 1
     assert tv_distance(counts / runs, target) <= 0.05
+
+
+def _lognormal_low_rank(n, d, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 3)) @ rng.standard_normal((3, d))
+    X += 0.3 * rng.standard_normal((n, d))
+    return X * np.exp(0.5 * rng.standard_normal((n, 1)))
+
+
+def _slot_by_slot_members(X, config):
+    """Reference sampler: every slot's draw scored on its own gathered copy."""
+    pool = draw_mixture_pool(iter(X), config.p, config.pool_size, pool_rng(config.seed))
+    points = pool.points
+    width = config.m + 1
+    block = config.t * width
+    finals = np.empty(config.t, dtype=np.intp)
+    picked = []
+    for rep in range(config.repetitions):
+        basis = SubsetBasis.empty(X.shape[1])
+        members = []
+        for rnd in range(config.l):
+            start = (rep * config.l + rnd) * block
+            dist_pow = basis.distances(points[start:start + block]) ** config.p
+            variates = np.array([open_unit(walk_rng(config.seed, rep, rnd, w), config.m)
+                                 for w in range(config.t)])
+            _kernels.run_walks(dist_pow.reshape(config.t, width),
+                               pool.qmass[start:start + block].reshape(config.t, width),
+                               variates, finals)
+            for w in range(config.t):
+                sel = start + w * width + int(finals[w])
+                if int(pool.indices[sel]) not in members:
+                    members.append(int(pool.indices[sel]))
+                    basis = basis.extended(pool.indices[sel], points[sel])
+        picked.append(tuple(members))
+    return picked
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_one_pass_matches_slot_by_slot_scoring(p, seed):
+    # pool 1,116 > n = 120, so slots share rows; t * l = 18 < d, so the
+    # span never covers R^d and every round runs
+    X = _lognormal_low_rank(120, 24, seed)
+    config = SamplerConfig(k=3, p=p, delta=0.5, epsilon=0.125, epsilon1=0.1,
+                           epsilon2=0.01, m=30, t=6, l=3, repetitions=2, seed=seed)
+    bases = one_pass_adaptive_sample(as_source(X), config)
+    assert [b.member_indices for b in bases] == _slot_by_slot_members(X, config)
+
+
+def test_walk_rounds_score_each_distinct_row_once(monkeypatch):
+    # n = 50 rows against 168 slots a round: scoring slot by slot would
+    # score 168 rows per round
+    X = _lognormal_low_rank(50, 32, 5)
+    config = SamplerConfig(k=3, p=3.0, delta=0.5, epsilon=0.125, epsilon1=0.1,
+                           epsilon2=0.01, m=20, t=8, l=3, repetitions=2, seed=6)
+    pools, scored = [], []
+    draw, distances = sampler.draw_mixture_pool, SubsetBasis.distances
+
+    def recording_draw(*args, **kwargs):
+        pools.append(draw(*args, **kwargs))
+        return pools[-1]
+
+    def recording_distances(self, rows):
+        scored.append(len(rows))
+        return distances(self, rows)
+
+    monkeypatch.setattr(sampler, "draw_mixture_pool", recording_draw)
+    monkeypatch.setattr(SubsetBasis, "distances", recording_distances)
+    one_pass_adaptive_sample(as_source(X), config)
+    (pool,) = pools
+    block = config.t * (config.m + 1)
+    assert len(scored) == config.repetitions * config.l
+    for rnd, rows in enumerate(scored):
+        distinct = len(np.unique(pool.row_of[rnd * block:(rnd + 1) * block]))
+        assert rows == distinct <= len(pool.rows) < block
