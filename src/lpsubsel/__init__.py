@@ -12,16 +12,14 @@ from ._kernels import BACKEND
 from .baselines import exact_adaptive_sample, squared_length_sample
 from .errors import (FormatError, GuardError, InputError, ParameterError,
                      SourceChangedError, StreamError)
-from .experiment import (EvaluationRecord, ExperimentSpec, RunReport,
-                         evaluate_subset, run_experiment)
+from .experiment import ExperimentSpec, RunReport, run_experiment
 from .geometry import (RANK_TOLERANCE, ErrParams, PointSet, SubsetBasis,
-                       dist_to_span, err_p, extend_basis)
+                       err_p, extend_basis)
 from .oracles import (DistributionTable, OracleReport, adaptive_distribution,
                       brute_force_candidate_err, exact_walk_distribution,
                       gamma_bound, mixture_distribution, svd_optimal_err2,
                       transition_matrix, tv_distance)
-from .proposal import (MixtureWeights, ProposalPool, draw_mixture_pool,
-                       open_unit, reservoir_draw_iid)
+from .proposal import MixtureWeights, ProposalPool, draw_mixture_pool, open_unit
 from .sampler import (SamplerConfig, WalkState, acceptance_ratio,
                       one_pass_adaptive_sample, random_walk, theorem_params)
 from .stream import DatasetSource, PassAuditor, as_source, iterate_once, open_csv
@@ -30,18 +28,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND", "RANK_TOLERANCE", "__version__",
-    "DatasetSource", "DistributionTable", "ErrParams", "EvaluationRecord",
-    "ExperimentSpec", "FormatError", "GuardError", "InputError",
+    "DatasetSource", "DistributionTable", "ErrParams", "ExperimentSpec",
+    "FormatError", "GuardError", "InputError",
     "MixtureWeights", "OracleReport", "ParameterError", "PassAuditor",
     "PointSet", "ProposalPool", "RunReport", "SamplerConfig", "SourceChangedError",
     "StreamError",
     "SubsetBasis", "WalkState",
     "acceptance_ratio", "adaptive_distribution", "as_source",
-    "brute_force_candidate_err", "dist_to_span", "draw_mixture_pool",
-    "err_p", "evaluate_subset", "exact_adaptive_sample",
+    "brute_force_candidate_err", "draw_mixture_pool", "err_p",
+    "exact_adaptive_sample",
     "exact_walk_distribution", "extend_basis", "gamma_bound", "iterate_once",
     "mixture_distribution", "one_pass_adaptive_sample", "open_csv",
-    "open_unit", "random_walk", "reservoir_draw_iid", "run_experiment",
+    "open_unit", "random_walk", "run_experiment",
     "squared_length_sample", "svd_optimal_err2", "theorem_params",
     "transition_matrix", "tv_distance",
 ]

@@ -2,7 +2,9 @@
 
 Both are plain Python over NumPy state. The sampler and the proposal pass
 look them up as module attributes at call time, one `update_bank` call
-per streamed row per bank and one `run_walks` call per round.
+per streamed row per bank and one `run_walks` call per round: the lpbench
+tracer times and counts them by patching these attributes, so a caller
+that bound them to locals would escape it.
 
 `update_bank` is sequential with-replacement sampling by binomial thinning
 (Chao 1982) in skip-ahead form. Thinning replaces each of a bank's s slots
@@ -62,8 +64,9 @@ def update_bank(bank, weight, value):
     the row writes `value` into Binomial(slots, weight/total) slots,
     conditioned on at least one, and the limit is redrawn. The first
     positive row fills every slot. A weight that is not positive (or is
-    NaN) writes nothing and leaves the total alone. Returns the number of
-    slots written.
+    NaN) writes nothing and leaves the total alone. The caller keeps the
+    total finite: a row that would make it overflow must be rejected
+    before this call. Returns the number of slots written.
     """
     if weight > 0.0:
         total = bank.total + weight
@@ -92,10 +95,6 @@ def _cross(bank, pi, value):
     win, rng = bank.win, bank.rng
     slots = win.shape[0]
     total = bank.total
-    if pi == 0.0:
-        # only once the total has overflowed; no row can write again
-        bank.limit = total
-        return 0
     if pi == 1.0:
         # the first positive row, or one that dwarfs the total before it
         win[:] = value

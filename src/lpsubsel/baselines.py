@@ -1,12 +1,10 @@
 """Multi-pass and one-shot baselines the one-pass sampler is compared against."""
 
-import math
-
 import numpy as np
 
 from .errors import ParameterError
 from .geometry import RANK_TOLERANCE, SubsetBasis
-from .proposal import MixtureWeights, _fill_bank, _overflow
+from .proposal import MixtureWeights, _draw_banks, _weight_total
 from .stream import as_source, iterate_once
 
 
@@ -59,14 +57,9 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
             break
         for i, x in enumerate(iterate_once(src, "selection")):
             rows[i] = x
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # an overflowing weight is raised below
             dist_pow = basis.distances(rows) ** p
-            total = float(dist_pow.sum())
-            if total == math.inf:
-                running = np.cumsum(dist_pow)
-                # the pairwise sum can overflow where the running one just does not
-                row = int(np.argmax(running == math.inf)) if running[-1] == math.inf else len(rows) - 1
-                raise _overflow(row, float(dist_pow[row]))
+        total = _weight_total(dist_pow)
         if total <= 0.0:
             break
         picks = rng.choice(rows.shape[0], size=t, p=dist_pow / total)
@@ -84,10 +77,11 @@ def squared_length_sample(data, p, count, rng, auditor=None):
     p=2 is classical squared-length sampling. One selection pass; the
     returned subset keeps all count draws in order, duplicates included
     (with-replacement semantics), so its rank is at most the number of
-    distinct picks.
+    distinct picks. It is the mixture pool's pass with no uniform slots.
     """
     src = as_source(data, auditor=auditor)
-    rows, row_of, row_index, _ = _fill_bank(
-        iterate_once(src, "selection"), MixtureWeights(p=p).raw_weight, count, rng,
-        "all points have zero norm; nothing can be drawn")
-    return _span_of_rows(row_index[row_of], rows, row_of, src.d)
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
+    rows, row_index, _, bank, _ = _draw_banks(
+        iterate_once(src, "selection"), MixtureWeights(p=p).raw_weight, count, 0, rng)
+    return _span_of_rows(row_index[bank.win], rows, bank.win, src.d)

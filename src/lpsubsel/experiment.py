@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .baselines import exact_adaptive_sample, squared_length_sample
 from .errors import InputError, ParameterError
-from .geometry import ErrParams, PointSet, SubsetBasis, err_p, extend_basis
+from .geometry import ErrParams, PointSet
 from .oracles import brute_force_candidate_err, svd_optimal_err2
 from .sampler import baseline_rng, one_pass_adaptive_sample, theorem_params
 from .stream import as_source, iterate_once, open_csv
@@ -102,38 +102,6 @@ class RunReport:
         header = ",".join(keys)
         row = ",".join(str(d[k]) for k in keys)
         return header + "\n" + row + "\n"
-
-
-@dataclass
-class EvaluationRecord:
-    """Errors of one subset in 1/p-power units, with the trivial baseline."""
-
-    err_root: float
-    empty_err_root: float
-    error_ratio_root: float
-    rank: int
-    svd_opt_root: float = None
-
-
-def evaluate_subset(X, subset_indices, p, k):
-    """Evaluate err_p(X, span(subset))^(1/p) against the trivial baseline.
-
-    For p=2 the SVD optimum err_2(X, V*)^(1/2) is included as well.
-    """
-    ErrParams(p=p, k=k).check_dimension(X.d)
-    basis = SubsetBasis.empty(X.d)
-    for idx in subset_indices:
-        basis = extend_basis(basis, idx, X)
-    err = err_p(X, basis, p)
-    empty = err_p(X, SubsetBasis.empty(X.d), p)
-    if empty <= 0.0:
-        raise InputError("all points are zero; errors are degenerate")
-    svd_root = svd_optimal_err2(X, k) ** 0.5 if p == 2 else None
-    return EvaluationRecord(err_root=err ** (1.0 / p),
-                            empty_err_root=empty ** (1.0 / p),
-                            error_ratio_root=(err / empty) ** (1.0 / p),
-                            rank=basis.rank,
-                            svd_opt_root=svd_root)
 
 
 def _resolve_source(spec):

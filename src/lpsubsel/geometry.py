@@ -154,11 +154,6 @@ def extend_basis(basis, point_index, X):
     return basis.extended(point_index, X.points[point_index])
 
 
-def dist_to_span(basis, x):
-    """Euclidean distance from x to span(basis); the norm of x if the basis is empty."""
-    return basis.distance(x)
-
-
 def err_p(X, basis, p):
     """Sum over the dataset of the p-th power of distance to span(basis)."""
     if not (np.isfinite(p) and p >= 1.0):

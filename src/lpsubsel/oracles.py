@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import GuardError, InputError
 from .geometry import SubsetBasis, err_p, extend_basis
-from .proposal import MixtureWeights
+from .proposal import MixtureWeights, _weight_total
 
 _WALK_GUARD_N = 64
 _BRUTE_GUARD_N = 18
@@ -31,6 +31,8 @@ class DistributionTable:
         m = np.asarray(self.masses, dtype=np.float64)
         if m.ndim != 1:
             raise InputError("masses must be a vector")
+        if not np.isfinite(m).all():
+            raise InputError("non-finite probability mass")
         if (m < -1e-15).any():
             raise InputError("negative probability mass")
         if abs(float(m.sum()) - 1.0) > 1e-12:
@@ -64,7 +66,7 @@ class OracleReport:
 def adaptive_distribution(X, basis, p):
     """The target distribution, proportional to d(x, span S)^p over X."""
     dist_pow = basis.distances(X.points) ** p
-    total = float(dist_pow.sum())
+    total = _weight_total(dist_pow)
     if total <= 0.0:
         raise InputError("subset spans the data; adaptive distribution undefined")
     return DistributionTable(dist_pow / total)
@@ -86,7 +88,7 @@ def transition_matrix(X, basis, p, pivot=None):
     if n > _WALK_GUARD_N:
         raise GuardError(f"transition matrix guarded to n <= {_WALK_GUARD_N}, got {n}")
     dist_pow = basis.distances(X.points) ** p
-    if float(dist_pow.sum()) <= 0.0:
+    if _weight_total(dist_pow) <= 0.0:
         raise InputError("subset spans the data; walk target undefined")
     q = MixtureWeights(p=p, pivot=pivot).masses(X)
 

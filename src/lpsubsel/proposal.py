@@ -16,10 +16,13 @@ A slot holds a position in a row store rather than a row, and the pass
 ends by dropping the rows no slot holds, so the finished pool keeps each
 drawn row once: at most min(n, pool size) rows, however many slots draw
 the same row.
+
+Squared-length (norm-power) sampling is the same pass with no uniform
+slots: `_draw_banks` serves both.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,16 +66,20 @@ class MixtureWeights:
             return math.inf
 
     def masses(self, X):
-        """Exact q as a vector over X; requires the pivot not to span X."""
+        """Exact q as a vector over X; requires the pivot not to span X.
+
+        Raises InputError naming the row at which the weight total overflows.
+        """
         if self.pivot is None:
             w = np.linalg.norm(X.points, axis=1) ** self.p
         else:
             w = self.pivot.distances(X.points) ** self.p
-        total = float(w.sum())
+        total = _weight_total(w)
         if total <= 0.0:
             raise InputError("pivot spans the dataset; the mixture is undefined")
         q = 0.5 * w / total + 0.5 / X.n
-        assert abs(q.sum() - 1.0) <= 100 * _MASS_TOL * X.n
+        if not abs(q.sum() - 1.0) <= 100 * _MASS_TOL * X.n:
+            raise InputError(f"masses sum to {q.sum()!r}, not 1")
         return q
 
     @staticmethod
@@ -96,8 +103,6 @@ class ProposalPool:
     indices: np.ndarray         # (size,) stream positions
     qmass: np.ndarray           # (size,)
     stream_length: int
-    weight_total: float
-    p: float = field(default=2.0)
 
     def __post_init__(self):
         lo = MixtureWeights.floor(self.stream_length)
@@ -213,49 +218,58 @@ def _overflow(index, weight):
     return InputError(f"data row {index + 1}: {cause}; rescale the data or lower p")
 
 
-def _fill_bank(stream, weight_fn, count, rng, zero_message):
-    """`count` i.i.d. draws from a stream, P(x) proportional to weight_fn(x).
+def _weight_total(weights):
+    """The sum of a weight vector, one weight per data row.
 
-    Returns (rows, row_of, stream positions, weights): each drawn row
-    once, with its stream position and weight, and the position in rows
-    of every slot's draw. Raises InputError for an empty stream, with
-    `zero_message` when no row has positive weight, so nothing can be
-    drawn, and naming the row at which the weight total overflows.
+    Raises the `_overflow` InputError naming the first row at which the
+    running total overflows.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    bank = _ReservoirBank(count, rng)
-    store = _RowStore(count)
-    n = 0
+    with np.errstate(over="ignore"):
+        total = float(weights.sum())
+        if total == math.inf:
+            running = np.cumsum(weights)
+            # the pairwise sum can overflow where the running one just does not
+            row = int(np.argmax(running == math.inf)) if running[-1] == math.inf else len(weights) - 1
+            raise _overflow(row, float(weights[row]))
+    return total
+
+
+def _draw_banks(stream, weight_fn, weighted_slots, uniform_slots, rng):
+    """One pass feeding every row to a weighted and a uniform reservoir bank.
+
+    The weighted bank's slots become i.i.d. draws with P(x) proportional
+    to weight_fn(x), the uniform bank's i.i.d. uniform draws; both share
+    one row store. Returns (rows, stream positions, weights, weighted,
+    uniform): each row some slot drew once, with its position and weight,
+    and the two banks, whose `win` index into rows and whose totals are
+    the weight total and n (each row adds 1.0 to the uniform bank). A bank
+    with no slots never writes or draws a variate. Raises InputError for
+    an empty stream, when no row has positive weight, and naming the row
+    at which the weight total overflows.
+    """
+    weighted = _ReservoirBank(weighted_slots, rng)
+    uniform = _ReservoirBank(uniform_slots, rng)
+    banks = (weighted, uniform)
+    store = _RowStore(weighted_slots + uniform_slots)
     with np.errstate(over="ignore"):  # an overflowing weight is raised below
         for index, point in enumerate(stream):
             point = np.ascontiguousarray(point, dtype=np.float64)
-            weight = float(weight_fn(point))
-            if bank.total + weight == math.inf:
-                raise _overflow(index, weight)
-            if _kernels.update_bank(bank, weight, store.size):
-                store.keep(index, point, weight, (bank,))
-            n += 1
-    if n == 0:
+            w = float(weight_fn(point))
+            if weighted.total + w == math.inf:
+                raise _overflow(index, w)
+            # both banks see the row; it is kept if either takes a slot
+            taken = _kernels.update_bank(weighted, w, store.size)
+            taken += _kernels.update_bank(uniform, 1.0, store.size)
+            if taken:
+                store.keep(index, point, w, banks)
+    if uniform.total == 0.0:
         raise InputError("empty stream")
-    if bank.total <= 0.0:
-        raise InputError(zero_message)
-    rows, indices, weights = store.finish((bank,))
-    return rows, bank.win, indices, weights
+    if weighted.total <= 0.0:
+        raise InputError("all distance weights are zero; nothing can be drawn")
+    return (*store.finish(banks), weighted, uniform)
 
 
-def reservoir_draw_iid(stream, weight_fn, count, rng):
-    """`count` i.i.d. draws from a stream, P(x) proportional to weight_fn(x).
-
-    One shared pass, one single-slot reservoir per draw; the weight total
-    is never needed in advance. Returns a list of (point, weight) pairs.
-    """
-    rows, row_of, _, weights = _fill_bank(stream, weight_fn, count, rng,
-                                          "all weights are zero; nothing can be drawn")
-    return [(rows[r], float(weights[r])) for r in row_of.tolist()]
-
-
-def draw_mixture_pool(stream, p, pool_size, rng, pivot=None):
+def draw_mixture_pool(stream, p, pool_size, rng):
     """Build a ProposalPool of `pool_size` i.i.d. draws from q in one pass.
 
     Each slot first flips a fair coin that assigns it to the distance-weight
@@ -265,39 +279,18 @@ def draw_mixture_pool(stream, p, pool_size, rng, pivot=None):
     each drawn row once (see `ProposalPool`). Raises InputError naming the
     row at which the distance-weight total overflows.
     """
-    mixture = MixtureWeights(p=p, pivot=pivot)
+    weight_fn = MixtureWeights(p=p).raw_weight
     if pool_size < 1:
         raise ParameterError(f"pool_size must be >= 1, got {pool_size}")
     take_weighted = rng.random(pool_size) < 0.5
-    weighted = _ReservoirBank(int(np.count_nonzero(take_weighted)), rng)
-    uniform = _ReservoirBank(pool_size - len(weighted.win), rng)
-    banks = (weighted, uniform)
-    store = _RowStore(pool_size)
-    n = 0
-    with np.errstate(over="ignore"):  # an overflowing weight is raised below
-        for index, point in enumerate(stream):
-            point = np.ascontiguousarray(point, dtype=np.float64)
-            w = float(mixture.raw_weight(point))
-            if weighted.total + w == math.inf:
-                raise _overflow(index, w)
-            # both banks see the row; it is kept if either takes a slot
-            taken = _kernels.update_bank(weighted, w, store.size)
-            taken += _kernels.update_bank(uniform, 1.0, store.size)
-            if taken:
-                store.keep(index, point, w, banks)
-            n += 1
-    if n == 0:
-        raise InputError("empty stream")
-    weight_total = weighted.total
-    if weight_total <= 0.0:
-        raise InputError("all distance weights are zero; the mixture is undefined")
-
-    rows, row_index, row_w = store.finish(banks)
+    slots = int(np.count_nonzero(take_weighted))
+    rows, row_index, row_w, weighted, uniform = _draw_banks(
+        stream, weight_fn, slots, pool_size - slots, rng)
     row_of = np.empty(pool_size, dtype=np.intp)
     row_of[take_weighted] = weighted.win
     row_of[~take_weighted] = uniform.win
+    n = int(uniform.total)
     # the store keeps each row's distance weight, whichever bank drew it
-    qmass = (0.5 * row_w / weight_total + 0.5 / n)[row_of]
+    qmass = (0.5 * row_w / weighted.total + 0.5 / n)[row_of]
     return ProposalPool(rows=rows, row_of=row_of, indices=row_index[row_of],
-                        qmass=qmass, stream_length=n,
-                        weight_total=weight_total, p=p)
+                        qmass=qmass, stream_length=n)

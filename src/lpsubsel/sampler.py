@@ -181,7 +181,7 @@ def random_walk(pool_slice, basis, p, rng):
     The first draw is the start, the rest are proposals in order. Each step
     draws a variate r in the open unit interval and moves iff the acceptance
     ratio strictly exceeds r. This is the reference scalar path; the batched
-    sampler uses the kernel backend, and both agree draw-for-draw.
+    sampler uses `_kernels.run_walks`, and both agree draw-for-draw.
     """
     draws = [pool_slice[j] for j in range(len(pool_slice))]
     if not draws:

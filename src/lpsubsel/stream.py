@@ -187,11 +187,6 @@ class DatasetSource:
                 f"{self._path} changed since it was opened: "
                 f"{self.n} rows then, {rows} now")
 
-    def materialize(self, purpose="evaluation"):
-        """Load the full dataset into a PointSet, consuming one audited pass."""
-        rows = list(self.iterate_once(purpose))
-        return PointSet(np.vstack(rows))
-
 
 def iterate_once(source, purpose):
     """Module-level alias for DatasetSource.iterate_once."""

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from lpsubsel import (ExperimentSpec, InputError, ParameterError, PointSet,
-                      brute_force_candidate_err, evaluate_subset, experiment,
+                      as_source, brute_force_candidate_err, experiment,
                       run_experiment, svd_optimal_err2)
 from lpsubsel.cli import main
 
-from helpers import low_rank_plus_noise
+from helpers import basis_from, low_rank_plus_noise
+
+ALGORITHMS = ["mcmc-one-pass", "exact-adaptive", "squared-length"]
 
 
 def _spec(**kw):
@@ -104,23 +106,19 @@ def test_bruteforce_oracle_guard_propagates():
         run_experiment(_spec(input=X, oracle="bruteforce"))
 
 
-def test_evaluate_subset_records():
+def test_evaluation_pass_records():
     X = PointSet(np.eye(3))
-    rec = evaluate_subset(X, [0, 1], 2.0, 2)
-    assert rec.err_root == pytest.approx(1.0)
-    assert rec.svd_opt_root == pytest.approx(1.0)
-    assert rec.rank == 2
-    rec_empty = evaluate_subset(X, [], 2.0, 2)
-    assert rec_empty.error_ratio_root == pytest.approx(1.0)
-    rec_all = evaluate_subset(X, [0, 1, 2], 2.0, 2)
-    assert rec_all.err_root == pytest.approx(0.0, abs=1e-12)
-    rec_p1 = evaluate_subset(X, [0], 1.0, 1)
-    assert rec_p1.svd_opt_root is None
-
-
-def test_evaluate_subset_rejects_all_zero_data():
-    with pytest.raises(InputError):
-        evaluate_subset(PointSet(np.zeros((3, 2))), [0], 2.0, 1)
+    bases = [basis_from(X, members) for members in ([0, 1], [], [0, 1, 2])]
+    sums, empty_sum, R = experiment._evaluation_pass(as_source(X), bases, 2.0, "svd")
+    assert sums[0] ** 0.5 == pytest.approx(1.0)
+    assert svd_optimal_err2(R, 2) ** 0.5 == pytest.approx(1.0)
+    assert bases[0].rank == 2
+    assert (sums[1] / empty_sum) ** 0.5 == pytest.approx(1.0)
+    assert sums[2] ** 0.5 == pytest.approx(0.0, abs=1e-12)
+    sums_p1, _, none = experiment._evaluation_pass(as_source(X), [basis_from(X, [0])],
+                                                   1.0, "none")
+    assert sums_p1[0] == pytest.approx(2.0)
+    assert none is None
 
 
 def test_k_larger_than_dimension_rejected():
@@ -144,7 +142,8 @@ def test_cli_json_report(tmp_path, capsys):
     code = main(["--input", path, "--k", "2", "--t", "3", "--seed", "5",
                  "--out", out])
     assert code == 0
-    report = json.loads(open(out, encoding="utf-8").read())
+    with open(out, encoding="utf-8") as fh:
+        report = json.load(fh)
     assert report["algorithm"] == "mcmc-one-pass"
     assert report["config"]["seed"] == 5
     assert report["selection_passes"] == 1
@@ -245,7 +244,17 @@ def test_cli_exact_adaptive_and_header(tmp_path, capsys):
     assert report["selection_passes"] == 2
 
 
-@pytest.mark.parametrize("algo", ["mcmc-one-pass", "exact-adaptive", "squared-length"])
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_cli_all_zero_data_exits_2(tmp_path, capsys, algo):
+    # the selection pass finds no positive weight; exact-adaptive stops its
+    # rounds instead, and the evaluation pass finds every point at zero
+    path = _write_csv(tmp_path, np.zeros((4, 3)))
+    assert main(["--input", path, "--algo", algo, "--k", "1", "--t", "2"]) == 2
+    cause = "all points are zero" if algo == "exact-adaptive" else "all distance weights are zero"
+    assert f"error: {cause}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
 @pytest.mark.parametrize("text, p, row", [
     ("1e200,1\n1,2\n2,1\n", 2, 1),  # ||x||^2 overflows inside the norm
     ("1,2\n1e103,0\n2,1\n", 3, 2),  # a finite norm whose cube overflows

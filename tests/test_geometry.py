@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from lpsubsel import (ErrParams, InputError, PointSet, SubsetBasis,
-                      dist_to_span, err_p, extend_basis)
+from lpsubsel import ErrParams, InputError, PointSet, SubsetBasis, err_p, extend_basis
 
 from helpers import basis_from
 
@@ -50,15 +49,15 @@ def test_extend_rejects_bad_index_and_nonfinite():
 
 def test_dist_to_span_examples():
     basis = SubsetBasis.empty(3).extended(0, np.array([1.0, 0.0, 0.0]))
-    assert dist_to_span(basis, np.array([1.0, 1.0, 0.0])) == pytest.approx(1.0)
-    assert dist_to_span(basis, np.array([2.5, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-8 * 2.5)
-    assert dist_to_span(SubsetBasis.empty(2), np.array([3.0, 4.0])) == pytest.approx(5.0)
+    assert basis.distance(np.array([1.0, 1.0, 0.0])) == pytest.approx(1.0)
+    assert basis.distance(np.array([2.5, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-8 * 2.5)
+    assert SubsetBasis.empty(2).distance(np.array([3.0, 4.0])) == pytest.approx(5.0)
 
 
 def test_dist_to_span_dimension_mismatch():
     basis = SubsetBasis.empty(3)
     with pytest.raises(InputError):
-        dist_to_span(basis, np.array([1.0, 2.0]))
+        basis.distance(np.array([1.0, 2.0]))
 
 
 def test_err_p_examples():
@@ -102,10 +101,10 @@ def test_dist_nonincreasing_under_extension():
     X = PointSet(rng.standard_normal((10, 4)))
     probe = rng.standard_normal(4)
     basis = SubsetBasis.empty(4)
-    prev = dist_to_span(basis, probe)
+    prev = basis.distance(probe)
     for idx in range(6):
         basis = extend_basis(basis, idx, X)
-        cur = dist_to_span(basis, probe)
+        cur = basis.distance(probe)
         assert cur <= prev + 1e-9
         prev = cur
 

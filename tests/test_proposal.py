@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from lpsubsel import (InputError, MixtureWeights, ParameterError, PointSet,
-                      SubsetBasis, as_source, draw_mixture_pool, extend_basis,
-                      iterate_once, open_unit, reservoir_draw_iid, tv_distance)
-from lpsubsel.proposal import _fill_bank
+from lpsubsel import (DistributionTable, InputError, MixtureWeights, ParameterError,
+                      PointSet, SubsetBasis, adaptive_distribution, as_source,
+                      draw_mixture_pool, extend_basis, gamma_bound, iterate_once,
+                      mixture_distribution, open_unit, squared_length_sample,
+                      transition_matrix, tv_distance)
+from lpsubsel.proposal import _draw_banks
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.0, 0.0], [-2.0, 1.0]])
@@ -12,6 +14,12 @@ SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
 
 def _stream(rows):
     return iter(np.asarray(rows, dtype=np.float64))
+
+
+def _reservoir_draws(rows, weight_fn, count, rng):
+    """`count` i.i.d. (point, weight) draws, P(x) proportional to weight_fn(x), in one pass."""
+    drawn, _, weights, bank, _ = _draw_banks(_stream(rows), weight_fn, count, 0, rng)
+    return [(drawn[r], float(weights[r])) for r in bank.win.tolist()]
 
 
 def test_open_unit_stays_inside_the_interval():
@@ -56,6 +64,26 @@ def test_mixture_undefined_when_pivot_spans_data():
         MixtureWeights(p=2.0, pivot=pivot).masses(X)
 
 
+_OVERFLOWING = PointSet(np.array([[1e200, 1.0], [1.0, 2.0], [2.0, 1.0]]))
+_EMPTY = SubsetBasis.empty(2)
+_ROW_1 = "^data row 1: its weight overflows"
+
+
+@pytest.mark.parametrize("exact, message", [
+    (lambda: MixtureWeights(p=2.0).masses(_OVERFLOWING), _ROW_1),
+    (lambda: mixture_distribution(_OVERFLOWING, 2.0), _ROW_1),
+    (lambda: adaptive_distribution(_OVERFLOWING, _EMPTY, 2.0), _ROW_1),
+    (lambda: transition_matrix(_OVERFLOWING, _EMPTY, 2.0), _ROW_1),
+    (lambda: gamma_bound(_OVERFLOWING, _EMPTY, None, 2.0, 3), _ROW_1),
+    (lambda: DistributionTable(np.array([np.nan, 0.0, 0.0])), "non-finite"),
+], ids=["masses", "mixture_distribution", "adaptive_distribution",
+        "transition_matrix", "gamma_bound", "nan_table"])
+def test_exact_distributions_reject_overflowing_weights(exact, message):
+    # ||row 1||^2 overflows: an InputError naming the row, never NaN masses
+    with pytest.raises(InputError, match=message):
+        exact()
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_raw_weight_is_bit_identical_to_norm_power(p):
     rng = np.random.default_rng(17)
@@ -69,7 +97,7 @@ def test_raw_weight_is_bit_identical_to_norm_power(p):
 def test_reservoir_uniform_weights():
     rows = np.eye(4)
     rng = np.random.default_rng(1)
-    draws = reservoir_draw_iid(_stream(rows), lambda x: 1.0, 100_000, rng)
+    draws = _reservoir_draws(rows, lambda x: 1.0, 100_000, rng)
     freq = np.zeros(4)
     for point, _ in draws:
         freq[int(np.argmax(point))] += 1
@@ -83,8 +111,7 @@ def test_reservoir_three_to_one_weights(rows):
     # an off-by-one in the running total biases draws by stream position
     rows = np.array(rows)
     rng = np.random.default_rng(2)
-    draws = reservoir_draw_iid(_stream(rows), lambda x: 3.0 if x[0] else 1.0,
-                               100_000, rng)
+    draws = _reservoir_draws(rows, lambda x: 3.0 if x[0] else 1.0, 100_000, rng)
     share = sum(1 for point, _ in draws if point[0]) / len(draws)
     assert share == pytest.approx(0.75, abs=0.01)
 
@@ -95,9 +122,8 @@ def test_reservoir_norm_power_weights_match_exact_normalization():
     weights = np.linalg.norm(SIX_POINTS, axis=1) ** p
     exact = weights / weights.sum()
     rng = np.random.default_rng(3)
-    draws = reservoir_draw_iid(_stream(SIX_POINTS),
-                               lambda x: float(np.linalg.norm(x)) ** p,
-                               100_000, rng)
+    draws = _reservoir_draws(SIX_POINTS, lambda x: float(np.linalg.norm(x)) ** p,
+                             100_000, rng)
     counts = np.zeros(len(SIX_POINTS))
     lookup = {tuple(row): i for i, row in enumerate(SIX_POINTS)}
     for point, _ in draws:
@@ -112,7 +138,7 @@ def test_reservoir_exact_across_store_compaction():
     n = 20_000
     rows = np.column_stack([np.arange(n), np.where(np.arange(n) < n // 2, 1.0, 3.0)])
     rng = np.random.default_rng(13)
-    draws = reservoir_draw_iid(_stream(rows), lambda x: x[1], 500, rng)
+    draws = _reservoir_draws(rows, lambda x: x[1], 500, rng)
     positions = np.array([int(point[0]) for point, _ in draws])
     assert all((point == rows[int(point[0])]).all() and weight == point[1]
                for point, weight in draws)
@@ -128,8 +154,8 @@ def test_reservoir_fixed_seed_draws():
     rng = np.random.default_rng(31)
     X = rng.standard_normal((40, 5)) * np.exp(rng.standard_normal((40, 1)))
     rows = np.column_stack([np.arange(40), X])
-    draws = reservoir_draw_iid(_stream(rows), lambda x: float(x[1:].dot(x[1:])), 16,
-                               np.random.default_rng(10))
+    draws = _reservoir_draws(rows, lambda x: float(x[1:].dot(x[1:])), 16,
+                             np.random.default_rng(10))
     assert [int(point[0]) for point, _ in draws] == [
         30, 28, 39, 12, 30, 23, 28, 21, 30, 30, 23, 30, 30, 15, 30, 23]
     assert all(weight == float(X[int(point[0])].dot(X[int(point[0])]))
@@ -138,14 +164,14 @@ def test_reservoir_fixed_seed_draws():
 
 def test_reservoir_errors():
     rng = np.random.default_rng(4)
+    with pytest.raises(InputError, match="empty stream"):
+        _reservoir_draws(np.empty((0, 2)), lambda x: 1.0, 3, rng)
     with pytest.raises(InputError):
-        reservoir_draw_iid(_stream(np.empty((0, 2))), lambda x: 1.0, 3, rng)
+        _reservoir_draws(np.ones((3, 2)), lambda x: 0.0, 3, rng)
     with pytest.raises(InputError):
-        reservoir_draw_iid(_stream(np.ones((3, 2))), lambda x: 0.0, 3, rng)
-    with pytest.raises(InputError):
-        reservoir_draw_iid(_stream(np.ones((3, 2))), lambda x: -1.0, 3, rng)
+        _reservoir_draws(np.ones((3, 2)), lambda x: -1.0, 3, rng)
     with pytest.raises(ParameterError):
-        reservoir_draw_iid(_stream(np.ones((3, 2))), lambda x: 1.0, 0, rng)
+        squared_length_sample(np.ones((3, 2)), 2.0, 0, rng)
 
 
 def test_pool_uniform_for_equal_norm_points():
@@ -241,6 +267,9 @@ def test_pool_rejects_degenerate_inputs():
         draw_mixture_pool(_stream(np.empty((0, 2))), 2.0, 4, rng)
     with pytest.raises(InputError):
         draw_mixture_pool(_stream(np.zeros((3, 2))), 2.0, 4, rng)
+    # nonzero norms whose p-th powers underflow: the weights are zero, not the norms
+    with pytest.raises(InputError, match="all distance weights are zero"):
+        draw_mixture_pool(_stream(1e-4 * SIX_POINTS[:4]), 120.0, 4, rng)
 
 
 def test_pool_slot_triples():
@@ -273,7 +302,7 @@ def test_pool_and_bank_hold_each_drawn_row_once(n, slots):
     np.testing.assert_array_equal(pool.points, X[pool.indices])
     point, index, _ = pool[slots - 1]
     np.testing.assert_array_equal(point, X[index])
-    rows, row_of, row_index, weights = _fill_bank(_stream(X), lambda x: x[1], slots,
-                                                  np.random.default_rng(16), "no weight")
-    _assert_rows_held_once(rows, row_of, row_index[row_of], X, slots)
+    rows, row_index, weights, bank, _ = _draw_banks(_stream(X), lambda x: x[1], slots, 0,
+                                                    np.random.default_rng(16))
+    _assert_rows_held_once(rows, bank.win, row_index[bank.win], X, slots)
     np.testing.assert_array_equal(weights, X[row_index, 1])

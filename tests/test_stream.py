@@ -187,12 +187,6 @@ def test_unknown_purpose_rejected():
         PassAuditor().record("other")
 
 
-def test_materialize_counts_an_evaluation_pass():
-    src = as_source(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    X = src.materialize()
-    assert X.n == 2 and src.auditor.evaluation_passes == 1
-
-
 def test_one_pass_sampler_consumes_one_selection_pass():
     # derived from the sampler itself: the one-pass claim as a counter fact
     rng = np.random.default_rng(11)
