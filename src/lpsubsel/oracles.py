@@ -65,7 +65,8 @@ class OracleReport:
 
 def adaptive_distribution(X, basis, p):
     """The target distribution, proportional to d(x, span S)^p over X."""
-    dist_pow = basis.distances(X.points) ** p
+    with np.errstate(over="ignore"):  # an overflowing weight is raised below
+        dist_pow = basis.distances(X.points) ** p
     total = _weight_total(dist_pow)
     if total <= 0.0:
         raise InputError("subset spans the data; adaptive distribution undefined")
@@ -87,7 +88,8 @@ def transition_matrix(X, basis, p, pivot=None):
     n = X.n
     if n > _WALK_GUARD_N:
         raise GuardError(f"transition matrix guarded to n <= {_WALK_GUARD_N}, got {n}")
-    dist_pow = basis.distances(X.points) ** p
+    with np.errstate(over="ignore"):  # an overflowing weight is raised below
+        dist_pow = basis.distances(X.points) ** p
     if _weight_total(dist_pow) <= 0.0:
         raise InputError("subset spans the data; walk target undefined")
     q = MixtureWeights(p=p, pivot=pivot).masses(X)

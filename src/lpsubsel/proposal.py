@@ -70,10 +70,11 @@ class MixtureWeights:
 
         Raises InputError naming the row at which the weight total overflows.
         """
-        if self.pivot is None:
-            w = np.linalg.norm(X.points, axis=1) ** self.p
-        else:
-            w = self.pivot.distances(X.points) ** self.p
+        with np.errstate(over="ignore"):  # an overflowing weight is raised below
+            if self.pivot is None:
+                w = np.linalg.norm(X.points, axis=1) ** self.p
+            else:
+                w = self.pivot.distances(X.points) ** self.p
         total = _weight_total(w)
         if total <= 0.0:
             raise InputError("pivot spans the dataset; the mixture is undefined")

@@ -5,10 +5,12 @@ either selection (sampling) or evaluation (error measurement), so the
 one-pass claim of the sampler is a tested contract, not a convention.
 A pass counts only when the stream is consumed to exhaustion.
 
-CSV files have one parser, `_csv_blocks`, shared by `open_csv`'s scan and
-every pass: numpy's loader parses blocks of lines, and a block it rejects
-falls back to float() per cell, so what is accepted, and the row an error
-names, are those of the per-cell parse.
+CSV files have one parser, `_csv_blocks`, which every pass runs: numpy's
+loader parses blocks of lines, and a block it rejects falls back to
+float() per cell, so what is accepted, and the row an error names, are
+those of the per-cell parse. `open_csv` parses no more than the first
+data row: it reads the lines only to count the non-blank ones, so a
+malformed later row is reported by the first pass over the file.
 """
 
 import itertools
@@ -91,40 +93,46 @@ def _read_lines(fh, count, path):
         raise FormatError(f"{path}: not valid UTF-8") from None
 
 
-def _csv_blocks(path, header, d):
-    """Yield the rows of a CSV file as (rows, d) float arrays, in file order.
+def _line_blocks(path, header):
+    """Yield (line number of the first, lines) for the lines after the header.
 
-    Reads up to `_BLOCK_ROWS` lines at a time and parses them with numpy's
-    loader. A block the loader rejects, whose width is not d, or that holds
-    a non-finite cell is parsed again by `_parse_block`, which either
-    accepts it or raises the first fault; the loader accepts a subset of
-    what float() does and parses it to the same doubles. d=None takes the
-    width from the first row. Bytes that are not UTF-8 raise FormatError;
-    OSError is left to the caller.
+    Opens the file as UTF-8 with line ends kept, and reads up to
+    `_BLOCK_ROWS` lines at a time. Line numbers are 1-based and count the
+    header. Bytes that are not UTF-8 raise FormatError; OSError is left to
+    the caller.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         line_number = 1
         if header:
             _read_lines(fh, 1, path)
             line_number = 2
-        while True:
-            lines = _read_lines(fh, _BLOCK_ROWS, path)
-            if not lines:
-                return
-            text = "".join(lines)
-            if not text.isspace():
-                block = None
-                if not any(ch in text for ch in _LOADER_ONLY_SPACE):
-                    try:
-                        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-                    except ValueError:
-                        pass
-                if (block is None or (d is not None and block.shape[1] != d)
-                        or not np.isfinite(block).all()):
-                    block = _parse_block(lines, line_number, d)
-                d = block.shape[1]
-                yield block
+        while lines := _read_lines(fh, _BLOCK_ROWS, path):
+            yield line_number, lines
             line_number += len(lines)
+
+
+def _csv_blocks(path, header, d):
+    """Yield the rows of a CSV file as (rows, d) float arrays, in file order.
+
+    Parses each block of `_line_blocks` with numpy's loader. A block the
+    loader rejects, whose width is not d, or that holds a non-finite cell
+    is parsed again by `_parse_block`, which either accepts it or raises
+    the first fault; the loader accepts a subset of what float() does and
+    parses it to the same doubles.
+    """
+    for line_number, lines in _line_blocks(path, header):
+        text = "".join(lines)
+        if text.isspace():
+            continue
+        block = None
+        if not any(ch in text for ch in _LOADER_ONLY_SPACE):
+            try:
+                block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+        if block is None or block.shape[1] != d or not np.isfinite(block).all():
+            block = _parse_block(lines, line_number, d)
+        yield block
 
 
 class DatasetSource:
@@ -132,7 +140,8 @@ class DatasetSource:
 
     Backed either by an in-memory array or a CSV file. Hands out one
     active stream at a time; a given pass always yields points in the
-    same fixed order.
+    same fixed order. For a file, n and d are fixed when it is opened and
+    its rows are parsed only by passes (see `open_csv`).
     """
 
     def __init__(self, rows=None, path=None, d=None, n=None, header=False,
@@ -197,20 +206,23 @@ def open_csv(path, header=False, auditor=None):
     """Open a CSV of points: one point per line, comma-separated numbers.
 
     A cell is anything float() accepts, surrounding whitespace included;
-    blank lines are skipped, and header=True skips the first line. The
-    dimension d comes from the first data row. The file is scanned once up
-    front to establish n and fail fast on ragged, non-numeric or non-finite
-    (NaN, infinite) rows, each reported with its 1-based line; that scan is
-    ingestion metadata, not an audited pass. Every pass parses the file
-    again with the same parser and raises SourceChangedError if its row
-    count is no longer n.
+    blank lines are skipped, and header=True skips the first line. Opening
+    reads the file's lines to count the non-blank ones, which gives n, and
+    parses only the first data row, which gives d. Every other row is
+    parsed by each pass: the first ragged, non-numeric or non-finite (NaN,
+    infinite) row raises FormatError naming its 1-based line, and a pass
+    whose row count is no longer n raises SourceChangedError. Opening is
+    not an audited pass.
     """
     d = None
     n = 0
     try:
-        for block in _csv_blocks(path, header, None):
-            d = block.shape[1]
-            n += len(block)
+        for line_number, lines in _line_blocks(path, header):
+            for row_number, line in enumerate(lines, line_number):
+                if line.strip():
+                    if d is None:
+                        d = _parse_block([line], row_number, None).shape[1]
+                    n += 1
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if n == 0:

@@ -7,6 +7,7 @@ from lpsubsel import (ExperimentSpec, InputError, ParameterError, PointSet,
                       as_source, brute_force_candidate_err, experiment,
                       run_experiment, svd_optimal_err2)
 from lpsubsel.cli import main
+from lpsubsel.stream import _BLOCK_ROWS
 
 from helpers import basis_from, low_rank_plus_noise
 
@@ -193,6 +194,22 @@ def test_cli_non_finite_cell_exits_2(tmp_path, capsys, cell, algo):
     path = _write_csv(tmp_path, rows)
     assert main(["--input", path, "--algo", algo, "--k", "1", "--t", "2"]) == 2
     assert "row 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_cli_late_malformed_row_exits_2_without_a_report(tmp_path, capsys, algo):
+    # open_csv parses only the first row; the first pass finds this one
+    line = 2 * _BLOCK_ROWS + 5
+    rows = [[str(v) for v in row]
+            for row in np.random.default_rng(12).standard_normal((line + 10, 3))]
+    rows[line - 1][2] = "x"
+    path = _write_csv(tmp_path, rows)
+    out = tmp_path / "report.json"
+    code = main(["--input", path, "--algo", algo, "--k", "1", "--t", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert f"error: row {line}: non-numeric cell" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("algo", ["mcmc-one-pass", "exact-adaptive"])

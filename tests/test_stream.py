@@ -1,9 +1,15 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpsubsel import (FormatError, InputError, ParameterError, PassAuditor,
                       SourceChangedError, StreamError, as_source, iterate_once,
                       open_csv, one_pass_adaptive_sample, theorem_params)
+from lpsubsel import stream
 from lpsubsel.stream import _BLOCK_ROWS
 
 
@@ -20,14 +26,21 @@ def test_open_csv_basic(tmp_path):
     np.testing.assert_allclose(np.vstack(rows), [[1.0, 0.0], [0.0, 2.0]])
 
 
+def _first_pass_raises(path, match, header=False):
+    # open_csv parses only the first data row; a later fault is raised by
+    # the first pass, which then does not count
+    src = open_csv(path, header=header)
+    with pytest.raises(FormatError, match=match):
+        list(iterate_once(src, "selection"))
+    assert src.auditor.selection_passes == 0
+
+
 def test_open_csv_ragged_row_reports_row_number(tmp_path):
-    with pytest.raises(FormatError, match="row 2"):
-        open_csv(_write(tmp_path, "1,0\n0,2,3\n"))
+    _first_pass_raises(_write(tmp_path, "1,0\n0,2,3\n"), "row 2")
 
 
 def test_open_csv_non_numeric_cell(tmp_path):
-    with pytest.raises(FormatError, match="non-numeric"):
-        open_csv(_write(tmp_path, "1,0\nx,2\n"))
+    _first_pass_raises(_write(tmp_path, "1,0\nx,2\n"), "non-numeric")
 
 
 def test_open_csv_empty_file(tmp_path):
@@ -59,19 +72,17 @@ def test_fault_reports_its_line_across_blocks(tmp_path, bad, message, line):
     # the second value of `line` puts the fault on the last line of the file
     lines = _rows_text(line - 1).splitlines(keepends=True) + [bad + "\n"]
     path = _write(tmp_path, "".join(lines))
-    with pytest.raises(FormatError, match=f"^row {line}: {message}$"):
-        open_csv(path)
+    _first_pass_raises(path, f"^row {line}: {message}$")
 
 
 def test_first_fault_of_a_block_wins(tmp_path):
     lines = _rows_text(12).splitlines(keepends=True)
     lines[4] = "1,nan,2\n"
     lines[9] = "1,2\n"
-    with pytest.raises(FormatError, match="^row 5: non-finite cell$"):
-        open_csv(_write(tmp_path, "".join(lines)))
+    _first_pass_raises(_write(tmp_path, "".join(lines)), "^row 5: non-finite cell$")
     lines[4] = "1,2,3\n"
-    with pytest.raises(FormatError, match="^row 10: expected 3 values, got 2$"):
-        open_csv(_write(tmp_path, "".join(lines)))
+    _first_pass_raises(_write(tmp_path, "".join(lines)),
+                       "^row 10: expected 3 values, got 2$")
 
 
 def test_header_crlf_and_blank_lines_across_a_block_boundary(tmp_path):
@@ -86,13 +97,104 @@ def test_header_crlf_and_blank_lines_across_a_block_boundary(tmp_path):
     src = open_csv(path, header=True)
     assert (src.n, src.d) == values.shape
     np.testing.assert_array_equal(np.vstack(list(iterate_once(src, "selection"))), values)
-    # without the header flag the header is a non-numeric first row
+    # without the header flag the header is a non-numeric first row, which
+    # open_csv parses for d and so rejects itself
     with pytest.raises(FormatError, match="^row 1: non-numeric cell$"):
         open_csv(path)
     # the header counts as line 1 in messages
     bad = _write(tmp_path, "a,b\n" + "1,2\n" * (_BLOCK_ROWS - 1) + "1,x\n", "bad.csv")
-    with pytest.raises(FormatError, match=f"^row {_BLOCK_ROWS + 1}: non-numeric cell$"):
-        open_csv(bad, header=True)
+    _first_pass_raises(bad, f"^row {_BLOCK_ROWS + 1}: non-numeric cell$", header=True)
+
+
+def test_malformed_first_data_row_raises_at_open(tmp_path):
+    # the first data row gives d, so it is parsed when the file is opened
+    with pytest.raises(FormatError, match="^row 3: non-finite cell$"):
+        open_csv(_write(tmp_path, "\n \t\n1,nan\n2,3\n"))
+
+
+def test_open_csv_never_calls_the_loader(tmp_path, monkeypatch):
+    path = _write(tmp_path, _rows_text(1000))
+    calls = []
+    real_loadtxt = np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        calls.append(1)
+        return real_loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    src = open_csv(path)
+    assert (src.n, src.d, len(calls)) == (1000, 3, 0)
+    list(iterate_once(src, "selection"))
+    assert len(calls) == -(-1000 // _BLOCK_ROWS)
+
+
+# whitespace to str.strip(); numpy's loader strips only some of it, and
+# float() strips \x1c-\x1f only at the ends of a line, not of a cell
+_BLANKS = ["", " ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0"]
+_CELL_PADDING = ["", "", "", " ", "\t", "\x85", "\xa0"]
+# a whole line put in place of one of the file's lines, or None for no fault
+_FAULTS = [None, None, None, "1e999", "nan", "x", "1,2,3,4", "\x1c1", "1\x1c,2"]
+
+
+@st.composite
+def _csv_files(draw):
+    d = draw(st.integers(1, 3))
+    number = st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr)
+    padding = st.sampled_from(_CELL_PADDING)
+    cells = st.lists(st.tuples(padding, number, padding).map("".join), min_size=d, max_size=d)
+    blank = st.lists(st.sampled_from(_BLANKS), max_size=3).map("".join)
+    row = st.tuples(blank, cells.map(",".join), blank).map("".join)
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    body = draw(st.lists(st.tuples(st.one_of(row, row, blank), ends), max_size=40))
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault is not None and body:
+        at = draw(st.integers(0, len(body) - 1))
+        body[at] = (fault, body[at][1])
+    header = draw(st.booleans())
+    text = ("a,b\n" if header else "") + "".join(a + b for a, b in body)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last line
+    return text, header
+
+
+def _reference_rows(path, header):
+    """The rows float() reads from the non-blank lines, or None on a fault."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()[int(header):]
+    try:
+        rows = [[float(c) for c in line.strip().split(",")] for line in lines if line.strip()]
+    except ValueError:
+        return None
+    if any(len(r) != len(rows[0]) or not all(map(math.isfinite, r)) for r in rows):
+        return None
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_files(), st.sampled_from([2, 3, _BLOCK_ROWS]))
+def test_line_count_agrees_with_the_parse(tmp_path_factory, case, block_rows):
+    # a count that disagreed with the pass's parse would raise a false
+    # SourceChangedError on an unchanged file
+    text, header = case
+    path = tmp_path_factory.getbasetemp() / "generated.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _reference_rows(path, header)
+    with mock.patch.object(stream, "_BLOCK_ROWS", block_rows):
+        try:
+            src = open_csv(str(path), header=header)
+        except FormatError:
+            assert expected is None
+            return
+        except InputError as exc:
+            assert expected == [] and "empty dataset" in str(exc)
+            return
+        try:
+            rows = list(iterate_once(src, "selection"))
+        except FormatError:
+            assert expected is None and src.auditor.selection_passes == 0
+            return
+    assert expected is not None and src.n == len(rows) == len(expected)
+    assert np.vstack(rows).tobytes() == np.array(expected).tobytes()
 
 
 def test_cells_float_accepts_but_the_loader_does_not(tmp_path):
@@ -103,8 +205,7 @@ def test_cells_float_accepts_but_the_loader_does_not(tmp_path):
 
 def test_separator_characters_stay_non_numeric(tmp_path):
     # numpy's loader strips \x1c-\x1f around a cell; float() does not
-    with pytest.raises(FormatError, match="^row 2: non-numeric cell$"):
-        open_csv(_write(tmp_path, "1,2\n3\x1c,4\n"))
+    _first_pass_raises(_write(tmp_path, "1,2\n3\x1c,4\n"), "^row 2: non-numeric cell$")
 
 
 def test_single_column_file(tmp_path):
