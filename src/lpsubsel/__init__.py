@@ -20,9 +20,9 @@ from .oracles import (DistributionTable, OracleReport, adaptive_distribution,
                       gamma_bound, mixture_distribution, svd_optimal_err2,
                       transition_matrix, tv_distance)
 from .proposal import MixtureWeights, ProposalPool, draw_mixture_pool, open_unit
-from .sampler import (SamplerConfig, WalkState, acceptance_ratio,
+from .sampler import (SamplerConfig, acceptance_ratio,
                       one_pass_adaptive_sample, random_walk, theorem_params)
-from .stream import DatasetSource, PassAuditor, as_source, iterate_once, open_csv
+from .stream import DatasetSource, PassAuditor, as_source, open_csv
 
 __version__ = "0.1.0"
 
@@ -33,11 +33,11 @@ __all__ = [
     "MixtureWeights", "OracleReport", "ParameterError", "PassAuditor",
     "PointSet", "ProposalPool", "RunReport", "SamplerConfig", "SourceChangedError",
     "StreamError",
-    "SubsetBasis", "WalkState",
+    "SubsetBasis",
     "acceptance_ratio", "adaptive_distribution", "as_source",
     "brute_force_candidate_err", "draw_mixture_pool", "err_p",
     "exact_adaptive_sample",
-    "exact_walk_distribution", "extend_basis", "gamma_bound", "iterate_once",
+    "exact_walk_distribution", "extend_basis", "gamma_bound",
     "mixture_distribution", "one_pass_adaptive_sample", "open_csv",
     "open_unit", "random_walk", "run_experiment",
     "squared_length_sample", "svd_optimal_err2", "theorem_params",

@@ -5,7 +5,7 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import RANK_TOLERANCE, SubsetBasis
 from .proposal import MixtureWeights, _draw_banks, _weight_total
-from .stream import as_source, iterate_once
+from .stream import as_source
 
 
 def _span_of_rows(indices, rows, row_of, d):
@@ -55,7 +55,7 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
         # termination check against the previous round's buffer costs no pass
         if round_ and float((basis.distances(rows) ** p).sum()) <= 0.0:
             break
-        for i, x in enumerate(iterate_once(src, "selection")):
+        for i, x in enumerate(src.iterate_once("selection")):
             rows[i] = x
         with np.errstate(over="ignore"):  # an overflowing weight is raised below
             dist_pow = basis.distances(rows) ** p
@@ -83,5 +83,5 @@ def squared_length_sample(data, p, count, rng, auditor=None):
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     rows, row_index, _, bank, _ = _draw_banks(
-        iterate_once(src, "selection"), MixtureWeights(p=p).raw_weight, count, 0, rng)
+        src.iterate_once("selection"), MixtureWeights(p=p).raw_weight, count, 0, rng)
     return _span_of_rows(row_index[bank.win], rows, bank.win, src.d)

@@ -10,7 +10,9 @@ import os
 import sys
 
 from .errors import GuardError, InputError
-from .experiment import ALGORITHMS, ORACLES, REPORT_FORMATS, ExperimentSpec, run_experiment
+from .experiment import ALGORITHMS, ORACLES, ExperimentSpec, run_experiment
+
+REPORT_FORMATS = ("json", "csv")
 
 
 def build_parser():
@@ -54,8 +56,7 @@ def main(argv=None):
             input=args.input, algorithm=args.algo, k=args.k, p=args.p,
             delta=args.delta, t=args.t, l=args.l, m=args.m,
             repetitions=args.reps, seed=_resolve_seed(args),
-            report_format=args.report, out=args.out, oracle=args.oracle,
-            header=args.header)
+            oracle=args.oracle, header=args.header)
         report = run_experiment(spec)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,22 +7,21 @@ emits a machine-readable report (JSON canonical, CSV as a flat projection).
 
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .baselines import exact_adaptive_sample, squared_length_sample
-from .errors import InputError, ParameterError
-from .geometry import ErrParams, PointSet
-from .oracles import brute_force_candidate_err, svd_optimal_err2
+from .errors import GuardError, InputError, ParameterError
+from .geometry import ErrParams, PointSet, SubsetBasis
+from .oracles import _brute_force_guard, brute_force_candidate_err, svd_optimal_err2
 from .sampler import baseline_rng, one_pass_adaptive_sample, theorem_params
-from .stream import as_source, iterate_once, open_csv
+from .stream import as_source, open_csv
 
 ALGORITHMS = ("mcmc-one-pass", "exact-adaptive", "squared-length")
 ORACLES = ("none", "svd", "bruteforce")
-REPORT_FORMATS = ("json", "csv")
 
 _EVAL_CHUNK = 1024
 _EXACT_COVER_REL = 1e-12
@@ -30,7 +29,9 @@ _EXACT_COVER_REL = 1e-12
 
 @dataclass
 class ExperimentSpec:
-    """Everything needed to reproduce one run; the seed is always recorded."""
+    """Everything `run_experiment` reads to reproduce one run; the seed is
+    always recorded. Set t, l, m or repetitions to override the recipe of
+    `theorem_params`. Writing the report is the caller's (CLI: --report, --out)."""
 
     input: object                      # csv path or in-memory points
     algorithm: str = "mcmc-one-pass"
@@ -42,20 +43,14 @@ class ExperimentSpec:
     m: int = None
     repetitions: int = None
     seed: int = 0
-    report_format: str = "json"
-    out: str = None
     oracle: str = "none"
     header: bool = False
-    c_t: float = 1.0
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ParameterError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.oracle not in ORACLES:
             raise ParameterError(f"oracle must be one of {ORACLES}, got {self.oracle!r}")
-        if self.report_format not in REPORT_FORMATS:
-            raise ParameterError(
-                f"report format must be one of {REPORT_FORMATS}, got {self.report_format!r}")
 
 
 @dataclass
@@ -65,7 +60,6 @@ class RunReport:
     algorithm: str
     n: int
     d: int
-    backend: str
     config: dict
     rep_errors: list
     selected_repetition: int
@@ -111,54 +105,98 @@ def _resolve_source(spec):
 
 
 def _evaluation_pass(source, bases, p, oracle):
-    """One shared evaluation pass: per-candidate err_p plus the empty-span
+    """One shared evaluation pass: per-candidate err_p, the empty-span
     error, and what the oracle needs to see of the dataset.
 
-    Rows are copied into one preallocated buffer as they arrive and scored
-    _EVAL_CHUNK at a time. For the brute-force oracle the buffer holds all
-    n rows, so the pass never holds the data twice; otherwise it holds one
-    chunk. For the SVD oracle each scored chunk is folded into the R factor
-    of a running QR decomposition: X = QR with Q orthonormal, so R has the
-    singular values of X in at most d rows.
+    Rows are copied into one _EVAL_CHUNK-row buffer as they arrive and
+    scored a chunk at a time, the empty span (whose distance is the row
+    norm) in the same loop as the candidates. For the SVD oracle each
+    scored chunk is folded into the R factor of a running QR
+    decomposition: X = QR with Q orthonormal, so R has the singular
+    values of X in at most d rows. The brute-force oracle gets the rows of
+    the one chunk: its guard, checked before the selection pass, keeps n
+    below _EVAL_CHUNK.
     """
-    collect_rows = oracle == "bruteforce"
+    spans = [SubsetBasis.empty(source.d), *bases]
+    sums = np.zeros(len(spans))
     r_factor = np.empty((0, source.d)) if oracle == "svd" else None
-    sums = np.zeros(len(bases))
-    empty_sum = 0.0
-    buf = np.empty((source.n if collect_rows else _EVAL_CHUNK, source.d))
-    start = end = 0
+    buf = np.empty((_EVAL_CHUNK, source.d))
+    end = 0
 
     def flush():
-        nonlocal empty_sum, r_factor
-        arr = buf[start:end]
-        empty_sum += float(np.sum(np.linalg.norm(arr, axis=1) ** p))
-        for i, b in enumerate(bases):
+        nonlocal r_factor
+        arr = buf[:end]
+        for i, b in enumerate(spans):
             sums[i] += float(np.sum(b.distances(arr) ** p))
         if r_factor is not None:
             r_factor = np.linalg.qr(np.vstack((r_factor, arr)), mode="r")
 
-    for x in iterate_once(source, "evaluation"):
+    for x in source.iterate_once("evaluation"):
         buf[end] = x
         end += 1
-        if end - start == _EVAL_CHUNK:
+        if end == _EVAL_CHUNK:
             flush()
-            start = end if collect_rows else 0
-            end = start
-    if end > start:
+            end = 0
+    if end:
         flush()
-    if collect_rows:
-        return sums, empty_sum, PointSet(buf)
-    return sums, empty_sum, None if r_factor is None else PointSet(r_factor)
+    if oracle == "bruteforce":
+        assert source.n < _EVAL_CHUNK, "brute-force guard not checked"
+        X = PointSet(buf[:end])
+    else:
+        X = None if r_factor is None else PointSet(r_factor)
+    return sums[1:], float(sums[0]), X
+
+
+def _physical_memory():
+    """Bytes of physical memory on this machine, the most one run may allocate."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):  # the platform does not report it
+        return sys.maxsize
+    return pages * page_size if pages > 0 and page_size > 0 else sys.maxsize
+
+
+def _readable(count):
+    """An integer in full, or to three digits once it is longer than 12."""
+    digits = str(count)
+    return digits if len(digits) <= 12 else f"{digits[0]}.{digits[1:3]}e{len(digits) - 1}"
+
+
+def _memory_guard(algorithm, config, d):
+    """Raise GuardError, naming the recipe's sizes, if the draws `algorithm`
+    keeps cannot fit in this machine's physical memory.
+
+    A one-pass pool slot or a squared-length draw costs the row store two
+    rows of d floats, each with a position and a weight; an exact-adaptive
+    draw costs a variate and an index.
+    """
+    if algorithm == "exact-adaptive":
+        draws, per_draw = config.t, 16
+    else:
+        draws = config.pool_size if algorithm == "mcmc-one-pass" else config.t * max(config.l, 1)
+        per_draw = 16 * (d + 2)
+    memory = _physical_memory()
+    if draws * per_draw > memory:
+        raise GuardError(
+            f"{algorithm} with t={_readable(config.t)}, m={_readable(config.m)}, "
+            f"l={_readable(config.l)}, repetitions={_readable(config.repetitions)} keeps "
+            f"{_readable(draws)} draws, too many for this machine's {memory} bytes of memory")
 
 
 def run_experiment(spec):
-    """Execute one experiment end to end; deterministic for a fixed seed."""
+    """Execute one experiment end to end; deterministic for a fixed seed.
+
+    Size guards (the brute-force oracle's, and a recipe too large for
+    memory) raise GuardError before the selection pass.
+    """
     source = _resolve_source(spec)
     ErrParams(p=spec.p, k=spec.k).check_dimension(source.d)
     config = theorem_params(spec.k, spec.p, spec.delta, t_override=spec.t,
-                            c_t=spec.c_t, seed=spec.seed,
-                            l_override=spec.l, m_override=spec.m,
+                            seed=spec.seed, l_override=spec.l, m_override=spec.m,
                             repetitions_override=spec.repetitions)
+    if spec.oracle == "bruteforce":
+        _brute_force_guard(source.n, spec.k)
+    _memory_guard(spec.algorithm, config, source.d)
 
     timings = {}
     if spec.algorithm == "mcmc-one-pass":
@@ -198,7 +236,6 @@ def run_experiment(spec):
         algorithm=spec.algorithm,
         n=source.n,
         d=source.d,
-        backend=_kernels.BACKEND,
         config=config.as_dict(),
         rep_errors=[float(v) for v in sums],
         selected_repetition=best,

@@ -162,6 +162,14 @@ def svd_optimal_err2(X, k):
     return float(np.sum(s[k:] ** 2))
 
 
+def _brute_force_guard(n, k):
+    """GuardError if exhaustive search over k-subsets of n points is too large."""
+    if n > _BRUTE_GUARD_N or k > _BRUTE_GUARD_K:
+        raise GuardError(
+            f"brute force guarded to n <= {_BRUTE_GUARD_N}, k <= {_BRUTE_GUARD_K}; "
+            f"got n={n}, k={k}")
+
+
 def brute_force_candidate_err(X, k, p):
     """Minimum err_p over the spans of all k-subsets of X.
 
@@ -169,10 +177,7 @@ def brute_force_candidate_err(X, k, p):
     this is a valid stand-in upper bound for err_p(X, V*) when p != 2.
     Exhaustive; guarded to n <= 18, k <= 3.
     """
-    if X.n > _BRUTE_GUARD_N or k > _BRUTE_GUARD_K:
-        raise GuardError(
-            f"brute force guarded to n <= {_BRUTE_GUARD_N}, k <= {_BRUTE_GUARD_K}; "
-            f"got n={X.n}, k={k}")
+    _brute_force_guard(X.n, k)
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     best = np.inf

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InputError, ParameterError
+from .errors import GuardError, InputError, ParameterError
 from .geometry import SubsetBasis
 from .proposal import draw_mixture_pool, open_unit
-from .stream import iterate_once
 
 # Named RNG stream tags: pool pass, per-walk variates, baseline draws.
 _POOL_STREAM = 0
@@ -113,16 +112,19 @@ class SamplerConfig:
         }
 
 
-def theorem_params(k, p, delta, t_override=None, *, c_t=1.0, seed=0,
+def theorem_params(k, p, delta, t_override=None, *, seed=0,
                    l_override=None, m_override=None, repetitions_override=None):
     """Parameter recipe for the additive guarantee.
 
     epsilon = delta/4, epsilon1 = delta^p / 2^(p+1), l = k,
     epsilon2 = delta^p / (2^(p+1) t l), m = ceil(1 + (2/delta^p) ln(k/delta^p)),
     repetitions = ceil(2 k ln(1/epsilon)). t's hidden logarithmic factor is
-    pinned as c_t * ceil((k/epsilon)^(p+1) ln(2 + k/epsilon)); desk-scale
-    runs normally pass t_override since the full t is astronomically large.
-    Natural logs throughout; counts are rounded up.
+    pinned as ceil((k/epsilon)^(p+1) ln(2 + k/epsilon)); desk-scale runs
+    normally pass t_override since the full t is astronomically large.
+    Natural logs throughout; counts are rounded up. A p and delta that take
+    a recipe value, or the lemma's walk length, beyond the float range
+    raise GuardError naming them; whether the counts fit in memory is left
+    to the caller, which knows the algorithm and d.
     """
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0,1), got {delta}")
@@ -131,30 +133,30 @@ def theorem_params(k, p, delta, t_override=None, *, c_t=1.0, seed=0,
     if not (math.isfinite(p) and p >= 1.0):
         raise ParameterError(f"p must be a finite real >= 1, got {p}")
     epsilon = delta / 4.0
-    delta_pow = delta ** p
-    epsilon1 = delta_pow / 2.0 ** (p + 1.0)
     l = k if l_override is None else l_override
-    if t_override is not None:
-        t = int(t_override)
-    else:
-        ratio = k / epsilon
-        t = math.ceil(c_t * math.ceil(ratio ** (p + 1.0) * math.log(2.0 + ratio)))
-    m = math.ceil(1.0 + (2.0 / delta_pow) * math.log(k / delta_pow)) \
-        if m_override is None else m_override
-    repetitions = math.ceil(2.0 * k * math.log(1.0 / epsilon)) \
-        if repetitions_override is None else repetitions_override
-    epsilon2 = delta_pow / (2.0 ** (p + 1.0) * t * max(l, 1))
+    try:
+        delta_pow = delta ** p
+        epsilon1 = delta_pow / 2.0 ** (p + 1.0)
+        if t_override is not None:
+            t = int(t_override)
+        else:
+            ratio = k / epsilon
+            t = math.ceil(ratio ** (p + 1.0) * math.log(2.0 + ratio))
+        m = math.ceil(1.0 + (2.0 / delta_pow) * math.log(k / delta_pow)) \
+            if m_override is None else m_override
+        repetitions = math.ceil(2.0 * k * math.log(1.0 / epsilon)) \
+            if repetitions_override is None else repetitions_override
+        epsilon2 = delta_pow / (2.0 ** (p + 1.0) * t * max(l, 1))
+        # the report gives the lemma's walk length, ~ (2/epsilon1) ln(1/epsilon2), as an int
+        finite = math.isfinite((2.0 / epsilon1) * math.log(1.0 / epsilon2))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise GuardError(f"p={p:g} with delta={delta:g} takes the parameter recipe "
+                         f"beyond the float range; lower p or raise delta")
     return SamplerConfig(k=k, p=p, delta=delta, epsilon=epsilon,
                          epsilon1=epsilon1, epsilon2=epsilon2, m=m, t=t, l=l,
                          repetitions=repetitions, seed=seed)
-
-
-@dataclass
-class WalkState:
-    """Current location of one walk plus the number of steps taken."""
-
-    current: tuple  # (point, stream index, q-mass)
-    steps_taken: int = 0
 
 
 def acceptance_ratio(x, y, basis, p):
@@ -188,12 +190,11 @@ def random_walk(pool_slice, basis, p, rng):
         raise InputError("pool slice must hold at least the start draw")
     steps = len(draws) - 1
     variates = open_unit(rng, steps)
-    state = WalkState(current=draws[0])
+    current = draws[0]
     for j in range(1, steps + 1):
-        if acceptance_ratio(state.current, draws[j], basis, p) > variates[j - 1]:
-            state.current = draws[j]
-        state.steps_taken += 1
-    return state.current
+        if acceptance_ratio(current, draws[j], basis, p) > variates[j - 1]:
+            current = draws[j]
+    return current
 
 
 def one_pass_adaptive_sample(source, config, timings=None):
@@ -221,7 +222,7 @@ def one_pass_adaptive_sample(source, config, timings=None):
         return [SubsetBasis.empty(d) for _ in range(reps)]
 
     t0 = time.perf_counter()
-    pool = draw_mixture_pool(iterate_once(source, "selection"), config.p,
+    pool = draw_mixture_pool(source.iterate_once("selection"), config.p,
                              config.pool_size, pool_rng(config.seed))
     t1 = time.perf_counter()
 

@@ -197,11 +197,6 @@ class DatasetSource:
                 f"{self.n} rows then, {rows} now")
 
 
-def iterate_once(source, purpose):
-    """Module-level alias for DatasetSource.iterate_once."""
-    return source.iterate_once(purpose)
-
-
 def open_csv(path, header=False, auditor=None):
     """Open a CSV of points: one point per line, comma-separated numbers.
 

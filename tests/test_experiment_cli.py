@@ -26,8 +26,6 @@ def test_spec_validation():
         _spec(algorithm="gradient-descent")
     with pytest.raises(ParameterError):
         _spec(oracle="magic")
-    with pytest.raises(ParameterError):
-        _spec(report_format="xml")
 
 
 def test_rank_k_dataset_reports_exact_cover():
@@ -68,6 +66,18 @@ def test_svd_oracle_sees_every_row_beyond_one_chunk():
     assert report.empty_err == pytest.approx(float((X ** 2).sum()), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0])
+def test_empty_err_is_the_chunked_norm_sum(p):
+    # the empty span is scored in the candidates' loop, one chunk at a time
+    X = np.random.default_rng(17).standard_normal((2500, 4))
+    report = run_experiment(_spec(input=X, algorithm="squared-length", p=p))
+    chunk = experiment._EVAL_CHUNK
+    want = 0.0
+    for start in range(0, len(X), chunk):
+        want += float(np.sum(np.linalg.norm(X[start:start + chunk], axis=1) ** p))
+    assert report.empty_err == want
+
+
 @pytest.mark.parametrize("shape", [(5, 8), (300, 6)], ids=["n_below_d", "n_below_chunk"])
 def test_svd_oracle_from_r_factor_matches_direct_svd(shape):
     X = np.random.default_rng(14).standard_normal(shape)
@@ -103,8 +113,11 @@ def test_bruteforce_oracle_guard_propagates():
     from lpsubsel import GuardError
     rng = np.random.default_rng(2)
     X = PointSet(rng.standard_normal((20, 3)))
+    source = as_source(X)
     with pytest.raises(GuardError):
-        run_experiment(_spec(input=X, oracle="bruteforce"))
+        run_experiment(_spec(input=source, oracle="bruteforce"))
+    # the guard fires before the selection pass, not after both passes
+    assert source.auditor.selection_passes == source.auditor.evaluation_passes == 0
 
 
 def test_evaluation_pass_records():
@@ -246,6 +259,29 @@ def test_cli_guard_violation_exits_3(tmp_path, capsys):
     code = main(["--input", path, "--k", "2", "--t", "2",
                  "--oracle", "bruteforce"])
     assert code == 3
+
+
+def test_cli_unknown_report_format_exits_2(tmp_path, capsys):
+    path = _write_csv(tmp_path, np.eye(2))
+    with pytest.raises(SystemExit) as exc:
+        main(["--input", path, "--k", "1", "--report", "xml"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("flags, named", [
+    (["--p", "60"], "t=2.82e55"),                       # the recipe's t and m
+    (["--p", "2", "--delta", "1e-9"], "t=1.41e30"),
+    (["--t", "1000000000000"], "t=1.00e12"),            # an override too large for memory
+    (["--p", "1e308"], "p=1e+308"),                     # 2^(p+1) overflows a float
+], ids=["p60", "tiny_delta", "huge_t", "p1e308"])
+def test_cli_oversized_recipe_exits_3(tmp_path, capsys, algo, flags, named):
+    path = _write_csv(tmp_path, np.random.default_rng(18).standard_normal((50, 4)))
+    code = main(["--input", path, "--algo", algo, "--k", "1", *flags])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
 
 
 def test_cli_exact_adaptive_and_header(tmp_path, capsys):

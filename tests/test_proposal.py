@@ -3,9 +3,8 @@ import pytest
 
 from lpsubsel import (DistributionTable, InputError, MixtureWeights, ParameterError,
                       PointSet, SubsetBasis, adaptive_distribution, as_source,
-                      draw_mixture_pool, extend_basis, gamma_bound, iterate_once,
-                      mixture_distribution, open_unit, squared_length_sample,
-                      transition_matrix, tv_distance)
+                      draw_mixture_pool, extend_basis, gamma_bound, mixture_distribution,
+                      open_unit, squared_length_sample, transition_matrix, tv_distance)
 from lpsubsel.proposal import _draw_banks
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
@@ -246,7 +245,7 @@ def test_pool_exact_across_store_compaction():
 
 def test_pool_consumes_exactly_one_selection_pass():
     src = as_source(SIX_POINTS)
-    draw_mixture_pool(iterate_once(src, "selection"), 2.0, 1234,
+    draw_mixture_pool(src.iterate_once("selection"), 2.0, 1234,
                       np.random.default_rng(8))
     assert src.auditor.selection_passes == 1
 

@@ -135,12 +135,6 @@ def test_random_walk_matches_kernel_backend():
     assert draws[int(out[0])][1] == ref[1]
 
 
-def test_walk_state_counts_steps():
-    from lpsubsel import WalkState
-    state = WalkState(current=_draw([1.0, 0.0]))
-    assert state.steps_taken == 0
-
-
 # ------------------------------------------------------------ full sampler
 
 def test_one_pass_deterministic_and_bounded():

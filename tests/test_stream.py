@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpsubsel import (FormatError, InputError, ParameterError, PassAuditor,
-                      SourceChangedError, StreamError, as_source, iterate_once,
-                      open_csv, one_pass_adaptive_sample, theorem_params)
+                      SourceChangedError, StreamError, as_source, open_csv,
+                      one_pass_adaptive_sample, theorem_params)
 from lpsubsel import stream
 from lpsubsel.stream import _BLOCK_ROWS
 
@@ -22,7 +22,7 @@ def _write(tmp_path, text, name="data.csv"):
 def test_open_csv_basic(tmp_path):
     src = open_csv(_write(tmp_path, "1,0\n0,2\n"))
     assert (src.n, src.d) == (2, 2)
-    rows = list(iterate_once(src, "selection"))
+    rows = list(src.iterate_once("selection"))
     np.testing.assert_allclose(np.vstack(rows), [[1.0, 0.0], [0.0, 2.0]])
 
 
@@ -31,7 +31,7 @@ def _first_pass_raises(path, match, header=False):
     # the first pass, which then does not count
     src = open_csv(path, header=header)
     with pytest.raises(FormatError, match=match):
-        list(iterate_once(src, "selection"))
+        list(src.iterate_once("selection"))
     assert src.auditor.selection_passes == 0
 
 
@@ -51,7 +51,7 @@ def test_open_csv_empty_file(tmp_path):
 def test_open_csv_header_and_crlf(tmp_path):
     src = open_csv(_write(tmp_path, "a,b\r\n1,0\r\n0,2\r\n"), header=True)
     assert (src.n, src.d) == (2, 2)
-    rows = np.vstack(list(iterate_once(src, "evaluation")))
+    rows = np.vstack(list(src.iterate_once("evaluation")))
     np.testing.assert_allclose(rows, [[1.0, 0.0], [0.0, 2.0]])
     assert src.auditor.evaluation_passes == 1
 
@@ -96,7 +96,7 @@ def test_header_crlf_and_blank_lines_across_a_block_boundary(tmp_path):
     path = _write(tmp_path, "a,b,c\r\n" + "".join(lines) + "\n \n" + "\n" * _BLOCK_ROWS)
     src = open_csv(path, header=True)
     assert (src.n, src.d) == values.shape
-    np.testing.assert_array_equal(np.vstack(list(iterate_once(src, "selection"))), values)
+    np.testing.assert_array_equal(np.vstack(list(src.iterate_once("selection"))), values)
     # without the header flag the header is a non-numeric first row, which
     # open_csv parses for d and so rejects itself
     with pytest.raises(FormatError, match="^row 1: non-numeric cell$"):
@@ -124,7 +124,7 @@ def test_open_csv_never_calls_the_loader(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
     src = open_csv(path)
     assert (src.n, src.d, len(calls)) == (1000, 3, 0)
-    list(iterate_once(src, "selection"))
+    list(src.iterate_once("selection"))
     assert len(calls) == -(-1000 // _BLOCK_ROWS)
 
 
@@ -189,7 +189,7 @@ def test_line_count_agrees_with_the_parse(tmp_path_factory, case, block_rows):
             assert expected == [] and "empty dataset" in str(exc)
             return
         try:
-            rows = list(iterate_once(src, "selection"))
+            rows = list(src.iterate_once("selection"))
         except FormatError:
             assert expected is None and src.auditor.selection_passes == 0
             return
@@ -199,7 +199,7 @@ def test_line_count_agrees_with_the_parse(tmp_path_factory, case, block_rows):
 
 def test_cells_float_accepts_but_the_loader_does_not(tmp_path):
     src = open_csv(_write(tmp_path, "1_0, 2\n\u0661,3.5\n"))
-    np.testing.assert_array_equal(np.vstack(list(iterate_once(src, "selection"))),
+    np.testing.assert_array_equal(np.vstack(list(src.iterate_once("selection"))),
                                   [[10.0, 2.0], [1.0, 3.5]])
 
 
@@ -211,7 +211,7 @@ def test_separator_characters_stay_non_numeric(tmp_path):
 def test_single_column_file(tmp_path):
     src = open_csv(_write(tmp_path, "1.5\n\n-2\n3e2\n"))
     assert (src.n, src.d) == (3, 1)
-    rows = list(iterate_once(src, "selection"))
+    rows = list(src.iterate_once("selection"))
     assert [r.shape for r in rows] == [(1,)] * 3
     np.testing.assert_array_equal(np.vstack(rows), [[1.5], [-2.0], [300.0]])
 
@@ -224,7 +224,7 @@ def test_parse_is_bit_identical_to_float(tmp_path):
         expected = np.array([[float(c) for c in line.split(",")] for line in fh])
     src = open_csv(path)
     assert (src.n, src.d) == (3000, 32)
-    got = np.vstack(list(iterate_once(src, "evaluation")))
+    got = np.vstack(list(src.iterate_once("evaluation")))
     assert got.tobytes() == expected.tobytes()
 
 
@@ -235,7 +235,7 @@ def test_pass_over_a_changed_file_names_both_counts(tmp_path, rows):
     _write(tmp_path, _rows_text(rows))
     with pytest.raises(SourceChangedError,
                        match=f"{_BLOCK_ROWS} rows then, {rows} now"):
-        list(iterate_once(src, "selection"))
+        list(src.iterate_once("selection"))
     assert src.auditor.selection_passes == 0
 
 
@@ -246,44 +246,44 @@ def test_missing_file_is_input_error(tmp_path):
 
 def test_pass_counters():
     src = as_source(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    list(iterate_once(src, "selection"))
-    list(iterate_once(src, "selection"))
+    list(src.iterate_once("selection"))
+    list(src.iterate_once("selection"))
     assert (src.auditor.selection_passes, src.auditor.evaluation_passes) == (2, 0)
-    list(iterate_once(src, "evaluation"))
+    list(src.iterate_once("evaluation"))
     assert (src.auditor.selection_passes, src.auditor.evaluation_passes) == (2, 1)
 
 
 def test_abandoned_pass_not_counted():
     src = as_source(np.arange(10.0).reshape(5, 2))
-    it = iterate_once(src, "selection")
+    it = src.iterate_once("selection")
     next(it)
     it.close()
     assert src.auditor.selection_passes == 0
-    list(iterate_once(src, "selection"))
+    list(src.iterate_once("selection"))
     assert src.auditor.selection_passes == 1
 
 
 def test_one_active_stream_at_a_time():
     src = as_source(np.arange(10.0).reshape(5, 2))
-    it = iterate_once(src, "selection")
+    it = src.iterate_once("selection")
     next(it)
     with pytest.raises(StreamError):
-        next(iterate_once(src, "evaluation"))
+        next(src.iterate_once("evaluation"))
     it.close()
 
 
 def test_replay_determinism():
     rng = np.random.default_rng(5)
     src = as_source(rng.standard_normal((7, 3)))
-    a = np.vstack(list(iterate_once(src, "selection")))
-    b = np.vstack(list(iterate_once(src, "selection")))
+    a = np.vstack(list(src.iterate_once("selection")))
+    b = np.vstack(list(src.iterate_once("selection")))
     np.testing.assert_array_equal(a, b)
 
 
 def test_unknown_purpose_rejected():
     src = as_source(np.array([[1.0]]))
     with pytest.raises(ParameterError):
-        next(iterate_once(src, "sampling"))
+        next(src.iterate_once("sampling"))
     with pytest.raises(ParameterError):
         PassAuditor().record("other")
 
