@@ -41,9 +41,11 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
     proportional to d(x, span S)^p, then draws t i.i.d. indices from it
     and extends S (duplicates collapse). Terminates early once the error
     hits zero, where the distribution is undefined. Its defining cost is
-    l selection passes on the auditor; every pass refills one (n, d)
-    buffer in place. Raises InputError naming the row at which a round's
-    weight total overflows.
+    l selection passes on the auditor. Its memory is one (n, d) buffer,
+    scored in chunks: every pass refills it in place, and
+    `SubsetBasis.distances` keeps its temporaries to CHUNK_ROWS rows.
+    Raises InputError naming the row at which a round's weight total
+    overflows.
     """
     src = as_source(data, auditor=auditor)
     if t < 1 or l < 0:

@@ -15,15 +15,14 @@ import numpy as np
 
 from .baselines import exact_adaptive_sample, squared_length_sample
 from .errors import GuardError, InputError, ParameterError
-from .geometry import ErrParams, PointSet, SubsetBasis
+from .geometry import CHUNK_ROWS, ErrParams, PointSet, SubsetBasis
 from .oracles import _brute_force_guard, brute_force_candidate_err, svd_optimal_err2
-from .sampler import baseline_rng, one_pass_adaptive_sample, theorem_params
+from .sampler import _readable, baseline_rng, one_pass_adaptive_sample, theorem_params
 from .stream import as_source, open_csv
 
 ALGORITHMS = ("mcmc-one-pass", "exact-adaptive", "squared-length")
 ORACLES = ("none", "svd", "bruteforce")
 
-_EVAL_CHUNK = 1024
 _EXACT_COVER_REL = 1e-12
 
 
@@ -108,19 +107,19 @@ def _evaluation_pass(source, bases, p, oracle):
     """One shared evaluation pass: per-candidate err_p, the empty-span
     error, and what the oracle needs to see of the dataset.
 
-    Rows are copied into one _EVAL_CHUNK-row buffer as they arrive and
+    Rows are copied into one CHUNK_ROWS-row buffer as they arrive and
     scored a chunk at a time, the empty span (whose distance is the row
     norm) in the same loop as the candidates. For the SVD oracle each
     scored chunk is folded into the R factor of a running QR
     decomposition: X = QR with Q orthonormal, so R has the singular
     values of X in at most d rows. The brute-force oracle gets the rows of
     the one chunk: its guard, checked before the selection pass, keeps n
-    below _EVAL_CHUNK.
+    below CHUNK_ROWS.
     """
     spans = [SubsetBasis.empty(source.d), *bases]
     sums = np.zeros(len(spans))
     r_factor = np.empty((0, source.d)) if oracle == "svd" else None
-    buf = np.empty((_EVAL_CHUNK, source.d))
+    buf = np.empty((CHUNK_ROWS, source.d))
     end = 0
 
     def flush():
@@ -134,13 +133,13 @@ def _evaluation_pass(source, bases, p, oracle):
     for x in source.iterate_once("evaluation"):
         buf[end] = x
         end += 1
-        if end == _EVAL_CHUNK:
+        if end == CHUNK_ROWS:
             flush()
             end = 0
     if end:
         flush()
     if oracle == "bruteforce":
-        assert source.n < _EVAL_CHUNK, "brute-force guard not checked"
+        assert source.n < CHUNK_ROWS, "brute-force guard not checked"
         X = PointSet(buf[:end])
     else:
         X = None if r_factor is None else PointSet(r_factor)
@@ -156,31 +155,28 @@ def _physical_memory():
     return pages * page_size if pages > 0 and page_size > 0 else sys.maxsize
 
 
-def _readable(count):
-    """An integer in full, or to three digits once it is longer than 12."""
-    digits = str(count)
-    return digits if len(digits) <= 12 else f"{digits[0]}.{digits[1:3]}e{len(digits) - 1}"
-
-
-def _memory_guard(algorithm, config, d):
-    """Raise GuardError, naming the recipe's sizes, if the draws `algorithm`
+def _memory_guard(algorithm, config, n, d):
+    """Raise GuardError, naming the recipe's sizes, if what `algorithm`
     keeps cannot fit in this machine's physical memory.
 
     A one-pass pool slot or a squared-length draw costs the row store two
-    rows of d floats, each with a position and a weight; an exact-adaptive
-    draw costs a variate and an index.
+    rows of d floats, each with a position and a weight. Exact-adaptive
+    keeps its one (n, d) row buffer and n weights, plus a variate and an
+    index per draw of a round.
     """
     if algorithm == "exact-adaptive":
-        draws, per_draw = config.t, 16
+        draws, per_draw, fixed = config.t, 16, 8 * n * (d + 1)
+        buffer = f" and an n={n} by d={d} row buffer"
     else:
         draws = config.pool_size if algorithm == "mcmc-one-pass" else config.t * max(config.l, 1)
-        per_draw = 16 * (d + 2)
+        per_draw, fixed, buffer = 16 * (d + 2), 0, ""
     memory = _physical_memory()
-    if draws * per_draw > memory:
+    if draws * per_draw + fixed > memory:
         raise GuardError(
             f"{algorithm} with t={_readable(config.t)}, m={_readable(config.m)}, "
             f"l={_readable(config.l)}, repetitions={_readable(config.repetitions)} keeps "
-            f"{_readable(draws)} draws, too many for this machine's {memory} bytes of memory")
+            f"{_readable(draws)} draws{buffer}, too many for this machine's "
+            f"{memory} bytes of memory")
 
 
 def run_experiment(spec):
@@ -196,7 +192,7 @@ def run_experiment(spec):
                             repetitions_override=spec.repetitions)
     if spec.oracle == "bruteforce":
         _brute_force_guard(source.n, spec.k)
-    _memory_guard(spec.algorithm, config, source.d)
+    _memory_guard(spec.algorithm, config, source.n, source.d)
 
     timings = {}
     if spec.algorithm == "mcmc-one-pass":

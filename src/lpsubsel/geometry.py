@@ -16,6 +16,10 @@ from .errors import InputError
 # Double-precision Gram-Schmidt noise floor with one re-orthogonalization.
 RANK_TOLERANCE = 1e-10
 
+# Rows scored at a time by `SubsetBasis.distances` and the evaluation pass:
+# the temporaries of one chunk stay a fixed size however many rows come in.
+CHUNK_ROWS = 1024
+
 
 def _as_matrix(points):
     arr = np.asarray(points, dtype=np.float64)
@@ -95,9 +99,21 @@ class SubsetBasis:
         """Euclidean distances from each row to span(basis).
 
         Works for an empty basis too: the projection is zero and the
-        distance is the row norm.
+        distance is the row norm. More than CHUNK_ROWS rows are scored
+        CHUNK_ROWS at a time into one n-vector, so the temporaries
+        (projection, residual, squares) take CHUNK_ROWS rows, not n. BLAS
+        picks its kernel by shape, so a row's distance may differ in the
+        last bits from the one a single whole-array product gives.
         """
         rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim == 1 or len(rows) <= CHUNK_ROWS:
+            return self._residual_norms(rows)
+        out = np.empty(len(rows))
+        for start in range(0, len(rows), CHUNK_ROWS):
+            out[start:start + CHUNK_ROWS] = self._residual_norms(rows[start:start + CHUNK_ROWS])
+        return out
+
+    def _residual_norms(self, rows):
         coeffs = rows @ self.basis.T
         resid = rows - coeffs @ self.basis
         return np.linalg.norm(resid, axis=-1)

@@ -9,6 +9,7 @@ single shared pass up front. Only each walk's final location joins S.
 """
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -112,6 +113,12 @@ class SamplerConfig:
         }
 
 
+def _readable(count):
+    """An integer in full, or to three digits once it is longer than 12."""
+    digits = str(count)
+    return digits if len(digits) <= 12 else f"{digits[0]}.{digits[1:3]}e{len(digits) - 1}"
+
+
 def theorem_params(k, p, delta, t_override=None, *, seed=0,
                    l_override=None, m_override=None, repetitions_override=None):
     """Parameter recipe for the additive guarantee.
@@ -123,8 +130,9 @@ def theorem_params(k, p, delta, t_override=None, *, seed=0,
     normally pass t_override since the full t is astronomically large.
     Natural logs throughout; counts are rounded up. A p and delta that take
     a recipe value, or the lemma's walk length, beyond the float range
-    raise GuardError naming them; whether the counts fit in memory is left
-    to the caller, which knows the algorithm and d.
+    raise GuardError naming them, and so does a t or l override too large
+    to become a float; whether the counts fit in memory is left to the
+    caller, which knows the algorithm and d.
     """
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0,1), got {delta}")
@@ -132,6 +140,10 @@ def theorem_params(k, p, delta, t_override=None, *, seed=0,
         raise ParameterError(f"k must be >= 1, got {k}")
     if not (math.isfinite(p) and p >= 1.0):
         raise ParameterError(f"p must be a finite real >= 1, got {p}")
+    for name, value in (("t", t_override), ("l", l_override)):
+        if value is not None and abs(value) > sys.float_info.max:
+            raise GuardError(f"{name}={_readable(value)} is beyond the float range "
+                             f"of the parameter recipe; lower {name}")
     epsilon = delta / 4.0
     l = k if l_override is None else l_override
     try:

@@ -1,5 +1,7 @@
 """Shared test fixtures: instance generators and small conveniences."""
 
+import tracemalloc
+
 from lpsubsel import PointSet, SubsetBasis, extend_basis
 
 
@@ -32,3 +34,15 @@ def low_rank_plus_noise(n, d, k, noise, rng):
     factors = rng.standard_normal((n, k))
     directions = rng.standard_normal((k, d))
     return PointSet(factors @ directions + noise * rng.standard_normal((n, d)))
+
+
+def peak_traced_bytes(call):
+    """Peak bytes that `call()` holds beyond what was live before it, as
+    tracemalloc (which sees numpy's array buffers) counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

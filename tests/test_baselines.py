@@ -3,7 +3,9 @@ import pytest
 
 from lpsubsel import (RANK_TOLERANCE, InputError, PointSet, SubsetBasis,
                       adaptive_distribution, as_source, exact_adaptive_sample,
-                      squared_length_sample, tv_distance)
+                      open_csv, squared_length_sample, tv_distance)
+
+from helpers import peak_traced_bytes
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.5, 0.5], [-2.0, 1.0]])
@@ -117,3 +119,36 @@ def test_squared_length_fixed_seed_matches_draw_by_draw_span(d, p, seed, members
     want = _span_draw_by_draw(drawn, X[drawn], d)
     assert basis.rank == want.rank <= len(set(drawn))
     np.testing.assert_array_equal(basis.basis, want.basis)
+
+
+# members recorded before distances were scored in CHUNK_ROWS-row chunks;
+# n = 3000 spans three chunks, the last one partial
+@pytest.mark.parametrize("p, members", [
+    (1.0, (2360, 1825, 2148, 283, 1889, 2952, 1251, 344, 2879)),
+    (2.0, (2420, 1888, 2212, 356, 1976, 2966, 1306, 456, 2823)),
+    (3.0, (2508, 1889, 2258, 356, 1799, 2954, 1210, 493, 2796)),
+], ids=["p1", "p2", "p3"])
+@pytest.mark.parametrize("from_file", [False, True], ids=["array", "file"])
+def test_exact_adaptive_fixed_seed_members(tmp_path, p, members, from_file):
+    rng = np.random.default_rng(31)
+    X = rng.lognormal(size=(3000, 1)) * rng.standard_normal((3000, 12))
+    data = X
+    if from_file:
+        path = tmp_path / "points.csv"
+        path.write_text("\n".join(",".join(str(v) for v in row) for row in X) + "\n",
+                        encoding="utf-8")
+        data = open_csv(str(path))
+    basis = exact_adaptive_sample(data, p, t=3, l=3, rng=np.random.default_rng(21))
+    assert basis.member_indices == members
+    want = SubsetBasis.empty(12)
+    for idx in members:
+        want = want.extended(idx, X[idx])
+    assert basis.basis.tobytes() == want.basis.tobytes()
+
+
+def test_exact_adaptive_peak_memory_is_its_row_buffer():
+    # one (n, d) buffer; scoring it in one product held three more like it
+    X = np.random.default_rng(32).standard_normal((20_000, 32))
+    peak = peak_traced_bytes(
+        lambda: exact_adaptive_sample(X, 2.0, t=3, l=2, rng=np.random.default_rng(0)))
+    assert peak <= 1.5 * X.nbytes

@@ -7,6 +7,7 @@ from lpsubsel import (ExperimentSpec, InputError, ParameterError, PointSet,
                       as_source, brute_force_candidate_err, experiment,
                       run_experiment, svd_optimal_err2)
 from lpsubsel.cli import main
+from lpsubsel.geometry import CHUNK_ROWS
 from lpsubsel.stream import _BLOCK_ROWS
 
 from helpers import basis_from, low_rank_plus_noise
@@ -71,10 +72,9 @@ def test_empty_err_is_the_chunked_norm_sum(p):
     # the empty span is scored in the candidates' loop, one chunk at a time
     X = np.random.default_rng(17).standard_normal((2500, 4))
     report = run_experiment(_spec(input=X, algorithm="squared-length", p=p))
-    chunk = experiment._EVAL_CHUNK
     want = 0.0
-    for start in range(0, len(X), chunk):
-        want += float(np.sum(np.linalg.norm(X[start:start + chunk], axis=1) ** p))
+    for start in range(0, len(X), CHUNK_ROWS):
+        want += float(np.sum(np.linalg.norm(X[start:start + CHUNK_ROWS], axis=1) ** p))
     assert report.empty_err == want
 
 
@@ -274,7 +274,9 @@ def test_cli_unknown_report_format_exits_2(tmp_path, capsys):
     (["--p", "2", "--delta", "1e-9"], "t=1.41e30"),
     (["--t", "1000000000000"], "t=1.00e12"),            # an override too large for memory
     (["--p", "1e308"], "p=1e+308"),                     # 2^(p+1) overflows a float
-], ids=["p60", "tiny_delta", "huge_t", "p1e308"])
+    (["--t", "1" + "0" * 400], "t=1.00e400"),           # an override no float can hold
+    (["--l", "1" + "0" * 400], "l=1.00e400"),
+], ids=["p60", "tiny_delta", "huge_t", "p1e308", "huge_t_digits", "huge_l_digits"])
 def test_cli_oversized_recipe_exits_3(tmp_path, capsys, algo, flags, named):
     path = _write_csv(tmp_path, np.random.default_rng(18).standard_normal((50, 4)))
     code = main(["--input", path, "--algo", algo, "--k", "1", *flags])
@@ -282,6 +284,25 @@ def test_cli_oversized_recipe_exits_3(tmp_path, capsys, algo, flags, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+def test_cli_exact_adaptive_buffer_beyond_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # a 50 x 4 file takes a 1,600-byte row buffer; the machine reports one byte less
+    path = _write_csv(tmp_path, np.random.default_rng(18).standard_normal((50, 4)))
+    real_open_csv = experiment.open_csv
+    opened = []
+
+    def open_and_keep(*args, **kwargs):
+        opened.append(real_open_csv(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(experiment, "open_csv", open_and_keep)
+    monkeypatch.setattr(experiment, "_physical_memory", lambda: 8 * 50 * 4 - 1)
+    code = main(["--input", path, "--algo", "exact-adaptive", "--k", "1", "--t", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n=50 by d=4" in err
+    assert opened[0].auditor.selection_passes == 0
 
 
 def test_cli_exact_adaptive_and_header(tmp_path, capsys):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from lpsubsel import ErrParams, InputError, PointSet, SubsetBasis, err_p, extend_basis
+from lpsubsel.geometry import CHUNK_ROWS
 
-from helpers import basis_from
+from helpers import basis_from, peak_traced_bytes
 
 
 def test_pointset_rejects_nonfinite_and_degenerate():
@@ -145,3 +146,46 @@ def test_err_params_validation():
         ErrParams(p=2.0, k=0)
     with pytest.raises(InputError):
         ErrParams(p=2.0, k=4).check_dimension(3)
+
+
+def _unchunked_distances(rows, basis):
+    # the formula of `SubsetBasis.distances`, over the whole input at once
+    return np.linalg.norm(rows - (rows @ basis.basis.T) @ basis.basis, axis=-1)
+
+
+@pytest.mark.parametrize("rank", [0, 3, 6], ids=["empty", "rank3", "full_rank"])
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 5000])
+def test_distances_match_the_unchunked_formula(n, rank):
+    rng = np.random.default_rng(11)
+    rows = rng.lognormal(size=(n, 1)) * rng.standard_normal((n, 6))
+    basis = basis_from(PointSet(rng.standard_normal((rank, 6))), range(rank)) \
+        if rank else SubsetBasis.empty(6)
+    assert basis.rank == rank
+    got = basis.distances(rows)
+    assert got.shape == (n,)
+    # each CHUNK_ROWS slice is scored by the unchanged formula ...
+    want = np.concatenate([_unchunked_distances(rows[start:start + CHUNK_ROWS], basis)
+                           for start in range(0, n, CHUNK_ROWS)] or [np.empty(0)])
+    assert got.tobytes() == want.tobytes()
+    # ... which a single whole-array product matches bit for bit within one
+    # chunk, and to rounding beyond it, where BLAS may pick another kernel
+    whole = _unchunked_distances(rows, basis)
+    if n <= CHUNK_ROWS:
+        assert got.tobytes() == whole.tobytes()
+    norms = np.linalg.norm(rows, axis=1)
+    assert np.all(np.abs(got - whole) <= 1e-14 * norms)
+
+
+def test_distances_of_a_vector_is_the_unchunked_formula():
+    basis = basis_from(PointSet(np.random.default_rng(12).standard_normal((3, 6))), range(3))
+    v = np.random.default_rng(13).standard_normal(6)
+    got = basis.distances(v)
+    assert got.shape == () and got.tobytes() == _unchunked_distances(v, basis).tobytes()
+
+
+def test_err_p_scores_in_chunks_without_copying_the_dataset():
+    # three (n, d) temporaries at once before scoring went chunk by chunk
+    rng = np.random.default_rng(14)
+    X = PointSet(rng.standard_normal((20_000, 32)))
+    basis = basis_from(X, range(3))
+    assert peak_traced_bytes(lambda: err_p(X, basis, 2.0)) <= 0.25 * X.points.nbytes
