@@ -1,5 +1,7 @@
 """Multi-pass and one-shot baselines the one-pass sampler is compared against."""
 
+from collections import deque
+
 import numpy as np
 
 from .errors import ParameterError
@@ -34,6 +36,27 @@ def _span_of_rows(indices, rows, row_of, d):
     return SubsetBasis(indices, tracker.basis, d)
 
 
+def _round_weights(basis, rows, p):
+    """A round's draw probabilities d(x, span S)^p / total, in one n-vector.
+
+    The power and the normalisation are taken in place, or None once the
+    total is zero, where the distribution is undefined. Raises InputError
+    naming the row at which the total overflows.
+    """
+    with np.errstate(over="ignore"):  # an overflowing weight is raised below
+        weights = basis.distances(rows)
+        weights **= p
+    total = _weight_total(weights)
+    if total <= 0.0:
+        return None
+    weights /= total
+    return weights
+
+
+def _selection_pass(src):
+    deque(src.iterate_once("selection"), maxlen=0)
+
+
 def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
     """Ground-truth adaptive sampling: l rounds, one full pass per round.
 
@@ -41,35 +64,35 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
     proportional to d(x, span S)^p, then draws t i.i.d. indices from it
     and extends S (duplicates collapse). Terminates early once the error
     hits zero, where the distribution is undefined. Its defining cost is
-    l selection passes on the auditor. Its memory is one (n, d) buffer,
-    scored in chunks: every pass refills it in place, and
-    `SubsetBasis.distances` keeps its temporaries to CHUNK_ROWS rows.
-    Raises InputError naming the row at which a round's weight total
-    overflows.
+    l selection passes on the auditor. It scores the source's `rows`: an
+    array input in place, a file's as its first pass keeps them (see
+    `DatasetSource.keep_rows`), so the file is parsed once and later
+    passes replay it. Besides those rows it holds one n-vector of weights
+    and `rng.choice`'s cumulative sum of them; `SubsetBasis.distances`
+    keeps its temporaries to CHUNK_ROWS rows. Raises InputError naming
+    the row at which a round's weight total overflows.
     """
     src = as_source(data, auditor=auditor)
     if t < 1 or l < 0:
         raise ParameterError(f"need t >= 1 and l >= 0, got t={t}, l={l}")
+    src.keep_rows()
     basis = SubsetBasis.empty(src.d)
     members = set()
-    rows = np.empty((src.n, src.d))
     for round_ in range(l):
-        # termination check against the previous round's buffer costs no pass
-        if round_ and float((basis.distances(rows) ** p).sum()) <= 0.0:
+        if not round_:
+            _selection_pass(src)
+        # a later round's weights come from the kept rows before its pass,
+        # so a run whose error is zero ends without one
+        weights = _round_weights(basis, src.rows, p)
+        if weights is None:
             break
-        for i, x in enumerate(src.iterate_once("selection")):
-            rows[i] = x
-        with np.errstate(over="ignore"):  # an overflowing weight is raised below
-            dist_pow = basis.distances(rows) ** p
-        total = _weight_total(dist_pow)
-        if total <= 0.0:
-            break
-        picks = rng.choice(rows.shape[0], size=t, p=dist_pow / total)
-        for i in picks:
+        if round_:
+            _selection_pass(src)
+        for i in rng.choice(src.n, size=t, p=weights):
             idx = int(i)
             if idx not in members:
                 members.add(idx)
-                basis = basis.extended(idx, rows[idx])
+                basis = basis.extended(idx, src.rows[idx])
     return basis
 
 

@@ -155,18 +155,27 @@ def _physical_memory():
     return pages * page_size if pages > 0 and page_size > 0 else sys.maxsize
 
 
-def _memory_guard(algorithm, config, n, d):
+def _memory_guard(algorithm, config, source):
     """Raise GuardError, naming the recipe's sizes, if what `algorithm`
     keeps cannot fit in this machine's physical memory.
 
     A one-pass pool slot or a squared-length draw costs the row store two
     rows of d floats, each with a position and a weight. Exact-adaptive
-    keeps its one (n, d) row buffer and n weights, plus a variate and an
-    index per draw of a round.
+    keeps about three n-vectors: its weights, `rng.choice`'s cumulative
+    sum of them, and (under one more) choice's sign check and a file's
+    per-block fingerprints. It adds the distance temporaries of one
+    CHUNK_ROWS-row chunk and a variate and an index per draw of a round.
+    A file source also keeps its (n, d) rows, which an array input holds
+    already.
     """
+    n, d = source.n, source.d
     if algorithm == "exact-adaptive":
-        draws, per_draw, fixed = config.t, 16, 8 * n * (d + 1)
-        buffer = f" and an n={n} by d={d} row buffer"
+        draws, per_draw = config.t, 16
+        fixed = 24 * n + 24 * min(n, CHUNK_ROWS) * d
+        buffer = ""
+        if source.rows is None:
+            fixed += 8 * n * d
+            buffer = f" and an n={n} by d={d} row buffer"
     else:
         draws = config.pool_size if algorithm == "mcmc-one-pass" else config.t * max(config.l, 1)
         per_draw, fixed, buffer = 16 * (d + 2), 0, ""
@@ -192,7 +201,7 @@ def run_experiment(spec):
                             repetitions_override=spec.repetitions)
     if spec.oracle == "bruteforce":
         _brute_force_guard(source.n, spec.k)
-    _memory_guard(spec.algorithm, config, source.n, source.d)
+    _memory_guard(spec.algorithm, config, source)
 
     timings = {}
     if spec.algorithm == "mcmc-one-pass":

@@ -44,13 +44,16 @@ def _as_vector(x, d):
 class PointSet:
     """Dense dataset of n points in R^d, one point per row.
 
-    The backing array is made read-only; every coordinate must be finite.
+    `points` is a read-only view of the backing array, which is the
+    caller's own when it is already a C-contiguous float64 array: no copy
+    is made, and the caller's array stays writeable. Every coordinate
+    must be finite.
     """
 
     __slots__ = ("points", "n", "d")
 
     def __init__(self, points):
-        arr = np.ascontiguousarray(_as_matrix(points))
+        arr = np.ascontiguousarray(_as_matrix(points)).view()
         arr.setflags(write=False)
         self.points = arr
         self.n, self.d = arr.shape

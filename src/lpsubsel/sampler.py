@@ -194,8 +194,13 @@ def random_walk(pool_slice, basis, p, rng):
 
     The first draw is the start, the rest are proposals in order. Each step
     draws a variate r in the open unit interval and moves iff the acceptance
-    ratio strictly exceeds r. This is the reference scalar path; the batched
-    sampler uses `_kernels.run_walks`, and both agree draw-for-draw.
+    ratio strictly exceeds r. This is the scalar reference path, scoring one
+    draw at a time; `one_pass_adaptive_sample` does not run it, but runs
+    `_kernels.run_walks` on the scores of all of a round's drawn rows at
+    once. The two make the same moves except near a tie: BLAS picks its
+    kernel by shape, so a row's distance can differ in its last bits with
+    how many rows share the call, and a ratio within those bits of its
+    variate can move one walk and not the other.
     """
     draws = [pool_slice[j] for j in range(len(pool_slice))]
     if not draws:

@@ -5,12 +5,19 @@ either selection (sampling) or evaluation (error measurement), so the
 one-pass claim of the sampler is a tested contract, not a convention.
 A pass counts only when the stream is consumed to exhaustion.
 
-CSV files have one parser, `_csv_blocks`, which every pass runs: numpy's
+CSV files have one parser, `_csv_block`, which file passes run: numpy's
 loader parses blocks of lines, and a block it rejects falls back to
 float() per cell, so what is accepted, and the row an error names, are
 those of the per-cell parse. `open_csv` parses no more than the first
 data row: it reads the lines only to count the non-blank ones, so a
 malformed later row is reported by the first pass over the file.
+
+Every file pass reads every line, and each pass after the first complete
+one checks the fingerprint of each block of lines against that pass's,
+so a file that changes between passes raises SourceChangedError. A
+caller that holds all n rows anyway asks for them with
+`DatasetSource.keep_rows`: then the file is parsed once, and later
+passes read and fingerprint it but yield the kept rows.
 """
 
 import itertools
@@ -111,28 +118,26 @@ def _line_blocks(path, header):
             line_number += len(lines)
 
 
-def _csv_blocks(path, header, d):
-    """Yield the rows of a CSV file as (rows, d) float arrays, in file order.
+def _csv_block(lines, text, first_line, d):
+    """The rows of one `_line_blocks` block as a (rows, d) float array.
 
-    Parses each block of `_line_blocks` with numpy's loader. A block the
-    loader rejects, whose width is not d, or that holds a non-finite cell
-    is parsed again by `_parse_block`, which either accepts it or raises
-    the first fault; the loader accepts a subset of what float() does and
-    parses it to the same doubles.
+    `text` is the block's lines joined. numpy's loader parses the block;
+    a block it rejects, whose width is not d, or that holds a non-finite
+    cell is parsed again by `_parse_block`, which either accepts it or
+    raises the first fault. The loader accepts a subset of what float()
+    does and parses it to the same doubles.
     """
-    for line_number, lines in _line_blocks(path, header):
-        text = "".join(lines)
-        if text.isspace():
-            continue
-        block = None
-        if not any(ch in text for ch in _LOADER_ONLY_SPACE):
-            try:
-                block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                pass
-        if block is None or block.shape[1] != d or not np.isfinite(block).all():
-            block = _parse_block(lines, line_number, d)
-        yield block
+    if text.isspace():
+        return np.empty((0, d))
+    block = None
+    if not any(ch in text for ch in _LOADER_ONLY_SPACE):
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if block is None or block.shape[1] != d or not np.isfinite(block).all():
+        block = _parse_block(lines, first_line, d)
+    return block
 
 
 class DatasetSource:
@@ -142,22 +147,48 @@ class DatasetSource:
     active stream at a time; a given pass always yields points in the
     same fixed order. For a file, n and d are fixed when it is opened and
     its rows are parsed only by passes (see `open_csv`).
+
+    Every pass over a file reads all of its lines. The first complete
+    pass records a fingerprint (the built-in `hash` of the joined text)
+    of each block of `_BLOCK_ROWS` lines, and every later pass checks its
+    blocks against them, so a file rewritten between passes raises
+    SourceChangedError even when its row count is unchanged.
+
+    `rows` is the source's rows as one read-only (n, d) float64 array, or
+    None: an in-memory source's own array, or the rows a file pass kept
+    after `keep_rows`. A later pass over a file with kept rows yields the
+    kept rows of each block whose fingerprint matches instead of parsing
+    it again.
     """
 
     def __init__(self, rows=None, path=None, d=None, n=None, header=False,
                  auditor=None):
-        self._rows = rows
+        self.rows = rows
         self._path = path
         self._header = header
         self.d = d
         self.n = n
         self.auditor = auditor if auditor is not None else PassAuditor()
         self._active = False
+        self._keep = False
+        # (fingerprint, rows up to the block's end) per block of the first
+        # complete file pass
+        self._blocks = None
 
     @classmethod
     def from_points(cls, points, auditor=None):
         ps = points if isinstance(points, PointSet) else PointSet(points)
         return cls(rows=ps.points, d=ps.d, n=ps.n, auditor=auditor)
+
+    def keep_rows(self):
+        """Keep the rows of this source's next complete pass in `rows`.
+
+        For a caller that holds all n rows anyway. A file pass fills one
+        (n, d) array a block at a time as it parses, and keeps it only if
+        it completes: a pass that is abandoned or raises keeps nothing. An
+        in-memory source already holds its rows and copies nothing.
+        """
+        self._keep = True
 
     def iterate_once(self, purpose):
         """Yield each point exactly once in source order.
@@ -171,8 +202,8 @@ class DatasetSource:
             raise StreamError("a pass over this source is already in progress")
         self._active = True
         try:
-            if self._rows is not None:
-                yield from self._rows
+            if self._path is None:
+                yield from self.rows
             else:
                 yield from self._iterate_file()
         finally:
@@ -180,14 +211,32 @@ class DatasetSource:
         self.auditor.record(purpose)
 
     def _iterate_file(self):
+        known, kept = self._blocks, self.rows
+        keep = np.empty((self.n, self.d)) if self._keep and kept is None else None
+        blocks = []
         rows = 0
         try:
-            blocks = _csv_blocks(self._path, self._header, self.d)
-            for block in blocks:
+            line_blocks = _line_blocks(self._path, self._header)
+            for i, (line_number, lines) in enumerate(line_blocks):
+                text = "".join(lines)
+                fingerprint = hash(text)
+                if known is not None and (i == len(known) or known[i][0] != fingerprint):
+                    raise SourceChangedError(
+                        f"{self._path} changed since its first pass: lines "
+                        f"{line_number}-{line_number + len(lines) - 1} are not "
+                        f"what it read")
+                if kept is not None:
+                    block = kept[rows:known[i][1]]
+                else:
+                    block = _csv_block(lines, text, line_number, self.d)
+                    if rows + len(block) > self.n:
+                        rows += len(block) + sum(len(_csv_block(ls, "".join(ls), ln, self.d))
+                                                 for ln, ls in line_blocks)
+                        break
+                    if keep is not None:
+                        keep[rows:rows + len(block)] = block
                 rows += len(block)
-                if rows > self.n:
-                    rows += sum(map(len, blocks))
-                    break
+                blocks.append((fingerprint, rows))
                 yield from block
         except OSError as exc:
             raise StreamError(f"I/O failure while streaming {self._path}: {exc}") from exc
@@ -195,6 +244,11 @@ class DatasetSource:
             raise SourceChangedError(
                 f"{self._path} changed since it was opened: "
                 f"{self.n} rows then, {rows} now")
+        if known is None:
+            self._blocks = blocks
+        if keep is not None:
+            keep.setflags(write=False)
+            self.rows = keep
 
 
 def open_csv(path, header=False, auditor=None):

@@ -2,6 +2,8 @@
 
 import tracemalloc
 
+import numpy as np
+
 from lpsubsel import PointSet, SubsetBasis, extend_basis
 
 
@@ -46,3 +48,17 @@ def peak_traced_bytes(call):
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def loadtxt_calls(monkeypatch):
+    """A list that grows by one entry at every `np.loadtxt` call from now
+    until the monkeypatch is undone."""
+    calls = []
+    real_loadtxt = np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        calls.append(1)
+        return real_loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    return calls

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from lpsubsel import (RANK_TOLERANCE, InputError, PointSet, SubsetBasis,
-                      adaptive_distribution, as_source, exact_adaptive_sample,
-                      open_csv, squared_length_sample, tv_distance)
+from lpsubsel import (RANK_TOLERANCE, GuardError, InputError, PointSet, SubsetBasis,
+                      adaptive_distribution, as_source, exact_adaptive_sample, experiment,
+                      open_csv, squared_length_sample, theorem_params, tv_distance)
+from lpsubsel.stream import _BLOCK_ROWS
 
-from helpers import peak_traced_bytes
+from helpers import loadtxt_calls, peak_traced_bytes
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.5, 0.5], [-2.0, 1.0]])
@@ -152,3 +153,43 @@ def test_exact_adaptive_peak_memory_is_its_row_buffer():
     peak = peak_traced_bytes(
         lambda: exact_adaptive_sample(X, 2.0, t=3, l=2, rng=np.random.default_rng(0)))
     assert peak <= 1.5 * X.nbytes
+
+
+def test_exact_adaptive_parses_its_file_once(tmp_path, monkeypatch):
+    # later rounds and the evaluation pass replay the rows the first pass kept
+    rows = 5 * _BLOCK_ROWS + 9
+    path = tmp_path / "points.csv"
+    np.savetxt(path, np.random.default_rng(33).standard_normal((rows, 6)), delimiter=",")
+    src = open_csv(str(path))
+    calls = loadtxt_calls(monkeypatch)
+    exact_adaptive_sample(src, 2.0, t=2, l=3, rng=np.random.default_rng(3))
+    list(src.iterate_once("evaluation"))
+    assert len(calls) == -(-rows // _BLOCK_ROWS)
+    assert (src.auditor.selection_passes, src.auditor.evaluation_passes) == (3, 1)
+
+
+def test_exact_adaptive_scores_an_array_input_in_place():
+    X = np.random.default_rng(34).standard_normal((20_000, 32))
+    peak = peak_traced_bytes(
+        lambda: exact_adaptive_sample(X, 2.0, t=3, l=2, rng=np.random.default_rng(0)))
+    assert peak < 0.25 * X.nbytes
+
+
+@pytest.mark.parametrize("n, d, from_file", [(200_000, 1, False), (6_250, 32, False),
+                                             (20_000, 8, True)])
+def test_exact_adaptive_peak_is_within_the_memory_guard(tmp_path, monkeypatch, n, d, from_file):
+    X = np.random.default_rng(35).standard_normal((n, d))
+    path = str(tmp_path / "points.csv")
+    if from_file:
+        np.savetxt(path, X, delimiter=",")
+    config = theorem_params(k=1, p=2.0, delta=0.5, t_override=3, l_override=2, seed=0)
+
+    def source():
+        return open_csv(path) if from_file else as_source(X)
+
+    src = source()
+    peak = peak_traced_bytes(lambda: exact_adaptive_sample(
+        src, 2.0, config.t, config.l, rng=np.random.default_rng(0)))
+    monkeypatch.setattr(experiment, "_physical_memory", lambda: peak - 1)
+    with pytest.raises(GuardError):
+        experiment._memory_guard("exact-adaptive", config, source())

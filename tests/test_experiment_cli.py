@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from lpsubsel import (ExperimentSpec, InputError, ParameterError, PointSet,
-                      as_source, brute_force_candidate_err, experiment,
-                      run_experiment, svd_optimal_err2)
+from lpsubsel import (DatasetSource, ExperimentSpec, InputError, ParameterError,
+                      PointSet, as_source, brute_force_candidate_err,
+                      exact_adaptive_sample, experiment, run_experiment,
+                      squared_length_sample, svd_optimal_err2)
 from lpsubsel.cli import main
 from lpsubsel.geometry import CHUNK_ROWS
 from lpsubsel.stream import _BLOCK_ROWS
@@ -253,6 +254,29 @@ def test_cli_file_changed_after_open_exits_2(tmp_path, capsys, monkeypatch, algo
     assert f"12 rows then, {rows_after} now" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_cli_same_count_rewrite_after_the_first_pass_exits_2(tmp_path, capsys, monkeypatch,
+                                                            algo):
+    # exact-adaptive's second round, or the evaluation pass, reads the rewrite
+    X = np.random.default_rng(19).standard_normal((2 * _BLOCK_ROWS + 40, 3))
+    path = _write_csv(tmp_path, X)
+    real_iterate_once = DatasetSource.iterate_once
+    rewritten = []
+
+    def rewrite_after_first_pass(self, purpose):
+        yield from real_iterate_once(self, purpose)
+        if not rewritten:
+            X[_BLOCK_ROWS + 4, 1] += 1.0
+            rewritten.append(_write_csv(tmp_path, X))
+
+    monkeypatch.setattr(DatasetSource, "iterate_once", rewrite_after_first_pass)
+    code = main(["--input", path, "--algo", algo, "--k", "1", "--t", "2", "--l", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and rewritten
+    assert path in err and f"lines {_BLOCK_ROWS + 1}-{2 * _BLOCK_ROWS} are not" in err
+    assert "Traceback" not in err
+
+
 def test_cli_guard_violation_exits_3(tmp_path, capsys):
     rng = np.random.default_rng(5)
     path = _write_csv(tmp_path, rng.standard_normal((20, 3)))
@@ -341,3 +365,25 @@ def test_cli_overflowing_weight_exits_2(tmp_path, capsys, algo, text, p, row):
                  "--p", str(p)])
     assert code == 2
     assert f"error: data row {row}: " in capsys.readouterr().err
+
+
+# each takes the caller's array; the first two hand back the view they hold
+_TAKES_AN_ARRAY = {
+    "PointSet": lambda X: PointSet(X).points,
+    "as_source": lambda X: as_source(X).rows,
+    "run_experiment": lambda X: run_experiment(_spec(input=X)),
+    "exact_adaptive_sample": lambda X: exact_adaptive_sample(
+        X, 2.0, t=2, l=2, rng=np.random.default_rng(1)),
+    "squared_length_sample": lambda X: squared_length_sample(
+        X, 2.0, 4, np.random.default_rng(1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_TAKES_AN_ARRAY))
+def test_the_callers_array_stays_writeable(name):
+    X = np.random.default_rng(20).standard_normal((30, 3))
+    held = _TAKES_AN_ARRAY[name](X)
+    assert X.flags.writeable
+    if isinstance(held, np.ndarray):
+        assert np.shares_memory(held, X) and not held.flags.writeable
+    X[0] = 1.0

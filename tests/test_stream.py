@@ -12,6 +12,8 @@ from lpsubsel import (FormatError, InputError, ParameterError, PassAuditor,
 from lpsubsel import stream
 from lpsubsel.stream import _BLOCK_ROWS
 
+from helpers import loadtxt_calls
+
 
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
@@ -114,14 +116,7 @@ def test_malformed_first_data_row_raises_at_open(tmp_path):
 
 def test_open_csv_never_calls_the_loader(tmp_path, monkeypatch):
     path = _write(tmp_path, _rows_text(1000))
-    calls = []
-    real_loadtxt = np.loadtxt
-
-    def counting_loadtxt(*args, **kwargs):
-        calls.append(1)
-        return real_loadtxt(*args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    calls = loadtxt_calls(monkeypatch)
     src = open_csv(path)
     assert (src.n, src.d, len(calls)) == (1000, 3, 0)
     list(src.iterate_once("selection"))
@@ -237,6 +232,77 @@ def test_pass_over_a_changed_file_names_both_counts(tmp_path, rows):
                        match=f"{_BLOCK_ROWS} rows then, {rows} now"):
         list(src.iterate_once("selection"))
     assert src.auditor.selection_passes == 0
+
+
+def _rewrite_line(path, line_number, text):
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    lines[line_number - 1] = text
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_same_count_rewrite_after_the_first_pass_names_its_block(tmp_path, keep):
+    path = _write(tmp_path, _rows_text(3 * _BLOCK_ROWS))
+    src = open_csv(path)
+    if keep:
+        src.keep_rows()
+    list(src.iterate_once("selection"))
+    _rewrite_line(path, _BLOCK_ROWS + 5, "7,7,7\n")
+    with pytest.raises(SourceChangedError,
+                       match=f"lines {_BLOCK_ROWS + 1}-{2 * _BLOCK_ROWS} are not"):
+        list(src.iterate_once("evaluation"))
+    assert src.auditor.evaluation_passes == 0
+
+
+def test_kept_rows_are_the_parsed_rows_and_later_passes_replay_them(tmp_path, monkeypatch):
+    X = np.random.default_rng(4).standard_normal((3 * _BLOCK_ROWS + 7, 5))
+    path = str(tmp_path / "x.csv")
+    np.savetxt(path, X, fmt="%.17g", delimiter=",")
+    parsed = np.vstack(list(open_csv(path).iterate_once("selection")))
+    src = open_csv(path)
+    src.keep_rows()
+    assert src.rows is None
+    first = np.vstack(list(src.iterate_once("selection")))
+    calls = loadtxt_calls(monkeypatch)
+    replayed = np.vstack(list(src.iterate_once("evaluation")))
+    assert first.tobytes() == parsed.tobytes() == src.rows.tobytes() == replayed.tobytes()
+    assert not src.rows.flags.writeable and len(calls) == 0
+    assert (src.auditor.selection_passes, src.auditor.evaluation_passes) == (1, 1)
+
+
+@pytest.mark.parametrize("how", ["abandoned", "format_error"])
+def test_a_first_pass_that_does_not_complete_keeps_nothing(tmp_path, monkeypatch, how):
+    rows = 2 * _BLOCK_ROWS + 3
+    path = _write(tmp_path, _rows_text(rows))
+    if how == "format_error":
+        _rewrite_line(path, _BLOCK_ROWS + 2, "x,1,2\n")
+    src = open_csv(path)
+    src.keep_rows()
+    it = src.iterate_once("selection")
+    if how == "abandoned":
+        for _ in range(_BLOCK_ROWS + 1):
+            next(it)
+        it.close()
+    else:
+        with pytest.raises(FormatError, match=f"row {_BLOCK_ROWS + 2}"):
+            list(it)
+        _rewrite_line(path, _BLOCK_ROWS + 2, f"{_BLOCK_ROWS + 1}.5,9,9\n")
+    assert src.rows is None and src.auditor.selection_passes == 0
+    calls = loadtxt_calls(monkeypatch)
+    got = np.vstack(list(src.iterate_once("selection")))
+    assert len(calls) == 3
+    np.testing.assert_array_equal(got, np.vstack(list(open_csv(path).iterate_once("selection"))))
+    assert src.rows.tobytes() == got.tobytes()
+
+
+def test_an_array_source_keeps_its_own_rows():
+    X = np.arange(12.0).reshape(4, 3)
+    src = as_source(X)
+    src.keep_rows()
+    assert np.shares_memory(src.rows, X) and not src.rows.flags.writeable
+    assert np.vstack(list(src.iterate_once("selection"))).tobytes() == X.tobytes()
 
 
 def test_missing_file_is_input_error(tmp_path):
