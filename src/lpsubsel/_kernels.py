@@ -18,6 +18,11 @@ crosses L writes Binomial(s, w/W) slots conditioned on at least one, as a
 uniform subset, and draws a fresh L. Both steps are the thinning law
 itself, so the bank's law is unchanged; a row below the limit costs one
 add and one compare and draws no variate.
+
+`proposal._draw_banks` defers its banks until its row store fills or the
+pass ends: while a bank is deferred its limit is inf, so `update_bank`
+only adds each row's weight to the total, and the store then settles the
+bank's slots over the rows so far in one draw and sets its first limit.
 """
 
 import math

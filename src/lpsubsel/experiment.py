@@ -9,6 +9,7 @@ import json
 import os
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,9 +108,13 @@ def _evaluation_pass(source, bases, p, oracle):
     """One shared evaluation pass: per-candidate err_p, the empty-span
     error, and what the oracle needs to see of the dataset.
 
-    Rows are copied into one CHUNK_ROWS-row buffer as they arrive and
-    scored a chunk at a time, the empty span (whose distance is the row
-    norm) in the same loop as the candidates. For the SVD oracle each
+    Rows are scored CHUNK_ROWS at a time, the empty span (whose distance
+    is the row norm) in the same loop as the candidates. A source that
+    holds its rows (an array input, or a file whose rows a baseline kept)
+    is still passed over once, for the audit and a file's change check,
+    and then scored in place, a slice at a time; any other source's rows
+    are copied into one CHUNK_ROWS-row buffer as they arrive. The chunks
+    are the same either way, so are the sums. For the SVD oracle each
     scored chunk is folded into the R factor of a running QR
     decomposition: X = QR with Q orthonormal, so R has the singular
     values of X in at most d rows. The brute-force oracle gets the rows of
@@ -119,28 +124,34 @@ def _evaluation_pass(source, bases, p, oracle):
     spans = [SubsetBasis.empty(source.d), *bases]
     sums = np.zeros(len(spans))
     r_factor = np.empty((0, source.d)) if oracle == "svd" else None
-    buf = np.empty((CHUNK_ROWS, source.d))
-    end = 0
 
-    def flush():
+    def score(arr):
         nonlocal r_factor
-        arr = buf[:end]
         for i, b in enumerate(spans):
             sums[i] += float(np.sum(b.distances(arr) ** p))
         if r_factor is not None:
             r_factor = np.linalg.qr(np.vstack((r_factor, arr)), mode="r")
 
-    for x in source.iterate_once("evaluation"):
-        buf[end] = x
-        end += 1
-        if end == CHUNK_ROWS:
-            flush()
-            end = 0
-    if end:
-        flush()
+    rows = source.rows
+    if rows is not None:
+        deque(source.iterate_once("evaluation"), maxlen=0)
+        for start in range(0, len(rows), CHUNK_ROWS):
+            score(rows[start:start + CHUNK_ROWS])
+    else:
+        buf = np.empty((CHUNK_ROWS, source.d))
+        end = 0
+        for x in source.iterate_once("evaluation"):
+            buf[end] = x
+            end += 1
+            if end == CHUNK_ROWS:
+                score(buf)
+                end = 0
+        if end:
+            score(buf[:end])
+        rows = buf[:end]  # every row, when n < CHUNK_ROWS
     if oracle == "bruteforce":
         assert source.n < CHUNK_ROWS, "brute-force guard not checked"
-        X = PointSet(buf[:end])
+        X = PointSet(rows)
     else:
         X = None if r_factor is None else PointSet(r_factor)
     return sums[1:], float(sums[0]), X

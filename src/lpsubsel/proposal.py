@@ -17,6 +17,15 @@ ends by dropping the rows no slot holds, so the finished pool keeps each
 drawn row once: at most min(n, pool size) rows, however many slots draw
 the same row.
 
+The store has room for twice the slots, and until it fills the banks
+defer: every row is kept and only adds to the totals. When the store
+fills, or the pass ends first, each bank settles its prefix in one draw,
+its slots i.i.d. over the kept rows in proportion to their weights, and
+then draws its skip limit. After rows 1..r, thinning leaves the slots
+i.i.d. with P(row i) = w_i / W_r, and whether a later row writes depends
+only on W_r and the slot count, so the settled bank has the thinning law
+exactly. A pass over no more rows than twice the slots crosses no limit.
+
 Squared-length (norm-power) sampling is the same pass with no uniform
 slots: `_draw_banks` serves both.
 """
@@ -143,6 +152,9 @@ class _ReservoirBank:
     that write leave all s slots alone up to total W' with probability
     (W/W')^s = P(L >= W'), so the limit has the thinning law exactly.
     A bank with no slots never crosses its limit but still keeps W.
+
+    `_draw_banks` defers its banks: their limit is inf, so rows only add
+    to W, until the row store settles them (see `_RowStore.settle`).
     """
 
     __slots__ = ("total", "limit", "win", "rng", "uniforms")
@@ -159,9 +171,12 @@ class _RowStore:
     """The rows some reservoir slot holds, with stream positions and weights.
 
     A replacement then writes one integer rather than a row. The store
-    holds up to twice the slots of the banks that share it; when it fills,
-    rows no slot holds any more are dropped and the slots renumbered, and
-    `finish` does the same once more at the end of the pass.
+    holds up to twice the slots of the banks that share it. While it is
+    `deferred` it keeps every row, and the banks' limits are inf; when it
+    fills, or at `finish` if it never does, it settles the banks over the
+    rows it kept. After that it keeps the rows a bank writes, and when it
+    fills, rows no slot holds any more are dropped and the slots
+    renumbered; `finish` does the same once more at the end of the pass.
     """
 
     def __init__(self, slots):
@@ -169,6 +184,7 @@ class _RowStore:
         self.rows = None
         self.index = np.empty(2 * slots, dtype=np.intp)
         self.weight = np.empty(2 * slots)
+        self.deferred = slots > 0
 
     def keep(self, index, point, weight, banks):
         if self.rows is None:
@@ -178,6 +194,8 @@ class _RowStore:
         self.weight[self.size] = weight
         self.size += 1
         if self.size == len(self.index):
+            if self.deferred:
+                self.settle(*banks)
             live = self._compact(banks)
             self.rows[:self.size] = self.rows[live]
             self.index[:self.size] = self.index[live]
@@ -188,8 +206,40 @@ class _RowStore:
 
         The slots of `banks` are renumbered into the returned arrays.
         """
+        if self.deferred:
+            self.settle(*banks)
         live = self._compact(banks)
         return self.rows[live], self.index[live], self.weight[live]
+
+    def settle(self, weighted, uniform):
+        """Draw the deferred banks' slots over every row kept so far, then their limits.
+
+        The weighted bank's slots are i.i.d. in proportion to the kept
+        positive weights, drawn as multinomial counts in a random order;
+        the uniform bank's are i.i.d. uniform over the kept rows. A bank
+        whose total is still 0 holds no row and keeps limit 0, so its
+        first positive row fills every slot.
+        """
+        self.deferred = False
+        for bank in (weighted, uniform):
+            slots = len(bank.win)
+            if not slots:
+                continue  # limit inf: the bank never writes
+            if bank.total <= 0.0:
+                bank.limit = 0.0
+                continue
+            rng = bank.rng
+            if bank is uniform:
+                bank.win = rng.integers(self.size, size=slots, dtype=np.intp)
+            else:
+                # NaN and weights <= 0 added nothing to the total: never drawn
+                w = self.weight[:self.size]
+                w = np.where(w > 0.0, w, 0.0)
+                w /= w.max()  # a sum of weights near the float range stays finite
+                counts = rng.multinomial(slots, w / w.sum())
+                bank.win = np.repeat(np.arange(self.size, dtype=np.intp), counts)
+                rng.shuffle(bank.win)
+            bank.limit = bank.total * (1.0 - rng.random()) ** (-1.0 / slots)
 
     def _compact(self, banks):
         """Renumber the slots of `banks` over the rows they hold; returns those rows' positions."""
@@ -247,21 +297,29 @@ def _draw_banks(stream, weight_fn, weighted_slots, uniform_slots, rng):
     with no slots never writes or draws a variate. Raises InputError for
     an empty stream, when no row has positive weight, and naming the row
     at which the weight total overflows.
+
+    Every row still goes through `_kernels.update_bank` once per bank.
+    The banks start deferred, with limit inf: the store keeps every row
+    until it fills or the pass ends, then settles both banks over those
+    rows in one draw (see `_RowStore.settle`), and rows after that are
+    thinned one at a time.
     """
     weighted = _ReservoirBank(weighted_slots, rng)
     uniform = _ReservoirBank(uniform_slots, rng)
     banks = (weighted, uniform)
     store = _RowStore(weighted_slots + uniform_slots)
+    weighted.limit = uniform.limit = math.inf  # deferred until the store settles them
     with np.errstate(over="ignore"):  # an overflowing weight is raised below
         for index, point in enumerate(stream):
             point = np.ascontiguousarray(point, dtype=np.float64)
             w = float(weight_fn(point))
             if weighted.total + w == math.inf:
                 raise _overflow(index, w)
-            # both banks see the row; it is kept if either takes a slot
+            # both banks see the row; it is kept if either takes a slot,
+            # and every row is kept until the banks settle
             taken = _kernels.update_bank(weighted, w, store.size)
             taken += _kernels.update_bank(uniform, 1.0, store.size)
-            if taken:
+            if taken or store.deferred:
                 store.keep(index, point, w, banks)
     if uniform.total == 0.0:
         raise InputError("empty stream")

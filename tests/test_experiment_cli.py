@@ -60,6 +60,23 @@ def test_reports_are_deterministic_modulo_timings():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+@pytest.mark.parametrize("oracle, n", [("none", 2500), ("svd", 2500), ("bruteforce", 12)])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_reports_agree_whether_rows_are_held_or_streamed(tmp_path, algorithm, oracle, n):
+    # An array input is scored in place; a file is copied into the
+    # evaluation buffer, or scored in place from exact-adaptive's kept rows.
+    # The chunks are the same, so every field but the timings is too.
+    X = np.random.default_rng(18).standard_normal((n, 3))
+    path = tmp_path / "points.csv"
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in X),
+                    encoding="utf-8")
+    reports = [run_experiment(_spec(input=data, algorithm=algorithm, oracle=oracle, k=1))
+               .to_dict() for data in (X, str(path))]
+    for report in reports:
+        report.pop("timings")
+    assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
+
+
 def test_svd_oracle_sees_every_row_beyond_one_chunk():
     # more rows than one evaluation chunk, so the oracle's buffer fills in parts
     X = np.random.default_rng(13).standard_normal((2500, 4))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lpsubsel import (DistributionTable, InputError, MixtureWeights, ParameterError,
-                      PointSet, SubsetBasis, adaptive_distribution, as_source,
+                      PointSet, SubsetBasis, _kernels, adaptive_distribution, as_source,
                       draw_mixture_pool, extend_basis, gamma_bound, mixture_distribution,
                       open_unit, squared_length_sample, transition_matrix, tv_distance)
 from lpsubsel.proposal import _draw_banks
@@ -149,14 +149,15 @@ def test_reservoir_exact_across_store_compaction():
 
 
 def test_reservoir_fixed_seed_draws():
-    # recorded before the bank kept each drawn row once: the same draws
+    # recorded when the banks began settling the rows before the store fills
+    # in one draw, which uses the generator differently from row-by-row thinning
     rng = np.random.default_rng(31)
     X = rng.standard_normal((40, 5)) * np.exp(rng.standard_normal((40, 1)))
     rows = np.column_stack([np.arange(40), X])
     draws = _reservoir_draws(rows, lambda x: float(x[1:].dot(x[1:])), 16,
                              np.random.default_rng(10))
     assert [int(point[0]) for point, _ in draws] == [
-        30, 28, 39, 12, 30, 23, 28, 21, 30, 30, 23, 30, 30, 15, 30, 23]
+        6, 9, 9, 30, 23, 9, 39, 23, 14, 19, 2, 15, 23, 14, 9, 0]
     assert all(weight == float(X[int(point[0])].dot(X[int(point[0])]))
                for point, weight in draws)
 
@@ -305,3 +306,100 @@ def test_pool_and_bank_hold_each_drawn_row_once(n, slots):
                                                     np.random.default_rng(16))
     _assert_rows_held_once(rows, bank.win, row_index[bank.win], X, slots)
     np.testing.assert_array_equal(weights, X[row_index, 1])
+
+
+def _chi2_passes(counts, probs):
+    """Chi-square goodness of fit of counts to probs, at 3 sigma like the gates above."""
+    expected = probs * counts.sum()
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    df = len(counts) - 1
+    return chi2 <= df + 3.0 * np.sqrt(2.0 * df)
+
+
+def test_banks_settled_at_pass_end_follow_their_laws():
+    # 40 rows into 3000 + 3000 slots: the store never fills, so both banks
+    # settle once, after the last row. Row i is (i, w_i), weights 1 then 3,
+    # with zero-weight rows first, in the middle and last.
+    n = 40
+    w = np.where(np.arange(n) < n // 2, 1.0, 3.0)
+    w[[0, 1, 19, 20, 38, 39]] = 0.0
+    rows = np.column_stack([np.arange(n), w])
+    _, positions, _, weighted, uniform = _draw_banks(
+        _stream(rows), lambda x: x[1], 3000, 3000, np.random.default_rng(41))
+    heavy = np.bincount(positions[weighted.win], minlength=n)
+    assert heavy[w == 0.0].sum() == 0
+    assert _chi2_passes(heavy[w > 0.0], w[w > 0.0] / w.sum())
+    assert _chi2_passes(np.bincount(positions[uniform.win], minlength=n), np.full(n, 1.0 / n))
+    assert weighted.total == w.sum() and uniform.total == n
+
+
+@pytest.mark.parametrize("extra", [-3, 0, 1, 5], ids=["before", "at", "one_after", "after"])
+def test_banks_settled_mid_stream_follow_their_laws(extra):
+    # 60 + 60 slots: the store fills and settles at row 240 unless the
+    # stream ends first. Weights go from 1 to 3 at row 237, so the change
+    # straddles the settle row, and rows after it are thinned one at a time.
+    # Positions are pooled over independent passes.
+    slots, passes = 60, 100
+    n = 4 * slots + extra
+    w = np.where(np.arange(n) < 4 * slots - 3, 1.0, 3.0)
+    w[[0, n // 2]] = 0.0
+    rows = np.column_stack([np.arange(n), w])
+    heavy = np.zeros(n)
+    light = np.zeros(n)
+    for seed in range(passes):
+        _, positions, _, weighted, uniform = _draw_banks(
+            _stream(rows), lambda x: x[1], slots, slots, np.random.default_rng(seed))
+        heavy += np.bincount(positions[weighted.win], minlength=n)
+        light += np.bincount(positions[uniform.win], minlength=n)
+    assert heavy[w == 0.0].sum() == 0
+    assert _chi2_passes(heavy[w > 0.0], w[w > 0.0] / w.sum())
+    assert _chi2_passes(light, np.full(n, 1.0 / n))
+
+
+@pytest.mark.parametrize("extra", [-3, 0, 5], ids=["before", "at", "after"])
+def test_pool_settled_mid_stream_matches_exact_mixture(extra):
+    # a pool of 120 settles at row 240, around the step in the row norms
+    pool_size, passes = 120, 100
+    n = 2 * pool_size + extra
+    norms = np.where(np.arange(n) < 2 * pool_size - 3, 1.0, np.sqrt(3.0))
+    norms[[0, n // 2]] = 0.0
+    X = PointSet(np.column_stack([norms, np.zeros(n)]))
+    exact = MixtureWeights(p=2.0).masses(X)
+    counts = np.zeros(n)
+    for seed in range(passes):
+        pool = draw_mixture_pool(iter(X.points), 2.0, pool_size, np.random.default_rng(seed))
+        np.testing.assert_allclose(pool.qmass, exact[pool.indices], rtol=1e-12)
+        counts += np.bincount(pool.indices, minlength=n)
+    assert _chi2_passes(counts, exact)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    kernel = getattr(_kernels, name)
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(_kernels, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, crossings", [(1000, False), (2000, False), (3000, True)],
+                         ids=["room", "fills_at_last_row", "fills"])
+def test_passes_update_each_bank_once_per_row_and_cross_only_after_settling(
+        monkeypatch, n, crossings):
+    # a pool of 1000 and 1000 squared-length draws: a store of 2000 rows.
+    # After it fills, rows are thinned one at a time, and among 1000 more
+    # rows some cross (each bank misses all of them with P < 1e-80).
+    X = np.random.default_rng(42).standard_normal((n, 3))
+    updates = _counting(monkeypatch, "update_bank")
+    crossed = _counting(monkeypatch, "_cross")
+    draw_mixture_pool(iter(X), 2.0, 1000, np.random.default_rng(43))
+    assert len(updates) == 2 * n
+    assert bool(crossed) == crossings
+    updates.clear()
+    crossed.clear()
+    squared_length_sample(X, 2.0, 1000, np.random.default_rng(44))
+    assert len(updates) == 2 * n
+    assert bool(crossed) == crossings
