@@ -174,7 +174,9 @@ def _memory_guard(algorithm, config, source):
     rows of d floats, each with a position and a weight. Exact-adaptive
     keeps about three n-vectors: its weights, `rng.choice`'s cumulative
     sum of them, and (under one more) choice's sign check and a file's
-    per-block fingerprints. It adds the distance temporaries of one
+    block records: the last line, byte size, fingerprint of the bytes
+    and rows at the end of each block of lines, four ints a block of
+    128 rows. It adds the distance temporaries of one
     CHUNK_ROWS-row chunk and a variate and an index per draw of a round.
     A file source also keeps its (n, d) rows, which an array input holds
     already.

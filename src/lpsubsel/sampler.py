@@ -246,6 +246,10 @@ def one_pass_adaptive_sample(source, config, timings=None):
     width = config.m + 1
     block = config.t * width
     finals = np.empty(config.t, dtype=np.intp)
+    # held across rounds, so the walk phase allocates no per-round gather
+    drawn = np.empty(len(pool.rows), dtype=bool)
+    scores = np.empty(len(pool.rows))
+    gathered = np.empty((min(len(pool.rows), block), d))
     bases = []
     for rep in range(reps):
         basis = SubsetBasis.empty(d)
@@ -260,10 +264,11 @@ def one_pass_adaptive_sample(source, config, timings=None):
             slot_rows = pool.row_of[start:start + block]
             # score each distinct row the round's slots drew once, then
             # spread the scores over the slots
-            drawn = np.zeros(len(pool.rows), dtype=bool)
+            drawn.fill(False)
             drawn[slot_rows] = True
-            scores = np.empty(len(pool.rows))
-            scores[drawn] = basis.distances(pool.rows[drawn]) ** config.p
+            rows = np.compress(drawn, pool.rows, axis=0,
+                               out=gathered[:np.count_nonzero(drawn)])
+            scores[drawn] = basis.distances(rows) ** config.p
             dist_pow = scores[slot_rows].reshape(config.t, width)
             qmat = pool.qmass[start:start + block].reshape(config.t, width)
             variates = np.empty((config.t, config.m))

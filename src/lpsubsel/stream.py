@@ -12,14 +12,18 @@ those of the per-cell parse. `open_csv` parses no more than the first
 data row: it reads the lines only to count the non-blank ones, so a
 malformed later row is reported by the first pass over the file.
 
-Every file pass reads every line, and each pass after the first complete
-one checks the fingerprint of each block of lines against that pass's,
-so a file that changes between passes raises SourceChangedError. A
-caller that holds all n rows anyway asks for them with
+Every file pass reads every byte of the file. The first complete pass
+reads it as lines and records each block's byte size, a fingerprint of
+its bytes and the rows up to its end; each later pass reads exactly
+those byte ranges in binary mode and checks their fingerprints, so a
+file that changes between passes raises SourceChangedError. A caller
+that holds all n rows anyway asks for them with
 `DatasetSource.keep_rows`: then the file is parsed once, and later
-passes read and fingerprint it but yield the kept rows.
+passes read and fingerprint its bytes but yield the kept rows without
+decoding them.
 """
 
+import io
 import itertools
 import math
 
@@ -100,26 +104,37 @@ def _read_lines(fh, count, path):
         raise FormatError(f"{path}: not valid UTF-8") from None
 
 
-def _line_blocks(path, header):
-    """Yield (line number of the first, lines) for the lines after the header.
+def _line_blocks(fh, path, line_number):
+    """Yield (line number of the first, lines) for the rest of `fh`.
 
-    Opens the file as UTF-8 with line ends kept, and reads up to
-    `_BLOCK_ROWS` lines at a time. Line numbers are 1-based and count the
-    header. Bytes that are not UTF-8 raise FormatError; OSError is left to
-    the caller.
+    `fh` is a file opened as UTF-8 with line ends kept (newline=""), and
+    `line_number` is the 1-based number of its next line. Reads up to
+    `_BLOCK_ROWS` lines at a time. Bytes that are not UTF-8 raise
+    FormatError; OSError is left to the caller.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        line_number = 1
-        if header:
-            _read_lines(fh, 1, path)
-            line_number = 2
-        while lines := _read_lines(fh, _BLOCK_ROWS, path):
-            yield line_number, lines
-            line_number += len(lines)
+    while lines := _read_lines(fh, _BLOCK_ROWS, path):
+        yield line_number, lines
+        line_number += len(lines)
+
+
+def _byte_lines(data, count):
+    r"""The `count` lines of a block's bytes, split as `_line_blocks`
+    splits them, and their text.
+
+    A newline="" reader splits at \n, \r and \r\n only. str.splitlines
+    splits there and also at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029,
+    so its lines are the reader's exactly when there are `count` of them;
+    otherwise the block is split as the reader splits it.
+    """
+    text = data.decode("utf-8")
+    lines = text.splitlines(keepends=True)
+    if len(lines) != count:
+        lines = io.StringIO(text, newline="").readlines()
+    return lines, text
 
 
 def _csv_block(lines, text, first_line, d):
-    """The rows of one `_line_blocks` block as a (rows, d) float array.
+    """The rows of one block of lines as a (rows, d) float array.
 
     `text` is the block's lines joined. numpy's loader parses the block;
     a block it rejects, whose width is not d, or that holds a non-finite
@@ -148,17 +163,20 @@ class DatasetSource:
     same fixed order. For a file, n and d are fixed when it is opened and
     its rows are parsed only by passes (see `open_csv`).
 
-    Every pass over a file reads all of its lines. The first complete
-    pass records a fingerprint (the built-in `hash` of the joined text)
-    of each block of `_BLOCK_ROWS` lines, and every later pass checks its
-    blocks against them, so a file rewritten between passes raises
-    SourceChangedError even when its row count is unchanged.
+    Every pass over a file reads all of its bytes. The first complete
+    pass reads the file as lines and records, for the header line and
+    each block of `_BLOCK_ROWS` lines after it, the block's byte size, a
+    fingerprint of its bytes (the built-in `hash`) and the rows up to its
+    end. Every later pass reads exactly those byte ranges in binary mode
+    and checks each fingerprint, so a file rewritten between passes
+    raises SourceChangedError even when its row count is unchanged, and
+    so does one with bytes past the last range.
 
     `rows` is the source's rows as one read-only (n, d) float64 array, or
     None: an in-memory source's own array, or the rows a file pass kept
     after `keep_rows`. A later pass over a file with kept rows yields the
-    kept rows of each block whose fingerprint matches instead of parsing
-    it again.
+    kept rows of each verified block without decoding its bytes; without
+    them it decodes and parses the verified bytes.
     """
 
     def __init__(self, rows=None, path=None, d=None, n=None, header=False,
@@ -171,8 +189,8 @@ class DatasetSource:
         self.auditor = auditor if auditor is not None else PassAuditor()
         self._active = False
         self._keep = False
-        # (fingerprint, rows up to the block's end) per block of the first
-        # complete file pass
+        # (last line, byte size, fingerprint of the bytes, rows up to its
+        # end) per block of the first complete file pass, the header first
         self._blocks = None
 
     @classmethod
@@ -211,44 +229,79 @@ class DatasetSource:
         self.auditor.record(purpose)
 
     def _iterate_file(self):
-        known, kept = self._blocks, self.rows
-        keep = np.empty((self.n, self.d)) if self._keep and kept is None else None
-        blocks = []
-        rows = 0
+        blocks = self._blocks
+        keep = np.empty((self.n, self.d)) if self._keep and self.rows is None else None
         try:
-            line_blocks = _line_blocks(self._path, self._header)
-            for i, (line_number, lines) in enumerate(line_blocks):
-                text = "".join(lines)
-                fingerprint = hash(text)
-                if known is not None and (i == len(known) or known[i][0] != fingerprint):
-                    raise SourceChangedError(
-                        f"{self._path} changed since its first pass: lines "
-                        f"{line_number}-{line_number + len(lines) - 1} are not "
-                        f"what it read")
-                if kept is not None:
-                    block = kept[rows:known[i][1]]
-                else:
-                    block = _csv_block(lines, text, line_number, self.d)
-                    if rows + len(block) > self.n:
-                        rows += len(block) + sum(len(_csv_block(ls, "".join(ls), ln, self.d))
-                                                 for ln, ls in line_blocks)
-                        break
-                    if keep is not None:
-                        keep[rows:rows + len(block)] = block
-                rows += len(block)
-                blocks.append((fingerprint, rows))
-                yield from block
+            if blocks is None:
+                blocks = []
+                rows = yield from self._parse_lines(blocks, keep)
+            else:
+                rows = yield from self._read_ranges(blocks, keep)
         except OSError as exc:
             raise StreamError(f"I/O failure while streaming {self._path}: {exc}") from exc
         if rows != self.n:
             raise SourceChangedError(
                 f"{self._path} changed since it was opened: "
                 f"{self.n} rows then, {rows} now")
-        if known is None:
-            self._blocks = blocks
+        self._blocks = blocks
         if keep is not None:
             keep.setflags(write=False)
             self.rows = keep
+
+    def _parse_lines(self, blocks, keep):
+        """The first complete pass: parse the file's lines a block at a
+        time, appending each block's record to `blocks`. Returns the row
+        count."""
+        rows = 0
+        with open(self._path, encoding="utf-8", newline="") as fh:
+            if self._header:
+                data = "".join(_read_lines(fh, 1, self._path)).encode("utf-8")
+                blocks.append((1, len(data), hash(data), 0))
+            line_blocks = _line_blocks(fh, self._path, 1 + self._header)
+            for line_number, lines in line_blocks:
+                text = "".join(lines)
+                block = _csv_block(lines, text, line_number, self.d)
+                if rows + len(block) > self.n:
+                    return rows + len(block) + sum(
+                        len(_csv_block(ls, "".join(ls), ln, self.d)) for ln, ls in line_blocks)
+                if keep is not None:
+                    keep[rows:rows + len(block)] = block
+                rows += len(block)
+                # the reader translates no line end and valid UTF-8
+                # round-trips, so these are the file's bytes
+                data = text.encode("utf-8")
+                blocks.append((line_number + len(lines) - 1, len(data), hash(data), rows))
+                yield from block
+        return rows
+
+    def _read_ranges(self, blocks, keep):
+        """A later pass: read the byte ranges of `blocks` and check their
+        fingerprints, yielding the kept rows of each or, without them,
+        parsing its bytes. Returns the row count."""
+        line = rows = 0
+        with open(self._path, "rb") as fh:
+            for last, size, fingerprint, end in blocks:
+                data = fh.read(size)
+                if len(data) != size or hash(data) != fingerprint:
+                    named = (f"line {last} is" if last == line + 1
+                             else f"lines {line + 1}-{last} are")
+                    raise SourceChangedError(f"{self._path} changed since its first "
+                                             f"pass: {named} not what it read")
+                if end > rows:
+                    if self.rows is not None:
+                        yield from self.rows[rows:end]
+                    else:
+                        lines, text = _byte_lines(data, last - line)
+                        block = _csv_block(lines, text, line + 1, self.d)
+                        if keep is not None:
+                            keep[rows:end] = block
+                        yield from block
+                line, rows = last, end
+            if fh.read(1):
+                raise SourceChangedError(
+                    f"{self._path} changed since its first pass: it has bytes "
+                    f"after line {line}, where that pass ended")
+        return rows
 
 
 def open_csv(path, header=False, auditor=None):
@@ -263,15 +316,18 @@ def open_csv(path, header=False, auditor=None):
     whose row count is no longer n raises SourceChangedError. Opening is
     not an audited pass.
     """
+    header = bool(header)
     d = None
     n = 0
     try:
-        for line_number, lines in _line_blocks(path, header):
-            for row_number, line in enumerate(lines, line_number):
-                if line.strip():
-                    if d is None:
-                        d = _parse_block([line], row_number, None).shape[1]
-                    n += 1
+        with open(path, encoding="utf-8", newline="") as fh:
+            _read_lines(fh, int(header), path)
+            for line_number, lines in _line_blocks(fh, path, 1 + header):
+                for row_number, line in enumerate(lines, line_number):
+                    if line.strip():
+                        if d is None:
+                            d = _parse_block([line], row_number, None).shape[1]
+                        n += 1
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if n == 0:

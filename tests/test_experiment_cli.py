@@ -294,6 +294,29 @@ def test_cli_same_count_rewrite_after_the_first_pass_exits_2(tmp_path, capsys, m
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_cli_header_rewritten_after_the_first_pass_exits_2(tmp_path, capsys, monkeypatch,
+                                                          algo):
+    path = tmp_path / "points.csv"
+    body = "".join(f"{i},{i % 7},1\n" for i in range(40))
+    path.write_text("a,b,c\n" + body, encoding="utf-8")
+    real_iterate_once = DatasetSource.iterate_once
+    rewritten = []
+
+    def rewrite_after_first_pass(self, purpose):
+        yield from real_iterate_once(self, purpose)
+        if not rewritten:
+            path.write_text("x,y,z\n" + body, encoding="utf-8")
+            rewritten.append(True)
+
+    monkeypatch.setattr(DatasetSource, "iterate_once", rewrite_after_first_pass)
+    code = main(["--input", str(path), "--header", "--algo", algo, "--k", "1", "--t", "2",
+                 "--l", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and rewritten
+    assert "line 1 is not what it read" in err and "Traceback" not in err
+
+
 def test_cli_guard_violation_exits_3(tmp_path, capsys):
     rng = np.random.default_rng(5)
     path = _write_csv(tmp_path, rng.standard_normal((20, 3)))

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -19,6 +22,27 @@ def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+@contextlib.contextmanager
+def _disk_reads():
+    """Within the block, each file that `stream` opens appends one entry
+    to the yielded list: [opened in binary mode, bytes read from disk]."""
+    reads = []
+
+    class CountingFileIO(io.FileIO):
+        def readinto(self, buffer):
+            got = super().readinto(buffer)
+            reads[-1][1] += got or 0
+            return got
+
+    def counting_open(path, mode="r", encoding=None, newline=None):
+        reads.append(["b" in mode, 0])
+        fh = io.BufferedReader(CountingFileIO(path))
+        return fh if "b" in mode else io.TextIOWrapper(fh, encoding=encoding, newline=newline)
+
+    with mock.patch.object(stream, "open", counting_open, create=True):
+        yield reads
 
 
 def test_open_csv_basic(tmp_path):
@@ -169,7 +193,8 @@ def _reference_rows(path, header):
 @given(_csv_files(), st.sampled_from([2, 3, _BLOCK_ROWS]))
 def test_line_count_agrees_with_the_parse(tmp_path_factory, case, block_rows):
     # a count that disagreed with the pass's parse would raise a false
-    # SourceChangedError on an unchanged file
+    # SourceChangedError on an unchanged file; and later passes, kept or
+    # not, read the first pass's byte ranges and give its rows
     text, header = case
     path = tmp_path_factory.getbasetemp() / "generated.csv"
     path.write_bytes(text.encode("utf-8"))
@@ -188,8 +213,18 @@ def test_line_count_agrees_with_the_parse(tmp_path_factory, case, block_rows):
         except FormatError:
             assert expected is None and src.auditor.selection_passes == 0
             return
+        kept = open_csv(str(path), header=header)
+        kept.keep_rows()
+        with _disk_reads() as reads:
+            later = [list(src.iterate_once("evaluation")),
+                     list(kept.iterate_once("selection")),
+                     list(kept.iterate_once("evaluation"))]
     assert expected is not None and src.n == len(rows) == len(expected)
-    assert np.vstack(rows).tobytes() == np.array(expected).tobytes()
+    first = np.vstack(rows).tobytes()
+    assert first == np.array(expected).tobytes()
+    assert [np.vstack(got).tobytes() for got in later] == [first] * 3
+    assert reads == [[True, len(text.encode("utf-8"))], [False, path.stat().st_size],
+                     [True, path.stat().st_size]]
 
 
 def test_cells_float_accepts_but_the_loader_does_not(tmp_path):
@@ -256,6 +291,92 @@ def test_same_count_rewrite_after_the_first_pass_names_its_block(tmp_path, keep)
     assert src.auditor.evaluation_passes == 0
 
 
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("new_header", ["x,y,z\n", "alpha,beta,gamma\n"])
+def test_a_rewritten_header_names_line_1(tmp_path, keep, new_header):
+    # the first new header keeps the byte length, so only its fingerprint
+    # tells it apart; the second shifts every block after it
+    path = _write(tmp_path, "a,b,c\n" + _rows_text(2 * _BLOCK_ROWS))
+    src = open_csv(path, header=True)
+    if keep:
+        src.keep_rows()
+    list(src.iterate_once("selection"))
+    _rewrite_line(path, 1, new_header)
+    with pytest.raises(SourceChangedError, match="line 1 is not what it read$"):
+        list(src.iterate_once("evaluation"))
+    assert src.auditor.evaluation_passes == 0
+
+
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("tail", ["1,2,3\n", "\n", "7"])
+def test_a_file_that_grows_after_the_first_pass_raises(tmp_path, keep, tail):
+    # a blank line adds no row, and "7" completes the unended last line
+    path = _write(tmp_path, _rows_text(2 * _BLOCK_ROWS).rstrip("\n"))
+    src = open_csv(path)
+    if keep:
+        src.keep_rows()
+    first = list(src.iterate_once("selection"))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(tail)
+    with pytest.raises(SourceChangedError,
+                       match=f"it has bytes after line {2 * _BLOCK_ROWS}, where"):
+        list(src.iterate_once("evaluation"))
+    assert src.auditor.evaluation_passes == 0 and len(first) == 2 * _BLOCK_ROWS
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_a_file_truncated_mid_block_names_that_block(tmp_path, keep):
+    text = _rows_text(3 * _BLOCK_ROWS)
+    path = _write(tmp_path, text)
+    src = open_csv(path)
+    if keep:
+        src.keep_rows()
+    list(src.iterate_once("selection"))
+    lines = text.splitlines(keepends=True)
+    os.truncate(path, len("".join(lines[:_BLOCK_ROWS + 5])) + 2)
+    with pytest.raises(SourceChangedError,
+                       match=f"lines {_BLOCK_ROWS + 1}-{2 * _BLOCK_ROWS} are not"):
+        list(src.iterate_once("evaluation"))
+    assert src.auditor.evaluation_passes == 0
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_every_pass_reads_the_file_once(tmp_path, header):
+    # what lpbench's bytes_read_ratio counts: the line count at open and
+    # each complete pass, first or later, kept or not, read every byte once
+    lines = _rows_text(3 * _BLOCK_ROWS + 5).splitlines(keepends=True)
+    lines[7] = "\r\n"
+    lines[_BLOCK_ROWS] = lines[_BLOCK_ROWS].replace("\n", "\r")
+    path = _write(tmp_path, ("a,b,c\r\n" if header else "") + "".join(lines))
+    size = os.path.getsize(path)
+    with _disk_reads() as reads:
+        for keep in (False, True):
+            src = open_csv(path, header=header)
+            if keep:
+                src.keep_rows()
+            for purpose in ("selection", "selection", "evaluation"):
+                assert len(list(src.iterate_once(purpose))) == src.n == 3 * _BLOCK_ROWS + 4
+    # open, the first pass, then two later passes in binary mode
+    assert reads == [[False, size], [False, size], [True, size], [True, size]] * 2
+
+
+def test_a_kept_replay_neither_parses_nor_decodes(tmp_path, monkeypatch):
+    path = _write(tmp_path, "a,b,c\n" + _rows_text(2 * _BLOCK_ROWS + 3))
+    src = open_csv(path, header=True)
+    src.keep_rows()
+    first = np.vstack(list(src.iterate_once("selection")))
+
+    def not_called(*args):
+        raise AssertionError("a kept replay parsed or decoded a block")
+
+    monkeypatch.setattr(stream, "_csv_block", not_called)
+    monkeypatch.setattr(stream, "_byte_lines", not_called)
+    with _disk_reads() as reads:
+        replayed = np.vstack(list(src.iterate_once("evaluation")))
+    assert replayed.tobytes() == first.tobytes()
+    assert reads == [[True, os.path.getsize(path)]]
+
+
 def test_kept_rows_are_the_parsed_rows_and_later_passes_replay_them(tmp_path, monkeypatch):
     X = np.random.default_rng(4).standard_normal((3 * _BLOCK_ROWS + 7, 5))
     path = str(tmp_path / "x.csv")
@@ -270,6 +391,18 @@ def test_kept_rows_are_the_parsed_rows_and_later_passes_replay_them(tmp_path, mo
     assert first.tobytes() == parsed.tobytes() == src.rows.tobytes() == replayed.tobytes()
     assert not src.rows.flags.writeable and len(calls) == 0
     assert (src.auditor.selection_passes, src.auditor.evaluation_passes) == (1, 1)
+
+
+def test_rows_asked_for_after_the_first_pass_are_kept_by_the_next(tmp_path, monkeypatch):
+    path = _write(tmp_path, _rows_text(2 * _BLOCK_ROWS + 3))
+    src = open_csv(path)
+    first = np.vstack(list(src.iterate_once("selection")))
+    src.keep_rows()
+    assert src.rows is None
+    second = np.vstack(list(src.iterate_once("selection")))
+    monkeypatch.setattr(stream, "_csv_block", None)  # the third pass replays
+    third = np.vstack(list(src.iterate_once("evaluation")))
+    assert first.tobytes() == second.tobytes() == src.rows.tobytes() == third.tobytes()
 
 
 @pytest.mark.parametrize("how", ["abandoned", "format_error"])
