@@ -67,10 +67,11 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
     l selection passes on the auditor. It scores the source's `rows`: an
     array input in place, a file's as its first pass keeps them (see
     `DatasetSource.keep_rows`), so the file is parsed once and later
-    passes check its bytes and replay the kept rows. Besides those rows it holds one n-vector of weights
-    and `rng.choice`'s cumulative sum of them; `SubsetBasis.distances`
-    keeps its temporaries to CHUNK_ROWS rows. Raises InputError naming
-    the row at which a round's weight total overflows.
+    passes check its bytes and replay the kept rows. Besides those rows
+    it holds one n-vector of weights and `rng.choice`'s cumulative sum
+    of them; `SubsetBasis.distances` keeps its temporaries to CHUNK_ROWS
+    rows. Raises InputError naming the row at which a round's weight
+    total overflows.
     """
     src = as_source(data, auditor=auditor)
     if t < 1 or l < 0:

@@ -117,20 +117,15 @@ def _line_blocks(fh, path, line_number):
         line_number += len(lines)
 
 
-def _byte_lines(data, count):
-    r"""The `count` lines of a block's bytes, split as `_line_blocks`
-    splits them, and their text.
+def _byte_lines(data):
+    r"""The lines of a block's bytes, split as `_line_blocks` splits them,
+    and their text.
 
-    A newline="" reader splits at \n, \r and \r\n only. str.splitlines
-    splits there and also at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029,
-    so its lines are the reader's exactly when there are `count` of them;
-    otherwise the block is split as the reader splits it.
+    A newline="" reader splits at \n, \r and \r\n only; str.splitlines
+    would also split at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029.
     """
     text = data.decode("utf-8")
-    lines = text.splitlines(keepends=True)
-    if len(lines) != count:
-        lines = io.StringIO(text, newline="").readlines()
-    return lines, text
+    return io.StringIO(text, newline="").readlines(), text
 
 
 def _csv_block(lines, text, first_line, d):
@@ -291,7 +286,7 @@ class DatasetSource:
                     if self.rows is not None:
                         yield from self.rows[rows:end]
                     else:
-                        lines, text = _byte_lines(data, last - line)
+                        lines, text = _byte_lines(data)
                         block = _csv_block(lines, text, line + 1, self.d)
                         if keep is not None:
                             keep[rows:end] = block
