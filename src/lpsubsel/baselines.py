@@ -109,5 +109,5 @@ def squared_length_sample(data, p, count, rng, auditor=None):
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     rows, row_index, _, bank, _ = _draw_banks(
-        src.iterate_once("selection"), MixtureWeights(p=p).raw_weight, count, 0, rng)
+        src.iterate_once("selection"), MixtureWeights(p=p).block_weights, count, 0, rng)
     return _span_of_rows(row_index[bank.win], rows, bank.win, src.d)

@@ -5,6 +5,7 @@ error in a single shared evaluation pass, keeps the argmin candidate, and
 emits a machine-readable report (JSON canonical, CSV as a flat projection).
 """
 
+import itertools
 import json
 import os
 import sys
@@ -113,13 +114,13 @@ def _evaluation_pass(source, bases, p, oracle):
     holds its rows (an array input, or a file whose rows a baseline kept)
     is still passed over once, for the audit and a file's change check,
     and then scored in place, a slice at a time; any other source's rows
-    are copied into one CHUNK_ROWS-row buffer as they arrive. The chunks
-    are the same either way, so are the sums. For the SVD oracle each
-    scored chunk is folded into the R factor of a running QR
-    decomposition: X = QR with Q orthonormal, so R has the singular
-    values of X in at most d rows. The brute-force oracle gets the rows of
-    the one chunk: its guard, checked before the selection pass, keeps n
-    below CHUNK_ROWS.
+    are pulled CHUNK_ROWS at a time and copied into one CHUNK_ROWS-row
+    buffer in one call. The chunks are the same either way, so are the
+    sums. For the SVD oracle each scored chunk is folded into the R
+    factor of a running QR decomposition: X = QR with Q orthonormal, so R
+    has the singular values of X in at most d rows. The brute-force
+    oracle gets the rows of the one chunk: its guard, checked before the
+    selection pass, keeps n below CHUNK_ROWS.
     """
     spans = [SubsetBasis.empty(source.d), *bases]
     sums = np.zeros(len(spans))
@@ -139,16 +140,11 @@ def _evaluation_pass(source, bases, p, oracle):
             score(rows[start:start + CHUNK_ROWS])
     else:
         buf = np.empty((CHUNK_ROWS, source.d))
-        end = 0
-        for x in source.iterate_once("evaluation"):
-            buf[end] = x
-            end += 1
-            if end == CHUNK_ROWS:
-                score(buf)
-                end = 0
-        if end:
-            score(buf[:end])
-        rows = buf[:end]  # every row, when n < CHUNK_ROWS
+        stream = source.iterate_once("evaluation")
+        while chunk := list(itertools.islice(stream, CHUNK_ROWS)):
+            rows = buf[:len(chunk)]  # every row, when n < CHUNK_ROWS
+            np.concatenate(chunk, out=rows.reshape(-1))
+            score(rows)
     if oracle == "bruteforce":
         assert source.n < CHUNK_ROWS, "brute-force guard not checked"
         X = PointSet(rows)

@@ -17,19 +17,24 @@ ends by dropping the rows no slot holds, so the finished pool keeps each
 drawn row once: at most min(n, pool size) rows, however many slots draw
 the same row.
 
-The store has room for twice the slots, and until it fills the banks
-defer: every row is kept and only adds to the totals. When the store
-fills, or the pass ends first, each bank settles its prefix in one draw,
-its slots i.i.d. over the kept rows in proportion to their weights, and
-then draws its skip limit. After rows 1..r, thinning leaves the slots
-i.i.d. with P(row i) = w_i / W_r, and whether a later row writes depends
-only on W_r and the slot count, so the settled bank has the thinning law
-exactly. A pass over no more rows than twice the slots crosses no limit.
+The pass takes the stream `_BLOCK_ROWS` rows at a time, stacked into one
+array, and weighs each block in one call. The store has room for twice
+the slots, and until it fills the banks defer: every row is kept, a
+block's rows by slice copies, and only adds to the totals. When the store
+fills, at the row where it does, or the pass ends first, each bank
+settles its prefix in one draw, its slots i.i.d. over the kept rows in
+proportion to their weights, and then draws its skip limit. After rows
+1..r, thinning leaves the slots i.i.d. with P(row i) = w_i / W_r, and
+whether a later row writes depends only on W_r and the slot count, so the
+settled bank has the thinning law exactly. After the settle the store
+keeps only the rows a bank writes, one at a time. A pass over no more
+rows than twice the slots crosses no limit.
 
 Squared-length (norm-power) sampling is the same pass with no uniform
 slots: `_draw_banks` serves both.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +45,9 @@ from .errors import InputError, ParameterError
 
 # Sum tolerance for an explicit probability vector over the dataset.
 _MASS_TOL = 1e-12
+
+# Rows the reservoir pass stacks and weighs at a time.
+_BLOCK_ROWS = 128
 
 
 def open_unit(rng, size=None):
@@ -69,6 +77,28 @@ class MixtureWeights:
             distance = math.sqrt(float(x.dot(x)))
         else:
             distance = self.pivot.distance(x)
+        return self._power(distance)
+
+    def block_weights(self, block):
+        """`raw_weight` of each row of a (b, d) float64 block, bit for bit, as floats.
+
+        With no pivot the stacked matmul takes each row's squared norm
+        with the same dot product as `x.dot(x)`, where einsum and a sum of
+        squares round differently, and the root and the power are taken
+        per row in Python floats, where numpy's vectorised ones differ in
+        the last bit.
+        """
+        if self.pivot is not None:
+            return [self.raw_weight(x) for x in block]
+        p = self.p
+        with np.errstate(over="ignore"):  # as x.dot(x), an overflow gives inf
+            squares = np.matmul(block[:, None, :], block[:, :, None]).ravel().tolist()
+        try:
+            return [math.sqrt(s) ** p for s in squares]
+        except OverflowError:
+            return [self._power(math.sqrt(s)) for s in squares]
+
+    def _power(self, distance):
         try:
             return distance ** self.p
         except OverflowError:  # float ** raises where numpy gives inf
@@ -172,9 +202,10 @@ class _RowStore:
 
     A replacement then writes one integer rather than a row. The store
     holds up to twice the slots of the banks that share it. While it is
-    `deferred` it keeps every row, and the banks' limits are inf; when it
-    fills, or at `finish` if it never does, it settles the banks over the
-    rows it kept. After that it keeps the rows a bank writes, and when it
+    `deferred` it keeps every row, a block at a time by `keep_block`, and
+    the banks' limits are inf; when it fills, or at `finish` if it never
+    does, it settles the banks over the rows it kept. After that `keep`
+    keeps the rows a bank writes, one at a time, and when the store
     fills, rows no slot holds any more are dropped and the slots
     renumbered; `finish` does the same once more at the end of the pass.
     """
@@ -186,20 +217,41 @@ class _RowStore:
         self.weight = np.empty(2 * slots)
         self.deferred = slots > 0
 
-    def keep(self, index, point, weight, banks):
+    @property
+    def room(self):
+        return len(self.index) - self.size
+
+    def keep_block(self, first, block, weights, banks):
+        """Keep the rows of `block`, at stream positions from `first`, while deferred.
+
+        The block must fit in the `room` left; the banks settle when it
+        fills the store.
+        """
         if self.rows is None:
-            self.rows = np.empty((len(self.index), point.shape[0]))
+            self.rows = np.empty((len(self.index), block.shape[1]))
+        end = self.size + len(block)
+        self.rows[self.size:end] = block
+        self.index[self.size:end] = np.arange(first, first + len(block))
+        self.weight[self.size:end] = weights
+        self.size = end
+        if not self.room:
+            self.settle(*banks)
+            self._drop_unheld(banks)
+
+    def keep(self, index, point, weight, banks):
+        """Keep one row a settled bank wrote."""
         self.rows[self.size] = point
         self.index[self.size] = index
         self.weight[self.size] = weight
         self.size += 1
-        if self.size == len(self.index):
-            if self.deferred:
-                self.settle(*banks)
-            live = self._compact(banks)
-            self.rows[:self.size] = self.rows[live]
-            self.index[:self.size] = self.index[live]
-            self.weight[:self.size] = self.weight[live]
+        if not self.room:
+            self._drop_unheld(banks)
+
+    def _drop_unheld(self, banks):
+        live = self._compact(banks)
+        self.rows[:self.size] = self.rows[live]
+        self.index[:self.size] = self.index[live]
+        self.weight[:self.size] = self.weight[live]
 
     def finish(self, banks):
         """(rows, stream positions, weights) of the rows the slots hold, once each.
@@ -285,12 +337,13 @@ def _weight_total(weights):
     return total
 
 
-def _draw_banks(stream, weight_fn, weighted_slots, uniform_slots, rng):
+def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     """One pass feeding every row to a weighted and a uniform reservoir bank.
 
     The weighted bank's slots become i.i.d. draws with P(x) proportional
-    to weight_fn(x), the uniform bank's i.i.d. uniform draws; both share
-    one row store. Returns (rows, stream positions, weights, weighted,
+    to x's weight, the uniform bank's i.i.d. uniform draws; both share one
+    row store. `block_weights` maps a (b, d) float64 block of rows to one
+    weight per row. Returns (rows, stream positions, weights, weighted,
     uniform): each row some slot drew once, with its position and weight,
     and the two banks, whose `win` index into rows and whose totals are
     the weight total and n (each row adds 1.0 to the uniform bank). A bank
@@ -298,29 +351,47 @@ def _draw_banks(stream, weight_fn, weighted_slots, uniform_slots, rng):
     an empty stream, when no row has positive weight, and naming the row
     at which the weight total overflows.
 
-    Every row still goes through `_kernels.update_bank` once per bank.
-    The banks start deferred, with limit inf: the store keeps every row
-    until it fills or the pass ends, then settles both banks over those
-    rows in one draw (see `_RowStore.settle`), and rows after that are
-    thinned one at a time.
+    The pass pulls `_BLOCK_ROWS` rows at a time and weighs them in one
+    call, but every row still goes through `_kernels.update_bank` once per
+    bank, in stream order, after its overflow check. The banks start
+    deferred, with limit inf: the store keeps every row, a block's rows
+    in one slice copy, until it fills or the pass ends, then settles both
+    banks over those rows in one draw (see `_RowStore.settle`); rows after
+    that are thinned one at a time, and only the rows a bank writes are
+    kept.
     """
     weighted = _ReservoirBank(weighted_slots, rng)
     uniform = _ReservoirBank(uniform_slots, rng)
     banks = (weighted, uniform)
     store = _RowStore(weighted_slots + uniform_slots)
     weighted.limit = uniform.limit = math.inf  # deferred until the store settles them
+    index = 0  # stream position of the block's first row
     with np.errstate(over="ignore"):  # an overflowing weight is raised below
-        for index, point in enumerate(stream):
-            point = np.ascontiguousarray(point, dtype=np.float64)
-            w = float(weight_fn(point))
-            if weighted.total + w == math.inf:
-                raise _overflow(index, w)
-            # both banks see the row; it is kept if either takes a slot,
-            # and every row is kept until the banks settle
-            taken = _kernels.update_bank(weighted, w, store.size)
-            taken += _kernels.update_bank(uniform, 1.0, store.size)
-            if taken or store.deferred:
-                store.keep(index, point, w, banks)
+        while rows := list(itertools.islice(stream, _BLOCK_ROWS)):
+            block = np.concatenate(rows, dtype=np.float64).reshape(len(rows), -1)
+            weights = np.asarray(block_weights(block), dtype=np.float64)
+            listed = weights.tolist()
+            # the deferred head: the banks only add to their totals, and
+            # the store keeps every row, settling if these rows fill it
+            head = min(len(rows), store.room) if store.deferred else 0
+            for j in range(head):
+                w = listed[j]
+                if weighted.total + w == math.inf:
+                    raise _overflow(index + j, w)
+                _kernels.update_bank(weighted, w, store.size + j)
+                _kernels.update_bank(uniform, 1.0, store.size + j)
+            if head:
+                store.keep_block(index, block[:head], weights[:head], banks)
+            for j in range(head, len(rows)):
+                w = listed[j]
+                if weighted.total + w == math.inf:
+                    raise _overflow(index + j, w)
+                # both banks see the row; it is kept if either takes a slot
+                taken = _kernels.update_bank(weighted, w, store.size)
+                taken += _kernels.update_bank(uniform, 1.0, store.size)
+                if taken:
+                    store.keep(index + j, block[j], w, banks)
+            index += len(rows)
     if uniform.total == 0.0:
         raise InputError("empty stream")
     if weighted.total <= 0.0:
@@ -338,13 +409,13 @@ def draw_mixture_pool(stream, p, pool_size, rng):
     each drawn row once (see `ProposalPool`). Raises InputError naming the
     row at which the distance-weight total overflows.
     """
-    weight_fn = MixtureWeights(p=p).raw_weight
+    block_weights = MixtureWeights(p=p).block_weights
     if pool_size < 1:
         raise ParameterError(f"pool_size must be >= 1, got {pool_size}")
     take_weighted = rng.random(pool_size) < 0.5
     slots = int(np.count_nonzero(take_weighted))
     rows, row_index, row_w, weighted, uniform = _draw_banks(
-        stream, weight_fn, slots, pool_size - slots, rng)
+        stream, block_weights, slots, pool_size - slots, rng)
     row_of = np.empty(pool_size, dtype=np.intp)
     row_of[take_weighted] = weighted.win
     row_of[~take_weighted] = uniform.win

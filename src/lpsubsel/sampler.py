@@ -266,8 +266,9 @@ def one_pass_adaptive_sample(source, config, timings=None):
             # spread the scores over the slots
             drawn.fill(False)
             drawn[slot_rows] = True
-            rows = np.compress(drawn, pool.rows, axis=0,
-                               out=gathered[:np.count_nonzero(drawn)])
+            picked = np.flatnonzero(drawn)
+            # in range by construction; "clip" spares take's buffered `out` copy
+            rows = np.take(pool.rows, picked, axis=0, out=gathered[:len(picked)], mode="clip")
             scores[drawn] = basis.distances(rows) ** config.p
             dist_pow = scores[slot_rows].reshape(config.t, width)
             qmat = pool.qmass[start:start + block].reshape(config.t, width)

@@ -218,12 +218,16 @@ class DatasetSource:
             if self._path is None:
                 yield from self.rows
             else:
-                yield from self._iterate_file()
+                # one generator level per row: the file readers yield blocks
+                for block in self._iterate_file():
+                    yield from block
         finally:
             self._active = False
         self.auditor.record(purpose)
 
     def _iterate_file(self):
+        """Yield a file pass's blocks of rows, each once its bytes are
+        read (and, on a later pass, verified)."""
         blocks = self._blocks
         keep = np.empty((self.n, self.d)) if self._keep and self.rows is None else None
         try:
@@ -245,8 +249,8 @@ class DatasetSource:
 
     def _parse_lines(self, blocks, keep):
         """The first complete pass: parse the file's lines a block at a
-        time, appending each block's record to `blocks`. Returns the row
-        count."""
+        time, appending each block's record to `blocks` and yielding its
+        rows as one array. Returns the row count."""
         rows = 0
         with open(self._path, encoding="utf-8", newline="") as fh:
             if self._header:
@@ -266,13 +270,13 @@ class DatasetSource:
                 # round-trips, so these are the file's bytes
                 data = text.encode("utf-8")
                 blocks.append((line_number + len(lines) - 1, len(data), hash(data), rows))
-                yield from block
+                yield block
         return rows
 
     def _read_ranges(self, blocks, keep):
         """A later pass: read the byte ranges of `blocks` and check their
-        fingerprints, yielding the kept rows of each or, without them,
-        parsing its bytes. Returns the row count."""
+        fingerprints, yielding the kept rows of each as one array or,
+        without them, parsing its bytes. Returns the row count."""
         line = rows = 0
         with open(self._path, "rb") as fh:
             for last, size, fingerprint, end in blocks:
@@ -284,13 +288,13 @@ class DatasetSource:
                                              f"pass: {named} not what it read")
                 if end > rows:
                     if self.rows is not None:
-                        yield from self.rows[rows:end]
+                        yield self.rows[rows:end]
                     else:
                         lines, text = _byte_lines(data)
                         block = _csv_block(lines, text, line + 1, self.d)
                         if keep is not None:
                             keep[rows:end] = block
-                        yield from block
+                        yield block
                 line, rows = last, end
             if fh.read(1):
                 raise SourceChangedError(

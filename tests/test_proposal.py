@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ def _stream(rows):
 
 def _reservoir_draws(rows, weight_fn, count, rng):
     """`count` i.i.d. (point, weight) draws, P(x) proportional to weight_fn(x), in one pass."""
-    drawn, _, weights, bank, _ = _draw_banks(_stream(rows), weight_fn, count, 0, rng)
+    drawn, _, weights, bank, _ = _draw_banks(
+        _stream(rows), lambda block: [weight_fn(x) for x in block], count, 0, rng)
     return [(drawn[r], float(weights[r])) for r in bank.win.tolist()]
 
 
@@ -91,6 +94,27 @@ def test_raw_weight_is_bit_identical_to_norm_power(p):
         rows = rng.standard_normal((200, d)) * np.exp(3.0 * rng.standard_normal((200, 1)))
         for x in rows:
             assert weights.raw_weight(x) == float(np.linalg.norm(x)) ** p
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 120.0])
+@pytest.mark.parametrize("d", [2, 32, 64])
+def test_block_weights_are_bit_identical_to_raw_weight(p, d):
+    rng = np.random.default_rng(18)
+    block = rng.standard_normal((130, d)) * np.exp(3.0 * rng.standard_normal((130, 1)))
+    block[[0, 64]] = 0.0
+    block[7] = 0.0
+    block[7, 0] = 1e200  # the squared norm overflows
+    block[100] = 0.0
+    block[100, -1] = 1e103  # a finite norm whose cube overflows
+    weights = MixtureWeights(p=p)
+    got = weights.block_weights(block)
+    assert got[0] == got[64] == 0.0 and got[7] == math.inf
+    assert (got[100] == math.inf) == (p >= 3.0)
+    pivot = extend_basis(SubsetBasis.empty(d), 1, PointSet(block))
+    with_pivot = MixtureWeights(p=p, pivot=pivot)
+    with np.errstate(over="ignore"):  # the per-row dot product warns where it overflows
+        assert got == [weights.raw_weight(x) for x in block]
+        assert with_pivot.block_weights(block) == [with_pivot.raw_weight(x) for x in block]
 
 
 def test_reservoir_uniform_weights():
@@ -302,7 +326,7 @@ def test_pool_and_bank_hold_each_drawn_row_once(n, slots):
     np.testing.assert_array_equal(pool.points, X[pool.indices])
     point, index, _ = pool[slots - 1]
     np.testing.assert_array_equal(point, X[index])
-    rows, row_index, weights, bank, _ = _draw_banks(_stream(X), lambda x: x[1], slots, 0,
+    rows, row_index, weights, bank, _ = _draw_banks(_stream(X), lambda block: block[:, 1], slots, 0,
                                                     np.random.default_rng(16))
     _assert_rows_held_once(rows, bank.win, row_index[bank.win], X, slots)
     np.testing.assert_array_equal(weights, X[row_index, 1])
@@ -325,7 +349,7 @@ def test_banks_settled_at_pass_end_follow_their_laws():
     w[[0, 1, 19, 20, 38, 39]] = 0.0
     rows = np.column_stack([np.arange(n), w])
     _, positions, _, weighted, uniform = _draw_banks(
-        _stream(rows), lambda x: x[1], 3000, 3000, np.random.default_rng(41))
+        _stream(rows), lambda block: block[:, 1], 3000, 3000, np.random.default_rng(41))
     heavy = np.bincount(positions[weighted.win], minlength=n)
     assert heavy[w == 0.0].sum() == 0
     assert _chi2_passes(heavy[w > 0.0], w[w > 0.0] / w.sum())
@@ -348,7 +372,7 @@ def test_banks_settled_mid_stream_follow_their_laws(extra):
     light = np.zeros(n)
     for seed in range(passes):
         _, positions, _, weighted, uniform = _draw_banks(
-            _stream(rows), lambda x: x[1], slots, slots, np.random.default_rng(seed))
+            _stream(rows), lambda block: block[:, 1], slots, slots, np.random.default_rng(seed))
         heavy += np.bincount(positions[weighted.win], minlength=n)
         light += np.bincount(positions[uniform.win], minlength=n)
     assert heavy[w == 0.0].sum() == 0
@@ -403,3 +427,45 @@ def test_passes_update_each_bank_once_per_row_and_cross_only_after_settling(
     squared_length_sample(X, 2.0, 1000, np.random.default_rng(44))
     assert len(updates) == 2 * n
     assert bool(crossed) == crossings
+
+
+def _thousand_rows():
+    rng = np.random.default_rng(51)
+    return rng.standard_normal((1000, 5)) * np.exp(rng.standard_normal((1000, 1)))
+
+
+def test_pool_and_squared_length_fixed_seed_draws_past_the_settle():
+    # recorded before the pass took its rows a block at a time: a pool of
+    # 100 and 100 squared-length draws fill their 200-row store inside the
+    # second 128-row block, and rows after it are thinned one at a time
+    X = _thousand_rows()
+    pool = draw_mixture_pool(iter(X), 3.0, 100, np.random.default_rng(52))
+    assert pool.indices.tolist() == [
+        711, 270, 981, 91, 901, 435, 802, 10, 510, 236, 226, 10, 10, 385, 316, 20, 91,
+        603, 647, 10, 91, 752, 928, 268, 226, 10, 197, 91, 405, 123, 799, 790, 91, 593,
+        10, 457, 780, 10, 10, 91, 725, 716, 603, 10, 587, 91, 885, 60, 832, 197, 524,
+        306, 91, 91, 558, 10, 10, 328, 681, 934, 91, 285, 34, 604, 10, 621, 728, 20, 51,
+        91, 169, 24, 91, 271, 655, 820, 91, 424, 270, 835, 520, 10, 867, 634, 10, 514,
+        10, 10, 680, 10, 749, 10, 91, 950, 661, 10, 675, 749, 10, 706]
+    basis = squared_length_sample(X, 2.0, 100, np.random.default_rng(53))
+    assert list(basis.member_indices) == [
+        231, 754, 979, 390, 843, 424, 725, 522, 579, 169, 542, 879, 366, 961, 634, 788,
+        391, 91, 539, 91, 32, 433, 554, 10, 169, 644, 318, 125, 10, 432, 957, 366, 10, 8,
+        744, 494, 534, 10, 182, 169, 908, 802, 601, 225, 221, 169, 961, 950, 706, 741,
+        943, 961, 186, 10, 16, 231, 10, 788, 392, 10, 424, 872, 634, 815, 725, 10, 603,
+        169, 16, 10, 5, 634, 634, 91, 715, 304, 91, 434, 682, 10, 847, 10, 91, 91, 863,
+        91, 896, 10, 749, 91, 432, 10, 197, 908, 333, 682, 826, 318, 91, 10]
+
+
+@pytest.mark.parametrize("big, cause", [
+    ([1e200], "its weight overflows to inf"),
+    ([np.sqrt(1.5e308), 1e154], "its weight 1e\\+308 makes the running weight total overflow"),
+], ids=["weight_overflows", "total_overflows"])
+def test_pool_overflow_past_the_first_block_names_the_row(big, cause):
+    # the store settles at row 200, and row 300's weight makes the total
+    # overflow, alone or on top of row 299's
+    X = _thousand_rows()
+    X[300 - len(big):300] = 0.0
+    X[300 - len(big):300, 0] = big
+    with pytest.raises(InputError, match=f"^data row 300: {cause}"):
+        draw_mixture_pool(iter(X), 2.0, 100, np.random.default_rng(54))
