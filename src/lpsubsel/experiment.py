@@ -20,7 +20,7 @@ from .errors import GuardError, InputError, ParameterError
 from .geometry import CHUNK_ROWS, ErrParams, PointSet, SubsetBasis
 from .oracles import _brute_force_guard, brute_force_candidate_err, svd_optimal_err2
 from .sampler import _readable, baseline_rng, one_pass_adaptive_sample, theorem_params
-from .stream import as_source, open_csv
+from .stream import _BLOCK_ROWS, as_source, open_csv
 
 ALGORITHMS = ("mcmc-one-pass", "exact-adaptive", "squared-length")
 ORACLES = ("none", "svd", "bruteforce")
@@ -114,9 +114,9 @@ def _evaluation_pass(source, bases, p, oracle):
     holds its rows (an array input, or a file whose rows a baseline kept)
     is still passed over once, for the audit and a file's change check,
     and then scored in place, a slice at a time; any other source's rows
-    are pulled CHUNK_ROWS at a time and copied into one CHUNK_ROWS-row
-    buffer in one call. The chunks are the same either way, so are the
-    sums. For the SVD oracle each scored chunk is folded into the R
+    are pulled a parse block (`_BLOCK_ROWS` rows) at a time, each pull
+    copied into one CHUNK_ROWS-row buffer in one call. The chunks are the
+    same either way, so are the sums. For the SVD oracle each scored chunk is folded into the R
     factor of a running QR decomposition: X = QR with Q orthonormal, so R
     has the singular values of X in at most d rows. The brute-force
     oracle gets the rows of the one chunk: its guard, checked before the
@@ -141,10 +141,17 @@ def _evaluation_pass(source, bases, p, oracle):
     else:
         buf = np.empty((CHUNK_ROWS, source.d))
         stream = source.iterate_once("evaluation")
-        while chunk := list(itertools.islice(stream, CHUNK_ROWS)):
-            rows = buf[:len(chunk)]  # every row, when n < CHUNK_ROWS
-            np.concatenate(chunk, out=rows.reshape(-1))
-            score(rows)
+        end = 0
+        # a pull holds a parse block's rows alive, not a whole chunk's
+        while pulled := list(itertools.islice(stream, _BLOCK_ROWS)):
+            np.concatenate(pulled, out=buf[end:end + len(pulled)].reshape(-1))
+            end += len(pulled)
+            if end == CHUNK_ROWS:  # a multiple of _BLOCK_ROWS
+                score(buf)
+                end = 0
+        if end:
+            score(buf[:end])
+        rows = buf[:end]  # every row, when n < CHUNK_ROWS
     if oracle == "bruteforce":
         assert source.n < CHUNK_ROWS, "brute-force guard not checked"
         X = PointSet(rows)
