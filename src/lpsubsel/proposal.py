@@ -417,8 +417,9 @@ def draw_mixture_pool(stream, p, pool_size, rng):
     rows, row_index, row_w, weighted, uniform = _draw_banks(
         stream, block_weights, slots, pool_size - slots, rng)
     row_of = np.empty(pool_size, dtype=np.intp)
-    row_of[take_weighted] = weighted.win
-    row_of[~take_weighted] = uniform.win
+    # by position: assigning through a random boolean mask is several times slower
+    row_of[np.flatnonzero(take_weighted)] = weighted.win
+    row_of[np.flatnonzero(~take_weighted)] = uniform.win
     n = int(uniform.total)
     # the store keeps each row's distance weight, whichever bank drew it
     qmass = (0.5 * row_w / weighted.total + 0.5 / n)[row_of]
