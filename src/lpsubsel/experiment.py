@@ -116,11 +116,12 @@ def _evaluation_pass(source, bases, p, oracle):
     and then scored in place, a slice at a time; any other source's rows
     are pulled a parse block (`_BLOCK_ROWS` rows) at a time, each pull
     copied into one CHUNK_ROWS-row buffer in one call. The chunks are the
-    same either way, so are the sums. For the SVD oracle each scored chunk is folded into the R
-    factor of a running QR decomposition: X = QR with Q orthonormal, so R
-    has the singular values of X in at most d rows. The brute-force
-    oracle gets the rows of the one chunk: its guard, checked before the
-    selection pass, keeps n below CHUNK_ROWS.
+    same either way, so are the sums. For the SVD oracle each scored
+    chunk is folded into the R factor of a running QR decomposition:
+    X = QR with Q orthonormal, so R has the singular values of X in at
+    most d rows. The brute-force oracle gets the rows of the one chunk:
+    its guard, checked before the selection pass, keeps n below
+    CHUNK_ROWS.
     """
     spans = [SubsetBasis.empty(source.d), *bases]
     sums = np.zeros(len(spans))

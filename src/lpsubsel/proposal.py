@@ -42,12 +42,10 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, ParameterError
+from .stream import _BLOCK_ROWS
 
 # Sum tolerance for an explicit probability vector over the dataset.
 _MASS_TOL = 1e-12
-
-# Rows the reservoir pass stacks and weighs at a time.
-_BLOCK_ROWS = 128
 
 
 def open_unit(rng, size=None):

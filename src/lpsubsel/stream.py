@@ -35,7 +35,8 @@ from .geometry import PointSet
 
 _PURPOSES = ("selection", "evaluation")
 
-# Lines parsed per loader call. Larger blocks parse no faster and leave
+# Lines parsed per loader call, and rows the pool and evaluation passes
+# pull from a pass at a time. Larger blocks parse no faster and leave
 # more per-line strings alive at once, which raised peak RSS.
 _BLOCK_ROWS = 128
 
