@@ -114,8 +114,9 @@ def _evaluation_pass(source, bases, p, oracle):
     holds its rows (an array input, or a file whose rows a baseline kept)
     is still passed over once, for the audit and a file's change check,
     and then scored in place, a slice at a time; any other source's rows
-    are pulled a parse block (`_BLOCK_ROWS` rows) at a time, each pull
-    copied into one CHUNK_ROWS-row buffer in one call. The chunks are the
+    are pulled at most a parse block (`_BLOCK_ROWS` rows) at a time, and
+    never past the chunk being filled, each pull copied into one
+    CHUNK_ROWS-row buffer in one call. The chunks are the
     same either way, so are the sums. For the SVD oracle each scored
     chunk is folded into the R factor of a running QR decomposition:
     X = QR with Q orthonormal, so R has the singular values of X in at
@@ -144,10 +145,10 @@ def _evaluation_pass(source, bases, p, oracle):
         stream = source.iterate_once("evaluation")
         end = 0
         # a pull holds a parse block's rows alive, not a whole chunk's
-        while pulled := list(itertools.islice(stream, _BLOCK_ROWS)):
+        while pulled := list(itertools.islice(stream, min(_BLOCK_ROWS, CHUNK_ROWS - end))):
             np.concatenate(pulled, out=buf[end:end + len(pulled)].reshape(-1))
             end += len(pulled)
-            if end == CHUNK_ROWS:  # a multiple of _BLOCK_ROWS
+            if end == CHUNK_ROWS:
                 score(buf)
                 end = 0
         if end:

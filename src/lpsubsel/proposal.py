@@ -88,13 +88,9 @@ class MixtureWeights:
         """
         if self.pivot is not None:
             return [self.raw_weight(x) for x in block]
-        p = self.p
         with np.errstate(over="ignore"):  # as x.dot(x), an overflow gives inf
             squares = np.matmul(block[:, None, :], block[:, :, None]).ravel().tolist()
-        try:
-            return [math.sqrt(s) ** p for s in squares]
-        except OverflowError:
-            return [self._power(math.sqrt(s)) for s in squares]
+        return [self._power(math.sqrt(s)) for s in squares]
 
     def _power(self, distance):
         try:
@@ -346,8 +342,10 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     and the two banks, whose `win` index into rows and whose totals are
     the weight total and n (each row adds 1.0 to the uniform bank). A bank
     with no slots never writes or draws a variate. Raises InputError for
-    an empty stream, when no row has positive weight, and naming the row
-    at which the weight total overflows.
+    an empty stream, when no row has positive weight, naming the row
+    at which the weight total overflows, and naming the block whose rows
+    do not all have the first row's length (ValueError when the rows of
+    one block differ among themselves).
 
     The pass pulls `_BLOCK_ROWS` rows at a time and weighs them in one
     call, but every row still goes through `_kernels.update_bank` once per
@@ -364,9 +362,14 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     store = _RowStore(weighted_slots + uniform_slots)
     weighted.limit = uniform.limit = math.inf  # deferred until the store settles them
     index = 0  # stream position of the block's first row
+    width = None  # the first row's length, which every row must have
     with np.errstate(over="ignore"):  # an overflowing weight is raised below
         while rows := list(itertools.islice(stream, _BLOCK_ROWS)):
-            block = np.concatenate(rows, dtype=np.float64).reshape(len(rows), -1)
+            block = np.array(rows, dtype=np.float64)  # ragged rows raise ValueError
+            width = block.shape[-1] if width is None else width
+            if block.shape != (len(rows), width):
+                raise InputError(f"data rows {index + 1}-{index + len(rows)}: a row "
+                                 f"does not have the first row's {width} values")
             weights = np.asarray(block_weights(block), dtype=np.float64)
             listed = weights.tolist()
             # the deferred head: the banks only add to their totals, and

@@ -77,6 +77,23 @@ def test_reports_agree_whether_rows_are_held_or_streamed(tmp_path, algorithm, or
     assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)
 
 
+@pytest.mark.parametrize("pull", [100, 1500], ids=["pull_divides_no_chunk", "pull_above_a_chunk"])
+def test_streamed_chunks_fill_for_any_pull_size(tmp_path, monkeypatch, pull):
+    # the evaluation buffer fills each chunk exactly even when pulls of
+    # `pull` rows do not divide CHUNK_ROWS, so the report is unchanged
+    X = np.random.default_rng(18).standard_normal((2500, 3))
+    path = tmp_path / "points.csv"
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in X),
+                    encoding="utf-8")
+    want = run_experiment(_spec(input=X, algorithm="squared-length", oracle="svd", k=1)).to_dict()
+    monkeypatch.setattr(experiment, "_BLOCK_ROWS", pull)
+    got = run_experiment(_spec(input=str(path), algorithm="squared-length", oracle="svd",
+                               k=1)).to_dict()
+    for report in (want, got):
+        report.pop("timings")
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
 def test_svd_oracle_sees_every_row_beyond_one_chunk():
     # more rows than one evaluation chunk, so the oracle's buffer fills in parts
     X = np.random.default_rng(13).standard_normal((2500, 4))

@@ -469,3 +469,14 @@ def test_pool_overflow_past_the_first_block_names_the_row(big, cause):
     X[300 - len(big):300, 0] = big
     with pytest.raises(InputError, match=f"^data row 300: {cause}"):
         draw_mixture_pool(iter(X), 2.0, 100, np.random.default_rng(54))
+
+
+def test_pool_rejects_rows_of_different_lengths():
+    rows = list(_thousand_rows()[:128])
+    # a final block of rows of lengths 2 and 4, which one concatenation
+    # would have reshaped into two rows of 3
+    with pytest.raises(ValueError):
+        draw_mixture_pool(iter(rows + [np.ones(2), np.ones(4)]), 2.0, 10, np.random.default_rng(55))
+    # a later block whose rows agree with each other but not with the first row
+    with pytest.raises(InputError, match="^data rows 129-130: a row does not have the first row's 5 values"):
+        draw_mixture_pool(iter(rows + [np.ones(2), np.ones(2)]), 2.0, 10, np.random.default_rng(55))
