@@ -20,8 +20,7 @@ from .oracles import (DistributionTable, OracleReport, adaptive_distribution,
                       gamma_bound, mixture_distribution, svd_optimal_err2,
                       transition_matrix, tv_distance)
 from .proposal import MixtureWeights, ProposalPool, draw_mixture_pool, open_unit
-from .sampler import (SamplerConfig, acceptance_ratio,
-                      one_pass_adaptive_sample, random_walk, theorem_params)
+from .sampler import SamplerConfig, one_pass_adaptive_sample, theorem_params
 from .stream import DatasetSource, PassAuditor, as_source, open_csv
 
 __version__ = "0.1.0"
@@ -34,12 +33,12 @@ __all__ = [
     "PointSet", "ProposalPool", "RunReport", "SamplerConfig", "SourceChangedError",
     "StreamError",
     "SubsetBasis",
-    "acceptance_ratio", "adaptive_distribution", "as_source",
+    "adaptive_distribution", "as_source",
     "brute_force_candidate_err", "draw_mixture_pool", "err_p",
     "exact_adaptive_sample",
     "exact_walk_distribution", "extend_basis", "gamma_bound",
     "mixture_distribution", "one_pass_adaptive_sample", "open_csv",
-    "open_unit", "random_walk", "run_experiment",
+    "open_unit", "run_experiment",
     "squared_length_sample", "svd_optimal_err2", "theorem_params",
     "transition_matrix", "tv_distance",
 ]

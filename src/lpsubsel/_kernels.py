@@ -6,6 +6,10 @@ per streamed row per bank and one `run_walks` call per round: the lpbench
 tracer times and counts them by patching these attributes, so a caller
 that bound them to locals would escape it.
 
+`run_walks` is the library's one walk path. The tests keep a scalar
+reference walk, which scores one draw at a time and divides out the
+Metropolis ratio, and check that both end every walk on the same slot.
+
 `update_bank` is sequential with-replacement sampling by binomial thinning
 (Chao 1982) in skip-ahead form. Thinning replaces each of a bank's s slots
 independently with probability w/W as a row of weight w raises the running

@@ -5,8 +5,8 @@ from collections import deque
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import RANK_TOLERANCE, SubsetBasis
-from .proposal import MixtureWeights, _draw_banks, _weight_total
+from .geometry import RANK_TOLERANCE, SubsetBasis, check_p
+from .proposal import _distance_weights, _draw_banks, _norm_weights
 from .stream import as_source
 
 
@@ -43,10 +43,7 @@ def _round_weights(basis, rows, p):
     total is zero, where the distribution is undefined. Raises InputError
     naming the row at which the total overflows.
     """
-    with np.errstate(over="ignore"):  # an overflowing weight is raised below
-        weights = basis.distances(rows)
-        weights **= p
-    total = _weight_total(weights)
+    weights, total = _distance_weights(basis, rows, p)
     if total <= 0.0:
         return None
     weights /= total
@@ -76,6 +73,7 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
     src = as_source(data, auditor=auditor)
     if t < 1 or l < 0:
         raise ParameterError(f"need t >= 1 and l >= 0, got t={t}, l={l}")
+    check_p(p)
     src.keep_rows()
     basis = SubsetBasis.empty(src.d)
     members = set()
@@ -108,6 +106,7 @@ def squared_length_sample(data, p, count, rng, auditor=None):
     src = as_source(data, auditor=auditor)
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    check_p(p)
     rows, row_index, _, bank, _ = _draw_banks(
-        src.iterate_once("selection"), MixtureWeights(p=p).block_weights, count, 0, rng)
+        src.iterate_once("selection"), lambda block: _norm_weights(block, p), count, 0, rng)
     return _span_of_rows(row_index[bank.win], rows, bank.win, src.d)

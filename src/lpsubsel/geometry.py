@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ParameterError
 
 # Relative residual below which a point adds no new basis direction.
 # Double-precision Gram-Schmidt noise floor with one re-orthogonalization.
@@ -19,6 +19,12 @@ RANK_TOLERANCE = 1e-10
 # Rows scored at a time by `SubsetBasis.distances` and the evaluation pass:
 # the temporaries of one chunk stay a fixed size however many rows come in.
 CHUNK_ROWS = 1024
+
+
+def check_p(p):
+    """Raise ParameterError unless the exponent p is a finite real >= 1."""
+    if not (np.isfinite(p) and p >= 1.0):
+        raise ParameterError(f"p must be a finite real >= 1, got {p}")
 
 
 def _as_matrix(points):
@@ -156,8 +162,7 @@ class ErrParams:
     k: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.p) and self.p >= 1.0):
-            raise InputError(f"p must be a finite real >= 1, got {self.p}")
+        check_p(self.p)
         if self.k < 1:
             raise InputError(f"k must be a positive integer, got {self.k}")
 
@@ -175,6 +180,5 @@ def extend_basis(basis, point_index, X):
 
 def err_p(X, basis, p):
     """Sum over the dataset of the p-th power of distance to span(basis)."""
-    if not (np.isfinite(p) and p >= 1.0):
-        raise InputError(f"p must be a finite real >= 1, got {p}")
+    check_p(p)
     return float(np.sum(basis.distances(X.points) ** p))

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InputError
-from .geometry import SubsetBasis, err_p, extend_basis
-from .proposal import MixtureWeights, _weight_total
+from .geometry import SubsetBasis, check_p, err_p, extend_basis
+from .proposal import MixtureWeights, _distance_weights
 
 _WALK_GUARD_N = 64
 _BRUTE_GUARD_N = 18
@@ -65,9 +65,8 @@ class OracleReport:
 
 def adaptive_distribution(X, basis, p):
     """The target distribution, proportional to d(x, span S)^p over X."""
-    with np.errstate(over="ignore"):  # an overflowing weight is raised below
-        dist_pow = basis.distances(X.points) ** p
-    total = _weight_total(dist_pow)
+    check_p(p)
+    dist_pow, total = _distance_weights(basis, X.points, p)
     if total <= 0.0:
         raise InputError("subset spans the data; adaptive distribution undefined")
     return DistributionTable(dist_pow / total)
@@ -88,9 +87,9 @@ def transition_matrix(X, basis, p, pivot=None):
     n = X.n
     if n > _WALK_GUARD_N:
         raise GuardError(f"transition matrix guarded to n <= {_WALK_GUARD_N}, got {n}")
-    with np.errstate(over="ignore"):  # an overflowing weight is raised below
-        dist_pow = basis.distances(X.points) ** p
-    if _weight_total(dist_pow) <= 0.0:
+    check_p(p)
+    dist_pow, total = _distance_weights(basis, X.points, p)
+    if total <= 0.0:
         raise InputError("subset spans the data; walk target undefined")
     q = MixtureWeights(p=p, pivot=pivot).masses(X)
 

@@ -17,21 +17,24 @@ ends by dropping the rows no slot holds, so the finished pool keeps each
 drawn row once: at most min(n, pool size) rows, however many slots draw
 the same row.
 
-The pass takes the stream `_BLOCK_ROWS` rows at a time, stacked into one
-array, and weighs each block in one call. The store has room for twice
-the slots, and until it fills the banks defer: every row is kept, a
-block's rows by slice copies, and only adds to the totals. When the store
-fills, at the row where it does, or the pass ends first, each bank
-settles its prefix in one draw, its slots i.i.d. over the kept rows in
-proportion to their weights, and then draws its skip limit. After rows
-1..r, thinning leaves the slots i.i.d. with P(row i) = w_i / W_r, and
-whether a later row writes depends only on W_r and the slot count, so the
-settled bank has the thinning law exactly. After the settle the store
-keeps only the rows a bank writes, one at a time. A pass over no more
-rows than twice the slots crosses no limit.
+The pass draws from q with the empty pivot, whose distance weight is the
+plain norm power ||x||^p. It takes the stream `_BLOCK_ROWS` rows at a
+time, stacked into one array, and weighs each block in one
+`_norm_weights` call. The store has room for twice the slots, and until
+it fills the banks defer: every row is kept, a block's rows by slice
+copies, and only adds to the totals. When the store fills, at the row
+where it does, or the pass ends first, each bank settles its prefix in
+one draw, its slots i.i.d. over the kept rows in proportion to their
+weights, and then draws its skip limit. After rows 1..r, thinning leaves
+the slots i.i.d. with P(row i) = w_i / W_r, and whether a later row
+writes depends only on W_r and the slot count, so the settled bank has
+the thinning law exactly. After the settle the store keeps only the rows
+a bank writes, one at a time. A pass over no more rows than twice the
+slots crosses no limit.
 
 Squared-length (norm-power) sampling is the same pass with no uniform
-slots: `_draw_banks` serves both.
+slots: `_draw_banks` serves both. `MixtureWeights` gives the exact q, for
+any pivot, that the oracles check the pass against.
 """
 
 import itertools
@@ -42,6 +45,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, ParameterError
+from .geometry import SubsetBasis, check_p
 from .stream import _BLOCK_ROWS
 
 # Sum tolerance for an explicit probability vector over the dataset.
@@ -55,60 +59,28 @@ def open_unit(rng, size=None):
 
 @dataclass(frozen=True)
 class MixtureWeights:
-    """The proposal distribution q over a dataset, for a fixed pivot subset.
+    """The exact proposal distribution q over a dataset, for a fixed pivot subset.
 
     pivot=None means the empty pivot, the form the shipped algorithm uses:
-    the distance weight degenerates to the plain norm ||x||^p.
+    the distance weight degenerates to the plain norm ||x||^p. The pass
+    itself weighs rows with `_norm_weights`; this class gives the exact q
+    that the oracles check it against, and the floor `ProposalPool`
+    checks recorded masses with.
     """
 
     p: float
     pivot: object = None  # SubsetBasis or None
 
     def __post_init__(self):
-        if not (np.isfinite(self.p) and self.p >= 1.0):
-            raise InputError(f"p must be a finite real >= 1, got {self.p}")
-
-    def raw_weight(self, x):
-        """The unnormalized distance weight d(x, span pivot)^p; inf if it overflows."""
-        if self.pivot is None:
-            # np.linalg.norm's own formula for a 1-D real vector, without its overhead
-            distance = math.sqrt(float(x.dot(x)))
-        else:
-            distance = self.pivot.distance(x)
-        return self._power(distance)
-
-    def block_weights(self, block):
-        """`raw_weight` of each row of a (b, d) float64 block, bit for bit, as floats.
-
-        With no pivot the stacked matmul takes each row's squared norm
-        with the same dot product as `x.dot(x)`, where einsum and a sum of
-        squares round differently, and the root and the power are taken
-        per row in Python floats, where numpy's vectorised ones differ in
-        the last bit.
-        """
-        if self.pivot is not None:
-            return [self.raw_weight(x) for x in block]
-        with np.errstate(over="ignore"):  # as x.dot(x), an overflow gives inf
-            squares = np.matmul(block[:, None, :], block[:, :, None]).ravel().tolist()
-        return [self._power(math.sqrt(s)) for s in squares]
-
-    def _power(self, distance):
-        try:
-            return distance ** self.p
-        except OverflowError:  # float ** raises where numpy gives inf
-            return math.inf
+        check_p(self.p)
 
     def masses(self, X):
         """Exact q as a vector over X; requires the pivot not to span X.
 
         Raises InputError naming the row at which the weight total overflows.
         """
-        with np.errstate(over="ignore"):  # an overflowing weight is raised below
-            if self.pivot is None:
-                w = np.linalg.norm(X.points, axis=1) ** self.p
-            else:
-                w = self.pivot.distances(X.points) ** self.p
-        total = _weight_total(w)
+        pivot = SubsetBasis.empty(X.d) if self.pivot is None else self.pivot
+        w, total = _distance_weights(pivot, X.points, self.p)
         if total <= 0.0:
             raise InputError("pivot spans the dataset; the mixture is undefined")
         q = 0.5 * w / total + 0.5 / X.n
@@ -144,19 +116,8 @@ class ProposalPool:
             raise InputError("recorded q-mass outside [1/(2n), 1]")
 
     @property
-    def points(self):
-        """The drawn point of every slot, (size, d): a gathered copy."""
-        return self.rows[self.row_of]
-
-    @property
     def size(self):
         return len(self.qmass)
-
-    def __len__(self):
-        return self.size
-
-    def __getitem__(self, i):
-        return self.rows[self.row_of[i]], int(self.indices[i]), float(self.qmass[i])
 
 
 class _ReservoirBank:
@@ -331,13 +292,46 @@ def _weight_total(weights):
     return total
 
 
+def _distance_weights(basis, rows, p):
+    """(weights, total): d(x, span basis)^p for each row, as one vector, and its sum.
+
+    The power is taken in place. Raises the `_overflow` InputError naming
+    the row at which the total overflows.
+    """
+    with np.errstate(over="ignore"):  # an overflowing weight is raised below
+        weights = basis.distances(rows)
+        weights **= p
+    return weights, _weight_total(weights)
+
+
+def _norm_weights(block, p):
+    """||x||^p of each row of a (b, d) float64 block, as floats; inf if it overflows.
+
+    Bit for bit `float(np.linalg.norm(x)) ** p`: the stacked matmul takes
+    each row's squared norm with the same dot product as `x.dot(x)`,
+    where einsum and a sum of squares round differently, and the root and
+    the power are taken per row in Python floats, where numpy's vectorised
+    ones differ in the last bit.
+    """
+    with np.errstate(over="ignore"):  # as x.dot(x), an overflow gives inf
+        squares = np.matmul(block[:, None, :], block[:, :, None]).ravel().tolist()
+    weights = []
+    for s in squares:
+        try:
+            weights.append(math.sqrt(s) ** p)
+        except OverflowError:  # float ** raises where numpy gives inf
+            weights.append(math.inf)
+    return weights
+
+
 def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     """One pass feeding every row to a weighted and a uniform reservoir bank.
 
     The weighted bank's slots become i.i.d. draws with P(x) proportional
     to x's weight, the uniform bank's i.i.d. uniform draws; both share one
     row store. `block_weights` maps a (b, d) float64 block of rows to one
-    weight per row. Returns (rows, stream positions, weights, weighted,
+    weight per row: the pool and squared-length pass `_norm_weights`,
+    and the tests pass others to check the reservoir law. Returns (rows, stream positions, weights, weighted,
     uniform): each row some slot drew once, with its position and weight,
     and the two banks, whose `win` index into rows and whose totals are
     the weight total and n (each row adds 1.0 to the uniform bank). A bank
@@ -410,13 +404,13 @@ def draw_mixture_pool(stream, p, pool_size, rng):
     each drawn row once (see `ProposalPool`). Raises InputError naming the
     row at which the distance-weight total overflows.
     """
-    block_weights = MixtureWeights(p=p).block_weights
+    check_p(p)
     if pool_size < 1:
         raise ParameterError(f"pool_size must be >= 1, got {pool_size}")
     take_weighted = rng.random(pool_size) < 0.5
     slots = int(np.count_nonzero(take_weighted))
     rows, row_index, row_w, weighted, uniform = _draw_banks(
-        stream, block_weights, slots, pool_size - slots, rng)
+        stream, lambda block: _norm_weights(block, p), slots, pool_size - slots, rng)
     row_of = np.empty(pool_size, dtype=np.intp)
     # by position: assigning through a random boolean mask is several times slower
     row_of[np.flatnonzero(take_weighted)] = weighted.win

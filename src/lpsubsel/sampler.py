@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import GuardError, InputError, ParameterError
-from .geometry import SubsetBasis
+from .geometry import SubsetBasis, check_p
 from .proposal import draw_mixture_pool, open_unit
 
 # Named RNG stream tags: pool pass, per-walk variates, baseline draws.
@@ -69,8 +69,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
-        if not (math.isfinite(self.p) and self.p >= 1.0):
-            raise ParameterError(f"p must be a finite real >= 1, got {self.p}")
+        check_p(self.p)
         for name in ("epsilon", "epsilon1", "epsilon2"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
@@ -138,8 +137,7 @@ def theorem_params(k, p, delta, t_override=None, *, seed=0,
         raise ParameterError(f"delta must lie in (0,1), got {delta}")
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    if not (math.isfinite(p) and p >= 1.0):
-        raise ParameterError(f"p must be a finite real >= 1, got {p}")
+    check_p(p)
     for name, value in (("t", t_override), ("l", l_override)):
         if value is not None and abs(value) > sys.float_info.max:
             raise GuardError(f"{name}={_readable(value)} is beyond the float range "
@@ -169,49 +167,6 @@ def theorem_params(k, p, delta, t_override=None, *, seed=0,
     return SamplerConfig(k=k, p=p, delta=delta, epsilon=epsilon,
                          epsilon1=epsilon1, epsilon2=epsilon2, m=m, t=t, l=l,
                          repetitions=repetitions, seed=seed)
-
-
-def acceptance_ratio(x, y, basis, p):
-    """Metropolis ratio d(y, span S)^p q(x) / (d(x, span S)^p q(y)).
-
-    Conventions for covered points: +inf when only the current point has
-    zero distance (always move off it), 1 when both do (indifferent; any
-    variate below 1 accepts).
-    """
-    x_point, _, x_mass = x
-    y_point, _, y_mass = y
-    if x_mass <= 0.0 or y_mass <= 0.0:
-        raise InputError("q-masses must be positive (mixture floor)")
-    dx = basis.distance(x_point) ** p
-    dy = basis.distance(y_point) ** p
-    if dx == 0.0:
-        return math.inf if dy > 0.0 else 1.0
-    return (dy * x_mass) / (dx * y_mass)
-
-
-def random_walk(pool_slice, basis, p, rng):
-    """Run one m-step walk over a slice of m+1 pool draws; return the final draw.
-
-    The first draw is the start, the rest are proposals in order. Each step
-    draws a variate r in the open unit interval and moves iff the acceptance
-    ratio strictly exceeds r. This is the scalar reference path, scoring one
-    draw at a time; `one_pass_adaptive_sample` does not run it, but runs
-    `_kernels.run_walks` on the scores of all of a round's drawn rows at
-    once. The two make the same moves except near a tie: BLAS picks its
-    kernel by shape, so a row's distance can differ in its last bits with
-    how many rows share the call, and a ratio within those bits of its
-    variate can move one walk and not the other.
-    """
-    draws = [pool_slice[j] for j in range(len(pool_slice))]
-    if not draws:
-        raise InputError("pool slice must hold at least the start draw")
-    steps = len(draws) - 1
-    variates = open_unit(rng, steps)
-    current = draws[0]
-    for j in range(1, steps + 1):
-        if acceptance_ratio(current, draws[j], basis, p) > variates[j - 1]:
-            current = draws[j]
-    return current
 
 
 def one_pass_adaptive_sample(source, config, timings=None):

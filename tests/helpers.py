@@ -1,10 +1,12 @@
-"""Shared test fixtures: instance generators and small conveniences."""
+"""Shared test fixtures: instance generators, small conveniences, and the
+scalar reference walk that `_kernels.run_walks` is checked against."""
 
+import math
 import tracemalloc
 
 import numpy as np
 
-from lpsubsel import PointSet, SubsetBasis, extend_basis
+from lpsubsel import InputError, PointSet, SubsetBasis, extend_basis, open_unit
 
 
 def basis_from(X, indices):
@@ -62,3 +64,46 @@ def loadtxt_calls(monkeypatch):
 
     monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
     return calls
+
+
+def acceptance_ratio(x, y, basis, p):
+    """Metropolis ratio d(y, span S)^p q(x) / (d(x, span S)^p q(y)).
+
+    Conventions for covered points: +inf when only the current point has
+    zero distance (always move off it), 1 when both do (indifferent; any
+    variate below 1 accepts).
+    """
+    x_point, _, x_mass = x
+    y_point, _, y_mass = y
+    if x_mass <= 0.0 or y_mass <= 0.0:
+        raise InputError("q-masses must be positive (mixture floor)")
+    dx = basis.distance(x_point) ** p
+    dy = basis.distance(y_point) ** p
+    if dx == 0.0:
+        return math.inf if dy > 0.0 else 1.0
+    return (dy * x_mass) / (dx * y_mass)
+
+
+def random_walk(pool_slice, basis, p, rng):
+    """Run one m-step walk over a slice of m+1 pool draws; return the final draw.
+
+    The first draw is the start, the rest are proposals in order. Each step
+    draws a variate r in the open unit interval and moves iff the acceptance
+    ratio strictly exceeds r. This is the scalar reference path, scoring one
+    draw at a time; `one_pass_adaptive_sample` does not run it, but runs
+    `_kernels.run_walks` on the scores of all of a round's drawn rows at
+    once. The two make the same moves except near a tie: BLAS picks its
+    kernel by shape, so a row's distance can differ in its last bits with
+    how many rows share the call, and a ratio within those bits of its
+    variate can move one walk and not the other.
+    """
+    draws = [pool_slice[j] for j in range(len(pool_slice))]
+    if not draws:
+        raise InputError("pool slice must hold at least the start draw")
+    steps = len(draws) - 1
+    variates = open_unit(rng, steps)
+    current = draws[0]
+    for j in range(1, steps + 1):
+        if acceptance_ratio(current, draws[j], basis, p) > variates[j - 1]:
+            current = draws[j]
+    return current

@@ -1,10 +1,39 @@
 import numpy as np
 import pytest
 
-from lpsubsel import ErrParams, InputError, PointSet, SubsetBasis, err_p, extend_basis
+from lpsubsel import (ErrParams, ExperimentSpec, InputError, MixtureWeights, ParameterError,
+                      PointSet, SamplerConfig, SubsetBasis, adaptive_distribution,
+                      brute_force_candidate_err, draw_mixture_pool, err_p,
+                      exact_adaptive_sample, exact_walk_distribution, extend_basis,
+                      gamma_bound, mixture_distribution, run_experiment,
+                      squared_length_sample, theorem_params, transition_matrix)
 from lpsubsel.geometry import CHUNK_ROWS
 
 from helpers import basis_from, peak_traced_bytes
+
+_SMALL = PointSet(np.random.default_rng(71).standard_normal((12, 3)))
+_PIVOT = extend_basis(SubsetBasis.empty(3), 0, _SMALL)
+_TAKES_P = {
+    "ErrParams": lambda p: ErrParams(p=p, k=1),
+    "err_p": lambda p: err_p(_SMALL, _PIVOT, p),
+    "MixtureWeights": lambda p: MixtureWeights(p=p),
+    "mixture_distribution": lambda p: mixture_distribution(_SMALL, p),
+    "adaptive_distribution": lambda p: adaptive_distribution(_SMALL, _PIVOT, p),
+    "transition_matrix": lambda p: transition_matrix(_SMALL, _PIVOT, p),
+    "exact_walk_distribution": lambda p: exact_walk_distribution(_SMALL, _PIVOT, None, p, 3),
+    "gamma_bound": lambda p: gamma_bound(_SMALL, _PIVOT, None, p, 3),
+    "brute_force_candidate_err": lambda p: brute_force_candidate_err(_SMALL, 1, p),
+    "SamplerConfig": lambda p: SamplerConfig(k=1, p=p, delta=0.5, epsilon=0.125, epsilon1=0.1,
+                                             epsilon2=0.01, m=3, t=1, l=1, repetitions=1),
+    "theorem_params": lambda p: theorem_params(1, p, 0.5, t_override=2),
+    "draw_mixture_pool": lambda p: draw_mixture_pool(iter(_SMALL.points), p, 10,
+                                                     np.random.default_rng(72)),
+    "squared_length_sample": lambda p: squared_length_sample(_SMALL.points, p, 3,
+                                                             np.random.default_rng(73)),
+    "exact_adaptive_sample": lambda p: exact_adaptive_sample(_SMALL.points, p, 2, 1,
+                                                             np.random.default_rng(74)),
+    "run_experiment": lambda p: run_experiment(ExperimentSpec(input=_SMALL.points, p=p, t=2)),
+}
 
 
 def test_pointset_rejects_nonfinite_and_degenerate():
@@ -16,6 +45,14 @@ def test_pointset_rejects_nonfinite_and_degenerate():
         PointSet(np.empty((0, 3)))
     with pytest.raises(InputError):
         PointSet(np.array([1.0, 2.0]))  # not 2-d
+
+
+@pytest.mark.parametrize("p", [0.5, np.nan, np.inf], ids=["half", "nan", "inf"])
+@pytest.mark.parametrize("call", list(_TAKES_P.values()), ids=list(_TAKES_P))
+def test_every_function_that_takes_p_rejects_a_bad_one(call, p):
+    # a parameter fault, named as one: not an answer, a numpy error or a row
+    with pytest.raises(ParameterError, match="^p must be a finite real >= 1, got "):
+        call(p)
 
 
 def test_extend_normalizes_first_point():

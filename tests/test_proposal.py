@@ -7,7 +7,7 @@ from lpsubsel import (DistributionTable, InputError, MixtureWeights, ParameterEr
                       PointSet, SubsetBasis, _kernels, adaptive_distribution, as_source,
                       draw_mixture_pool, extend_basis, gamma_bound, mixture_distribution,
                       open_unit, squared_length_sample, transition_matrix, tv_distance)
-from lpsubsel.proposal import _draw_banks
+from lpsubsel.proposal import _draw_banks, _norm_weights
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.0, 0.0], [-2.0, 1.0]])
@@ -86,19 +86,18 @@ def test_exact_distributions_reject_overflowing_weights(exact, message):
         exact()
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-def test_raw_weight_is_bit_identical_to_norm_power(p):
-    rng = np.random.default_rng(17)
-    weights = MixtureWeights(p=p)
-    for d in (1, 7, 32, 64):
-        rows = rng.standard_normal((200, d)) * np.exp(3.0 * rng.standard_normal((200, 1)))
-        for x in rows:
-            assert weights.raw_weight(x) == float(np.linalg.norm(x)) ** p
+def _raw_weight(x, p):
+    """||x||^p as numpy's norm and a float power give it, inf where the power overflows."""
+    try:
+        return float(np.linalg.norm(x)) ** p
+    except OverflowError:
+        return math.inf
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 120.0])
-@pytest.mark.parametrize("d", [2, 32, 64])
+@pytest.mark.parametrize("d", [1, 2, 7, 32, 64])
 def test_block_weights_are_bit_identical_to_raw_weight(p, d):
+    # the pass's block weights against each row's own norm power
     rng = np.random.default_rng(18)
     block = rng.standard_normal((130, d)) * np.exp(3.0 * rng.standard_normal((130, 1)))
     block[[0, 64]] = 0.0
@@ -106,15 +105,11 @@ def test_block_weights_are_bit_identical_to_raw_weight(p, d):
     block[7, 0] = 1e200  # the squared norm overflows
     block[100] = 0.0
     block[100, -1] = 1e103  # a finite norm whose cube overflows
-    weights = MixtureWeights(p=p)
-    got = weights.block_weights(block)
+    got = _norm_weights(block, p)
     assert got[0] == got[64] == 0.0 and got[7] == math.inf
     assert (got[100] == math.inf) == (p >= 3.0)
-    pivot = extend_basis(SubsetBasis.empty(d), 1, PointSet(block))
-    with_pivot = MixtureWeights(p=p, pivot=pivot)
     with np.errstate(over="ignore"):  # the per-row dot product warns where it overflows
-        assert got == [weights.raw_weight(x) for x in block]
-        assert with_pivot.block_weights(block) == [with_pivot.raw_weight(x) for x in block]
+        assert got == [_raw_weight(x, p) for x in block]
 
 
 def test_reservoir_uniform_weights():
@@ -256,7 +251,7 @@ def test_pool_exact_across_store_compaction():
     X = PointSet(np.vstack([np.zeros((zeros, 2)), np.column_stack([norms, np.zeros(n)])]))
     exact = MixtureWeights(p=2.0).masses(X)
     pool = draw_mixture_pool(iter(X.points), 2.0, 500, np.random.default_rng(14))
-    np.testing.assert_array_equal(pool.points, X.points[pool.indices])
+    np.testing.assert_array_equal(pool.rows[pool.row_of], X.points[pool.indices])
     np.testing.assert_allclose(pool.qmass, exact[pool.indices], rtol=1e-12)
     positions = pool.indices - zeros
     late = positions >= n // 2
@@ -279,7 +274,7 @@ def test_pool_deterministic_for_fixed_seed():
     a = draw_mixture_pool(_stream(SIX_POINTS), 1.5, 500, np.random.default_rng(9))
     b = draw_mixture_pool(_stream(SIX_POINTS), 1.5, 500, np.random.default_rng(9))
     np.testing.assert_array_equal(a.indices, b.indices)
-    np.testing.assert_array_equal(a.points, b.points)
+    np.testing.assert_array_equal(a.rows[a.row_of], b.rows[b.row_of])
     np.testing.assert_array_equal(a.qmass, b.qmass)
 
 
@@ -298,11 +293,12 @@ def test_pool_rejects_degenerate_inputs():
 
 def test_pool_slot_triples():
     pool = draw_mixture_pool(_stream(SIX_POINTS), 2.0, 16, np.random.default_rng(11))
-    point, index, qmass = pool[3]
+    point, index, qmass = pool.rows[pool.row_of[3]], int(pool.indices[3]), float(pool.qmass[3])
     assert point.shape == (2,)
     assert 0 <= index < len(SIX_POINTS)
+    np.testing.assert_array_equal(point, SIX_POINTS[index])
     assert 1.0 / 12 - 1e-15 <= qmass <= 1.0
-    assert len(pool) == 16
+    assert pool.size == 16
 
 
 def _assert_rows_held_once(rows, row_of, positions, X, slots):
@@ -323,9 +319,6 @@ def test_pool_and_bank_hold_each_drawn_row_once(n, slots):
     X = np.column_stack([np.arange(n, dtype=float), 1.0 + np.arange(n) % 7])
     pool = draw_mixture_pool(_stream(X), 2.0, slots, np.random.default_rng(15))
     _assert_rows_held_once(pool.rows, pool.row_of, pool.indices, X, slots)
-    np.testing.assert_array_equal(pool.points, X[pool.indices])
-    point, index, _ = pool[slots - 1]
-    np.testing.assert_array_equal(point, X[index])
     rows, row_index, weights, bank, _ = _draw_banks(_stream(X), lambda block: block[:, 1], slots, 0,
                                                     np.random.default_rng(16))
     _assert_rows_held_once(rows, bank.win, row_index[bank.win], X, slots)

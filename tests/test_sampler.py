@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from lpsubsel import (ParameterError, PointSet, SamplerConfig, SubsetBasis,
-                      acceptance_ratio, adaptive_distribution, as_source,
-                      draw_mixture_pool, one_pass_adaptive_sample, open_unit,
-                      random_walk, theorem_params, tv_distance)
+                      adaptive_distribution, as_source, draw_mixture_pool,
+                      one_pass_adaptive_sample, open_unit, theorem_params, tv_distance)
 from lpsubsel import _kernels, sampler
 from lpsubsel.sampler import pool_rng, walk_rng
 
-from helpers import basis_from
+from helpers import acceptance_ratio, basis_from, random_walk
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.5, 0.5], [-2.0, 1.0]])
@@ -122,7 +121,8 @@ def test_random_walk_matches_kernel_backend():
     X = PointSet(rng_data.standard_normal((12, 3)))
     basis = basis_from(X, [0, 5])
     pool = draw_mixture_pool(iter(X.points), 2.0, 9, np.random.default_rng(7))
-    draws = [pool[j] for j in range(9)]
+    draws = [(pool.rows[pool.row_of[j]], int(pool.indices[j]), float(pool.qmass[j]))
+             for j in range(9)]
 
     ref = random_walk(draws, basis, 2.0, np.random.default_rng(99))
 
@@ -133,6 +133,48 @@ def test_random_walk_matches_kernel_backend():
     out = np.empty(1, dtype=np.intp)
     _kernels.run_walks(dist_pow, qmat, variates, out)
     assert draws[int(out[0])][1] == ref[1]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_run_walks_match_the_scalar_reference_over_many_rounds(p):
+    # small integer coordinates against bases of coordinate axes: every
+    # distance is exact, so no last-bit difference between the batched
+    # and the one-draw scoring can split a tie. Rows 0-9 lie in the span
+    # of axes 0 and 1 and row 10 is zero, so covered starts and covered
+    # proposals come up in many walks.
+    rng = np.random.default_rng(61)
+    X = rng.integers(-3, 4, size=(40, 5)).astype(float)
+    X[:10, 2:] = 0.0
+    X[10] = 0.0
+    rounds, t, m = 40, 8, 12
+    width = m + 1
+    pool = draw_mixture_pool(iter(X), p, rounds * t * width, np.random.default_rng(62))
+    axes = np.eye(5)
+    finals = np.empty(t, dtype=np.intp)
+    covered_starts = covered_proposals = last_accepted = 0
+    for rnd in range(rounds):
+        basis = SubsetBasis.empty(5)
+        for axis in rng.choice(5, size=rnd % 4, replace=False):
+            basis = basis.extended(int(axis), axes[axis])
+        start = rnd * t * width
+        slots = pool.row_of[start:start + t * width]
+        dist_pow = (basis.distances(pool.rows[slots]) ** p).reshape(t, width)
+        qmat = pool.qmass[start:start + t * width].reshape(t, width)
+        variates = np.array([open_unit(walk_rng(63, 0, rnd, w), m) for w in range(t)])
+        _kernels.run_walks(dist_pow, qmat, variates, finals)
+        for w in range(t):
+            # each draw carries its column in the walk, so the reference
+            # names the slot it ends on, not only the row
+            draws = [(pool.rows[slots[w * width + j]], j, float(qmat[w, j]))
+                     for j in range(width)]
+            ref = random_walk(draws, basis, p, walk_rng(63, 0, rnd, w))
+            assert int(finals[w]) == ref[1], (rnd, w)
+        covered_starts += int(np.count_nonzero(dist_pow[:, 0] == 0.0))
+        covered_proposals += int(np.count_nonzero(dist_pow[:, 1:] == 0.0))
+        last_accepted += int(np.count_nonzero(finals == m))
+    # walks both accept and reject their last proposal
+    assert covered_starts and covered_proposals
+    assert 0 < last_accepted < rounds * t
 
 
 # ------------------------------------------------------------ full sampler
@@ -195,7 +237,7 @@ def _lognormal_low_rank(n, d, seed):
 def _slot_by_slot_members(X, config):
     """Reference sampler: every slot's draw scored on its own gathered copy."""
     pool = draw_mixture_pool(iter(X), config.p, config.pool_size, pool_rng(config.seed))
-    points = pool.points
+    points = pool.rows[pool.row_of]
     width = config.m + 1
     block = config.t * width
     finals = np.empty(config.t, dtype=np.intp)
