@@ -26,4 +26,4 @@ class StreamError(RuntimeError):
 
 
 class SourceChangedError(InputError):
-    """A file's row count changed between opening it and a later pass."""
+    """A file's bytes changed between opening it and a pass."""

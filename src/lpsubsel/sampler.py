@@ -114,8 +114,10 @@ class SamplerConfig:
 
 def _readable(count):
     """An integer in full, or to three digits once it is longer than 12."""
-    digits = str(count)
-    return digits if len(digits) <= 12 else f"{digits[0]}.{digits[1:3]}e{len(digits) - 1}"
+    digits = str(abs(count))
+    if len(digits) > 12:
+        digits = f"{digits[0]}.{digits[1:3]}e{len(digits) - 1}"
+    return "-" + digits if count < 0 else digits
 
 
 def theorem_params(k, p, delta, t_override=None, *, seed=0,
@@ -130,14 +132,17 @@ def theorem_params(k, p, delta, t_override=None, *, seed=0,
     Natural logs throughout; counts are rounded up. A p and delta that take
     a recipe value, or the lemma's walk length, beyond the float range
     raise GuardError naming them, and so does a t or l override too large
-    to become a float; whether the counts fit in memory is left to the
-    caller, which knows the algorithm and d.
+    to become a float; a t override below 1 raises ParameterError.
+    Whether the counts fit in memory is left to the caller, which knows
+    the algorithm and d.
     """
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0,1), got {delta}")
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     check_p(p)
+    if t_override is not None and t_override < 1:
+        raise ParameterError(f"need t >= 1, got t={_readable(t_override)}")
     for name, value in (("t", t_override), ("l", l_override)):
         if value is not None and abs(value) > sys.float_info.max:
             raise GuardError(f"{name}={_readable(value)} is beyond the float range "

@@ -9,23 +9,24 @@ CSV files have one parser, `_csv_block`, which file passes run: numpy's
 loader parses blocks of lines, and a block it rejects falls back to
 float() per cell, so what is accepted, and the row an error names, are
 those of the per-cell parse. `open_csv` parses no more than the first
-data row: it reads the lines only to count the non-blank ones, so a
-malformed later row is reported by the first pass over the file.
+data row: it reads the lines to count the non-blank ones and to record
+the passes' byte ranges, so a malformed later row is reported by the
+first pass over the file.
 
-Every file pass reads every byte of the file. The first complete pass
-reads it as lines and records each block's byte size, a fingerprint of
-its bytes and the rows up to its end; each later pass reads exactly
-those byte ranges in binary mode and checks their fingerprints, so a
-file that changes between passes raises SourceChangedError. A caller
-that holds all n rows anyway asks for them with
-`DatasetSource.keep_rows`: then the file is parsed once, and later
-passes read and fingerprint its bytes but yield the kept rows without
-decoding them.
+Every file pass, the first included, has one reader, `_read_ranges`.
+Opening records each block's byte size, a fingerprint of its bytes and
+the rows up to its end; each pass reads exactly those byte ranges in
+binary mode and checks their fingerprints, so a file that changes after
+it was opened raises SourceChangedError. A caller that holds all n rows
+anyway asks for them with `DatasetSource.keep_rows`: then the file is
+parsed once, and later passes read and fingerprint its bytes but yield
+the kept rows without decoding them.
 """
 
-import io
 import itertools
 import math
+import os
+import stat
 
 import numpy as np
 
@@ -105,28 +106,16 @@ def _read_lines(fh, count, path):
         raise FormatError(f"{path}: not valid UTF-8") from None
 
 
-def _line_blocks(fh, path, line_number):
-    """Yield (line number of the first, lines) for the rest of `fh`.
-
-    `fh` is a file opened as UTF-8 with line ends kept (newline=""), and
-    `line_number` is the 1-based number of its next line. Reads up to
-    `_BLOCK_ROWS` lines at a time. Bytes that are not UTF-8 raise
-    FormatError; OSError is left to the caller.
-    """
-    while lines := _read_lines(fh, _BLOCK_ROWS, path):
-        yield line_number, lines
-        line_number += len(lines)
-
-
 def _byte_lines(data):
-    r"""The lines of a block's bytes, split as `_line_blocks` splits them,
-    and their text.
+    r"""The lines of a block's bytes, split as `open_csv` splits them, and
+    their text.
 
-    A newline="" reader splits at \n, \r and \r\n only; str.splitlines
-    would also split at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029.
+    A newline="" reader splits at \n, \r and \r\n only, and so does
+    bytes.splitlines; str.splitlines would also split at \v, \f,
+    \x1c-\x1e, \x85, \u2028 and \u2029. No UTF-8 character holds either
+    byte, so each line decodes on its own.
     """
-    text = data.decode("utf-8")
-    return io.StringIO(text, newline="").readlines(), text
+    return list(map(bytes.decode, data.splitlines(keepends=True))), data.decode("utf-8")
 
 
 def _csv_block(lines, text, first_line, d):
@@ -151,6 +140,13 @@ def _csv_block(lines, text, first_line, d):
     return block
 
 
+def _changed_block(path, line, last):
+    """The error for the block of lines line + 1..last, which is not what
+    opening read."""
+    named = f"line {last} is" if last == line + 1 else f"lines {line + 1}-{last} are"
+    return SourceChangedError(f"{path} changed since it was opened: {named} not what it read")
+
+
 class DatasetSource:
     """A replayable stream of points of fixed dimension d.
 
@@ -159,14 +155,14 @@ class DatasetSource:
     same fixed order. For a file, n and d are fixed when it is opened and
     its rows are parsed only by passes (see `open_csv`).
 
-    Every pass over a file reads all of its bytes. The first complete
-    pass reads the file as lines and records, for the header line and
-    each block of `_BLOCK_ROWS` lines after it, the block's byte size, a
-    fingerprint of its bytes (the built-in `hash`) and the rows up to its
-    end. Every later pass reads exactly those byte ranges in binary mode
-    and checks each fingerprint, so a file rewritten between passes
-    raises SourceChangedError even when its row count is unchanged, and
-    so does one with bytes past the last range.
+    A file source holds the block table opening recorded: for the header
+    line and each block of `_BLOCK_ROWS` lines after it, the block's last
+    line, byte size, a fingerprint of its bytes (the built-in `hash`) and
+    the rows up to its end. Every pass, the first included, reads exactly
+    those byte ranges in binary mode and checks each fingerprint, so a
+    file rewritten after it was opened raises SourceChangedError even
+    when its row count is unchanged, and so does one with bytes past the
+    last range.
 
     `rows` is the source's rows as one read-only (n, d) float64 array, or
     None: an in-memory source's own array, or the rows a file pass kept
@@ -175,19 +171,16 @@ class DatasetSource:
     them it decodes and parses the verified bytes.
     """
 
-    def __init__(self, rows=None, path=None, d=None, n=None, header=False,
+    def __init__(self, rows=None, path=None, d=None, n=None, blocks=None,
                  auditor=None):
         self.rows = rows
         self._path = path
-        self._header = header
+        self._blocks = blocks
         self.d = d
         self.n = n
         self.auditor = auditor if auditor is not None else PassAuditor()
         self._active = False
         self._keep = False
-        # (last line, byte size, fingerprint of the bytes, rows up to its
-        # end) per block of the first complete file pass, the header first
-        self._blocks = None
 
     @classmethod
     def from_points(cls, points, auditor=None):
@@ -228,111 +221,87 @@ class DatasetSource:
 
     def _iterate_file(self):
         """Yield a file pass's blocks of rows, each once its bytes are
-        read (and, on a later pass, verified)."""
-        blocks = self._blocks
+        read and verified."""
         keep = np.empty((self.n, self.d)) if self._keep and self.rows is None else None
         try:
-            if blocks is None:
-                blocks = []
-                rows = yield from self._parse_lines(blocks, keep)
-            else:
-                rows = yield from self._read_ranges(blocks, keep)
+            yield from self._read_ranges(keep)
         except OSError as exc:
             raise StreamError(f"I/O failure while streaming {self._path}: {exc}") from exc
-        if rows != self.n:
-            raise SourceChangedError(
-                f"{self._path} changed since it was opened: "
-                f"{self.n} rows then, {rows} now")
-        self._blocks = blocks
         if keep is not None:
             keep.setflags(write=False)
             self.rows = keep
 
-    def _parse_lines(self, blocks, keep):
-        """The first complete pass: parse the file's lines a block at a
-        time, appending each block's record to `blocks` and yielding its
-        rows as one array. Returns the row count."""
-        rows = 0
-        with open(self._path, encoding="utf-8", newline="") as fh:
-            if self._header:
-                data = "".join(_read_lines(fh, 1, self._path)).encode("utf-8")
-                blocks.append((1, len(data), hash(data), 0))
-            line_blocks = _line_blocks(fh, self._path, 1 + self._header)
-            for line_number, lines in line_blocks:
-                text = "".join(lines)
-                block = _csv_block(lines, text, line_number, self.d)
-                if rows + len(block) > self.n:
-                    return rows + len(block) + sum(
-                        len(_csv_block(ls, "".join(ls), ln, self.d)) for ln, ls in line_blocks)
-                if keep is not None:
-                    keep[rows:rows + len(block)] = block
-                rows += len(block)
-                # the reader translates no line end and valid UTF-8
-                # round-trips, so these are the file's bytes
-                data = text.encode("utf-8")
-                blocks.append((line_number + len(lines) - 1, len(data), hash(data), rows))
-                yield block
-        return rows
-
-    def _read_ranges(self, blocks, keep):
-        """A later pass: read the byte ranges of `blocks` and check their
-        fingerprints, yielding the kept rows of each as one array or,
-        without them, parsing its bytes. Returns the row count."""
+    def _read_ranges(self, keep):
+        """Read the byte ranges of the block table and check their
+        fingerprints, yielding the kept rows of each block as one array
+        or, without them, parsing its bytes."""
         line = rows = 0
         with open(self._path, "rb") as fh:
-            for last, size, fingerprint, end in blocks:
+            for last, size, fingerprint, end in self._blocks:
                 data = fh.read(size)
                 if len(data) != size or hash(data) != fingerprint:
-                    named = (f"line {last} is" if last == line + 1
-                             else f"lines {line + 1}-{last} are")
-                    raise SourceChangedError(f"{self._path} changed since its first "
-                                             f"pass: {named} not what it read")
+                    raise _changed_block(self._path, line, last)
                 if end > rows:
                     if self.rows is not None:
                         yield self.rows[rows:end]
                     else:
                         lines, text = _byte_lines(data)
                         block = _csv_block(lines, text, line + 1, self.d)
+                        if len(block) != end - rows:
+                            raise _changed_block(self._path, line, last)
                         if keep is not None:
                             keep[rows:end] = block
                         yield block
                 line, rows = last, end
             if fh.read(1):
                 raise SourceChangedError(
-                    f"{self._path} changed since its first pass: it has bytes "
-                    f"after line {line}, where that pass ended")
-        return rows
+                    f"{self._path} changed since it was opened: it has bytes "
+                    f"after line {line}, where it ended then")
 
 
 def open_csv(path, header=False, auditor=None):
     """Open a CSV of points: one point per line, comma-separated numbers.
 
     A cell is anything float() accepts, surrounding whitespace included;
-    blank lines are skipped, and header=True skips the first line. Opening
-    reads the file's lines to count the non-blank ones, which gives n, and
-    parses only the first data row, which gives d. Every other row is
-    parsed by each pass: the first ragged, non-numeric or non-finite (NaN,
-    infinite) row raises FormatError naming its 1-based line, and a pass
-    whose row count is no longer n raises SourceChangedError. Opening is
-    not an audited pass.
+    blank lines are skipped, and header=True skips the first line. The
+    path must name a regular file, since every pass reads it again.
+    Opening reads the file's lines in blocks of `_BLOCK_ROWS`, counts the
+    non-blank ones, which gives n, and parses only the first data row,
+    which gives d; it records each block's byte range and fingerprint for
+    the passes (see `DatasetSource`). Every other row is parsed by each
+    pass: the first ragged, non-numeric or non-finite (NaN, infinite) row
+    raises FormatError naming its 1-based line. Opening is not an audited
+    pass.
     """
     header = bool(header)
     d = None
     n = 0
+    blocks = []
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise InputError(f"{path} is not a regular file; the input must be a "
+                             f"file that can be read more than once")
         with open(path, encoding="utf-8", newline="") as fh:
-            _read_lines(fh, int(header), path)
-            for line_number, lines in _line_blocks(fh, path, 1 + header):
-                for row_number, line in enumerate(lines, line_number):
+            if header:
+                data = "".join(_read_lines(fh, 1, path)).encode("utf-8")
+                blocks.append((1, len(data), hash(data), 0))
+            last = int(header)
+            while lines := _read_lines(fh, _BLOCK_ROWS, path):
+                for row_number, line in enumerate(lines, last + 1):
                     if line.strip():
                         if d is None:
                             d = _parse_block([line], row_number, None).shape[1]
                         n += 1
+                last += len(lines)
+                # the reader translates no line end and valid UTF-8
+                # round-trips, so these are the file's bytes
+                data = "".join(lines).encode("utf-8")
+                blocks.append((last, len(data), hash(data), n))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if n == 0:
         raise InputError(f"{path}: empty dataset (n >= 1 required)")
-    return DatasetSource(path=path, d=d, n=n, header=header, auditor=auditor)
+    return DatasetSource(path=path, d=d, n=n, blocks=blocks, auditor=auditor)
 
 
 def as_source(data, auditor=None):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -285,7 +286,30 @@ def test_cli_file_changed_after_open_exits_2(tmp_path, capsys, monkeypatch, algo
     code = main(["--input", path, "--algo", algo, "--k", "1", "--t", "2",
                  "--oracle", "svd"])
     assert code == 2
-    assert f"12 rows then, {rows_after} now" in capsys.readouterr().err
+    assert f"{path} changed since it was opened: lines 1-12 are not what it read" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+def test_cli_same_count_rewrite_after_open_exits_2(tmp_path, capsys, monkeypatch, algo):
+    # the first pass reads the byte ranges opening recorded, so it catches
+    # a rewrite that keeps the file's length and row count
+    X = np.random.default_rng(21).standard_normal((2 * _BLOCK_ROWS + 40, 3))
+    path = _write_csv(tmp_path, X)
+    real_open_csv = experiment.open_csv
+
+    def open_then_rewrite(*args, **kwargs):
+        source = real_open_csv(*args, **kwargs)
+        X[_BLOCK_ROWS + 4] = X[_BLOCK_ROWS + 4, ::-1]
+        _write_csv(tmp_path, X)
+        return source
+
+    monkeypatch.setattr(experiment, "open_csv", open_then_rewrite)
+    code = main(["--input", path, "--algo", algo, "--k", "1", "--t", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert f"{path} changed since it was opened: lines {_BLOCK_ROWS + 1}-{2 * _BLOCK_ROWS} " \
+        "are not what it read" in err
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -365,6 +389,40 @@ def test_cli_oversized_recipe_exits_3(tmp_path, capsys, algo, flags, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+# each case's flags, given a scratch directory and a pipe's path, and
+# what its message names
+_BAD_FLAGS = {
+    "t_zero": (lambda tmp_path, pipe: ["--t", "0"], "need t >= 1"),
+    "t_negative": (lambda tmp_path, pipe: ["--t", "-1"], "need t >= 1"),
+    "out_in_a_missing_directory": (
+        lambda tmp_path, pipe: ["--out", str(tmp_path / "missing" / "report.json")],
+        "cannot write"),
+    "out_at_a_directory": (lambda tmp_path, pipe: ["--out", str(tmp_path)], "cannot write"),
+    "input_a_pipe": (lambda tmp_path, pipe: ["--input", pipe], "read more than once"),
+}
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("case", list(_BAD_FLAGS))
+def test_cli_bad_flags_exit_with_a_message(tmp_path, capsys, algo, case):
+    path = _write_csv(tmp_path, np.random.default_rng(22).standard_normal((20, 3)))
+    out = tmp_path / "report.json"
+    flags, named = _BAD_FLAGS[case]
+    # a pipe holding a small CSV, which can be read only once
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as fh:
+        fh.write(b"1,2\n3,4\n5,7\n")
+    try:
+        code = main(["--input", path, "--algo", algo, "--k", "1", "--t", "2",
+                     "--out", str(out), *flags(tmp_path, f"/dev/fd/{read_end}")])
+    finally:
+        os.close(read_end)
+    err = capsys.readouterr().err
+    assert code in (2, 3) and err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "missing").exists()
 
 
 def test_cli_exact_adaptive_buffer_beyond_memory_exits_3(tmp_path, capsys, monkeypatch):

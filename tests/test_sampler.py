@@ -59,6 +59,14 @@ def test_theorem_params_rejects_bad_delta():
         theorem_params(k=2, p=1.0, delta=1.0)
 
 
+@pytest.mark.parametrize("t, shown", [(0, "0"), (-1, "-1"), (-10 ** 400, "-1.00e400")],
+                         ids=["zero", "minus_one", "minus_1e400"])
+def test_theorem_params_rejects_a_t_override_below_1(t, shown):
+    # checked before the recipe, whose epsilon2 divides by t and takes its log
+    with pytest.raises(ParameterError, match=f"^need t >= 1, got t={shown}$"):
+        theorem_params(k=2, p=2.0, delta=0.5, t_override=t)
+
+
 def test_sampler_config_validation():
     good = dict(k=1, p=2.0, delta=0.5, epsilon=0.125, epsilon1=0.1,
                 epsilon2=0.01, m=3, t=1, l=1, repetitions=1, seed=0)
