@@ -31,6 +31,8 @@ bank's slots over the rows so far in one draw and sets its first limit.
 
 import math
 
+import numpy as np
+
 BACKEND = "python"
 
 # Uniform variates a bank draws from its generator per call.
@@ -44,21 +46,35 @@ def run_walks(dist_pow, qmass, uniforms, out):
     `dist_pow` holds d(., span S)^p, `qmass` the proposal masses (always
     positive thanks to the mixture floor), `uniforms` the per-step variates
     in (0,1). A proposal is accepted when the acceptance ratio exceeds the
-    variate; a zero-distance current point always moves (ratio is +inf
-    against a positive-distance proposal and 1 against a zero-distance one,
-    both above any variate < 1). Writes the final column index of each walk
-    into `out` and returns it.
+    variate; a zero-distance current point always moves. Writes the final
+    column index of each walk into `out` and returns it.
+
+    The chains run in ratio form: each slot's importance ratio
+    r = (d^p / 2) / q and each proposal's bar r_j / u_j are computed once,
+    as arrays, and a step moves iff bar_j > r_cur. That is the Metropolis
+    test d_j^p q_cur > u_j d_cur^p q_j divided through by the positive
+    u_j q_j q_cur. Halving is exact in binary, and it keeps every ratio
+    finite: q >= (norm^p / 2) / W over a pass of weight total W, and
+    d <= norm, so r <= W. A bar may still overflow to inf, which accepts,
+    as the cross-multiplied test does. A covered slot's ratio is set to -1
+    after the bars are taken: a covered current point has r_cur = -1 below
+    every bar (so it always moves), and a covered proposal has bar 0, which
+    a live current point's positive ratio never falls below.
     """
-    n_walks, width = dist_pow.shape
-    for w in range(n_walks):
-        # Python floats give the same IEEE results as numpy scalars, faster
-        dp = dist_pow[w].tolist()
-        q = qmass[w].tolist()
-        u = uniforms[w].tolist()
+    ratio = (0.5 * dist_pow) / qmass
+    with np.errstate(over="ignore"):  # a bar of inf accepts, as it should
+        bar = ratio[:, 1:] / uniforms
+    ratio[dist_pow == 0.0] = -1.0
+    for w in range(dist_pow.shape[0]):
+        # Python floats give the same IEEE results as numpy scalars, faster;
+        # one walk's lists at a time keep the temporaries small
+        r = ratio[w].tolist()
         cur = 0
-        for j in range(1, width):
-            if dp[cur] == 0.0 or dp[j] * q[cur] > u[j - 1] * dp[cur] * q[j]:
+        rc = r[0]
+        for j, b in enumerate(bar[w].tolist(), 1):
+            if b > rc:
                 cur = j
+                rc = r[j]
         out[w] = cur
     return out
 

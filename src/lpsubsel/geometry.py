@@ -77,8 +77,8 @@ class PointSet:
 class SubsetBasis:
     """A selected subset of point indices plus an orthonormal basis of its span.
 
-    Immutable: `extended` returns a new value, so a basis can be shared
-    freely between concurrent readers. The span of the empty subset is {0},
+    Immutable: `extended` and `extended_many` return a new value, so a
+    basis can be shared freely between concurrent readers. The span of the empty subset is {0},
     making distance-to-span equal to the plain Euclidean norm.
     """
 
@@ -131,24 +131,41 @@ class SubsetBasis:
         return float(self.distances(_as_vector(x, self.d)))
 
     def extended(self, index, point):
-        """New basis with `point` appended to the member list.
+        """New basis with `point` appended to the member list: one row of
+        `extended_many`."""
+        return self.extended_many((index,), _as_vector(point, self.d)[None])
 
-        The basis gains the point's normalized residual direction only if
-        the residual (after one re-orthogonalization pass of modified
-        Gram-Schmidt) exceeds RANK_TOLERANCE relative to the point norm.
+    def extended_many(self, indices, points):
+        """New basis with `points` appended to the member list, in order.
+
+        Each row in turn gains the basis its normalized residual direction
+        only if the residual (after one re-orthogonalization pass of
+        modified Gram-Schmidt) exceeds RANK_TOLERANCE relative to the row
+        norm. The rows share one buffer allocated up front, and every
+        product is the one a chain of single-row extensions takes, so the
+        result is the same bit for bit. Every row is checked to be finite
+        before any is added.
         """
-        v = _as_vector(point, self.d)
-        q = self.basis
-        resid = v - q.T @ (q @ v)
-        resid = resid - q.T @ (q @ resid)
-        norm_v = np.linalg.norm(v)
-        norm_r = np.linalg.norm(resid)
-        members = self.member_indices + (int(index),)
-        if norm_r > RANK_TOLERANCE * norm_v and norm_v > 0.0:
-            new_q = np.vstack([q, resid / norm_r])
-        else:
-            new_q = q
-        return SubsetBasis(members, new_q, self.d)
+        rows = np.asarray(points, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != self.d or len(rows) != len(indices):
+            raise InputError(f"expected {len(indices)} vectors of dimension {self.d}, "
+                             f"got shape {rows.shape}")
+        if not np.isfinite(rows).all():
+            raise InputError("vector contains NaN or Inf coordinates")
+        rank = self.rank
+        grown = np.empty((rank + len(rows), self.d))
+        grown[:rank] = self.basis
+        for v in rows:
+            q = grown[:rank]
+            resid = v - q.T @ (q @ v)
+            resid = resid - q.T @ (q @ resid)
+            norm_v = np.linalg.norm(v)
+            norm_r = np.linalg.norm(resid)
+            if norm_r > RANK_TOLERANCE * norm_v and norm_v > 0.0:
+                grown[rank] = resid / norm_r
+                rank += 1
+        members = self.member_indices + tuple(int(i) for i in indices)
+        return SubsetBasis(members, grown[:rank], self.d)
 
     def __repr__(self):
         return f"SubsetBasis(members={len(self.member_indices)}, rank={self.rank}, d={self.d})"

@@ -236,12 +236,16 @@ def one_pass_adaptive_sample(source, config, timings=None):
             for w in range(config.t):
                 variates[w] = open_unit(walk_rng(config.seed, rep, rnd, w), config.m)
             _kernels.run_walks(dist_pow, qmat, variates, finals)
+            # the round's new members, in walk order, join in one growth
+            new = []
             for w in range(config.t):
                 sel = start + w * width + int(finals[w])
                 idx = int(pool.indices[sel])
                 if idx not in members:
                     members.add(idx)
-                    basis = basis.extended(idx, pool.rows[pool.row_of[sel]])
+                    new.append(sel)
+            if new:
+                basis = basis.extended_many(pool.indices[new], pool.rows[pool.row_of[new]])
         bases.append(basis)
     t2 = time.perf_counter()
     if timings is not None:

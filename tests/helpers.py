@@ -1,5 +1,6 @@
 """Shared test fixtures: instance generators, small conveniences, and the
-scalar reference walk that `_kernels.run_walks` is checked against."""
+two references `_kernels.run_walks` is checked against: the scalar walk,
+which scores one draw at a time, and the cross-multiplied kernel."""
 
 import math
 import tracemalloc
@@ -107,3 +108,21 @@ def random_walk(pool_slice, basis, p, rng):
         if acceptance_ratio(current, draws[j], basis, p) > variates[j - 1]:
             current = draws[j]
     return current
+
+
+def cross_multiplied_walks(dist_pow, qmass, uniforms, out):
+    """Reference for `_kernels.run_walks`, over the same arrays: each step
+    tests d_j^p q_cur > u_j d_cur^p q_j on the raw scores, whose products
+    stay finite whatever the pass's weight total, and moves off a covered
+    current point unconditionally."""
+    n_walks, width = dist_pow.shape
+    for w in range(n_walks):
+        dp = dist_pow[w].tolist()
+        q = qmass[w].tolist()
+        u = uniforms[w].tolist()
+        cur = 0
+        for j in range(1, width):
+            if dp[cur] == 0.0 or dp[j] * q[cur] > u[j - 1] * dp[cur] * q[j]:
+                cur = j
+        out[w] = cur
+    return out

@@ -85,6 +85,41 @@ def test_extend_rejects_bad_index_and_nonfinite():
         SubsetBasis.empty(2).extended(0, np.array([np.nan, 1.0]))
 
 
+def test_extended_many_equals_one_by_one_growth_bit_for_bit():
+    # rows of every kind in one block: independent, nearly dependent on
+    # earlier rows (residuals around the rank tolerance), exactly
+    # dependent, zero, and of wildly different scales
+    rng = np.random.default_rng(12)
+    for case in range(60):
+        d = int(rng.integers(1, 12))
+        n = int(rng.integers(1, 16))
+        rows = rng.standard_normal((n, d)) * np.exp(4.0 * rng.standard_normal((n, 1)))
+        for i in range(2, n, 3):
+            mix = rng.standard_normal(2) @ rows[:2]
+            rows[i] = mix + 10.0 ** -rng.uniform(6, 14) * np.linalg.norm(mix) * \
+                rng.standard_normal(d)
+        rows[rng.integers(0, n)] = 0.0
+        start = int(rng.integers(0, n))
+        one_by_one = basis_from(PointSet(rows), range(start))
+        block = one_by_one.extended_many(range(start, n), rows[start:])
+        for i in range(start, n):
+            one_by_one = one_by_one.extended(i, rows[i])
+        assert block.member_indices == one_by_one.member_indices == tuple(range(n))
+        assert block.basis.shape == one_by_one.basis.shape
+        assert block.basis.tobytes() == one_by_one.basis.tobytes(), case
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_extended_many_checks_every_row_before_growing(bad):
+    basis = SubsetBasis.empty(3).extended(0, np.array([1.0, 0.0, 0.0]))
+    rows = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, bad, 0.0]])
+    with pytest.raises(InputError, match="^vector contains NaN or Inf coordinates$"):
+        basis.extended_many([1, 2, 3], rows)
+    assert basis.member_indices == (0,) and basis.rank == 1
+    with pytest.raises(InputError, match="dimension 3"):
+        basis.extended_many([1, 2], rows)  # one index short of the rows
+
+
 def test_dist_to_span_examples():
     basis = SubsetBasis.empty(3).extended(0, np.array([1.0, 0.0, 0.0]))
     assert basis.distance(np.array([1.0, 1.0, 0.0])) == pytest.approx(1.0)

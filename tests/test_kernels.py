@@ -1,10 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from lpsubsel import _kernels
-from lpsubsel.proposal import _ReservoirBank
+from lpsubsel.proposal import _ReservoirBank, open_unit
+
+from helpers import cross_multiplied_walks
 
 
 def test_update_bank_zero_weight_never_wins():
@@ -127,6 +130,8 @@ def test_run_walks_conventions():
     uniforms = np.array([[0.999, 0.999]])
     _kernels.run_walks(dist_pow, qmass, uniforms, out)
     assert out[0] == 2
+    _kernels.run_walks(dist_pow[:, :2], qmass[:, :2], uniforms[:, :1], out)
+    assert out[0] == 1
 
     # zero-distance proposal from a live point is never accepted
     dist_pow = np.array([[1.0, 0.0, 0.0]])
@@ -147,3 +152,43 @@ def test_run_walks_zero_steps_returns_start():
     out = np.empty(2, dtype=np.intp)
     _kernels.run_walks(np.ones((2, 1)), np.ones((2, 1)), np.empty((2, 0)), out)
     assert (out == 0).all()
+
+
+def _random_round(rng, p, weight_total, n=60, t=24, m=50):
+    """A round's arrays as the sampler builds them: n rows with lognormal
+    norms, whose p-th powers sum to `weight_total`, the mixture masses
+    q = 0.5 w/W + 0.5/n, and t walks of m + 1 slots drawn over the rows.
+    A fifth of the rows are covered (distance 0); the others keep a random
+    share of their norm as their distance to the span."""
+    weights = np.exp(p * rng.standard_normal(n))
+    weights *= weight_total / weights.sum()
+    q = 0.5 * weights / weights.sum() + 0.5 / n
+    dist_pow = weights * rng.uniform(0.05, 1.0, n) ** p
+    dist_pow[rng.random(n) < 0.2] = 0.0
+    slots = rng.integers(0, n, size=(t, m + 1))
+    return dist_pow[slots], q[slots], open_unit(rng, (t, m))
+
+
+@pytest.mark.parametrize("weight_total", [1.0, 0.75 * sys.float_info.max],
+                         ids=["unit", "above_half_the_float_range"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_run_walks_match_the_cross_multiplied_reference(p, weight_total):
+    rng = np.random.default_rng(int(p) * 101)
+    got = np.empty(24, dtype=np.intp)
+    want = np.empty(24, dtype=np.intp)
+    covered_starts = covered_proposals = moved = overflowed = 0
+    for rnd in range(45):
+        # short walks often end on a move between two covered slots
+        dist_pow, qmass, uniforms = _random_round(rng, p, weight_total, m=(1, 3, 50)[rnd % 3])
+        _kernels.run_walks(dist_pow, qmass, uniforms, got)
+        cross_multiplied_walks(dist_pow, qmass, uniforms, want)
+        np.testing.assert_array_equal(got, want)
+        covered_starts += int(np.count_nonzero(dist_pow[:, 0] == 0.0))
+        covered_proposals += int(np.count_nonzero(dist_pow[:, 1:] == 0.0))
+        moved += int(np.count_nonzero(got))
+        with np.errstate(over="ignore"):
+            overflowed += int(np.count_nonzero(np.isinf(dist_pow / qmass)))
+    assert covered_starts and covered_proposals and moved
+    # above half the float range, an unhalved importance ratio d^p/q
+    # overflows on the heaviest rows
+    assert (overflowed > 0) == (weight_total > 1.0)
