@@ -20,7 +20,7 @@ from .errors import GuardError, InputError, ParameterError
 from .geometry import SubsetBasis, check_p
 from .proposal import draw_mixture_pool, open_unit
 
-# Named RNG stream tags: pool pass, per-walk variates, baseline draws.
+# Named RNG stream tags: pool pass, each round's walk variates, baseline draws.
 _POOL_STREAM = 0
 _WALK_STREAM = 1
 _BASELINE_STREAM = 2
@@ -31,13 +31,15 @@ def pool_rng(seed):
         np.random.SeedSequence(seed, spawn_key=(_POOL_STREAM,))))
 
 
-def walk_rng(seed, repetition, round_index, walk_index):
-    """Independent named stream per (repetition, round, walk).
+def walk_rng(seed, repetition, round_index):
+    """Independent named stream per (repetition, round).
 
-    Keeps repetitions reproducible no matter how they are scheduled.
+    The round's t walks draw their variates from it as one (t, m) block,
+    a row per walk. Keeps repetitions reproducible no matter how they are
+    scheduled.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        seed, spawn_key=(_WALK_STREAM, repetition, round_index, walk_index))))
+        seed, spawn_key=(_WALK_STREAM, repetition, round_index))))
 
 
 def baseline_rng(seed):
@@ -232,9 +234,7 @@ def one_pass_adaptive_sample(source, config, timings=None):
             scores[drawn] = basis.distances(rows) ** config.p
             dist_pow = scores[slot_rows].reshape(config.t, width)
             qmat = pool.qmass[start:start + block].reshape(config.t, width)
-            variates = np.empty((config.t, config.m))
-            for w in range(config.t):
-                variates[w] = open_unit(walk_rng(config.seed, rep, rnd, w), config.m)
+            variates = open_unit(walk_rng(config.seed, rep, rnd), (config.t, config.m))
             _kernels.run_walks(dist_pow, qmat, variates, finals)
             # the round's new members, in walk order, join in one growth
             new = []

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 
-from lpsubsel import InputError, PointSet, SubsetBasis, extend_basis, open_unit
+from lpsubsel import InputError, PointSet, SubsetBasis, extend_basis
 
 
 def basis_from(X, indices):
@@ -85,12 +85,13 @@ def acceptance_ratio(x, y, basis, p):
     return (dy * x_mass) / (dx * y_mass)
 
 
-def random_walk(pool_slice, basis, p, rng):
+def random_walk(pool_slice, basis, p, variates):
     """Run one m-step walk over a slice of m+1 pool draws; return the final draw.
 
-    The first draw is the start, the rest are proposals in order. Each step
-    draws a variate r in the open unit interval and moves iff the acceptance
-    ratio strictly exceeds r. This is the scalar reference path, scoring one
+    The first draw is the start, the rest are proposals in order. Step j
+    takes the variate `variates[j - 1]`, in the open unit interval (a walk's
+    row of its round's variate block), and moves iff the acceptance ratio
+    strictly exceeds it. This is the scalar reference path, scoring one
     draw at a time; `one_pass_adaptive_sample` does not run it, but runs
     `_kernels.run_walks` on the scores of all of a round's drawn rows at
     once. The two make the same moves except near a tie: BLAS picks its
@@ -102,7 +103,8 @@ def random_walk(pool_slice, basis, p, rng):
     if not draws:
         raise InputError("pool slice must hold at least the start draw")
     steps = len(draws) - 1
-    variates = open_unit(rng, steps)
+    if len(variates) != steps:
+        raise InputError(f"need one variate per step: {steps}, got {len(variates)}")
     current = draws[0]
     for j in range(1, steps + 1):
         if acceptance_ratio(current, draws[j], basis, p) > variates[j - 1]:

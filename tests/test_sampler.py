@@ -108,7 +108,7 @@ def test_acceptance_ratio_zero_distance_conventions():
 
 def test_random_walk_zero_steps_returns_start():
     start = _draw([1.0, 2.0], index=3)
-    out = random_walk([start], SubsetBasis.empty(2), 2.0, np.random.default_rng(0))
+    out = random_walk([start], SubsetBasis.empty(2), 2.0, np.empty(0))
     assert out[1] == 3
 
 
@@ -120,7 +120,7 @@ def test_random_walk_leaves_covered_start():
     # every proposal is accepted from a covered point, so the walk leaves
     # immediately and then sticks at the live point
     out = random_walk([covered, also_covered, live, also_covered], basis, 2.0,
-                      np.random.default_rng(1))
+                      open_unit(np.random.default_rng(1), 3))
     assert out[1] == 2
 
 
@@ -132,12 +132,12 @@ def test_random_walk_matches_kernel_backend():
     draws = [(pool.rows[pool.row_of[j]], int(pool.indices[j]), float(pool.qmass[j]))
              for j in range(9)]
 
-    ref = random_walk(draws, basis, 2.0, np.random.default_rng(99))
+    variates = open_unit(np.random.default_rng(99), (1, 8))
+    ref = random_walk(draws, basis, 2.0, variates[0])
 
     pts = np.vstack([d[0] for d in draws])
     dist_pow = (basis.distances(pts) ** 2.0).reshape(1, -1)
     qmat = np.array([[d[2] for d in draws]])
-    variates = open_unit(np.random.default_rng(99), 8).reshape(1, -1)
     out = np.empty(1, dtype=np.intp)
     _kernels.run_walks(dist_pow, qmat, variates, out)
     assert draws[int(out[0])][1] == ref[1]
@@ -168,14 +168,14 @@ def test_run_walks_match_the_scalar_reference_over_many_rounds(p):
         slots = pool.row_of[start:start + t * width]
         dist_pow = (basis.distances(pool.rows[slots]) ** p).reshape(t, width)
         qmat = pool.qmass[start:start + t * width].reshape(t, width)
-        variates = np.array([open_unit(walk_rng(63, 0, rnd, w), m) for w in range(t)])
+        variates = open_unit(walk_rng(63, 0, rnd), (t, m))
         _kernels.run_walks(dist_pow, qmat, variates, finals)
         for w in range(t):
             # each draw carries its column in the walk, so the reference
             # names the slot it ends on, not only the row
             draws = [(pool.rows[slots[w * width + j]], j, float(qmat[w, j]))
                      for j in range(width)]
-            ref = random_walk(draws, basis, p, walk_rng(63, 0, rnd, w))
+            ref = random_walk(draws, basis, p, variates[w])
             assert int(finals[w]) == ref[1], (rnd, w)
         covered_starts += int(np.count_nonzero(dist_pow[:, 0] == 0.0))
         covered_proposals += int(np.count_nonzero(dist_pow[:, 1:] == 0.0))
@@ -256,8 +256,7 @@ def _slot_by_slot_members(X, config):
         for rnd in range(config.l):
             start = (rep * config.l + rnd) * block
             dist_pow = basis.distances(points[start:start + block]) ** config.p
-            variates = np.array([open_unit(walk_rng(config.seed, rep, rnd, w), config.m)
-                                 for w in range(config.t)])
+            variates = open_unit(walk_rng(config.seed, rep, rnd), (config.t, config.m))
             _kernels.run_walks(dist_pow.reshape(config.t, width),
                                pool.qmass[start:start + block].reshape(config.t, width),
                                variates, finals)
