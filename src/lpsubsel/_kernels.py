@@ -6,9 +6,24 @@ per streamed row per bank and one `run_walks` call per round: the lpbench
 tracer times and counts them by patching these attributes, so a caller
 that bound them to locals would escape it.
 
-`run_walks` is the library's one walk path. The tests keep a scalar
-reference walk, which scores one draw at a time and divides out the
-Metropolis ratio, and check that both end every walk on the same slot.
+`run_walks` is the library's one walk path, in ratio form. Each slot gets
+its importance ratio r = (d^p / 2) / q, and each proposal j its bar
+r_j / u_j against the step's variate u_j, all as arrays once per round; a
+step then moves iff bar_j > r_cur, one compare in the Python loop. In real
+arithmetic this is the Metropolis test d_j^p q_cur > u_j d_cur^p q_j
+divided through by the positive u_j q_j q_cur, so the chains' law is the
+same; in floats the two forms round differently and can part only where
+the test is within a few ulps of a tie. The halving is exact (a power of
+two, for every normal float), and it is what keeps every ratio finite: a
+pass of weight total W gives each row q >= (norm^p / 2) / W and d <= norm,
+so r <= W, where d^p / q alone would reach 2W and overflow once W is past
+half the float range. A bar may still overflow to inf, and then it
+accepts, as the cross-multiplied test does. After the bars are taken, a
+covered slot's (d = 0) ratio is set to -1: a covered current point lies
+below every bar, so it always moves, while a covered proposal's bar is 0,
+which never beats a live current point. The tests keep the
+cross-multiplied kernel and a scalar walk, which scores one draw at a time,
+as references, and check that each ends every walk on the same slot.
 
 `update_bank` is sequential with-replacement sampling by binomial thinning
 (Chao 1982) in skip-ahead form. Thinning replaces each of a bank's s slots
@@ -47,19 +62,8 @@ def run_walks(dist_pow, qmass, uniforms, out):
     positive thanks to the mixture floor), `uniforms` the per-step variates
     in (0,1). A proposal is accepted when the acceptance ratio exceeds the
     variate; a zero-distance current point always moves. Writes the final
-    column index of each walk into `out` and returns it.
-
-    The chains run in ratio form: each slot's importance ratio
-    r = (d^p / 2) / q and each proposal's bar r_j / u_j are computed once,
-    as arrays, and a step moves iff bar_j > r_cur. That is the Metropolis
-    test d_j^p q_cur > u_j d_cur^p q_j divided through by the positive
-    u_j q_j q_cur. Halving is exact in binary, and it keeps every ratio
-    finite: q >= (norm^p / 2) / W over a pass of weight total W, and
-    d <= norm, so r <= W. A bar may still overflow to inf, which accepts,
-    as the cross-multiplied test does. A covered slot's ratio is set to -1
-    after the bars are taken: a covered current point has r_cur = -1 below
-    every bar (so it always moves), and a covered proposal has bar 0, which
-    a live current point's positive ratio never falls below.
+    column index of each walk into `out` and returns it. The ratio form is
+    described in the module docstring.
     """
     ratio = (0.5 * dist_pow) / qmass
     with np.errstate(over="ignore"):  # a bar of inf accepts, as it should

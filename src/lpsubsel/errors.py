@@ -1,8 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one helper their
+messages share.
 
 The CLI maps InputError (and subclasses) to exit code 2 and GuardError
 to exit code 3.
 """
+
+
+def readable(count):
+    """An integer in full, or to three digits once it is longer than 12."""
+    digits = str(abs(count))
+    if len(digits) > 12:
+        digits = f"{digits[0]}.{digits[1:3]}e{len(digits) - 1}"
+    return "-" + digits if count < 0 else digits
 
 
 class InputError(ValueError):

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import exact_adaptive_sample, squared_length_sample
-from .errors import GuardError, InputError, ParameterError
+from .errors import GuardError, InputError, ParameterError, readable
 from .geometry import CHUNK_ROWS, ErrParams, PointSet, SubsetBasis
 from .oracles import _brute_force_guard, brute_force_candidate_err, svd_optimal_err2
-from .sampler import _readable, baseline_rng, one_pass_adaptive_sample, theorem_params
+from .sampler import baseline_rng, one_pass_adaptive_sample, theorem_params
 from .stream import _BLOCK_ROWS, as_source, open_csv
 
 ALGORITHMS = ("mcmc-one-pass", "exact-adaptive", "squared-length")
@@ -200,9 +200,9 @@ def _memory_guard(algorithm, config, source):
     memory = _physical_memory()
     if draws * per_draw + fixed > memory:
         raise GuardError(
-            f"{algorithm} with t={_readable(config.t)}, m={_readable(config.m)}, "
-            f"l={_readable(config.l)}, repetitions={_readable(config.repetitions)} keeps "
-            f"{_readable(draws)} draws{buffer}, too many for this machine's "
+            f"{algorithm} with t={readable(config.t)}, m={readable(config.m)}, "
+            f"l={readable(config.l)}, repetitions={readable(config.repetitions)} keeps "
+            f"{readable(draws)} draws{buffer}, too many for this machine's "
             f"{memory} bytes of memory")
 
 

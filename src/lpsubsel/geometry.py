@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, readable
 
 # Relative residual below which a point adds no new basis direction.
 # Double-precision Gram-Schmidt noise floor with one re-orthogonalization.
@@ -181,7 +181,7 @@ class ErrParams:
     def __post_init__(self):
         check_p(self.p)
         if self.k < 1:
-            raise InputError(f"k must be a positive integer, got {self.k}")
+            raise InputError(f"k must be a positive integer, got {readable(self.k)}")
 
     def check_dimension(self, d):
         if self.k > d:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import GuardError, InputError, ParameterError
+from .errors import GuardError, InputError, ParameterError, readable
 from .geometry import SubsetBasis, check_p
 from .proposal import draw_mixture_pool, open_unit
 
@@ -70,7 +70,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
+            raise ParameterError(f"k must be >= 1, got {readable(self.k)}")
         check_p(self.p)
         for name in ("epsilon", "epsilon1", "epsilon2"):
             v = getattr(self, name)
@@ -79,9 +79,11 @@ class SamplerConfig:
         if self.m < 0 or self.t < 1 or self.l < 0 or self.repetitions < 1:
             raise ParameterError(
                 f"need m >= 0, t >= 1, l >= 0, repetitions >= 1; got "
-                f"m={self.m}, t={self.t}, l={self.l}, repetitions={self.repetitions}")
+                f"m={readable(self.m)}, t={readable(self.t)}, l={readable(self.l)}, "
+                f"repetitions={readable(self.repetitions)}")
         if self.seed < 0:
-            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed}")
+            raise ParameterError(
+                f"seed must be a nonnegative integer, got {readable(self.seed)}")
 
     @property
     def pool_size_per_repetition(self):
@@ -114,14 +116,6 @@ class SamplerConfig:
         }
 
 
-def _readable(count):
-    """An integer in full, or to three digits once it is longer than 12."""
-    digits = str(abs(count))
-    if len(digits) > 12:
-        digits = f"{digits[0]}.{digits[1:3]}e{len(digits) - 1}"
-    return "-" + digits if count < 0 else digits
-
-
 def theorem_params(k, p, delta, t_override=None, *, seed=0,
                    l_override=None, m_override=None, repetitions_override=None):
     """Parameter recipe for the additive guarantee.
@@ -134,20 +128,25 @@ def theorem_params(k, p, delta, t_override=None, *, seed=0,
     Natural logs throughout; counts are rounded up. A p and delta that take
     a recipe value, or the lemma's walk length, beyond the float range
     raise GuardError naming them, and so does a t or l override too large
-    to become a float; a t override below 1 raises ParameterError.
+    to become a float; a t override below 1 or an l override below 0
+    raises ParameterError, however many digits it has.
     Whether the counts fit in memory is left to the caller, which knows
     the algorithm and d.
     """
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0,1), got {delta}")
     if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+        raise ParameterError(f"k must be >= 1, got {readable(k)}")
     check_p(p)
+    # the signs first: a count below its range is a parameter fault
+    # however many digits it has
     if t_override is not None and t_override < 1:
-        raise ParameterError(f"need t >= 1, got t={_readable(t_override)}")
+        raise ParameterError(f"need t >= 1, got t={readable(t_override)}")
+    if l_override is not None and l_override < 0:
+        raise ParameterError(f"need l >= 0, got l={readable(l_override)}")
     for name, value in (("t", t_override), ("l", l_override)):
         if value is not None and abs(value) > sys.float_info.max:
-            raise GuardError(f"{name}={_readable(value)} is beyond the float range "
+            raise GuardError(f"{name}={readable(value)} is beyond the float range "
                              f"of the parameter recipe; lower {name}")
     epsilon = delta / 4.0
     l = k if l_override is None else l_override

@@ -391,6 +391,26 @@ def test_cli_oversized_recipe_exits_3(tmp_path, capsys, algo, flags, named):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("algo", ALGORITHMS)
+@pytest.mark.parametrize("flags, named", [
+    (["--l", "-1"], "need l >= 0, got l=-1"),
+    (["--l", "-1" + "0" * 400], "need l >= 0, got l=-1.00e400"),  # was exit 3
+    (["--m", "-1" + "0" * 60], "m=-1.00e60,"),                  # was all 61 digits
+    (["--reps", "-1" + "0" * 60], "repetitions=-1.00e60"),
+    (["--seed", "-1" + "0" * 60], "got -1.00e60"),
+    (["--k", "-1" + "0" * 60], "got -1.00e60"),
+], ids=["l_minus_one", "l_digits", "m_digits", "reps_digits", "seed_digits", "k_digits"])
+def test_cli_negative_count_of_any_length_exits_2(tmp_path, capsys, algo, flags, named):
+    # a count below its range is a parameter fault, checked before its
+    # magnitude, and the message gives a long count to three digits
+    path = _write_csv(tmp_path, np.random.default_rng(18).standard_normal((50, 4)))
+    code = main(["--input", path, "--algo", algo, "--k", "1", "--t", "2", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "0" * 13 not in err and "Traceback" not in err
+
+
 # each case's flags, given a scratch directory and a pipe's path, and
 # what its message names
 _BAD_FLAGS = {
