@@ -70,8 +70,8 @@ def run_walks(dist_pow, qmass, uniforms, out):
         bar = ratio[:, 1:] / uniforms
     ratio[dist_pow == 0.0] = -1.0
     for w in range(dist_pow.shape[0]):
-        # Python floats give the same IEEE results as numpy scalars, faster;
-        # one walk's lists at a time keep the temporaries small
+        # Python floats compare faster than numpy scalars; one walk's lists
+        # at a time keep the temporaries small
         r = ratio[w].tolist()
         cur = 0
         rc = r[0]

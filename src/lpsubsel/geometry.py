@@ -78,8 +78,9 @@ class SubsetBasis:
     """A selected subset of point indices plus an orthonormal basis of its span.
 
     Immutable: `extended` and `extended_many` return a new value, so a
-    basis can be shared freely between concurrent readers. The span of the empty subset is {0},
-    making distance-to-span equal to the plain Euclidean norm.
+    basis can be shared freely between concurrent readers. The span of the
+    empty subset is {0}, making distance-to-span equal to the plain
+    Euclidean norm.
     """
 
     __slots__ = ("member_indices", "basis", "d")
