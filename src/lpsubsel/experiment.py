@@ -3,6 +3,8 @@
 Runs one of the samplers on a dataset, evaluates every candidate subset's
 error in a single shared evaluation pass, keeps the argmin candidate, and
 emits a machine-readable report (JSON canonical, CSV as a flat projection).
+At p = 2 the pass only folds the rows into a d x d R factor, and every
+error is scored from R; at any other p it sums each chunk's distances.
 """
 
 import itertools
@@ -56,7 +58,15 @@ class ExperimentSpec:
 
 @dataclass
 class RunReport:
-    """Outcome of one experiment, safe to serialize."""
+    """Outcome of one experiment, safe to serialize.
+
+    `evaluator` is "r-factor" when the errors were scored from the data's
+    R factor (p = 2), "distances" when summed chunk by chunk. At p = 2,
+    `k_in_span_err` is err_2 of the best k-dimensional subspace inside
+    the selected span, the quantity the paper's guarantee bounds; it is
+    at least `final_err`, and None at any other p. The selected
+    repetition is the one with the least `final_err`.
+    """
 
     algorithm: str
     n: int
@@ -74,11 +84,14 @@ class RunReport:
     exact_cover: bool
     selection_passes: int
     evaluation_passes: int
+    evaluator: str
     timings: dict
     oracle: str = "none"
     oracle_err: float = None
     oracle_err_root: float = None
     delta_term_root: float = None
+    k_in_span_err: float = None
+    k_in_span_err_root: float = None
 
     def to_dict(self):
         return {k: v for k, v in self.__dict__.items()}
@@ -105,35 +118,59 @@ def _resolve_source(spec):
     return as_source(spec.input)
 
 
+@dataclass
+class Evaluation:
+    """What the evaluation pass gives the report and the oracles.
+
+    `sums` holds each candidate's err_p, `empty_sum` the empty span's.
+    `r_factor` is the R of the data's QR decomposition at p = 2 or for
+    the SVD oracle, else None; `held` the rows the brute-force oracle
+    needs, else None. `evaluator` names what scored the sums.
+    """
+
+    sums: np.ndarray
+    empty_sum: float
+    r_factor: np.ndarray
+    held: PointSet
+    evaluator: str
+
+
 def _evaluation_pass(source, bases, p, oracle):
     """One shared evaluation pass: per-candidate err_p, the empty-span
     error, and what the oracle needs to see of the dataset.
 
-    Rows are scored CHUNK_ROWS at a time, the empty span (whose distance
-    is the row norm) in the same loop as the candidates. A source that
-    holds its rows (an array input, or a file whose rows a baseline kept)
-    is still passed over once, for the audit and a file's change check,
-    and then scored in place, a slice at a time; any other source's rows
-    are pulled at most a parse block (`_BLOCK_ROWS` rows) at a time, and
-    never past the chunk being filled, each pull copied into one
-    CHUNK_ROWS-row buffer in one call. The chunks are the
-    same either way, so are the sums. For the SVD oracle each scored
-    chunk is folded into the R factor of a running QR decomposition:
-    X = QR with Q orthonormal, so R has the singular values of X in at
-    most d rows. The brute-force oracle gets the rows of the one chunk:
-    its guard, checked before the selection pass, keeps n below
-    CHUNK_ROWS.
+    Rows come in CHUNK_ROWS at a time. A source that holds its rows (an
+    array input, or a file whose rows a baseline kept) is still passed
+    over once, for the audit and a file's change check, and then read in
+    place, a slice at a time; any other source's rows are pulled at most
+    a parse block (`_BLOCK_ROWS` rows) at a time, and never past the
+    chunk being filled, each pull copied into one CHUNK_ROWS-row buffer
+    in one call. The chunks are the same either way, so are the results.
+
+    At p = 2, or for the SVD oracle, each chunk is folded into the R
+    factor of a running QR decomposition: X = QR with Q orthonormal, so
+    R has at most d rows and XᵀX = RᵀR. At p = 2 that is all a chunk
+    costs, since err_2(X, span S) = Σ over the rows r of R of
+    d(r, span S)²: after the pass the empty span and every candidate are
+    scored from R's rows, as residuals, with no ‖X‖² − ‖XQᵀ‖²
+    cancellation (evaluator "r-factor"). At any other p each chunk's
+    distances to every span are summed in the loop (evaluator
+    "distances"). The SVD oracle reads the same R. The brute-force oracle
+    gets the rows of the one chunk: its guard, checked before the
+    selection pass, keeps n below CHUNK_ROWS.
     """
+    from_r = p == 2
     spans = [SubsetBasis.empty(source.d), *bases]
     sums = np.zeros(len(spans))
-    r_factor = np.empty((0, source.d)) if oracle == "svd" else None
+    r_factor = np.empty((0, source.d)) if from_r or oracle == "svd" else None
 
     def score(arr):
         nonlocal r_factor
-        for i, b in enumerate(spans):
-            sums[i] += float(np.sum(b.distances(arr) ** p))
         if r_factor is not None:
             r_factor = np.linalg.qr(np.vstack((r_factor, arr)), mode="r")
+        if not from_r:
+            for i, b in enumerate(spans):
+                sums[i] += float(np.sum(b.distances(arr) ** p))
 
     rows = source.rows
     if rows is not None:
@@ -154,12 +191,30 @@ def _evaluation_pass(source, bases, p, oracle):
         if end:
             score(buf[:end])
         rows = buf[:end]  # every row, when n < CHUNK_ROWS
+    if from_r:
+        sums = np.array([float(np.sum(b.distances(r_factor) ** 2)) for b in spans])
     if oracle == "bruteforce":
         assert source.n < CHUNK_ROWS, "brute-force guard not checked"
-        X = PointSet(rows)
+        held = PointSet(rows)
     else:
-        X = None if r_factor is None else PointSet(r_factor)
-    return sums[1:], float(sums[0]), X
+        held = None
+    return Evaluation(sums[1:], float(sums[0]), r_factor, held,
+                      "r-factor" if from_r else "distances")
+
+
+def _k_in_span_err2(r_factor, basis, k, span_err):
+    """err_2 of the best k-dimensional subspace inside span(basis), from
+    the data's R factor and the span's own error `span_err`.
+
+    With Q the basis's orthonormal rows, the best k-subspace of span(Q)
+    leaves the span's residual plus the squared singular values of XQᵀ
+    beyond the top k, and XQᵀ = U(RQᵀ) has those of RQᵀ. Summing the
+    discarded values avoids the cancellation of ‖X‖² minus the kept ones.
+    """
+    if basis.rank <= k:
+        return span_err
+    s = np.linalg.svd(r_factor @ basis.basis.T, compute_uv=False)
+    return span_err + float(np.sum(s[k:] ** 2))
 
 
 def _physical_memory():
@@ -236,22 +291,29 @@ def run_experiment(spec):
         timings.update(selection_seconds=time.perf_counter() - t0, walk_seconds=0.0)
 
     t0 = time.perf_counter()
-    sums, empty_sum, X = _evaluation_pass(source, bases, spec.p, spec.oracle)
+    ev = _evaluation_pass(source, bases, spec.p, spec.oracle)
     timings["evaluation_seconds"] = time.perf_counter() - t0
+    sums, empty_sum = ev.sums, ev.empty_sum
     if empty_sum <= 0.0:
         raise InputError("all points are zero; errors are degenerate")
 
+    # best-of-R picks by the whole span's error, not by k_in_span_err
     best = int(np.argmin(sums))
     final = float(sums[best])
     inv_p = 1.0 / spec.p
 
+    k_in_span = k_in_span_root = None
+    if spec.p == 2:
+        k_in_span = _k_in_span_err2(ev.r_factor, bases[best], spec.k, final)
+        k_in_span_root = k_in_span ** 0.5
+
     oracle_err = oracle_root = delta_term = None
     if spec.oracle == "svd":
-        oracle_err = svd_optimal_err2(X, spec.k)  # X is the R factor here
+        oracle_err = svd_optimal_err2(PointSet(ev.r_factor), spec.k)
         oracle_root = oracle_err ** 0.5
         delta_term = spec.delta * empty_sum ** 0.5 if spec.p == 2 else None
     elif spec.oracle == "bruteforce":
-        oracle_err = brute_force_candidate_err(X, spec.k, spec.p)
+        oracle_err = brute_force_candidate_err(ev.held, spec.k, spec.p)
         oracle_root = oracle_err ** inv_p
         delta_term = spec.delta * empty_sum ** inv_p
 
@@ -272,9 +334,12 @@ def run_experiment(spec):
         exact_cover=bool(final <= _EXACT_COVER_REL * empty_sum),
         selection_passes=source.auditor.selection_passes,
         evaluation_passes=source.auditor.evaluation_passes,
+        evaluator=ev.evaluator,
         timings=timings,
         oracle=spec.oracle,
         oracle_err=oracle_err,
         oracle_err_root=oracle_root,
         delta_term_root=delta_term,
+        k_in_span_err=k_in_span,
+        k_in_span_err_root=k_in_span_root,
     )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lpsubsel import (DatasetSource, ExperimentSpec, InputError, ParameterError,
-                      PointSet, as_source, brute_force_candidate_err,
+                      PointSet, SubsetBasis, as_source, brute_force_candidate_err,
                       exact_adaptive_sample, experiment, run_experiment,
                       squared_length_sample, svd_optimal_err2)
 from lpsubsel.cli import main
@@ -105,9 +105,14 @@ def test_svd_oracle_sees_every_row_beyond_one_chunk():
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0])
 def test_empty_err_is_the_chunked_norm_sum(p):
-    # the empty span is scored in the candidates' loop, one chunk at a time
+    # at p != 2 the empty span is scored in the candidates' loop, one chunk
+    # at a time, so the sum is exact; at p = 2 it is scored from R's rows
     X = np.random.default_rng(17).standard_normal((2500, 4))
     report = run_experiment(_spec(input=X, algorithm="squared-length", p=p))
+    if p == 2.0:
+        R = np.linalg.qr(X, mode="r")
+        assert report.empty_err == pytest.approx(float(np.sum(R * R)), rel=1e-12)
+        return
     want = 0.0
     for start in range(0, len(X), CHUNK_ROWS):
         want += float(np.sum(np.linalg.norm(X[start:start + CHUNK_ROWS], axis=1) ** p))
@@ -159,16 +164,137 @@ def test_bruteforce_oracle_guard_propagates():
 def test_evaluation_pass_records():
     X = PointSet(np.eye(3))
     bases = [basis_from(X, members) for members in ([0, 1], [], [0, 1, 2])]
-    sums, empty_sum, R = experiment._evaluation_pass(as_source(X), bases, 2.0, "svd")
+    ev = experiment._evaluation_pass(as_source(X), bases, 2.0, "svd")
+    sums, empty_sum = ev.sums, ev.empty_sum
+    assert ev.evaluator == "r-factor"
     assert sums[0] ** 0.5 == pytest.approx(1.0)
-    assert svd_optimal_err2(R, 2) ** 0.5 == pytest.approx(1.0)
+    assert svd_optimal_err2(PointSet(ev.r_factor), 2) ** 0.5 == pytest.approx(1.0)
     assert bases[0].rank == 2
     assert (sums[1] / empty_sum) ** 0.5 == pytest.approx(1.0)
     assert sums[2] ** 0.5 == pytest.approx(0.0, abs=1e-12)
-    sums_p1, _, none = experiment._evaluation_pass(as_source(X), [basis_from(X, [0])],
-                                                   1.0, "none")
-    assert sums_p1[0] == pytest.approx(2.0)
-    assert none is None
+    assert ev.held is None
+    ev = experiment._evaluation_pass(as_source(X), [basis_from(X, [0])], 1.0, "none")
+    assert ev.evaluator == "distances"
+    assert ev.sums[0] == pytest.approx(2.0)
+    assert ev.r_factor is None and ev.held is None
+
+
+def _chunked_distance_sums(X, spans, p):
+    """What the "distances" evaluator sums: each CHUNK_ROWS chunk's d^p to
+    every span, added chunk by chunk."""
+    sums = np.zeros(len(spans))
+    for start in range(0, len(X), CHUNK_ROWS):
+        for i, b in enumerate(spans):
+            sums[i] += float(np.sum(b.distances(X[start:start + CHUNK_ROWS]) ** p))
+    return sums
+
+
+def _captured_bases(monkeypatch):
+    """A list that receives the candidate bases of every run from now on."""
+    captured = []
+
+    def capture(sample):
+        def wrapped(*args, **kwargs):
+            out = sample(*args, **kwargs)
+            captured[:] = out if isinstance(out, list) else [out]
+            return out
+        return wrapped
+
+    for name in ("one_pass_adaptive_sample", "exact_adaptive_sample", "squared_length_sample"):
+        monkeypatch.setattr(experiment, name, capture(getattr(experiment, name)))
+    return captured
+
+
+# (rows, columns, rank or None for full, scale, k, t): the shapes R scoring
+# must agree on with the chunked distance sums
+AGREEMENT_CASES = {
+    "n_below_d": (5, 8, None, 1.0, 2, 2),
+    "n1023": (1023, 6, None, 1.0, 2, 3),
+    "n1024": (1024, 6, None, 1.0, 2, 3),
+    "n1025": (1025, 6, None, 1.0, 2, 3),
+    "n2500": (2500, 6, None, 1.0, 2, 3),
+    "rank_deficient": (1500, 6, 3, 1.0, 1, 2),
+    "exact_cover": (1500, 6, 2, 1.0, 2, 4),
+    "scale_1e100": (1500, 6, None, 1e100, 2, 3),
+    "scale_1e-100": (1500, 6, None, 1e-100, 2, 3),
+}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("from_file", [False, True], ids=["array", "file"])
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_r_factor_scores_agree_with_chunked_distance_sums(tmp_path, monkeypatch, case,
+                                                          from_file, algorithm):
+    n, d, rank, scale, k, t = AGREEMENT_CASES[case]
+    rng = np.random.default_rng(20)
+    if rank is None:
+        X = rng.standard_normal((n, d))
+    else:
+        X = low_rank_plus_noise(n, d, rank, noise=0.0, rng=rng).points
+    X = scale * X
+    data = X
+    if from_file:
+        data = tmp_path / "points.csv"
+        data.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in X),
+                        encoding="utf-8")
+        data = str(data)
+    bases = _captured_bases(monkeypatch)
+    report = run_experiment(_spec(input=data, algorithm=algorithm, k=k, t=t, oracle="svd"))
+    assert report.evaluator == "r-factor" and report.evaluation_passes == 1
+    want = _chunked_distance_sums(X, [SubsetBasis.empty(d), *bases], 2.0)
+    tol = 1e-12 * want[0]
+    assert report.empty_err == pytest.approx(want[0], abs=tol)
+    assert report.rep_errors == pytest.approx(list(want[1:]), abs=tol)
+    if case == "exact_cover":
+        assert report.exact_cover
+
+
+@pytest.mark.parametrize("p, evaluator", [(2.0, "r-factor"), (3.0, "distances")])
+def test_reports_name_their_evaluator(tmp_path, p, evaluator):
+    path = _write_csv(tmp_path, np.random.default_rng(19).standard_normal((40, 3)))
+    reports = {}
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"report.{fmt}"
+        assert main(["--input", path, "--k", "1", "--t", "2", "--p", f"{p:g}",
+                     "--report", fmt, "--out", str(out)]) == 0
+        reports[fmt] = out.read_text(encoding="utf-8")
+    report = json.loads(reports["json"])
+    header, row = reports["csv"].strip().splitlines()
+    flat = dict(zip(header.split(","), row.split(",")))
+    assert report["evaluator"] == flat["evaluator"] == evaluator
+    if p == 2.0:
+        assert report["k_in_span_err"] >= report["final_err"]
+        assert float(flat["k_in_span_err"]) == report["k_in_span_err"]
+    else:
+        assert report["k_in_span_err"] is None and report["k_in_span_err_root"] is None
+        assert flat["k_in_span_err"] == flat["k_in_span_err_root"] == "None"
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_k_in_span_err_is_the_best_k_subspace_of_the_selected_span(algorithm):
+    # low rank plus noise with t * l = 6 < d = 16: the span is wider than k
+    # and narrower than the data, so both gaps are real
+    X = low_rank_plus_noise(2500, 16, 3, noise=0.3, rng=np.random.default_rng(21)).points
+    k = 3
+    report = run_experiment(_spec(input=X, algorithm=algorithm, k=k, t=2, l=3, oracle="svd"))
+    assert report.selected_rank > k
+    Q = basis_from(PointSet(X), report.selected_members).basis
+    XQ = X @ Q.T
+    s = np.linalg.svd(XQ, compute_uv=False)
+    want = float(np.sum((X - XQ @ Q) ** 2)) + float(np.sum(s[k:] ** 2))
+    assert report.k_in_span_err == pytest.approx(want, rel=1e-10)
+    assert report.k_in_span_err_root == report.k_in_span_err ** 0.5
+    assert report.final_err <= report.k_in_span_err
+    assert report.oracle_err <= report.k_in_span_err
+    # best-of-R still picks by the whole span's error
+    assert report.selected_repetition == int(np.argmin(report.rep_errors))
+
+
+def test_k_in_span_err_is_the_span_error_when_the_span_has_at_most_k_dimensions():
+    X = np.random.default_rng(22).standard_normal((60, 5))
+    report = run_experiment(_spec(input=X, k=2, t=1, l=1))
+    assert report.selected_rank <= 2
+    assert report.k_in_span_err == report.final_err
 
 
 def test_k_larger_than_dimension_rejected():
