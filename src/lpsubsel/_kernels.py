@@ -21,9 +21,19 @@ half the float range. A bar may still overflow to inf, and then it
 accepts, as the cross-multiplied test does. After the bars are taken, a
 covered slot's (d = 0) ratio is set to -1: a covered current point lies
 below every bar, so it always moves, while a covered proposal's bar is 0,
-which never beats a live current point. The tests keep the
-cross-multiplied kernel and a scalar walk, which scores one draw at a time,
-as references, and check that each ends every walk on the same slot.
+which never beats a live current point.
+
+A walk runs only from its last restart. A step whose bar exceeds every
+ratio of its walk (covered slots at -1) beats whatever ratio the current
+point holds, so it accepts from any point: after it the walk is at that
+step's slot, whatever came before. The kernel finds each walk's last such
+step with one array compare per round and runs the Python loop from there;
+the steps before it cannot change where the walk ends, so every walk ends
+on the slot the full loop gives, bit for bit. On pool-deep about half the
+steps accept and a walk's last restart is near its end, so most walks
+scan a few of their m steps. The tests keep the full per-step loop, the
+cross-multiplied kernel and a scalar walk, which scores one draw at a
+time, as references, and check that each ends every walk on the same slot.
 
 `update_bank` is sequential with-replacement sampling by binomial thinning
 (Chao 1982) in skip-ahead form. Thinning replaces each of a bank's s slots
@@ -69,17 +79,21 @@ def run_walks(dist_pow, qmass, uniforms, out):
     with np.errstate(over="ignore"):  # a bar of inf accepts, as it should
         bar = ratio[:, 1:] / uniforms
     ratio[dist_pow == 0.0] = -1.0
-    for w in range(dist_pow.shape[0]):
+    # each walk's last step whose bar beats every ratio of its walk, so it
+    # accepts from any slot; 0 (the start) where there is none, or no step
+    restart = bar > ratio.max(axis=1, keepdims=True)
+    tail = np.max(restart * np.arange(1, bar.shape[1] + 1), axis=1, initial=0)
+    for w, s in enumerate(tail.tolist()):
         # Python floats compare faster than numpy scalars; one walk's lists
         # at a time keep the temporaries small
-        r = ratio[w].tolist()
+        r = ratio[w, s:].tolist()
         cur = 0
         rc = r[0]
-        for j, b in enumerate(bar[w].tolist(), 1):
+        for j, b in enumerate(bar[w, s:].tolist(), 1):
             if b > rc:
                 cur = j
                 rc = r[j]
-        out[w] = cur
+        out[w] = s + cur
     return out
 
 

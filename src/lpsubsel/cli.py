@@ -65,15 +65,17 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = report.to_json() if args.report == "json" else report.to_csv()
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
     else:
-        print(text)
+        sys.stdout.write(text)
     return 0
 
 

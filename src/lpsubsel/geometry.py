@@ -6,6 +6,7 @@ so 32-bit storage is not supported. Summations use numpy reductions
 (pairwise summation), which are deterministic for a fixed operand order.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,15 @@ class SubsetBasis:
         (projection, residual, squares) take CHUNK_ROWS rows, not n. BLAS
         picks its kernel by shape, so a row's distance may differ in the
         last bits from the one a single whole-array product gives.
+
+        Each chunk's distances are those of
+        `np.linalg.norm(rows - (rows @ Q.T) @ Q, axis=-1)` bit for bit,
+        with one temporary instead of four: the residual is subtracted
+        into the projection's buffer and squared there, and then summed
+        along rows as `norm` sums them. At rank 0 no product is taken and
+        the rows are squared into a C-ordered array: `norm` sums a
+        C-ordered array, and the squares of an F-ordered input kept in its
+        own order would be summed in another order, with other last bits.
         """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim == 1 or len(rows) <= CHUNK_ROWS:
@@ -124,9 +134,14 @@ class SubsetBasis:
         return out
 
     def _residual_norms(self, rows):
-        coeffs = rows @ self.basis.T
-        resid = rows - coeffs @ self.basis
-        return np.linalg.norm(resid, axis=-1)
+        q = self.basis
+        if len(q):
+            sq = (rows @ q.T) @ q
+            np.subtract(rows, sq, out=sq)
+            sq *= sq
+        else:
+            sq = np.multiply(rows, rows, order="C")
+        return np.sqrt(np.add.reduce(sq, axis=-1))
 
     def distance(self, x):
         return float(self.distances(_as_vector(x, self.d)))
@@ -144,8 +159,10 @@ class SubsetBasis:
         modified Gram-Schmidt) exceeds RANK_TOLERANCE relative to the row
         norm. The rows share one buffer allocated up front, and every
         product is the one a chain of single-row extensions takes, so the
-        result is the same bit for bit. Every row is checked to be finite
-        before any is added.
+        result is the same bit for bit. Both norms are the square root of a
+        contiguous vector's dot with itself, which is what `np.linalg.norm`
+        computes for a vector. Every row is checked to be finite before any
+        is added.
         """
         rows = np.asarray(points, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.d or len(rows) != len(indices):
@@ -160,8 +177,10 @@ class SubsetBasis:
             q = grown[:rank]
             resid = v - q.T @ (q @ v)
             resid = resid - q.T @ (q @ resid)
-            norm_v = np.linalg.norm(v)
-            norm_r = np.linalg.norm(resid)
+            # np.linalg.norm's own sum: a strided row's dot rounds otherwise
+            flat = v.ravel()
+            norm_v = math.sqrt(flat.dot(flat))
+            norm_r = math.sqrt(resid.dot(resid))
             if norm_r > RANK_TOLERANCE * norm_v and norm_v > 0.0:
                 grown[rank] = resid / norm_r
                 rank += 1

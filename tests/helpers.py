@@ -1,13 +1,16 @@
 """Shared test fixtures: instance generators, small conveniences, and the
-two references `_kernels.run_walks` is checked against: the scalar walk,
-which scores one draw at a time, and the cross-multiplied kernel."""
+references the kernels are checked against: for `_kernels.run_walks`, the
+scalar walk, which scores one draw at a time, the cross-multiplied kernel
+and the per-step ratio loop; for `SubsetBasis`, the residual norm formula
+and the Gram-Schmidt loop that `distances` and `extended_many` reproduce
+bit for bit."""
 
 import math
 import tracemalloc
 
 import numpy as np
 
-from lpsubsel import InputError, PointSet, SubsetBasis, extend_basis
+from lpsubsel import RANK_TOLERANCE, InputError, PointSet, SubsetBasis, extend_basis
 
 
 def basis_from(X, indices):
@@ -128,3 +131,46 @@ def cross_multiplied_walks(dist_pow, qmass, uniforms, out):
                 cur = j
         out[w] = cur
     return out
+
+
+def ratio_walks(dist_pow, qmass, uniforms, out):
+    """Exact reference for `_kernels.run_walks`: the same ratio form, with
+    every step of every walk run in turn, from its start."""
+    ratio = (0.5 * dist_pow) / qmass
+    with np.errstate(over="ignore"):
+        bar = ratio[:, 1:] / uniforms
+    ratio[dist_pow == 0.0] = -1.0
+    for w in range(dist_pow.shape[0]):
+        r = ratio[w].tolist()
+        cur = 0
+        for j, b in enumerate(bar[w].tolist(), 1):
+            if b > r[cur]:
+                cur = j
+        out[w] = cur
+    return out
+
+
+def residual_norms(rows, basis):
+    """The norm of each row's residual against `basis`, by the formula
+    `SubsetBasis.distances` reproduces bit for bit on each chunk."""
+    return np.linalg.norm(rows - (rows @ basis.basis.T) @ basis.basis, axis=-1)
+
+
+def gram_schmidt_growth(basis, indices, points):
+    """Reference for `SubsetBasis.extended_many`: two passes of Gram-Schmidt
+    per row in turn, norms by `np.linalg.norm`."""
+    rows = np.asarray(points, dtype=np.float64)
+    rank = basis.rank
+    grown = np.empty((rank + len(rows), basis.d))
+    grown[:rank] = basis.basis
+    for v in rows:
+        q = grown[:rank]
+        resid = v - q.T @ (q @ v)
+        resid = resid - q.T @ (q @ resid)
+        norm_v = np.linalg.norm(v)
+        norm_r = np.linalg.norm(resid)
+        if norm_r > RANK_TOLERANCE * norm_v and norm_v > 0.0:
+            grown[rank] = resid / norm_r
+            rank += 1
+    members = basis.member_indices + tuple(int(i) for i in indices)
+    return SubsetBasis(members, grown[:rank], basis.d)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lpsubsel import (DatasetSource, ExperimentSpec, InputError, ParameterError,
-                      PointSet, SubsetBasis, as_source, brute_force_candidate_err,
+                      PointSet, SubsetBasis, as_source, brute_force_candidate_err, cli,
                       exact_adaptive_sample, experiment, run_experiment,
                       squared_length_sample, svd_optimal_err2)
 from lpsubsel.cli import main
@@ -59,6 +59,38 @@ def test_reports_are_deterministic_modulo_timings():
     b = run_experiment(_spec()).to_dict()
     a.pop("timings"), b.pop("timings")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _pool_deep_shaped(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((300, 3)) @ rng.standard_normal((3, 64))
+    X += 0.3 * rng.standard_normal((300, 64))
+    return X * rng.lognormal(sigma=0.5, size=(300, 1))
+
+
+# recorded before the walks skipped to their last restart and distances
+# were scored with one temporary; both changes keep every bit
+@pytest.mark.parametrize("seed, members, rep_errors", [
+    (0, [205, 97, 254, 124, 212, 220, 258, 259, 46, 56, 24, 156, 240, 39, 26, 200, 90, 280,
+         177, 45, 170, 241, 188, 43, 72, 172, 286, 96, 237, 228, 48, 86, 296, 249, 196, 89,
+         3, 118, 85, 284, 94, 0],
+     [1493.71656180305, 1557.9763438062043]),
+    (1, [209, 90, 40, 222, 289, 147, 267, 290, 237, 162, 67, 72, 228, 55, 201, 261, 69, 258,
+         122, 230, 101, 10, 129, 125, 165, 254, 151, 42, 295, 130, 155, 18, 116, 195, 79,
+         251, 21, 150, 14, 175],
+     [2386.3849926951866, 2138.458393341555]),
+    (2, [255, 229, 241, 49, 253, 246, 166, 293, 148, 265, 292, 13, 251, 95, 245, 121, 80,
+         228, 87, 52, 207, 47, 274, 215, 23, 153, 203, 185, 201, 139, 34, 205, 89, 235, 129,
+         206, 156, 126, 138],
+     [1594.2805006042677, 1960.914146622613]),
+])
+def test_pool_deep_shaped_run_fixed_seed_recording(seed, members, rep_errors):
+    # the benchmark's pool-deep run scaled down: lognormal row norms,
+    # p = 3, t * l = 48 < d = 64
+    report = run_experiment(ExperimentSpec(input=_pool_deep_shaped(seed), k=3, p=3.0, t=16,
+                                           l=3, m=20, repetitions=2, seed=seed))
+    assert report.selected_members == members
+    assert report.rep_errors == rep_errors
 
 
 @pytest.mark.parametrize("oracle, n", [("none", 2500), ("svd", 2500), ("bruteforce", 12)])
@@ -329,10 +361,26 @@ def test_cli_csv_report_to_stdout(tmp_path, capsys):
     path = _write_csv(tmp_path, np.eye(3))
     code = main(["--input", path, "--k", "1", "--t", "2", "--report", "csv"])
     assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2  # a header, a row, and no blank line after them
     header = lines[0].split(",")
     assert "final_err_root" in header
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_report_on_stdout_is_the_out_file(tmp_path, capsys, monkeypatch, fmt):
+    # one report for both calls: two runs would differ in their timings
+    path = _write_csv(tmp_path, np.random.default_rng(6).standard_normal((15, 3)))
+    report = run_experiment(ExperimentSpec(input=path, k=1, t=2, seed=3))
+    monkeypatch.setattr(cli, "run_experiment", lambda spec: report)
+    out = tmp_path / f"report.{fmt}"
+    argv = ["--input", path, "--k", "1", "--t", "2", "--report", fmt]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    written = out.read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == written
+    assert written.endswith(b"\n") and not written.endswith(b"\n\n")
 
 
 def test_cli_env_seed_and_flag_precedence(tmp_path, capsys, monkeypatch):

@@ -1,15 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from lpsubsel import (ErrParams, ExperimentSpec, InputError, MixtureWeights, ParameterError,
-                      PointSet, SamplerConfig, SubsetBasis, adaptive_distribution,
+from lpsubsel import (RANK_TOLERANCE, ErrParams, ExperimentSpec, InputError, MixtureWeights,
+                      ParameterError, PointSet, SamplerConfig, SubsetBasis, adaptive_distribution,
                       brute_force_candidate_err, draw_mixture_pool, err_p,
                       exact_adaptive_sample, exact_walk_distribution, extend_basis,
                       gamma_bound, mixture_distribution, run_experiment,
                       squared_length_sample, theorem_params, transition_matrix)
 from lpsubsel.geometry import CHUNK_ROWS
 
-from helpers import basis_from, peak_traced_bytes
+from helpers import basis_from, gram_schmidt_growth, peak_traced_bytes, residual_norms
 
 _SMALL = PointSet(np.random.default_rng(71).standard_normal((12, 3)))
 _PIVOT = extend_basis(SubsetBasis.empty(3), 0, _SMALL)
@@ -220,11 +222,6 @@ def test_err_params_validation():
         ErrParams(p=2.0, k=4).check_dimension(3)
 
 
-def _unchunked_distances(rows, basis):
-    # the formula of `SubsetBasis.distances`, over the whole input at once
-    return np.linalg.norm(rows - (rows @ basis.basis.T) @ basis.basis, axis=-1)
-
-
 @pytest.mark.parametrize("rank", [0, 3, 6], ids=["empty", "rank3", "full_rank"])
 @pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 5000])
 def test_distances_match_the_unchunked_formula(n, rank):
@@ -236,12 +233,12 @@ def test_distances_match_the_unchunked_formula(n, rank):
     got = basis.distances(rows)
     assert got.shape == (n,)
     # each CHUNK_ROWS slice is scored by the unchanged formula ...
-    want = np.concatenate([_unchunked_distances(rows[start:start + CHUNK_ROWS], basis)
+    want = np.concatenate([residual_norms(rows[start:start + CHUNK_ROWS], basis)
                            for start in range(0, n, CHUNK_ROWS)] or [np.empty(0)])
     assert got.tobytes() == want.tobytes()
     # ... which a single whole-array product matches bit for bit within one
     # chunk, and to rounding beyond it, where BLAS may pick another kernel
-    whole = _unchunked_distances(rows, basis)
+    whole = residual_norms(rows, basis)
     if n <= CHUNK_ROWS:
         assert got.tobytes() == whole.tobytes()
     norms = np.linalg.norm(rows, axis=1)
@@ -252,7 +249,97 @@ def test_distances_of_a_vector_is_the_unchunked_formula():
     basis = basis_from(PointSet(np.random.default_rng(12).standard_normal((3, 6))), range(3))
     v = np.random.default_rng(13).standard_normal(6)
     got = basis.distances(v)
-    assert got.shape == () and got.tobytes() == _unchunked_distances(v, basis).tobytes()
+    assert got.shape == () and got.tobytes() == residual_norms(v, basis).tobytes()
+
+
+def _laid_out(rows, layout):
+    """`rows` as a C-ordered, F-ordered, or row- and column-strided array."""
+    if layout == "F":
+        return np.asfortranarray(rows)
+    if layout == "strided":
+        buf = np.zeros((2 * rows.shape[0], 2 * rows.shape[1]))
+        buf[::2, ::2] = rows
+        return buf[::2, ::2]
+    return rows
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("rank", [0, 1, 17, 40])
+def test_distances_are_the_norm_formula_bit_for_bit(rank, layout):
+    # d = 40: from d >= 32 squares reduced in F order sum in another order
+    d = 40
+    rng = np.random.default_rng(15)
+    rows = rng.lognormal(size=(CHUNK_ROWS + 300, 1)) * rng.standard_normal((CHUNK_ROWS + 300, d))
+    rows[:5] = -0.0
+    rows[5:10, ::3] = -0.0
+    rows[10:20] *= 1e150
+    rows[20:30] *= 1e-150
+    rows[30:40, ::2] *= 1e150
+    rows[30:40, 1::2] *= 1e-150
+    basis = basis_from(PointSet(rng.standard_normal((rank, d))), range(rank)) \
+        if rank else SubsetBasis.empty(d)
+    assert basis.rank == rank
+    view = _laid_out(rows, layout)
+    want = np.concatenate([residual_norms(view[start:start + CHUNK_ROWS], basis)
+                           for start in range(0, len(view), CHUNK_ROWS)])
+    assert basis.distances(view).tobytes() == want.tobytes()
+    for i in (0, 7, 15, 25, 35, 200):
+        # a 1-D row, strided in the F and strided layouts
+        assert basis.distances(view[i]).tobytes() == residual_norms(view[i], basis).tobytes()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_extended_many_is_the_gram_schmidt_loop_bit_for_bit(layout):
+    # rows of every kind: independent, nearly dependent on earlier rows
+    # (residuals around the rank tolerance), exactly dependent, zero, -0.0,
+    # and of wildly different scales, grown from bases of any rank
+    rng = np.random.default_rng(16)
+    grew = 0
+    for case in range(80):
+        d = int(rng.integers(1, 48))
+        n = int(rng.integers(1, 20))
+        rows = rng.standard_normal((n, d)) * np.exp(4.0 * rng.standard_normal((n, 1)))
+        for i in range(2, n, 3):
+            mix = rng.standard_normal(2) @ rows[:2]
+            rows[i] = mix + 10.0 ** -rng.uniform(6, 14) * np.linalg.norm(mix) * \
+                rng.standard_normal(d)
+        rows[rng.integers(0, n)] = 0.0
+        rows[rng.integers(0, n)] = -0.0
+        rows[rng.integers(0, n), ::2] *= 1e140
+        rank = int(rng.integers(0, d + 1))
+        start = basis_from(PointSet(rng.standard_normal((max(rank, 1), d))), range(rank)) \
+            if rank else SubsetBasis.empty(d)
+        view = _laid_out(rows, layout)
+        got = start.extended_many(range(n), view)
+        want = gram_schmidt_growth(start, range(n), view)
+        assert got.member_indices == want.member_indices
+        assert got.basis.shape == want.basis.shape
+        assert got.basis.tobytes() == want.basis.tobytes(), case
+        grew += got.rank > rank
+    assert grew
+
+
+def test_extended_many_takes_a_strided_row_norm_as_the_gram_schmidt_loop():
+    # Rows against the first 30 axes, each strided in its buffer, whose one
+    # residual coordinate is RANK_TOLERANCE times the larger of two
+    # roundings of the row norm: a strided dot and np.linalg.norm's
+    # contiguous one. Where the two differ, the row joins the basis under
+    # one rounding only.
+    d, r = 40, 30
+    rng = np.random.default_rng(17)
+    basis = SubsetBasis((), np.eye(d)[:r], d)
+    split = 0
+    for _ in range(100):
+        buf = np.zeros((1, 2 * d))
+        buf[0, :2 * r:2] = rng.standard_normal(r)
+        rows = buf[:, ::2]
+        norms = (math.sqrt(rows[0].dot(rows[0])), float(np.linalg.norm(rows[0])))
+        buf[0, 2 * r] = RANK_TOLERANCE * max(norms)
+        got = basis.extended_many([0], rows)
+        want = gram_schmidt_growth(basis, [0], rows)
+        assert got.rank == want.rank and got.basis.tobytes() == want.basis.tobytes()
+        split += norms[0] != norms[1]
+    assert split
 
 
 def test_err_p_scores_in_chunks_without_copying_the_dataset():
