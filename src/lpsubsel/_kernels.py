@@ -23,16 +23,12 @@ covered slot's (d = 0) ratio is set to -1: a covered current point lies
 below every bar, so it always moves, while a covered proposal's bar is 0,
 which never beats a live current point.
 
-A walk runs only from its last restart. A step whose bar exceeds every
-ratio of its walk (covered slots at -1) beats whatever ratio the current
-point holds, so it accepts from any point: after it the walk is at that
-step's slot, whatever came before. The kernel finds each walk's last such
-step with one array compare per round and runs the Python loop from there;
-the steps before it cannot change where the walk ends, so every walk ends
-on the slot the full loop gives, bit for bit. On pool-deep about half the
-steps accept and a walk's last restart is near its end, so most walks
-scan a few of their m steps. The tests keep the full per-step loop, the
-cross-multiplied kernel and a scalar walk, which scores one draw at a
+A walk runs only from its last restart: a step whose bar exceeds every
+ratio of its walk accepts from any current point, so after it the walk is
+at that step's slot whatever came before, and every walk ends where the
+full loop ends it, bit for bit. On pool-deep a walk's last restart is a
+median of 3 of its 400 steps from the end. The tests keep the full loop,
+the cross-multiplied kernel and a scalar walk, which scores one draw at a
 time, as references, and check that each ends every walk on the same slot.
 
 `update_bank` is sequential with-replacement sampling by binomial thinning

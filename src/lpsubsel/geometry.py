@@ -116,14 +116,10 @@ class SubsetBasis:
         picks its kernel by shape, so a row's distance may differ in the
         last bits from the one a single whole-array product gives.
 
-        Each chunk's distances are those of
-        `np.linalg.norm(rows - (rows @ Q.T) @ Q, axis=-1)` bit for bit,
-        with one temporary instead of four: the residual is subtracted
-        into the projection's buffer and squared there, and then summed
-        along rows as `norm` sums them. At rank 0 no product is taken and
-        the rows are squared into a C-ordered array: `norm` sums a
-        C-ordered array, and the squares of an F-ordered input kept in its
-        own order would be summed in another order, with other last bits.
+        A chunk's distances are `np.linalg.norm(rows - (rows @ Q.T) @ Q,
+        axis=-1)` bit for bit, in the projection's one buffer. At rank 0
+        the squares go into a C-ordered array, as in `norm`: kept in an
+        F-ordered input's order, they would be summed in another order.
         """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim == 1 or len(rows) <= CHUNK_ROWS:
@@ -159,10 +155,9 @@ class SubsetBasis:
         modified Gram-Schmidt) exceeds RANK_TOLERANCE relative to the row
         norm. The rows share one buffer allocated up front, and every
         product is the one a chain of single-row extensions takes, so the
-        result is the same bit for bit. Both norms are the square root of a
-        contiguous vector's dot with itself, which is what `np.linalg.norm`
-        computes for a vector. Every row is checked to be finite before any
-        is added.
+        result is the same bit for bit, norms included: `np.linalg.norm`
+        of a vector is the root of its contiguous copy's dot with itself.
+        Every row is checked to be finite before any is added.
         """
         rows = np.asarray(points, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.d or len(rows) != len(indices):
@@ -177,8 +172,7 @@ class SubsetBasis:
             q = grown[:rank]
             resid = v - q.T @ (q @ v)
             resid = resid - q.T @ (q @ resid)
-            # np.linalg.norm's own sum: a strided row's dot rounds otherwise
-            flat = v.ravel()
+            flat = v.ravel()  # a strided row's own dot rounds otherwise
             norm_v = math.sqrt(flat.dot(flat))
             norm_r = math.sqrt(resid.dot(resid))
             if norm_r > RANK_TOLERANCE * norm_v and norm_v > 0.0:
