@@ -1,6 +1,6 @@
 """Command-line experiment driver.
 
-Exit codes: 0 success, 2 input/parameter error, 3 size-guard violation.
+Exit codes: 0 success, 2 input error or read failure, 3 size-guard violation.
 The seed comes from --seed, else the SUBSEL_SEED environment variable,
 else 0.
 """
@@ -9,7 +9,7 @@ import argparse
 import os
 import sys
 
-from .errors import GuardError, InputError
+from .errors import GuardError, InputError, StreamError
 from .experiment import ALGORITHMS, ORACLES, ExperimentSpec, run_experiment
 
 REPORT_FORMATS = ("json", "csv")
@@ -61,7 +61,7 @@ def main(argv=None):
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, StreamError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = report.to_json() if args.report == "json" else report.to_csv()

@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the one helper their
 messages share.
 
-The CLI maps InputError (and subclasses) to exit code 2 and GuardError
-to exit code 3.
+The CLI maps InputError (and subclasses) and StreamError to exit code 2,
+and GuardError to exit code 3.
 """
 
 

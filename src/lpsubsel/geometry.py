@@ -28,6 +28,13 @@ def check_p(p):
         raise ParameterError(f"p must be a finite real >= 1, got {p}")
 
 
+def row_norms(rows):
+    """Each row's Euclidean norm, inf on overflow, summed as `np.linalg.norm`
+    sums it, whatever the other rows: the one rank-0 norm, shared by
+    `SubsetBasis.distances` and the pool pass."""
+    return np.sqrt(np.add.reduce(np.multiply(rows, rows, order="C"), axis=-1))
+
+
 def _as_matrix(points):
     arr = np.asarray(points, dtype=np.float64)
     if arr.ndim != 2:
@@ -117,9 +124,7 @@ class SubsetBasis:
         last bits from the one a single whole-array product gives.
 
         A chunk's distances are `np.linalg.norm(rows - (rows @ Q.T) @ Q,
-        axis=-1)` bit for bit, in the projection's one buffer. At rank 0
-        the squares go into a C-ordered array, as in `norm`: kept in an
-        F-ordered input's order, they would be summed in another order.
+        axis=-1)` bit for bit, in the projection's one buffer.
         """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim == 1 or len(rows) <= CHUNK_ROWS:
@@ -131,12 +136,11 @@ class SubsetBasis:
 
     def _residual_norms(self, rows):
         q = self.basis
-        if len(q):
-            sq = (rows @ q.T) @ q
-            np.subtract(rows, sq, out=sq)
-            sq *= sq
-        else:
-            sq = np.multiply(rows, rows, order="C")
+        if not len(q):
+            return row_norms(rows)
+        sq = (rows @ q.T) @ q
+        np.subtract(rows, sq, out=sq)
+        sq *= sq
         return np.sqrt(np.add.reduce(sq, axis=-1))
 
     def distance(self, x):

@@ -20,17 +20,17 @@ the same row.
 The pass draws from q with the empty pivot, whose distance weight is the
 plain norm power ||x||^p. It takes the stream `_BLOCK_ROWS` rows at a
 time, stacked into one array, and weighs each block in one
-`_norm_weights` call. The store has room for twice the slots, and until
-it fills the banks defer: every row is kept, a block's rows by slice
-copies, and only adds to the totals. When the store fills, at the row
-where it does, or the pass ends first, each bank settles its prefix in
-one draw, its slots i.i.d. over the kept rows in proportion to their
-weights, and then draws its skip limit. After rows 1..r, thinning leaves
-the slots i.i.d. with P(row i) = w_i / W_r, and whether a later row
-writes depends only on W_r and the slot count, so the settled bank has
-the thinning law exactly. After the settle the store keeps only the rows
-a bank writes, one at a time. A pass over no more rows than twice the
-slots crosses no limit.
+`_norm_weights` call, the exact q's weights bit for bit. The store has
+room for twice the slots, and until it fills the banks defer: every row
+is kept, a block's rows by slice copies, and only adds to the totals.
+When the store fills, at the row where it does, or the pass ends first,
+each bank settles its prefix in one draw, its slots i.i.d. over the kept
+rows in proportion to their weights, and then draws its skip limit.
+After rows 1..r, thinning leaves the slots i.i.d. with P(row i) =
+w_i / W_r, and whether a later row writes depends only on W_r and the
+slot count, so the settled bank has the thinning law exactly. After the
+settle the store keeps only the rows a bank writes, one at a time. A
+pass over no more rows than twice the slots crosses no limit.
 
 Squared-length (norm-power) sampling is the same pass with no uniform
 slots: `_draw_banks` serves both. `MixtureWeights` gives the exact q, for
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, ParameterError
-from .geometry import SubsetBasis, check_p
+from .geometry import SubsetBasis, check_p, row_norms
 from .stream import _BLOCK_ROWS
 
 # Sum tolerance for an explicit probability vector over the dataset.
@@ -62,10 +62,10 @@ class MixtureWeights:
     """The exact proposal distribution q over a dataset, for a fixed pivot subset.
 
     pivot=None means the empty pivot, the form the shipped algorithm uses:
-    the distance weight degenerates to the plain norm ||x||^p. The pass
-    itself weighs rows with `_norm_weights`; this class gives the exact q
-    that the oracles check it against, and the floor `ProposalPool`
-    checks recorded masses with.
+    the distance weight degenerates to the plain norm ||x||^p, the weight
+    the pass gives each row bit for bit (`_norm_weights`). This class gives
+    the exact q that the oracles check the pass against, and the floor
+    `ProposalPool` checks recorded masses with.
     """
 
     p: float
@@ -263,40 +263,43 @@ class _RowStore:
         return live
 
 
-def _overflow(index, weight):
-    """InputError for the row whose weight makes the running total infinite.
-
-    `index` is the row's 0-based stream position; the message names it
-    1-based among the data rows.
-    """
-    if weight == math.inf:
-        cause = "its weight overflows to inf"
-    else:
-        cause = f"its weight {weight:.6g} makes the running weight total overflow"
-    return InputError(f"data row {index + 1}: {cause}; rescale the data or lower p")
+def _check_running_total(total, weights, first=0):
+    """The one overflow rule: raise InputError naming the row (the first at
+    0-based stream position `first`) whose weight takes `total` to inf,
+    adding as a bank does, in order, NaN and weights <= 0 adding nothing."""
+    running = np.fmax(weights, 0.0)  # NaN and weights <= 0 add nothing
+    with np.errstate(over="ignore"):
+        running[0] += total  # the bank's first addition, then its others in order
+        np.cumsum(running, out=running)
+    if running[-1] == math.inf:
+        row = int(np.argmax(running == math.inf))
+        w = float(weights[row])
+        cause = ("its weight overflows to inf" if w == math.inf
+                 else f"its weight {w:.6g} makes the running weight total overflow")
+        raise InputError(f"data row {first + row + 1}: {cause}; rescale the data or lower p")
 
 
 def _weight_total(weights):
     """The sum of a weight vector, one weight per data row.
 
-    Raises the `_overflow` InputError naming the first row at which the
-    running total overflows.
+    Raises the `_check_running_total` InputError naming the first row at
+    which the running total overflows.
     """
     with np.errstate(over="ignore"):
         total = float(weights.sum())
-        if total == math.inf:
-            running = np.cumsum(weights)
-            # the pairwise sum can overflow where the running one just does not
-            row = int(np.argmax(running == math.inf)) if running[-1] == math.inf else len(weights) - 1
-            raise _overflow(row, float(weights[row]))
+    if total == math.inf:
+        _check_running_total(0.0, weights)
+        # the pairwise sum can overflow where the running one just does
+        # not: name the last row
+        _check_running_total(math.inf, weights[-1:], len(weights) - 1)
     return total
 
 
 def _distance_weights(basis, rows, p):
     """(weights, total): d(x, span basis)^p for each row, as one vector, and its sum.
 
-    The power is taken in place. Raises the `_overflow` InputError naming
-    the row at which the total overflows.
+    The power is taken in place. Raises the `_check_running_total`
+    InputError naming the row at which the total overflows.
     """
     with np.errstate(over="ignore"):  # an overflowing weight is raised below
         weights = basis.distances(rows)
@@ -305,22 +308,15 @@ def _distance_weights(basis, rows, p):
 
 
 def _norm_weights(block, p):
-    """||x||^p of each row of a (b, d) float64 block, as floats; inf if it overflows.
+    """||x||^p of each row of a (b, d) float64 block; inf where it overflows.
 
-    Bit for bit `float(np.linalg.norm(x)) ** p`: the stacked matmul takes
-    each row's squared norm with the same dot product as `x.dot(x)`,
-    where einsum and a sum of squares round differently, and the root and
-    the power are taken per row in Python floats, where numpy's vectorised
-    ones differ in the last bit.
+    Bit for bit `_distance_weights` with the empty basis, as the exact q
+    weighs the whole array. It calls `row_norms`, not `SubsetBasis.distances`,
+    whose calls the benchmark's tracer counts as walk and evaluation work.
     """
-    with np.errstate(over="ignore"):  # as x.dot(x), an overflow gives inf
-        squares = np.matmul(block[:, None, :], block[:, :, None]).ravel().tolist()
-    weights = []
-    for s in squares:
-        try:
-            weights.append(math.sqrt(s) ** p)
-        except OverflowError:  # float ** raises where numpy gives inf
-            weights.append(math.inf)
+    with np.errstate(over="ignore"):  # an overflowing weight is raised by the pass
+        weights = row_norms(block)
+        weights **= p
     return weights
 
 
@@ -330,25 +326,24 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     The weighted bank's slots become i.i.d. draws with P(x) proportional
     to x's weight, the uniform bank's i.i.d. uniform draws; both share one
     row store. `block_weights` maps a (b, d) float64 block of rows to one
-    weight per row: the pool and squared-length pass `_norm_weights`,
-    and the tests pass others to check the reservoir law. Returns (rows, stream positions, weights, weighted,
-    uniform): each row some slot drew once, with its position and weight,
-    and the two banks, whose `win` index into rows and whose totals are
-    the weight total and n (each row adds 1.0 to the uniform bank). A bank
+    weight per row: the pool and squared-length pass `_norm_weights`, and
+    the tests pass others to check the reservoir law. Returns (rows,
+    stream positions, weights, weighted, uniform): each row some slot drew
+    once, with its position and weight, and the two banks, whose `win`
+    index into rows and whose totals are the weight total and n. A bank
     with no slots never writes or draws a variate. Raises InputError for
-    an empty stream, when no row has positive weight, naming the row
-    at which the weight total overflows, and naming the block whose rows
-    do not all have the first row's length (ValueError when the rows of
-    one block differ among themselves).
+    an empty stream, when no row has positive weight, naming the row at
+    which the weight total overflows, and naming the block whose rows do
+    not all have the first row's length (ValueError when the rows of one
+    block differ among themselves).
 
-    The pass pulls `_BLOCK_ROWS` rows at a time and weighs them in one
-    call, but every row still goes through `_kernels.update_bank` once per
-    bank, in stream order, after its overflow check. The banks start
-    deferred, with limit inf: the store keeps every row, a block's rows
-    in one slice copy, until it fills or the pass ends, then settles both
-    banks over those rows in one draw (see `_RowStore.settle`); rows after
-    that are thinned one at a time, and only the rows a bank writes are
-    kept.
+    The pass weighs and checks `_BLOCK_ROWS` rows at a time, in one call
+    each, but every row still goes through `_kernels.update_bank` once per
+    bank, in stream order. The banks start deferred, with limit inf: the
+    store keeps every row, a block's rows in one slice copy, until it
+    fills or the pass ends, then settles both banks over those rows in
+    one draw (see `_RowStore.settle`); rows after that are thinned one at
+    a time, and only the rows a bank writes are kept.
     """
     weighted = _ReservoirBank(weighted_slots, rng)
     uniform = _ReservoirBank(uniform_slots, rng)
@@ -357,36 +352,31 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     weighted.limit = uniform.limit = math.inf  # deferred until the store settles them
     index = 0  # stream position of the block's first row
     width = None  # the first row's length, which every row must have
-    with np.errstate(over="ignore"):  # an overflowing weight is raised below
-        while rows := list(itertools.islice(stream, _BLOCK_ROWS)):
-            block = np.array(rows, dtype=np.float64)  # ragged rows raise ValueError
-            width = block.shape[-1] if width is None else width
-            if block.shape != (len(rows), width):
-                raise InputError(f"data rows {index + 1}-{index + len(rows)}: a row "
-                                 f"does not have the first row's {width} values")
-            weights = np.asarray(block_weights(block), dtype=np.float64)
-            listed = weights.tolist()
-            # the deferred head: the banks only add to their totals, and
-            # the store keeps every row, settling if these rows fill it
-            head = min(len(rows), store.room) if store.deferred else 0
-            for j in range(head):
-                w = listed[j]
-                if weighted.total + w == math.inf:
-                    raise _overflow(index + j, w)
-                _kernels.update_bank(weighted, w, store.size + j)
-                _kernels.update_bank(uniform, 1.0, store.size + j)
-            if head:
-                store.keep_block(index, block[:head], weights[:head], banks)
-            for j in range(head, len(rows)):
-                w = listed[j]
-                if weighted.total + w == math.inf:
-                    raise _overflow(index + j, w)
-                # both banks see the row; it is kept if either takes a slot
-                taken = _kernels.update_bank(weighted, w, store.size)
-                taken += _kernels.update_bank(uniform, 1.0, store.size)
-                if taken:
-                    store.keep(index + j, block[j], w, banks)
-            index += len(rows)
+    while rows := list(itertools.islice(stream, _BLOCK_ROWS)):
+        block = np.array(rows, dtype=np.float64)  # ragged rows raise ValueError
+        width = block.shape[-1] if width is None else width
+        if block.shape != (len(rows), width):
+            raise InputError(f"data rows {index + 1}-{index + len(rows)}: a row "
+                             f"does not have the first row's {width} values")
+        weights = np.asarray(block_weights(block), dtype=np.float64)
+        _check_running_total(weighted.total, weights, index)
+        listed = weights.tolist()
+        # the deferred head: the banks only add to their totals, and the
+        # store keeps every row, settling if these rows fill it
+        head = min(len(rows), store.room) if store.deferred else 0
+        for j in range(head):
+            _kernels.update_bank(weighted, listed[j], store.size + j)
+            _kernels.update_bank(uniform, 1.0, store.size + j)
+        if head:
+            store.keep_block(index, block[:head], weights[:head], banks)
+        for j in range(head, len(rows)):
+            w = listed[j]
+            # both banks see the row; it is kept if either takes a slot
+            taken = _kernels.update_bank(weighted, w, store.size)
+            taken += _kernels.update_bank(uniform, 1.0, store.size)
+            if taken:
+                store.keep(index + j, block[j], w, banks)
+        index += len(rows)
     if uniform.total == 0.0:
         raise InputError("empty stream")
     if weighted.total <= 0.0:

@@ -487,6 +487,28 @@ def test_cli_same_count_rewrite_after_open_exits_2(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("algo", ALGORITHMS)
+def test_cli_file_removed_after_open_exits_2(tmp_path, capsys, monkeypatch, algo):
+    # the first pass cannot reopen the file: a read failure mid-run is an
+    # input error with a message, not a traceback, and writes no report
+    X = np.random.default_rng(22).standard_normal((40, 3))
+    path = _write_csv(tmp_path, X)
+    out = tmp_path / "report.json"
+    real_open_csv = experiment.open_csv
+
+    def open_then_remove(*args, **kwargs):
+        source = real_open_csv(*args, **kwargs)
+        os.remove(path)
+        return source
+
+    monkeypatch.setattr(experiment, "open_csv", open_then_remove)
+    code = main(["--input", path, "--algo", algo, "--k", "1", "--t", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("error: I/O failure while streaming ") and path in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ALGORITHMS)
 def test_cli_same_count_rewrite_after_the_first_pass_exits_2(tmp_path, capsys, monkeypatch,
                                                             algo):
     # exact-adaptive's second round, or the evaluation pass, reads the rewrite

@@ -7,7 +7,7 @@ from lpsubsel import (DistributionTable, InputError, MixtureWeights, ParameterEr
                       PointSet, SubsetBasis, _kernels, adaptive_distribution, as_source,
                       draw_mixture_pool, extend_basis, gamma_bound, mixture_distribution,
                       open_unit, squared_length_sample, transition_matrix, tv_distance)
-from lpsubsel.proposal import _draw_banks, _norm_weights
+from lpsubsel.proposal import _distance_weights, _draw_banks, _norm_weights, _weight_total
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.0, 0.0], [-2.0, 1.0]])
@@ -86,6 +86,15 @@ def test_exact_distributions_reject_overflowing_weights(exact, message):
         exact()
 
 
+def test_weight_total_names_the_last_row_where_only_the_pairwise_sum_overflows():
+    # numpy's pairwise sum adds the two 2^969 together and reaches inf; the
+    # running total rounds each of them away and stays at the float max
+    weights = np.array([np.finfo(float).max, 0.0, 2.0 ** 969, 2.0 ** 969, 0.0, 0.0, 0.0, 0.0])
+    assert np.cumsum(weights)[-1] == np.finfo(float).max
+    with pytest.raises(InputError, match="^data row 8: its weight 0 makes the running"):
+        _weight_total(weights)
+
+
 def _raw_weight(x, p):
     """||x||^p as numpy's norm and a float power give it, inf where the power overflows."""
     try:
@@ -94,10 +103,18 @@ def _raw_weight(x, p):
         return math.inf
 
 
+def _mixture_raw_weights(rows, p):
+    """The exact mixture's unnormalised weights with the empty pivot: the
+    distance path `_distance_weights` takes, without its overflow check."""
+    with np.errstate(over="ignore"):  # a square or a power that overflows gives inf
+        return SubsetBasis.empty(rows.shape[1]).distances(rows) ** p
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 120.0])
 @pytest.mark.parametrize("d", [1, 2, 7, 32, 64])
 def test_block_weights_are_bit_identical_to_raw_weight(p, d):
-    # the pass's block weights against each row's own norm power
+    # the pass's block weights against the exact mixture's raw weights,
+    # bit for bit, and against each row's own norm power within rounding
     rng = np.random.default_rng(18)
     block = rng.standard_normal((130, d)) * np.exp(3.0 * rng.standard_normal((130, 1)))
     block[[0, 64]] = 0.0
@@ -108,8 +125,28 @@ def test_block_weights_are_bit_identical_to_raw_weight(p, d):
     got = _norm_weights(block, p)
     assert got[0] == got[64] == 0.0 and got[7] == math.inf
     assert (got[100] == math.inf) == (p >= 3.0)
+    assert got.tobytes() == _mixture_raw_weights(block, p).tobytes()
     with np.errstate(over="ignore"):  # the per-row dot product warns where it overflows
-        assert got == [_raw_weight(x, p) for x in block]
+        raw = [_raw_weight(x, p) for x in block]
+    np.testing.assert_allclose(got, raw, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 120.0])
+@pytest.mark.parametrize("d", [1, 2, 7, 32, 64])
+def test_the_pass_weighs_every_kept_row_as_the_exact_mixture(p, d):
+    # 700 rows, so several blocks; the 200-row store settles inside the
+    # second block and later rows are kept one at a time. The pass's kept
+    # weights equal the exact mixture's whole-array weights bit for bit.
+    rng = np.random.default_rng(57)
+    scale = np.exp((3.0 if p < 100 else 0.3) * rng.standard_normal((700, 1)))
+    X = rng.standard_normal((700, d)) * scale
+    X[[0, 5, 129, 130, 400]] = 0.0
+    rows, index, weights, _, _ = _draw_banks(
+        iter(X), lambda block: _norm_weights(block, p), 50, 50, np.random.default_rng(58))
+    exact, _ = _distance_weights(SubsetBasis.empty(d), X, p)
+    assert len(index) >= 40 and (index > 256).any()
+    assert weights.tobytes() == exact[index].tobytes()
+    assert rows.tobytes() == X[index].tobytes()
 
 
 def test_reservoir_uniform_weights():
@@ -450,18 +487,32 @@ def test_pool_and_squared_length_fixed_seed_draws_past_the_settle():
         91, 896, 10, 749, 91, 432, 10, 197, 908, 333, 682, 826, 318, 91, 10]
 
 
-@pytest.mark.parametrize("big, cause", [
-    ([1e200], "its weight overflows to inf"),
-    ([np.sqrt(1.5e308), 1e154], "its weight 1e\\+308 makes the running weight total overflow"),
-], ids=["weight_overflows", "total_overflows"])
-def test_pool_overflow_past_the_first_block_names_the_row(big, cause):
-    # the store settles at row 200, and row 300's weight makes the total
-    # overflow, alone or on top of row 299's
+_TOTAL_OVERFLOWS = "makes the running weight total overflow"
+
+
+@pytest.mark.parametrize("big, row, cause, seam", [
+    ([1e200], 300, "its weight overflows to inf", False),
+    ([np.sqrt(1.5e308), 1e154], 300, f"its weight 1e\\+308 {_TOTAL_OVERFLOWS}", False),
+    ([7.1e153] * 4, 340, f"its weight 5.041e\\+307 {_TOTAL_OVERFLOWS}", False),
+    ([7.1e153] * 4, 386, f"its weight 5.041e\\+307 {_TOTAL_OVERFLOWS}", False),
+    ([1e308, 0.0, np.nan, -1.0, 1e308], 300, f"its weight 1e\\+308 {_TOTAL_OVERFLOWS}", True),
+], ids=["weight_overflows", "total_overflows", "mid_block", "across_blocks", "zero_and_nan"])
+def test_pool_overflow_past_the_first_block_names_the_row(big, row, cause, seam):
+    # the store settles at row 200, and the weight of the last of the
+    # `big` rows, which end at `row`, makes the total overflow: alone, on
+    # top of rows of its own block (rows 337-340 sit mid-block) or of the
+    # block before (rows 383-386 straddle a block boundary). With the seam
+    # each row weighs its first coordinate, and the zero, NaN and negative
+    # weights before row 300 add nothing to the total.
     X = _thousand_rows()
-    X[300 - len(big):300] = 0.0
-    X[300 - len(big):300, 0] = big
-    with pytest.raises(InputError, match=f"^data row 300: {cause}"):
-        draw_mixture_pool(iter(X), 2.0, 100, np.random.default_rng(54))
+    X[row - len(big):row] = 0.0
+    X[row - len(big):row, 0] = big
+    rng = np.random.default_rng(54)
+    with pytest.raises(InputError, match=f"^data row {row}: {cause}"):
+        if seam:
+            _draw_banks(iter(X), lambda block: block[:, 0], 50, 50, rng)
+        else:
+            draw_mixture_pool(iter(X), 2.0, 100, rng)
 
 
 def test_pool_rejects_rows_of_different_lengths():
