@@ -4,36 +4,10 @@ from collections import deque
 
 import numpy as np
 
-from .errors import ParameterError
-from .geometry import RANK_TOLERANCE, SubsetBasis, check_p
+from .errors import ParameterError, readable
+from .geometry import SubsetBasis, check_p
 from .proposal import _distance_weights, _draw_banks, _norm_weights
 from .stream import as_source
-
-
-def _span_of_rows(indices, rows, row_of, d):
-    """SubsetBasis over all the given draws, duplicates kept in order.
-
-    Draw j is the row `rows[row_of[j]]` at stream position `indices[j]`.
-    Equivalent to extending one draw at a time, but the span is grown by
-    scanning for the first draw outside it (rank grows at most d times),
-    and each scan scores every distinct row once, so large with-replacement
-    subsets stay cheap to assemble.
-    """
-    tracker = SubsetBasis.empty(d)
-    norms = np.maximum(np.linalg.norm(rows, axis=1), 1e-300)
-    blocked = np.zeros(len(row_of), dtype=bool)
-    while tracker.rank < d:
-        outside = ~blocked & (tracker.distances(rows) > RANK_TOLERANCE * norms)[row_of]
-        candidates = np.flatnonzero(outside)
-        if candidates.size == 0:
-            break
-        j = int(candidates[0])
-        grown = tracker.extended(int(indices[j]), rows[row_of[j]])
-        if grown.rank == tracker.rank:
-            blocked[j] = True  # borderline residual, dependent after re-orthogonalization
-            continue
-        tracker = grown
-    return SubsetBasis(indices, tracker.basis, d)
 
 
 def _round_weights(basis, rows, p):
@@ -68,11 +42,12 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
     it holds one n-vector of weights and `rng.choice`'s cumulative sum
     of them; `SubsetBasis.distances` keeps its temporaries to CHUNK_ROWS
     rows. Raises InputError naming the row at which a round's weight
-    total overflows.
+    total overflows. A round's new picks join S in draw order, in one
+    `extended_many` call.
     """
     src = as_source(data, auditor=auditor)
     if t < 1 or l < 0:
-        raise ParameterError(f"need t >= 1 and l >= 0, got t={t}, l={l}")
+        raise ParameterError(f"need t >= 1 and l >= 0, got t={readable(t)}, l={readable(l)}")
     check_p(p)
     src.keep_rows()
     basis = SubsetBasis.empty(src.d)
@@ -87,11 +62,13 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
             break
         if round_:
             _selection_pass(src)
+        picks = []
         for i in rng.choice(src.n, size=t, p=weights):
             idx = int(i)
             if idx not in members:
                 members.add(idx)
-                basis = basis.extended(idx, src.rows[idx])
+                picks.append(idx)
+        basis = basis.extended_many(picks, src.rows[picks])
     return basis
 
 
@@ -102,11 +79,16 @@ def squared_length_sample(data, p, count, rng, auditor=None):
     returned subset keeps all count draws in order, duplicates included
     (with-replacement semantics), so its rank is at most the number of
     distinct picks. It is the mixture pool's pass with no uniform slots.
+    The span grows in one `extended_many` call over each drawn row once,
+    in the order of its first draw: the basis a chain over every draw
+    gives, since a repeated row adds no direction.
     """
     src = as_source(data, auditor=auditor)
     if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+        raise ParameterError(f"count must be >= 1, got {readable(count)}")
     check_p(p)
     rows, row_index, _, bank, _ = _draw_banks(
         src.iterate_once("selection"), lambda block: _norm_weights(block, p), count, 0, rng)
-    return _span_of_rows(row_index[bank.win], rows, bank.win, src.d)
+    distinct = bank.win[np.sort(np.unique(bank.win, return_index=True)[1])]
+    grown = SubsetBasis.empty(src.d).extended_many(row_index[distinct], rows[distinct])
+    return SubsetBasis(row_index[bank.win], grown.basis, src.d)

@@ -236,7 +236,8 @@ def _memory_guard(algorithm, config, source):
     sum of them, and (under one more) choice's sign check and a file's
     block records: the last line, byte size, fingerprint of the bytes
     and rows at the end of each block of lines, four ints a block of
-    128 rows. It adds the distance temporaries of one
+    128 rows. The weights' `_running_total` holds one transient n-vector,
+    freed before `rng.choice`. It adds the distance temporaries of one
     CHUNK_ROWS-row chunk and a variate and an index per draw of a round.
     A file source also keeps its (n, d) rows, which an array input holds
     already.

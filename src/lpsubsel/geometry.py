@@ -103,7 +103,7 @@ class SubsetBasis:
     @classmethod
     def empty(cls, d):
         if d < 1:
-            raise InputError(f"ambient dimension must be >= 1, got {d}")
+            raise InputError(f"ambient dimension must be >= 1, got {readable(d)}")
         return cls((), np.empty((0, d)), d)
 
     @property
@@ -162,6 +162,11 @@ class SubsetBasis:
         result is the same bit for bit, norms included: `np.linalg.norm`
         of a vector is the root of its contiguous copy's dot with itself.
         Every row is checked to be finite before any is added.
+
+        Once the rank reaches d the loop stops: a later row's residual
+        against an orthonormal basis of R^d is at rounding level, far below
+        RANK_TOLERANCE, so it would add no direction. Its index is still
+        appended and the basis is the same, bit for bit.
         """
         rows = np.asarray(points, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.d or len(rows) != len(indices):
@@ -170,9 +175,11 @@ class SubsetBasis:
         if not np.isfinite(rows).all():
             raise InputError("vector contains NaN or Inf coordinates")
         rank = self.rank
-        grown = np.empty((rank + len(rows), self.d))
+        grown = np.empty((min(rank + len(rows), self.d), self.d))
         grown[:rank] = self.basis
         for v in rows:
+            if rank == self.d:
+                break
             q = grown[:rank]
             resid = v - q.T @ (q @ v)
             resid = resid - q.T @ (q @ resid)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardError, InputError
-from .geometry import SubsetBasis, check_p, err_p, extend_basis
+from .geometry import SubsetBasis, check_p, err_p
 from .proposal import MixtureWeights, _distance_weights
 
 _WALK_GUARD_N = 64
@@ -180,9 +180,8 @@ def brute_force_candidate_err(X, k, p):
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     best = np.inf
+    empty = SubsetBasis.empty(X.d)
     for subset in itertools.combinations(range(X.n), k):
-        basis = SubsetBasis.empty(X.d)
-        for idx in subset:
-            basis = extend_basis(basis, idx, X)
+        basis = empty.extended_many(subset, X.points[list(subset)])
         best = min(best, err_p(X, basis, p))
     return float(best)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, readable
 from .geometry import SubsetBasis, check_p, row_norms
 from .stream import _BLOCK_ROWS
 
@@ -263,10 +263,14 @@ class _RowStore:
         return live
 
 
-def _check_running_total(total, weights, first=0):
-    """The one overflow rule: raise InputError naming the row (the first at
-    0-based stream position `first`) whose weight takes `total` to inf,
-    adding as a bank does, in order, NaN and weights <= 0 adding nothing."""
+def _running_total(total, weights, first=0):
+    """`total` plus `weights` as a bank adds them, in order, NaN and weights
+    <= 0 adding nothing: the one weight total, and its one overflow rule.
+
+    Raises InputError naming the row (the first at 0-based stream position
+    `first`) whose weight takes the total to inf. The running sum takes one
+    transient copy of `weights`.
+    """
     running = np.fmax(weights, 0.0)  # NaN and weights <= 0 add nothing
     with np.errstate(over="ignore"):
         running[0] += total  # the bank's first addition, then its others in order
@@ -277,34 +281,22 @@ def _check_running_total(total, weights, first=0):
         cause = ("its weight overflows to inf" if w == math.inf
                  else f"its weight {w:.6g} makes the running weight total overflow")
         raise InputError(f"data row {first + row + 1}: {cause}; rescale the data or lower p")
-
-
-def _weight_total(weights):
-    """The sum of a weight vector, one weight per data row.
-
-    Raises the `_check_running_total` InputError naming the first row at
-    which the running total overflows.
-    """
-    with np.errstate(over="ignore"):
-        total = float(weights.sum())
-    if total == math.inf:
-        _check_running_total(0.0, weights)
-        # the pairwise sum can overflow where the running one just does
-        # not: name the last row
-        _check_running_total(math.inf, weights[-1:], len(weights) - 1)
-    return total
+    return float(running[-1])
 
 
 def _distance_weights(basis, rows, p):
-    """(weights, total): d(x, span basis)^p for each row, as one vector, and its sum.
+    """(weights, total): d(x, span basis)^p for each row, as one vector, and
+    their `_running_total`.
 
-    The power is taken in place. Raises the `_check_running_total`
-    InputError naming the row at which the total overflows.
+    The power is taken in place. The total adds the weights in order, as
+    the pass's banks do, so a pool's q-masses equal the exact q's bit for
+    bit. Raises the `_running_total` InputError naming the row at which
+    the total overflows.
     """
     with np.errstate(over="ignore"):  # an overflowing weight is raised below
         weights = basis.distances(rows)
         weights **= p
-    return weights, _weight_total(weights)
+    return weights, _running_total(0.0, weights)
 
 
 def _norm_weights(block, p):
@@ -333,9 +325,10 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     index into rows and whose totals are the weight total and n. A bank
     with no slots never writes or draws a variate. Raises InputError for
     an empty stream, when no row has positive weight, naming the row at
-    which the weight total overflows, and naming the block whose rows do
-    not all have the first row's length (ValueError when the rows of one
-    block differ among themselves).
+    which the weight total overflows (`_running_total`, the rule the exact
+    q's total follows), and naming the block whose rows do not all have
+    the first row's length (ValueError when the rows of one block differ
+    among themselves).
 
     The pass weighs and checks `_BLOCK_ROWS` rows at a time, in one call
     each, but every row still goes through `_kernels.update_bank` once per
@@ -359,7 +352,7 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
             raise InputError(f"data rows {index + 1}-{index + len(rows)}: a row "
                              f"does not have the first row's {width} values")
         weights = np.asarray(block_weights(block), dtype=np.float64)
-        _check_running_total(weighted.total, weights, index)
+        _running_total(weighted.total, weights, index)
         listed = weights.tolist()
         # the deferred head: the banks only add to their totals, and the
         # store keeps every row, settling if these rows fill it
@@ -396,7 +389,7 @@ def draw_mixture_pool(stream, p, pool_size, rng):
     """
     check_p(p)
     if pool_size < 1:
-        raise ParameterError(f"pool_size must be >= 1, got {pool_size}")
+        raise ParameterError(f"pool_size must be >= 1, got {readable(pool_size)}")
     take_weighted = rng.random(pool_size) < 0.5
     slots = int(np.count_nonzero(take_weighted))
     rows, row_index, row_w, weighted, uniform = _draw_banks(

@@ -123,6 +123,27 @@ def test_squared_length_fixed_seed_matches_draw_by_draw_span(d, p, seed, members
     np.testing.assert_array_equal(basis.basis, want.basis)
 
 
+@pytest.mark.parametrize("rank", [3, None], ids=["exactly_rank3", "spans_r_d"])
+def test_squared_length_many_draws_match_both_growth_references(rank):
+    # 5,000 draws from 60 rows: most draws repeat a row. The span is grown
+    # over each drawn row once; it equals the span scanned draw by draw,
+    # and a chain over every draw, repeats included
+    rng = np.random.default_rng(36)
+    n, d = 60, 8
+    if rank is None:
+        X = rng.standard_normal((n, d)) * np.exp(rng.standard_normal((n, 1)))
+    else:
+        X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    basis = squared_length_sample(X, 2.0, 5000, np.random.default_rng(37))
+    drawn = list(basis.member_indices)
+    assert len(drawn) == 5000 and len(set(drawn)) <= n
+    scanned = _span_draw_by_draw(drawn, X[drawn], d)
+    chained = SubsetBasis.empty(d).extended_many(drawn, X[drawn])
+    assert basis.rank == scanned.rank == chained.rank == (rank or d)
+    assert chained.member_indices == basis.member_indices
+    assert basis.basis.tobytes() == scanned.basis.tobytes() == chained.basis.tobytes()
+
+
 # members recorded before distances were scored in CHUNK_ROWS-row chunks;
 # n = 3000 spans three chunks, the last one partial
 @pytest.mark.parametrize("p, members", [

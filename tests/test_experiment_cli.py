@@ -6,7 +6,7 @@ import pytest
 
 from lpsubsel import (DatasetSource, ExperimentSpec, InputError, ParameterError,
                       PointSet, SubsetBasis, as_source, brute_force_candidate_err, cli,
-                      exact_adaptive_sample, experiment, run_experiment,
+                      draw_mixture_pool, exact_adaptive_sample, experiment, run_experiment,
                       squared_length_sample, svd_optimal_err2)
 from lpsubsel.cli import main
 from lpsubsel.geometry import CHUNK_ROWS
@@ -605,6 +605,22 @@ def test_cli_negative_count_of_any_length_exits_2(tmp_path, capsys, algo, flags,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "0" * 13 not in err and "Traceback" not in err
+
+
+_HUGE = -10 ** 40
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda rng: exact_adaptive_sample(np.eye(2), 2.0, _HUGE, 1, rng), "t=-1.00e40,"),
+    (lambda rng: exact_adaptive_sample(np.eye(2), 2.0, 1, _HUGE, rng), "l=-1.00e40"),
+    (lambda rng: squared_length_sample(np.eye(2), 2.0, _HUGE, rng), "got -1.00e40"),
+    (lambda rng: draw_mixture_pool(iter(np.eye(2)), 2.0, _HUGE, rng), "got -1.00e40"),
+    (lambda rng: SubsetBasis.empty(_HUGE), "got -1.00e40"),
+], ids=["exact_t", "exact_l", "squared_length_count", "pool_size", "basis_dimension"])
+def test_library_range_messages_give_a_long_count_to_three_digits(call, named):
+    with pytest.raises(InputError) as exc:
+        call(np.random.default_rng(0))
+    assert named in str(exc.value) and "0" * 13 not in str(exc.value)
 
 
 # each case's flags, given a scratch directory and a pipe's path, and

@@ -111,6 +111,30 @@ def test_extended_many_equals_one_by_one_growth_bit_for_bit():
         assert block.basis.tobytes() == one_by_one.basis.tobytes(), case
 
 
+def test_extended_many_past_rank_d_appends_members_and_keeps_the_basis():
+    # the first d rows span R^d; the loop stops there, and the rows after
+    # it only join the member list, as in a chain of one-row extensions
+    # and in the reference loop, which scores every row
+    rng = np.random.default_rng(19)
+    d, n = 6, 30
+    rows = rng.standard_normal((n, d)) * np.exp(4.0 * rng.standard_normal((n, 1)))
+    rows[d + 3] = rows[0]
+    indices = range(100, 100 + n)
+    got = SubsetBasis.empty(d).extended_many(indices, rows)
+    chain = SubsetBasis.empty(d)
+    for i, row in zip(indices, rows):
+        chain = chain.extended(i, row)
+    spanned = SubsetBasis.empty(d).extended_many(indices[:d], rows[:d])
+    want = gram_schmidt_growth(SubsetBasis.empty(d), indices, rows)
+    assert spanned.rank == got.rank == d
+    assert got.member_indices == chain.member_indices == want.member_indices == tuple(indices)
+    for other in (chain, spanned, want):
+        assert got.basis.tobytes() == other.basis.tobytes()
+    more = got.extended_many(range(5), rows[:5])  # already at rank d
+    assert more.member_indices == tuple(indices) + tuple(range(5))
+    assert more.basis.tobytes() == got.basis.tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_extended_many_checks_every_row_before_growing(bad):
     basis = SubsetBasis.empty(3).extended(0, np.array([1.0, 0.0, 0.0]))

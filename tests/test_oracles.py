@@ -6,7 +6,7 @@ import pytest
 
 from lpsubsel import (DistributionTable, GuardError, InputError, PointSet,
                       SubsetBasis, adaptive_distribution,
-                      brute_force_candidate_err, err_p, exact_walk_distribution,
+                      brute_force_candidate_err, err_p, exact_walk_distribution, extend_basis,
                       gamma_bound, mixture_distribution, svd_optimal_err2,
                       transition_matrix, tv_distance)
 
@@ -83,6 +83,26 @@ def test_brute_force_matches_independent_enumeration():
         resid = A - (A @ Q) @ Q.T
         best = min(best, float(np.sum(np.linalg.norm(resid, axis=1) ** p)))
     assert brute_force_candidate_err(X, k, p) == pytest.approx(best, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, d, k, p", [(18, 4, 3, 1.0), (12, 3, 2, 3.0), (7, 5, 1, 1.5),
+                                        (10, 2, 3, 2.0)])
+def test_brute_force_is_the_per_index_extension_minimum(n, d, k, p):
+    # each candidate span grows in one block, bit for bit the span grown
+    # one index at a time; repeated and zero rows make some candidates
+    # rank-deficient, and with d = 2 every 3-subset is
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, d)) * np.exp(2.0 * rng.standard_normal((n, 1)))
+    A[3] = A[1]
+    A[5] = 0.0
+    X = PointSet(A)
+    best = np.inf
+    for subset in itertools.combinations(range(n), k):
+        basis = SubsetBasis.empty(d)
+        for idx in subset:
+            basis = extend_basis(basis, idx, X)
+        best = min(best, err_p(X, basis, p))
+    assert brute_force_candidate_err(X, k, p) == float(best)
 
 
 def test_transition_matrix_is_stochastic():

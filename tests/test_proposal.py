@@ -7,7 +7,7 @@ from lpsubsel import (DistributionTable, InputError, MixtureWeights, ParameterEr
                       PointSet, SubsetBasis, _kernels, adaptive_distribution, as_source,
                       draw_mixture_pool, extend_basis, gamma_bound, mixture_distribution,
                       open_unit, squared_length_sample, transition_matrix, tv_distance)
-from lpsubsel.proposal import _distance_weights, _draw_banks, _norm_weights, _weight_total
+from lpsubsel.proposal import _distance_weights, _draw_banks, _norm_weights, _running_total
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.0, 0.0], [-2.0, 1.0]])
@@ -86,13 +86,26 @@ def test_exact_distributions_reject_overflowing_weights(exact, message):
         exact()
 
 
-def test_weight_total_names_the_last_row_where_only_the_pairwise_sum_overflows():
+def test_running_total_stays_finite_where_only_the_pairwise_sum_overflows():
     # numpy's pairwise sum adds the two 2^969 together and reaches inf; the
-    # running total rounds each of them away and stays at the float max
-    weights = np.array([np.finfo(float).max, 0.0, 2.0 ** 969, 2.0 ** 969, 0.0, 0.0, 0.0, 0.0])
-    assert np.cumsum(weights)[-1] == np.finfo(float).max
-    with pytest.raises(InputError, match="^data row 8: its weight 0 makes the running"):
-        _weight_total(weights)
+    # running total, the one the banks keep, rounds each of them away and
+    # stays at the float max
+    big = np.finfo(float).max
+    weights = np.array([big, 0.0, 2.0 ** 969, 2.0 ** 969, 0.0, 0.0, 0.0, 0.0])
+    with np.errstate(over="ignore"):
+        assert weights.sum() == math.inf
+    assert _running_total(0.0, weights) == big
+    # rows whose squared norms do the same, so the exact q is defined
+    X = np.zeros((16, 2))
+    X[0, 0] = np.sqrt(big)  # its weight is one ulp short of the float max
+    X[1] = 2.0 ** 485  # one ulp and a little more: the running total is the max
+    X[2:, 0] = 1.25 * 2.0 ** 484  # each under half an ulp; the 14 sum to over two
+    w, total = _distance_weights(SubsetBasis.empty(2), X, 2.0)
+    with np.errstate(over="ignore"):
+        assert w.sum() == math.inf
+    assert total == big
+    q = MixtureWeights(p=2.0).masses(PointSet(X))
+    assert q.tobytes() == (0.5 * w / big + 0.5 / 16).tobytes()
 
 
 def _raw_weight(x, p):
@@ -289,7 +302,7 @@ def test_pool_exact_across_store_compaction():
     exact = MixtureWeights(p=2.0).masses(X)
     pool = draw_mixture_pool(iter(X.points), 2.0, 500, np.random.default_rng(14))
     np.testing.assert_array_equal(pool.rows[pool.row_of], X.points[pool.indices])
-    np.testing.assert_allclose(pool.qmass, exact[pool.indices], rtol=1e-12)
+    np.testing.assert_array_equal(pool.qmass, exact[pool.indices])
     positions = pool.indices - zeros
     late = positions >= n // 2
     share = exact[zeros + n // 2:].sum()
@@ -298,6 +311,18 @@ def test_pool_exact_across_store_compaction():
     for half, middle in ((late, 1.5 * n / 2), ((positions >= 0) & ~late, 0.5 * n / 2)):
         sigma = (n / 2) / np.sqrt(12.0 * half.sum())
         assert positions[half].mean() == pytest.approx(middle, abs=3.0 * sigma)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_pool_qmass_is_the_exact_q_bit_for_bit(p):
+    # lognormal row norms over 2,000 x 64: the pass's total and the exact
+    # q's add the same weights in the same order, so every recorded mass
+    # is the exact one
+    rng = np.random.default_rng(99)
+    X = PointSet(rng.lognormal(size=(2000, 1)) * rng.standard_normal((2000, 64)))
+    pool = draw_mixture_pool(iter(X.points), p, 5000, np.random.default_rng(100))
+    exact = MixtureWeights(p=p).masses(X)
+    assert pool.qmass.tobytes() == exact[pool.indices].tobytes()
 
 
 def test_pool_consumes_exactly_one_selection_pass():
@@ -422,7 +447,7 @@ def test_pool_settled_mid_stream_matches_exact_mixture(extra):
     counts = np.zeros(n)
     for seed in range(passes):
         pool = draw_mixture_pool(iter(X.points), 2.0, pool_size, np.random.default_rng(seed))
-        np.testing.assert_allclose(pool.qmass, exact[pool.indices], rtol=1e-12)
+        np.testing.assert_array_equal(pool.qmass, exact[pool.indices])
         counts += np.bincount(pool.indices, minlength=n)
     assert _chi2_passes(counts, exact)
 
