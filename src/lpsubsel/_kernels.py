@@ -1,4 +1,4 @@
-"""The two hot kernels: weighted reservoir bank updates and Metropolis walk chains.
+"""The two hot kernels: reservoir bank totals and Metropolis walk chains.
 
 Both are plain Python over NumPy state. The sampler and the proposal pass
 look them up as module attributes at call time, one `update_bank` call
@@ -31,33 +31,17 @@ median of 3 of its 400 steps from the end. The tests keep the full loop,
 the cross-multiplied kernel and a scalar walk, which scores one draw at a
 time, as references, and check that each ends every walk on the same slot.
 
-`update_bank` is sequential with-replacement sampling by binomial thinning
-(Chao 1982) in skip-ahead form. Thinning replaces each of a bank's s slots
-independently with probability w/W as a row of weight w raises the running
-total to W. Rows i+1..j then all write nothing with probability
-prod (W_{r-1}/W_r)^s = (W_i/W_j)^s, which telescopes, so after a write at
-total W_i the bank draws a skip limit L = W_i * U^(-1/s), U uniform on
-(0, 1]: rows write nothing exactly while the total stays <= L (the
-with-replacement form of the exponential jumps of Li 1994). The row that
-crosses L writes Binomial(s, w/W) slots conditioned on at least one, as a
-uniform subset, and draws a fresh L. Both steps are the thinning law
-itself, so the bank's law is unchanged; a row below the limit costs one
-add and one compare and draws no variate.
-
-`proposal._draw_banks` defers its banks until its row store fills or the
-pass ends: while a bank is deferred its limit is inf, so `update_bank`
-only adds each row's weight to the total, and the store then settles the
-bank's slots over the rows so far in one draw and sets its first limit.
+`update_bank` only adds a positive row weight to a bank's running total.
+`proposal._draw_banks` calls it once per streamed row per bank, though a
+block at a time would do, because lpbench's tracer counts and times the
+pool pass through it, and both its self-test and this package's tests
+pin those calls at 2n; the draws themselves are made by
+`proposal._RowStore._merge`, a store-full of rows at a time.
 """
-
-import math
 
 import numpy as np
 
 BACKEND = "python"
-
-# Uniform variates a bank draws from its generator per call.
-UNIFORM_BLOCK = 256
 
 
 def run_walks(dist_pow, qmass, uniforms, out):
@@ -93,61 +77,12 @@ def run_walks(dist_pow, qmass, uniforms, out):
     return out
 
 
-def update_bank(bank, weight, value):
-    """Feed one streamed row to a bank of independent single-slot reservoirs.
+def update_bank(bank, weight):
+    """Add one streamed row's `weight` to the bank's running total `total`.
 
-    `bank` holds the running total `total` and the skip limit `limit` as
-    floats, the slots `win`, its generator `rng` and a list `uniforms` of
-    unused variates on (0, 1] (see `proposal._ReservoirBank`). A positive
-    `weight` is added to the total; if the total then exceeds the limit,
-    the row writes `value` into Binomial(slots, weight/total) slots,
-    conditioned on at least one, and the limit is redrawn. The first
-    positive row fills every slot. A weight that is not positive (or is
-    NaN) writes nothing and leaves the total alone. The caller keeps the
-    total finite: a row that would make it overflow must be rejected
-    before this call. Returns the number of slots written.
+    A weight that is not positive (or is NaN) leaves the total alone. The
+    caller keeps the total finite: a row that would make it overflow must
+    be rejected before this call.
     """
     if weight > 0.0:
-        total = bank.total + weight
-        bank.total = total
-        if total > bank.limit:
-            return _cross(bank, weight / total, value)
-    return 0
-
-
-def _uniform(bank):
-    """One variate on (0, 1] from the bank's block, refilled when empty."""
-    if not bank.uniforms:
-        bank.uniforms = (1.0 - bank.rng.random(UNIFORM_BLOCK)).tolist()
-    return bank.uniforms.pop()
-
-
-def _cross(bank, pi, value):
-    """Write the row that crossed the skip limit, then draw the next limit.
-
-    The count is Binomial(s, pi) conditioned on >= 1. The bank draws the
-    first written slot F from the truncated geometric law, then
-    Binomial(s-F-1, pi) more slots after F: the set independent
-    Bernoulli(pi) slots give, conditioned on being non-empty, which given
-    its size is a uniform subset.
-    """
-    win, rng = bank.win, bank.rng
-    slots = win.shape[0]
-    total = bank.total
-    if pi == 1.0:
-        # the first positive row, or one that dwarfs the total before it
-        win[:] = value
-        written = slots
-    else:
-        log_keep = math.log1p(-pi)
-        some = -math.expm1(slots * log_keep)  # P(at least one slot is written)
-        # 1 - U lies in [0, 1), so the log stays finite when some rounds to 1
-        first = min(int(math.log1p((_uniform(bank) - 1.0) * some) / log_keep), slots - 1)
-        win[first] = value
-        rest = slots - first - 1
-        written = int(rng.binomial(rest, pi))
-        if written:
-            win[first + 1:][rng.choice(rest, written, replace=False, shuffle=False)] = value
-        written += 1
-    bank.limit = total * _uniform(bank) ** (-1.0 / slots)
-    return written
+        bank.total += weight

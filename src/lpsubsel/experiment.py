@@ -21,6 +21,7 @@ from .baselines import exact_adaptive_sample, squared_length_sample
 from .errors import GuardError, InputError, ParameterError, readable
 from .geometry import CHUNK_ROWS, ErrParams, PointSet, SubsetBasis
 from .oracles import _brute_force_guard, brute_force_candidate_err, svd_optimal_err2
+from .proposal import _store_rows
 from .sampler import baseline_rng, one_pass_adaptive_sample, theorem_params
 from .stream import _BLOCK_ROWS, as_source, open_csv
 
@@ -230,13 +231,14 @@ def _memory_guard(algorithm, config, source):
     """Raise GuardError, naming the recipe's sizes, if what `algorithm`
     keeps cannot fit in this machine's physical memory.
 
-    A one-pass pool slot or a squared-length draw costs the row store two
-    rows of d floats, each with a position and a weight. Exact-adaptive
-    keeps about three n-vectors: its weights, `rng.choice`'s cumulative
-    sum of them, and (under one more) choice's sign check and a file's
-    block records: the last line, byte size, fingerprint of the bytes
-    and rows at the end of each block of lines, four ints a block of
-    128 rows. The weights' `_running_total` holds one transient n-vector,
+    The row store of a one-pass pool or a squared-length run has room
+    for `proposal._store_rows` rows: two a pool slot or draw, and at
+    least 8 * `_BLOCK_ROWS` rows beyond the slots, each d floats with a
+    position and a weight. Exact-adaptive keeps about three n-vectors:
+    its weights, `rng.choice`'s cumulative sum of them, and (under one
+    more) choice's sign check and a file's block records: the last line,
+    byte size, fingerprint of the bytes and rows at the end of each block
+    of lines, four ints a block of 128 rows. The weights' `_running_total` holds one transient n-vector,
     freed before `rng.choice`. It adds the distance temporaries of one
     CHUNK_ROWS-row chunk and a variate and an index per draw of a round.
     A file source also keeps its (n, d) rows, which an array input holds
@@ -252,7 +254,8 @@ def _memory_guard(algorithm, config, source):
             buffer = f" and an n={n} by d={d} row buffer"
     else:
         draws = config.pool_size if algorithm == "mcmc-one-pass" else config.t * max(config.l, 1)
-        per_draw, fixed, buffer = 16 * (d + 2), 0, ""
+        per_draw, buffer = 8 * (d + 2), ""
+        fixed = per_draw * (_store_rows(draws) - draws)
     memory = _physical_memory()
     if draws * per_draw + fixed > memory:
         raise GuardError(

@@ -4,33 +4,23 @@ distribution q(x) = 0.5 * d(x, span pivot)^p / err_p(X, pivot) + 0.5/n.
 Each pool slot flips a fair coin before the pass that assigns it to one
 of two banks of single-slot weighted reservoirs, one keyed by the
 distance weight and one uniform; both banks run over one shared pass.
-A bank replaces each slot with probability w/W as row weights w arrive,
-W being the running weight total (sequential with-replacement sampling,
-Chao 1982). It does so in skip-ahead form: after each write it draws the
-total up to which no row writes anything, so a row costs one add and one
-compare until a row crosses that limit, and only that row draws random
-numbers (see `_kernels`). q is bounded below by 1/(2n), the floor the
-walk's mixing analysis relies on.
+Sequential with-replacement sampling (Chao 1982) replaces each slot with
+probability w/W as row weights w arrive, W being the running weight
+total. The banks reach that law a store-full of rows at a time, by one
+merge rule (`_RowStore._merge`). q is bounded below by 1/(2n), the floor
+the walk's mixing analysis relies on.
 
-A slot holds a position in a row store rather than a row, and the pass
-ends by dropping the rows no slot holds, so the finished pool keeps each
+A slot holds a position in a row store rather than a row. The store
+keeps every row, a block at a time; when it fills, and once more when
+the pass ends, the banks merge the rows kept since their last merge and
+the store drops the rows no slot holds. So the finished pool keeps each
 drawn row once: at most min(n, pool size) rows, however many slots draw
 the same row.
 
 The pass draws from q with the empty pivot, whose distance weight is the
 plain norm power ||x||^p. It takes the stream `_BLOCK_ROWS` rows at a
 time, stacked into one array, and weighs each block in one
-`_norm_weights` call, the exact q's weights bit for bit. The store has
-room for twice the slots, and until it fills the banks defer: every row
-is kept, a block's rows by slice copies, and only adds to the totals.
-When the store fills, at the row where it does, or the pass ends first,
-each bank settles its prefix in one draw, its slots i.i.d. over the kept
-rows in proportion to their weights, and then draws its skip limit.
-After rows 1..r, thinning leaves the slots i.i.d. with P(row i) =
-w_i / W_r, and whether a later row writes depends only on W_r and the
-slot count, so the settled bank has the thinning law exactly. After the
-settle the store keeps only the rows a bank writes, one at a time. A
-pass over no more rows than twice the slots crosses no limit.
+`_norm_weights` call, the exact q's weights bit for bit.
 
 Squared-length (norm-power) sampling is the same pass with no uniform
 slots: `_draw_banks` serves both. `MixtureWeights` gives the exact q, for
@@ -123,64 +113,59 @@ class ProposalPool:
 class _ReservoirBank:
     """A bank of independent single-slot weighted reservoirs.
 
-    Every streamed row goes through `_kernels.update_bank`, which keeps
-    the running weight total W and replaces each slot independently with
-    probability w/W (Chao 1982). After the pass each slot holds a row
-    drawn with probability proportional to its weight, independently of
-    the other slots: i.i.d. draws with replacement from one shared pass.
-    The first row of positive weight fills every slot. A slot records
-    the row's position in a `_RowStore`, not the row itself.
-
-    The kernel skips ahead: after a write at total W it sets the skip
-    limit L = W * U^(-1/s) for s slots and U uniform on (0, 1], and rows
-    write nothing while the total stays <= L. Under thinning, rows after
-    that write leave all s slots alone up to total W' with probability
-    (W/W')^s = P(L >= W'), so the limit has the thinning law exactly.
-    A bank with no slots never crosses its limit but still keeps W.
-
-    `_draw_banks` defers its banks: their limit is inf, so rows only add
-    to W, until the row store settles them (see `_RowStore.settle`).
+    `_kernels.update_bank` adds each row's positive weight to the running
+    total W, and `_RowStore._merge` draws the slots. After the pass each
+    slot holds a row drawn with probability proportional to its weight,
+    independently of the other slots: i.i.d. draws with replacement from
+    one shared pass. A slot records the row's position in the
+    `_RowStore`, not the row itself. A bank with no slots still keeps W.
     """
 
-    __slots__ = ("total", "limit", "win", "rng", "uniforms")
+    __slots__ = ("total", "merged", "win")
 
-    def __init__(self, slots, rng):
+    def __init__(self, slots):
         self.total = 0.0  # running weight total W
-        self.limit = 0.0 if slots else math.inf  # skip limit L
+        self.merged = 0.0  # W at the last merge
         self.win = np.full(slots, -1, dtype=np.intp)
-        self.rng = rng
-        self.uniforms = []  # unused variates on (0, 1], drawn in blocks
+
+
+def _store_rows(slots):
+    """Rows a row store for `slots` slots has room for: besides the rows
+    the slots hold, at least 8 blocks, so the banks merge at most once
+    every 8 * `_BLOCK_ROWS` rows however few slots they have."""
+    return slots + max(slots, 8 * _BLOCK_ROWS)
 
 
 class _RowStore:
-    """The rows some reservoir slot holds, with stream positions and weights.
+    """Every row since the banks' last merge, and the rows their slots hold,
+    with stream positions and weights.
 
-    A replacement then writes one integer rather than a row. The store
-    holds up to twice the slots of the banks that share it. While it is
-    `deferred` it keeps every row, a block at a time by `keep_block`, and
-    the banks' limits are inf; when it fills, or at `finish` if it never
-    does, it settles the banks over the rows it kept. After that `keep`
-    keeps the rows a bank writes, one at a time, and when the store
-    fills, rows no slot holds any more are dropped and the slots
-    renumbered; `finish` does the same once more at the end of the pass.
+    It has room for `_store_rows` rows. When `keep_block` fills it, and
+    at `finish`, the banks merge the rows kept since their last merge
+    (`_merge`), and the rows no slot holds are dropped and the slots
+    renumbered.
     """
 
-    def __init__(self, slots):
+    def __init__(self, weighted, uniform, rng):
+        self.banks = (weighted, uniform)
+        self.rng = rng
         self.size = 0
+        self.unmerged = 0  # store position of the first row kept since the last merge
         self.rows = None
-        self.index = np.empty(2 * slots, dtype=np.intp)
-        self.weight = np.empty(2 * slots)
-        self.deferred = slots > 0
+        rows = _store_rows(len(weighted.win) + len(uniform.win))
+        self.index = np.empty(rows, dtype=np.intp)
+        self.weight = np.empty(rows)
 
     @property
     def room(self):
         return len(self.index) - self.size
 
-    def keep_block(self, first, block, weights, banks):
-        """Keep the rows of `block`, at stream positions from `first`, while deferred.
+    def keep_block(self, first, block, weights):
+        """Keep the rows of `block`, at stream positions from `first`.
 
-        The block must fit in the `room` left; the banks settle when it
-        fills the store.
+        The block must fit in the `room` left, and the banks' totals must
+        count its rows and none after them: the banks merge when it fills
+        the store.
         """
         if self.rows is None:
             self.rows = np.empty((len(self.index), block.shape[1]))
@@ -190,68 +175,73 @@ class _RowStore:
         self.weight[self.size:end] = weights
         self.size = end
         if not self.room:
-            self.settle(*banks)
-            self._drop_unheld(banks)
+            self._merge()
+            live = self._compact()
+            self.rows[:self.size] = self.rows[live]
+            self.index[:self.size] = self.index[live]
+            self.weight[:self.size] = self.weight[live]
 
-    def keep(self, index, point, weight, banks):
-        """Keep one row a settled bank wrote."""
-        self.rows[self.size] = point
-        self.index[self.size] = index
-        self.weight[self.size] = weight
-        self.size += 1
-        if not self.room:
-            self._drop_unheld(banks)
+    def finish(self):
+        """(rows, stream positions, weights) of the rows the slots hold, once each,
+        after the last merge.
 
-    def _drop_unheld(self, banks):
-        live = self._compact(banks)
-        self.rows[:self.size] = self.rows[live]
-        self.index[:self.size] = self.index[live]
-        self.weight[:self.size] = self.weight[live]
-
-    def finish(self, banks):
-        """(rows, stream positions, weights) of the rows the slots hold, once each.
-
-        The slots of `banks` are renumbered into the returned arrays.
+        The banks' slots are renumbered into the returned arrays.
         """
-        if self.deferred:
-            self.settle(*banks)
-        live = self._compact(banks)
+        self._merge()
+        live = self._compact()
         return self.rows[live], self.index[live], self.weight[live]
 
-    def settle(self, weighted, uniform):
-        """Draw the deferred banks' slots over every row kept so far, then their limits.
+    def _merge(self):
+        """Merge the rows kept since the banks' last merge into their slots.
 
-        The weighted bank's slots are i.i.d. in proportion to the kept
-        positive weights, drawn as multinomial counts in a random order;
-        the uniform bank's are i.i.d. uniform over the kept rows. A bank
-        whose total is still 0 holds no row and keeps limit 0, so its
-        first positive row fills every slot.
+        Let W_a be a bank's total at its last merge and W_b its total now.
+        Each slot is replaced independently, with probability
+        (W_b - W_a) / W_b, by a row drawn from the rows kept since the
+        last merge: in proportion to their weights for the weighted bank,
+        uniformly for the uniform bank. This is thinning over rows
+        a+1..b in one step: thinning leaves a slot alone over them with
+        probability prod W_{i-1} / W_i = W_a / W_b, and row j is the
+        slot's last write with probability (w_j / W_j)(W_j / W_b) =
+        w_j / W_b. So the slots stay i.i.d. with P(row j) = w_j / W_b over
+        every row so far, however the pass splits into merges.
+
+        At the first merge W_a = 0: every slot is replaced, and no mask
+        variate is drawn. The weighted bank draws multinomial counts in a
+        random order, the uniform bank `integers`. A bank whose total has
+        not grown keeps its slots, so one whose total is still 0 holds no
+        row.
         """
-        self.deferred = False
-        for bank in (weighted, uniform):
+        rng, new = self.rng, slice(self.unmerged, self.size)
+        weighted, uniform = self.banks
+        for bank in self.banks:
             slots = len(bank.win)
-            if not slots:
-                continue  # limit inf: the bank never writes
-            if bank.total <= 0.0:
-                bank.limit = 0.0
+            gained = bank.total - bank.merged
+            if gained <= 0.0:
                 continue
-            rng = bank.rng
+            if bank.merged:
+                replaced = np.flatnonzero(rng.random(slots) < gained / bank.total)
+                count = len(replaced)
+            else:
+                replaced, count = slice(None), slots
+            bank.merged = bank.total
+            if not count:
+                continue
             if bank is uniform:
-                bank.win = rng.integers(self.size, size=slots, dtype=np.intp)
+                drawn = rng.integers(new.start, new.stop, size=count, dtype=np.intp)
             else:
                 # NaN and weights <= 0 added nothing to the total: never drawn
-                w = self.weight[:self.size]
+                w = self.weight[new]
                 w = np.where(w > 0.0, w, 0.0)
                 w /= w.max()  # a sum of weights near the float range stays finite
-                counts = rng.multinomial(slots, w / w.sum())
-                bank.win = np.repeat(np.arange(self.size, dtype=np.intp), counts)
-                rng.shuffle(bank.win)
-            bank.limit = bank.total * (1.0 - rng.random()) ** (-1.0 / slots)
+                counts = rng.multinomial(count, w / w.sum())
+                drawn = np.repeat(np.arange(new.start, new.stop, dtype=np.intp), counts)
+                rng.shuffle(drawn)
+            bank.win[replaced] = drawn
 
-    def _compact(self, banks):
-        """Renumber the slots of `banks` over the rows they hold; returns those rows' positions."""
+    def _compact(self):
+        """Renumber the banks' slots over the rows they hold; returns those rows' positions."""
         # a bank that has seen no positive weight holds no row yet
-        filled = [bank for bank in banks if bank.total > 0.0]
+        filled = [bank for bank in self.banks if bank.total > 0.0]
         held = np.zeros(self.size, dtype=bool)
         for bank in filled:
             held[bank.win] = True
@@ -259,7 +249,7 @@ class _RowStore:
         for bank in filled:
             bank.win = renumber[bank.win]
         live = np.flatnonzero(held)
-        self.size = len(live)
+        self.size = self.unmerged = len(live)
         return live
 
 
@@ -323,58 +313,52 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     stream positions, weights, weighted, uniform): each row some slot drew
     once, with its position and weight, and the two banks, whose `win`
     index into rows and whose totals are the weight total and n. A bank
-    with no slots never writes or draws a variate. Raises InputError for
-    an empty stream, when no row has positive weight, naming the row at
-    which the weight total overflows (`_running_total`, the rule the exact
-    q's total follows), and naming the block whose rows do not all have
-    the first row's length (ValueError when the rows of one block differ
-    among themselves).
+    with no slots never draws a variate. Raises InputError for an empty
+    stream, when no row has positive weight, naming the row at which the
+    weight total overflows (`_running_total`, the rule the exact q's total
+    follows), and naming the block with a row whose length is not the
+    first row's.
 
     The pass weighs and checks `_BLOCK_ROWS` rows at a time, in one call
-    each, but every row still goes through `_kernels.update_bank` once per
-    bank, in stream order. The banks start deferred, with limit inf: the
-    store keeps every row, a block's rows in one slice copy, until it
-    fills or the pass ends, then settles both banks over those rows in
-    one draw (see `_RowStore.settle`); rows after that are thinned one at
-    a time, and only the rows a bank writes are kept.
+    each, and the store keeps a block's rows in one slice copy, but every
+    row still goes through `_kernels.update_bank` once per bank, in stream
+    order, before the store keeps it.
     """
-    weighted = _ReservoirBank(weighted_slots, rng)
-    uniform = _ReservoirBank(uniform_slots, rng)
-    banks = (weighted, uniform)
-    store = _RowStore(weighted_slots + uniform_slots)
-    weighted.limit = uniform.limit = math.inf  # deferred until the store settles them
+    weighted = _ReservoirBank(weighted_slots)
+    uniform = _ReservoirBank(uniform_slots)
+    store = _RowStore(weighted, uniform, rng)
     index = 0  # stream position of the block's first row
     width = None  # the first row's length, which every row must have
     while rows := list(itertools.islice(stream, _BLOCK_ROWS)):
-        block = np.array(rows, dtype=np.float64)  # ragged rows raise ValueError
-        width = block.shape[-1] if width is None else width
-        if block.shape != (len(rows), width):
+        try:
+            block = np.array(rows, dtype=np.float64)
+        except ValueError:
+            if len({np.shape(row) for row in rows}) < 2:
+                raise  # a value that is not a number, not a ragged block
+            block = None
+        width = np.size(rows[0]) if width is None else width
+        if block is None or block.shape != (len(rows), width):
             raise InputError(f"data rows {index + 1}-{index + len(rows)}: a row "
                              f"does not have the first row's {width} values")
         weights = np.asarray(block_weights(block), dtype=np.float64)
         _running_total(weighted.total, weights, index)
         listed = weights.tolist()
-        # the deferred head: the banks only add to their totals, and the
-        # store keeps every row, settling if these rows fill it
-        head = min(len(rows), store.room) if store.deferred else 0
-        for j in range(head):
-            _kernels.update_bank(weighted, listed[j], store.size + j)
-            _kernels.update_bank(uniform, 1.0, store.size + j)
-        if head:
-            store.keep_block(index, block[:head], weights[:head], banks)
-        for j in range(head, len(rows)):
-            w = listed[j]
-            # both banks see the row; it is kept if either takes a slot
-            taken = _kernels.update_bank(weighted, w, store.size)
-            taken += _kernels.update_bank(uniform, 1.0, store.size)
-            if taken:
-                store.keep(index + j, block[j], w, banks)
+        start = 0
+        while start < len(rows):
+            # the totals count the rows up to where the store fills, and
+            # no later ones, when it merges
+            end = min(len(rows), start + store.room)
+            for w in listed[start:end]:
+                _kernels.update_bank(weighted, w)
+                _kernels.update_bank(uniform, 1.0)
+            store.keep_block(index + start, block[start:end], weights[start:end])
+            start = end
         index += len(rows)
     if uniform.total == 0.0:
         raise InputError("empty stream")
     if weighted.total <= 0.0:
         raise InputError("all distance weights are zero; nothing can be drawn")
-    return (*store.finish(banks), weighted, uniform)
+    return (*store.finish(), weighted, uniform)
 
 
 def draw_mixture_pool(stream, p, pool_size, rng):

@@ -68,21 +68,22 @@ def _pool_deep_shaped(seed):
     return X * rng.lognormal(sigma=0.5, size=(300, 1))
 
 
-# recorded before the walks skipped to their last restart and distances
-# were scored with one temporary; both changes keep every bit
+# recorded when the pool's banks began merging a store-full of rows at a
+# time, which draws the uniform bank's slots right after the weighted
+# bank's, with no skip-limit variate between them
 @pytest.mark.parametrize("seed, members, rep_errors", [
-    (0, [205, 97, 254, 124, 212, 220, 258, 259, 46, 56, 24, 156, 240, 39, 26, 200, 90, 280,
-         177, 45, 170, 241, 188, 43, 72, 172, 286, 96, 237, 228, 48, 86, 296, 249, 196, 89,
-         3, 118, 85, 284, 94, 0],
-     [1493.71656180305, 1557.9763438062043]),
-    (1, [209, 90, 40, 222, 289, 147, 267, 290, 237, 162, 67, 72, 228, 55, 201, 261, 69, 258,
-         122, 230, 101, 10, 129, 125, 165, 254, 151, 42, 295, 130, 155, 18, 116, 195, 79,
-         251, 21, 150, 14, 175],
-     [2386.3849926951866, 2138.458393341555]),
-    (2, [255, 229, 241, 49, 253, 246, 166, 293, 148, 265, 292, 13, 251, 95, 245, 121, 80,
-         228, 87, 52, 207, 47, 274, 215, 23, 153, 203, 185, 201, 139, 34, 205, 89, 235, 129,
-         206, 156, 126, 138],
-     [1594.2805006042677, 1960.914146622613]),
+    (0, [94, 20, 46, 96, 60, 177, 86, 97, 79, 48, 101, 200, 24, 191, 141, 72, 212, 220, 259,
+         225, 266, 166, 98, 110, 39, 139, 88, 142, 187, 6, 56, 77, 83, 89, 14, 249, 5, 241,
+         274, 9, 40, 179],
+     [1731.3791627547575, 1471.2957030082446]),
+    (1, [209, 34, 40, 90, 267, 145, 67, 290, 237, 138, 162, 60, 177, 276, 201, 122, 69, 258,
+         230, 289, 106, 222, 129, 125, 165, 206, 54, 42, 295, 135, 204, 155, 218, 72, 36, 296,
+         21, 150, 101, 195, 175],
+     [2102.6247684484906, 1764.7856196100588]),
+    (2, [255, 229, 241, 49, 208, 143, 293, 87, 9, 63, 179, 113, 7, 251, 210, 121, 34, 47, 125,
+         52, 207, 56, 165, 75, 23, 215, 231, 80, 201, 111, 180, 104, 252, 129, 132, 203, 206,
+         96, 126, 21],
+     [1597.5620034269964, 2450.96771005238]),
 ])
 def test_pool_deep_shaped_run_fixed_seed_recording(seed, members, rep_errors):
     # the benchmark's pool-deep run scaled down: lognormal row norms,
@@ -674,6 +675,23 @@ def test_cli_exact_adaptive_buffer_beyond_memory_exits_3(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "n=50 by d=4" in err
     assert opened[0].auditor.selection_passes == 0
+
+
+@pytest.mark.parametrize("algorithm", ["mcmc-one-pass", "squared-length"])
+def test_one_pass_memory_guard_counts_the_row_store_floor(monkeypatch, algorithm):
+    # a small recipe's row store has room for its draws plus 8 blocks of
+    # rows, each d floats with a position and a weight
+    config = experiment.theorem_params(1, 2.0, 0.5, t_override=2, seed=0, l_override=1,
+                                       m_override=3, repetitions_override=1)
+    draws = config.pool_size if algorithm == "mcmc-one-pass" else config.t * config.l
+    assert draws < 8 * _BLOCK_ROWS
+    source = as_source(np.random.default_rng(18).standard_normal((50, 4)))
+    store = 8 * (4 + 2) * (draws + 8 * _BLOCK_ROWS)
+    monkeypatch.setattr(experiment, "_physical_memory", lambda: store)
+    experiment._memory_guard(algorithm, config, source)
+    monkeypatch.setattr(experiment, "_physical_memory", lambda: store - 1)
+    with pytest.raises(experiment.GuardError, match=f"keeps {draws} draws"):
+        experiment._memory_guard(algorithm, config, source)
 
 
 def test_cli_exact_adaptive_and_header(tmp_path, capsys):

@@ -7,6 +7,7 @@ from lpsubsel import (DistributionTable, InputError, MixtureWeights, ParameterEr
                       PointSet, SubsetBasis, _kernels, adaptive_distribution, as_source,
                       draw_mixture_pool, extend_basis, gamma_bound, mixture_distribution,
                       open_unit, squared_length_sample, transition_matrix, tv_distance)
+from lpsubsel import proposal
 from lpsubsel.proposal import _distance_weights, _draw_banks, _norm_weights, _running_total
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
@@ -218,15 +219,15 @@ def test_reservoir_exact_across_store_compaction():
 
 
 def test_reservoir_fixed_seed_draws():
-    # recorded when the banks began settling the rows before the store fills
-    # in one draw, which uses the generator differently from row-by-row thinning
+    # recorded when the banks began merging a store-full of rows at a time:
+    # the 40 rows fit in the store, so the pass ends in one merge
     rng = np.random.default_rng(31)
     X = rng.standard_normal((40, 5)) * np.exp(rng.standard_normal((40, 1)))
     rows = np.column_stack([np.arange(40), X])
     draws = _reservoir_draws(rows, lambda x: float(x[1:].dot(x[1:])), 16,
                              np.random.default_rng(10))
     assert [int(point[0]) for point, _ in draws] == [
-        6, 9, 9, 30, 23, 9, 39, 23, 14, 19, 2, 15, 23, 14, 9, 0]
+        6, 9, 9, 30, 23, 9, 6, 30, 14, 23, 2, 19, 23, 15, 14, 0]
     assert all(weight == float(X[int(point[0])].dot(X[int(point[0])]))
                for point, weight in draws)
 
@@ -435,6 +436,65 @@ def test_banks_settled_mid_stream_follow_their_laws(extra):
     assert _chi2_passes(light, np.full(n, 1.0 / n))
 
 
+def _regime_rows(n):
+    """Rows (i, w_i) whose weight changes regime every 1,104 rows, with
+    zero, NaN and negative weights scattered through every regime; and
+    each row's share of the weight total, 0 for the rows that add nothing.
+
+    1,104 rows fill the store of 40 + 40 slots, so the first change comes
+    at the row where that store first fills, inside a block: a merge whose
+    totals counted the rest of that block would shift weight to the rows
+    before it."""
+    i = np.arange(n)
+    w = np.array([1.0, 6.0, 0.25, 3.0])[(i // 1104) % 4]
+    w[i % 97 == 0] = 0.0
+    w[i % 89 == 5] = np.nan
+    w[i % 83 == 7] = -2.0
+    positive = np.where(w > 0.0, w, 0.0)
+    return np.column_stack([i, w]), positive / positive.sum()
+
+
+def test_banks_merged_many_times_follow_their_laws():
+    # 40 + 40 slots over 6,000 rows: the store has room for 40 + 40 + 1,024
+    # rows, so it fills five times and the banks merge six times a pass,
+    # and the weights change regime between merges. Positions are pooled over
+    # independent passes and binned by 250 rows.
+    n, slots, passes = 6000, 40, 100
+    rows, law = _regime_rows(n)
+    heavy = np.zeros(n)
+    light = np.zeros(n)
+    for seed in range(passes):
+        _, positions, _, weighted, uniform = _draw_banks(
+            _stream(rows), lambda block: block[:, 1], slots, slots, np.random.default_rng(seed))
+        heavy += np.bincount(positions[weighted.win], minlength=n)
+        light += np.bincount(positions[uniform.win], minlength=n)
+    assert heavy[law == 0.0].sum() == 0
+    bins = np.arange(0, n, 250)
+    assert _chi2_passes(np.add.reduceat(heavy, bins), np.add.reduceat(law, bins))
+    assert _chi2_passes(np.add.reduceat(light, bins), np.full(len(bins), 1.0 / len(bins)))
+
+
+@pytest.mark.parametrize("bank", ["weighted", "uniform"])
+def test_bank_slots_stay_pairwise_independent_across_merges(bank):
+    # 40 + 40 slots over 4,000 rows merge four times a pass. Slots 2i and
+    # 2i + 1 of a pass make a pair, and the thirds of the stream the two
+    # drew follow the product of the one-slot law: a rule that replaced
+    # slots together at a merge would draw both from one stretch of rows.
+    n, slots, passes = 4000, 40, 100
+    rows, law = _regime_rows(n)
+    if bank == "uniform":
+        law = np.full(n, 1.0 / n)
+    third = np.arange(n) * 3 // n
+    joint = np.zeros((3, 3))
+    for seed in range(passes):
+        _, positions, _, weighted, uniform = _draw_banks(
+            _stream(rows), lambda block: block[:, 1], slots, slots, np.random.default_rng(seed))
+        drawn = third[positions[(weighted if bank == "weighted" else uniform).win]]
+        np.add.at(joint, (drawn[0::2], drawn[1::2]), 1)
+    marginal = np.bincount(third, weights=law)
+    assert _chi2_passes(joint.ravel(), np.outer(marginal, marginal).ravel())
+
+
 @pytest.mark.parametrize("extra", [-3, 0, 5], ids=["before", "at", "after"])
 def test_pool_settled_mid_stream_matches_exact_mixture(extra):
     # a pool of 120 settles at row 240, around the step in the row norms
@@ -452,36 +512,36 @@ def test_pool_settled_mid_stream_matches_exact_mixture(extra):
     assert _chi2_passes(counts, exact)
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, owner, name):
     calls = []
-    kernel = getattr(_kernels, name)
+    kernel = getattr(owner, name)
 
     def counted(*args):
         calls.append(1)
         return kernel(*args)
 
-    monkeypatch.setattr(_kernels, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
-@pytest.mark.parametrize("n, crossings", [(1000, False), (2000, False), (3000, True)],
+@pytest.mark.parametrize("n, fills", [(1000, False), (2024, True), (3000, True)],
                          ids=["room", "fills_at_last_row", "fills"])
 def test_passes_update_each_bank_once_per_row_and_cross_only_after_settling(
-        monkeypatch, n, crossings):
-    # a pool of 1000 and 1000 squared-length draws: a store of 2000 rows.
-    # After it fills, rows are thinned one at a time, and among 1000 more
-    # rows some cross (each bank misses all of them with P < 1e-80).
+        monkeypatch, n, fills):
+    # a pool of 1000 and 1000 squared-length draws: a store of 1000 + 1024
+    # rows. The banks merge once at the end of the pass, and once more
+    # each time the store fills before it.
     X = np.random.default_rng(42).standard_normal((n, 3))
-    updates = _counting(monkeypatch, "update_bank")
-    crossed = _counting(monkeypatch, "_cross")
+    updates = _counting(monkeypatch, _kernels, "update_bank")
+    merges = _counting(monkeypatch, proposal._RowStore, "_merge")
     draw_mixture_pool(iter(X), 2.0, 1000, np.random.default_rng(43))
     assert len(updates) == 2 * n
-    assert bool(crossed) == crossings
+    assert len(merges) >= 1 and (len(merges) > 1) == fills
     updates.clear()
-    crossed.clear()
+    merges.clear()
     squared_length_sample(X, 2.0, 1000, np.random.default_rng(44))
     assert len(updates) == 2 * n
-    assert bool(crossed) == crossings
+    assert len(merges) >= 1 and (len(merges) > 1) == fills
 
 
 def _thousand_rows():
@@ -490,26 +550,26 @@ def _thousand_rows():
 
 
 def test_pool_and_squared_length_fixed_seed_draws_past_the_settle():
-    # recorded before the pass took its rows a block at a time: a pool of
-    # 100 and 100 squared-length draws fill their 200-row store inside the
-    # second 128-row block, and rows after it are thinned one at a time
+    # recorded when the banks began merging a store-full of rows at a time:
+    # a pool of 100 and 100 squared-length draws each have a store of
+    # 100 + 1,024 rows, so the 1,000 rows end in one merge
     X = _thousand_rows()
     pool = draw_mixture_pool(iter(X), 3.0, 100, np.random.default_rng(52))
     assert pool.indices.tolist() == [
-        711, 270, 981, 91, 901, 435, 802, 10, 510, 236, 226, 10, 10, 385, 316, 20, 91,
-        603, 647, 10, 91, 752, 928, 268, 226, 10, 197, 91, 405, 123, 799, 790, 91, 593,
-        10, 457, 780, 10, 10, 91, 725, 716, 603, 10, 587, 91, 885, 60, 832, 197, 524,
-        306, 91, 91, 558, 10, 10, 328, 681, 934, 91, 285, 34, 604, 10, 621, 728, 20, 51,
-        91, 169, 24, 91, 271, 655, 820, 91, 424, 270, 835, 520, 10, 867, 634, 10, 514,
-        10, 10, 680, 10, 749, 10, 91, 950, 661, 10, 675, 749, 10, 706]
+        89, 185, 143, 10, 229, 43, 91, 10, 20, 850, 102, 677, 91, 152, 687, 634, 634, 603,
+        218, 835, 10, 81, 10, 738, 636, 10, 221, 91, 417, 10, 458, 91, 20, 10, 91, 126, 468,
+        10, 91, 91, 169, 146, 169, 197, 955, 91, 42, 575, 503, 169, 18, 278, 123, 573, 415,
+        10, 10, 63, 883, 193, 91, 58, 944, 548, 169, 942, 840, 494, 534, 10, 169, 302, 982,
+        828, 673, 514, 802, 908, 669, 91, 781, 10, 3, 91, 10, 784, 10, 10, 253, 10, 101, 51,
+        91, 908, 641, 91, 165, 603, 225, 10]
     basis = squared_length_sample(X, 2.0, 100, np.random.default_rng(53))
     assert list(basis.member_indices) == [
-        231, 754, 979, 390, 843, 424, 725, 522, 579, 169, 542, 879, 366, 961, 634, 788,
-        391, 91, 539, 91, 32, 433, 554, 10, 169, 644, 318, 125, 10, 432, 957, 366, 10, 8,
-        744, 494, 534, 10, 182, 169, 908, 802, 601, 225, 221, 169, 961, 950, 706, 741,
-        943, 961, 186, 10, 16, 231, 10, 788, 392, 10, 424, 872, 634, 815, 725, 10, 603,
-        169, 16, 10, 5, 634, 634, 91, 715, 304, 91, 434, 682, 10, 847, 10, 91, 91, 863,
-        91, 896, 10, 749, 91, 432, 10, 197, 908, 333, 682, 826, 318, 91, 10]
+        802, 802, 376, 34, 91, 577, 725, 10, 603, 785, 961, 739, 542, 225, 725, 997, 432, 5,
+        211, 980, 91, 682, 432, 10, 835, 129, 534, 91, 91, 10, 10, 16, 91, 802, 635, 802, 663,
+        169, 28, 169, 91, 908, 950, 10, 817, 534, 497, 543, 10, 634, 494, 810, 564, 10, 802,
+        91, 788, 56, 91, 534, 169, 898, 169, 908, 169, 378, 91, 908, 81, 102, 221, 840, 169,
+        16, 91, 10, 908, 975, 91, 677, 480, 939, 10, 603, 56, 91, 416, 534, 91, 975, 10, 863,
+        908, 802, 225, 761, 8, 10, 634, 603]
 
 
 _TOTAL_OVERFLOWS = "makes the running weight total overflow"
@@ -544,8 +604,11 @@ def test_pool_rejects_rows_of_different_lengths():
     rows = list(_thousand_rows()[:128])
     # a final block of rows of lengths 2 and 4, which one concatenation
     # would have reshaped into two rows of 3
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^data rows 129-130: a row does not have the first row's 5 values"):
         draw_mixture_pool(iter(rows + [np.ones(2), np.ones(4)]), 2.0, 10, np.random.default_rng(55))
+    # a first block whose rows differ among themselves
+    with pytest.raises(InputError, match="^data rows 1-3: a row does not have the first row's 3 values"):
+        draw_mixture_pool(iter([np.ones(3), np.ones(3), np.ones(2)]), 2.0, 10, np.random.default_rng(55))
     # a later block whose rows agree with each other but not with the first row
     with pytest.raises(InputError, match="^data rows 129-130: a row does not have the first row's 5 values"):
         draw_mixture_pool(iter(rows + [np.ones(2), np.ones(2)]), 2.0, 10, np.random.default_rng(55))
