@@ -148,9 +148,9 @@ def test_block_weights_are_bit_identical_to_raw_weight(p, d):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 120.0])
 @pytest.mark.parametrize("d", [1, 2, 7, 32, 64])
 def test_the_pass_weighs_every_kept_row_as_the_exact_mixture(p, d):
-    # 700 rows, so several blocks; the 200-row store settles inside the
-    # second block and later rows are kept one at a time. The pass's kept
-    # weights equal the exact mixture's whole-array weights bit for bit.
+    # 700 rows, so several blocks, into a store of 100 + 1,024 rows. The
+    # pass's kept weights equal the exact mixture's whole-array weights bit
+    # for bit.
     rng = np.random.default_rng(57)
     scale = np.exp((3.0 if p < 100 else 0.3) * rng.standard_normal((700, 1)))
     X = rng.standard_normal((700, d)) * scale
@@ -398,7 +398,7 @@ def _chi2_passes(counts, probs):
 
 def test_banks_settled_at_pass_end_follow_their_laws():
     # 40 rows into 3000 + 3000 slots: the store never fills, so both banks
-    # settle once, after the last row. Row i is (i, w_i), weights 1 then 3,
+    # merge once, after the last row. Row i is (i, w_i), weights 1 then 3,
     # with zero-weight rows first, in the middle and last.
     n = 40
     w = np.where(np.arange(n) < n // 2, 1.0, 3.0)
@@ -415,9 +415,10 @@ def test_banks_settled_at_pass_end_follow_their_laws():
 
 @pytest.mark.parametrize("extra", [-3, 0, 1, 5], ids=["before", "at", "one_after", "after"])
 def test_banks_settled_mid_stream_follow_their_laws(extra):
-    # 60 + 60 slots: the store fills and settles at row 240 unless the
-    # stream ends first. Weights go from 1 to 3 at row 237, so the change
-    # straddles the settle row, and rows after it are thinned one at a time.
+    # 60 + 60 slots, once a store of 240 rows that filled at row 240 unless
+    # the stream ended first; weights go from 1 to 3 at row 237. The store
+    # now has room for 120 + 1,024 rows, so each pass ends in one merge
+    # (`test_banks_merged_many_times_follow_their_laws` merges mid-stream).
     # Positions are pooled over independent passes.
     slots, passes = 60, 100
     n = 4 * slots + extra
@@ -497,7 +498,8 @@ def test_bank_slots_stay_pairwise_independent_across_merges(bank):
 
 @pytest.mark.parametrize("extra", [-3, 0, 5], ids=["before", "at", "after"])
 def test_pool_settled_mid_stream_matches_exact_mixture(extra):
-    # a pool of 120 settles at row 240, around the step in the row norms
+    # a pool of 120 whose store once filled at row 240, around the step in
+    # the row norms; its store of 120 + 1,024 rows now merges once
     pool_size, passes = 120, 100
     n = 2 * pool_size + extra
     norms = np.where(np.arange(n) < 2 * pool_size - 3, 1.0, np.sqrt(3.0))
@@ -583,12 +585,12 @@ _TOTAL_OVERFLOWS = "makes the running weight total overflow"
     ([1e308, 0.0, np.nan, -1.0, 1e308], 300, f"its weight 1e\\+308 {_TOTAL_OVERFLOWS}", True),
 ], ids=["weight_overflows", "total_overflows", "mid_block", "across_blocks", "zero_and_nan"])
 def test_pool_overflow_past_the_first_block_names_the_row(big, row, cause, seam):
-    # the store settles at row 200, and the weight of the last of the
-    # `big` rows, which end at `row`, makes the total overflow: alone, on
-    # top of rows of its own block (rows 337-340 sit mid-block) or of the
-    # block before (rows 383-386 straddle a block boundary). With the seam
-    # each row weighs its first coordinate, and the zero, NaN and negative
-    # weights before row 300 add nothing to the total.
+    # the weight of the last of the `big` rows, which end at `row`, makes
+    # the total overflow: alone, on top of rows of its own block (rows
+    # 337-340 sit mid-block) or of the block before (rows 383-386 straddle
+    # a block boundary). With the seam each row weighs its first
+    # coordinate, and the zero, NaN and negative weights before row 300
+    # add nothing to the total.
     X = _thousand_rows()
     X[row - len(big):row] = 0.0
     X[row - len(big):row, 0] = big
