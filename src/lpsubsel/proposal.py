@@ -211,8 +211,7 @@ class _RowStore:
         not grown keeps its slots, so one whose total is still 0 holds no
         row.
         """
-        rng, new = self.rng, slice(self.unmerged, self.size)
-        weighted, uniform = self.banks
+        rng, new, uniform = self.rng, slice(self.unmerged, self.size), self.banks[1]
         for bank in self.banks:
             slots = len(bank.win)
             gained = bank.total - bank.merged
