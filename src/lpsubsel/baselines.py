@@ -10,20 +10,6 @@ from .proposal import _distance_weights, _draw_banks, _norm_weights
 from .stream import as_source
 
 
-def _round_weights(basis, rows, p):
-    """A round's draw probabilities d(x, span S)^p / total, in one n-vector.
-
-    The power and the normalisation are taken in place, or None once the
-    total is zero, where the distribution is undefined. Raises InputError
-    naming the row at which the total overflows.
-    """
-    weights, total = _distance_weights(basis, rows, p)
-    if total <= 0.0:
-        return None
-    weights /= total
-    return weights
-
-
 def _selection_pass(src):
     deque(src.iterate_once("selection"), maxlen=0)
 
@@ -34,8 +20,9 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
     Each round streams the data to compute the exact distribution
     proportional to d(x, span S)^p, then draws t i.i.d. indices from it
     and extends S (duplicates collapse). Terminates early once the error
-    hits zero, where the distribution is undefined. Its defining cost is
-    l selection passes on the auditor. It scores the source's `rows`: an
+    hits zero, where the distribution is undefined, or once the span is
+    all of R^d, as the sampler does. Its defining cost is up to l
+    selection passes on the auditor. It scores the source's `rows`: an
     array input in place, a file's as its first pass keeps them (see
     `DatasetSource.keep_rows`), so the file is parsed once and later
     passes check its bytes and replay the kept rows. Besides those rows
@@ -53,13 +40,18 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
     basis = SubsetBasis.empty(src.d)
     members = set()
     for round_ in range(l):
+        if basis.rank == src.d:
+            # the span is R^d, so the error is already 0 and the
+            # weights would be rounding noise
+            break
         if not round_:
             _selection_pass(src)
         # a later round's weights come from the kept rows before its pass,
         # so a run whose error is zero ends without one
-        weights = _round_weights(basis, src.rows, p)
-        if weights is None:
+        weights, total = _distance_weights(basis, src.rows, p)
+        if total <= 0.0:
             break
+        weights /= total
         if round_:
             _selection_pass(src)
         picks = []

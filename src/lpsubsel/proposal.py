@@ -7,15 +7,15 @@ distance weight and one uniform; both banks run over one shared pass.
 Sequential with-replacement sampling (Chao 1982) replaces each slot with
 probability w/W as row weights w arrive, W being the running weight
 total. The banks reach that law a store-full of rows at a time, by one
-merge rule (`_RowStore._merge`). q is bounded below by 1/(2n), the floor
-the walk's mixing analysis relies on.
+merge rule (`_RowStore._merge`), between blocks. q is bounded below by
+1/(2n), the floor the walk's mixing analysis relies on.
 
 A slot holds a position in a row store rather than a row. The store
-keeps every row, a block at a time; when it fills, and once more when
-the pass ends, the banks merge the rows kept since their last merge and
-the store drops the rows no slot holds. So the finished pool keeps each
-drawn row once: at most min(n, pool size) rows, however many slots draw
-the same row.
+keeps every row, a block at a time; before a block that would not fit,
+and once more when the pass ends, the banks merge the rows kept since
+their last merge and the store drops the rows no slot holds. So the
+finished pool keeps each drawn row once: at most min(n, pool size) rows,
+however many slots draw the same row.
 
 The pass draws from q with the empty pivot, whose distance weight is the
 plain norm power ||x||^p. It takes the stream `_BLOCK_ROWS` rows at a
@@ -131,7 +131,8 @@ class _ReservoirBank:
 
 def _store_rows(slots):
     """Rows a row store for `slots` slots has room for: besides the rows
-    the slots hold, at least 8 blocks, so the banks merge at most once
+    the slots hold, at least 8 blocks. A merge leaves at most `slots` rows,
+    so a block always fits after one, and the banks merge at most once
     every 8 * `_BLOCK_ROWS` rows however few slots they have."""
     return slots + max(slots, 8 * _BLOCK_ROWS)
 
@@ -140,8 +141,8 @@ class _RowStore:
     """Every row since the banks' last merge, and the rows their slots hold,
     with stream positions and weights.
 
-    It has room for `_store_rows` rows. When `keep_block` fills it, and
-    at `finish`, the banks merge the rows kept since their last merge
+    It has room for `_store_rows` rows. Before a block that would not fit,
+    and at `finish`, the banks merge the rows kept since their last merge
     (`_merge`), and the rows no slot holds are dropped and the slots
     renumbered.
     """
@@ -156,30 +157,21 @@ class _RowStore:
         self.index = np.empty(rows, dtype=np.intp)
         self.weight = np.empty(rows)
 
-    @property
-    def room(self):
-        return len(self.index) - self.size
-
     def keep_block(self, first, block, weights):
-        """Keep the rows of `block`, at stream positions from `first`.
-
-        The block must fit in the `room` left, and the banks' totals must
-        count its rows and none after them: the banks merge when it fills
-        the store.
-        """
+        """Keep the rows of `block`, at stream positions from `first`; when
+        they would not fit, the banks merge first."""
         if self.rows is None:
             self.rows = np.empty((len(self.index), block.shape[1]))
+        if self.size + len(block) > len(self.index):
+            live = self._merge()
+            self.rows[:self.size] = self.rows[live]
+            self.index[:self.size] = self.index[live]
+            self.weight[:self.size] = self.weight[live]
         end = self.size + len(block)
         self.rows[self.size:end] = block
         self.index[self.size:end] = np.arange(first, first + len(block))
         self.weight[self.size:end] = weights
         self.size = end
-        if not self.room:
-            self._merge()
-            live = self._compact()
-            self.rows[:self.size] = self.rows[live]
-            self.index[:self.size] = self.index[live]
-            self.weight[:self.size] = self.weight[live]
 
     def finish(self):
         """(rows, stream positions, weights) of the rows the slots hold, once each,
@@ -187,12 +179,13 @@ class _RowStore:
 
         The banks' slots are renumbered into the returned arrays.
         """
-        self._merge()
-        live = self._compact()
+        live = self._merge()
         return self.rows[live], self.index[live], self.weight[live]
 
     def _merge(self):
-        """Merge the rows kept since the banks' last merge into their slots.
+        """Merge the rows kept since the banks' last merge into their slots,
+        and renumber the slots over the rows they hold; returns those rows'
+        store positions.
 
         Let W_a be a bank's total at its last merge and W_b its total now.
         Each slot is replaced independently, with probability
@@ -236,9 +229,6 @@ class _RowStore:
                 drawn = np.repeat(np.arange(new.start, new.stop, dtype=np.intp), counts)
                 rng.shuffle(drawn)
             bank.win[replaced] = drawn
-
-    def _compact(self):
-        """Renumber the banks' slots over the rows they hold; returns those rows' positions."""
         # a bank that has seen no positive weight holds no row yet
         filled = [bank for bank in self.banks if bank.total > 0.0]
         held = np.zeros(self.size, dtype=bool)
@@ -319,9 +309,10 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     first row's.
 
     The pass weighs and checks `_BLOCK_ROWS` rows at a time, in one call
-    each, and the store keeps a block's rows in one slice copy, but every
-    row still goes through `_kernels.update_bank` once per bank, in stream
-    order, before the store keeps it.
+    each, and the store keeps a block's rows in one slice copy; then every
+    row of the block goes through `_kernels.update_bank` once per bank, in
+    stream order. So when the store merges before a block, the banks'
+    totals count exactly the rows it kept.
     """
     weighted = _ReservoirBank(weighted_slots)
     uniform = _ReservoirBank(uniform_slots)
@@ -341,17 +332,10 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
                              f"does not have the first row's {width} values")
         weights = np.asarray(block_weights(block), dtype=np.float64)
         _running_total(weighted.total, weights, index)
-        listed = weights.tolist()
-        start = 0
-        while start < len(rows):
-            # the totals count the rows up to where the store fills, and
-            # no later ones, when it merges
-            end = min(len(rows), start + store.room)
-            for w in listed[start:end]:
-                _kernels.update_bank(weighted, w)
-                _kernels.update_bank(uniform, 1.0)
-            store.keep_block(index + start, block[start:end], weights[start:end])
-            start = end
+        store.keep_block(index, block, weights)
+        for w in weights.tolist():
+            _kernels.update_bank(weighted, w)
+            _kernels.update_bank(uniform, 1.0)
         index += len(rows)
     if uniform.total == 0.0:
         raise InputError("empty stream")

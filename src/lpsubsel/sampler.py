@@ -11,7 +11,7 @@ single shared pass up front. Only each walk's final location joins S.
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,10 +106,7 @@ class SamplerConfig:
 
     def as_dict(self):
         return {
-            "k": self.k, "p": self.p, "delta": self.delta,
-            "epsilon": self.epsilon, "epsilon1": self.epsilon1,
-            "epsilon2": self.epsilon2, "m": self.m, "t": self.t, "l": self.l,
-            "repetitions": self.repetitions, "seed": self.seed,
+            **asdict(self),
             "pool_size": self.pool_size,
             "lemma_min_walk_length": self.lemma_min_walk_length,
             "meets_lemma_walk_length": self.meets_lemma_walk_length,

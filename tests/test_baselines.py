@@ -55,6 +55,16 @@ def test_exact_adaptive_consumes_l_selection_passes():
     assert src.auditor.selection_passes == 3
 
 
+def test_exact_adaptive_stops_once_its_span_is_the_whole_space():
+    # t * l = 50 > d = 4: once four rounds span R^4 every weight is
+    # rounding noise, and a further round would add a member and a pass
+    # for no rank
+    src = as_source(np.random.default_rng(6).standard_normal((50, 4)))
+    basis = exact_adaptive_sample(src, 2.0, t=1, l=50, rng=np.random.default_rng(7))
+    assert basis.rank == 4 and len(basis.member_indices) == 4
+    assert src.auditor.selection_passes == 4
+
+
 def test_squared_length_frequencies():
     # norms (1, 2) at p=2: probabilities (0.2, 0.8)
     X = np.array([[1.0, 0.0], [0.0, 2.0]])

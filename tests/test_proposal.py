@@ -9,6 +9,7 @@ from lpsubsel import (DistributionTable, InputError, MixtureWeights, ParameterEr
                       open_unit, squared_length_sample, transition_matrix, tv_distance)
 from lpsubsel import proposal
 from lpsubsel.proposal import _distance_weights, _draw_banks, _norm_weights, _running_total
+from lpsubsel.stream import _BLOCK_ROWS
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.0, 0.0], [-2.0, 1.0]])
@@ -526,24 +527,35 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("n, fills", [(1000, False), (2024, True), (3000, True)],
-                         ids=["room", "fills_at_last_row", "fills"])
-def test_passes_update_each_bank_once_per_row_and_cross_only_after_settling(
-        monkeypatch, n, fills):
-    # a pool of 1000 and 1000 squared-length draws: a store of 1000 + 1024
-    # rows. The banks merge once at the end of the pass, and once more
-    # each time the store fills before it.
+@pytest.mark.parametrize("n, fills", [(1000, False), (2024, False), (2025, True), (3000, True)],
+                         ids=["room", "fills_at_last_row", "one_row_over", "fills"])
+def test_passes_feed_each_row_once_and_merge_once_unless_full(monkeypatch, n, fills):
+    # each row goes through update_bank once per bank. A pool of 1000 and
+    # 1000 squared-length draws each have a store of 1000 + 1024 = 2,024
+    # rows, 15 blocks of 128 and 104 rows more. The banks merge once at
+    # the end of the pass, and once more before each block that would not
+    # fit, when their totals count the rows before that block: 2,024 rows
+    # fit, and the 16th block of 2,025 does not.
     X = np.random.default_rng(42).standard_normal((n, 3))
     updates = _counting(monkeypatch, _kernels, "update_bank")
-    merges = _counting(monkeypatch, proposal._RowStore, "_merge")
-    draw_mixture_pool(iter(X), 2.0, 1000, np.random.default_rng(43))
-    assert len(updates) == 2 * n
-    assert len(merges) >= 1 and (len(merges) > 1) == fills
-    updates.clear()
-    merges.clear()
-    squared_length_sample(X, 2.0, 1000, np.random.default_rng(44))
-    assert len(updates) == 2 * n
-    assert len(merges) >= 1 and (len(merges) > 1) == fills
+    merges = []  # update_bank calls made when each merge begins
+    merge = proposal._RowStore._merge
+
+    def counted(store):
+        merges.append(len(updates))
+        return merge(store)
+
+    monkeypatch.setattr(proposal._RowStore, "_merge", counted)
+    for run in (lambda: draw_mixture_pool(iter(X), 2.0, 1000, np.random.default_rng(43)),
+                lambda: squared_length_sample(X, 2.0, 1000, np.random.default_rng(44))):
+        updates.clear()
+        merges.clear()
+        run()
+        assert len(updates) == 2 * n
+        assert merges[-1] == 2 * n and (len(merges) > 1) == fills
+        if fills:
+            assert merges[0] == 2 * 15 * _BLOCK_ROWS
+        assert all(m % (2 * _BLOCK_ROWS) == 0 for m in merges[:-1])
 
 
 def _thousand_rows():
@@ -551,7 +563,7 @@ def _thousand_rows():
     return rng.standard_normal((1000, 5)) * np.exp(rng.standard_normal((1000, 1)))
 
 
-def test_pool_and_squared_length_fixed_seed_draws_past_the_settle():
+def test_pool_and_squared_length_fixed_seed_draws_in_one_merge():
     # recorded when the banks began merging a store-full of rows at a time:
     # a pool of 100 and 100 squared-length draws each have a store of
     # 100 + 1,024 rows, so the 1,000 rows end in one merge
@@ -574,6 +586,29 @@ def test_pool_and_squared_length_fixed_seed_draws_past_the_settle():
         908, 802, 225, 761, 8, 10, 634, 603]
 
 
+def test_pool_and_squared_length_fixed_seed_draws_merged_mid_stream(monkeypatch):
+    # recorded when the banks began merging only between blocks: a pool of
+    # 40 and 40 squared-length draws each have a store of 40 + 1,024 rows,
+    # so the 3,000 rows merge before their 9th block, once more later in
+    # the stream, and at its end
+    rng = np.random.default_rng(56)
+    X = rng.standard_normal((3000, 5)) * np.exp(rng.standard_normal((3000, 1)))
+    merges = _counting(monkeypatch, proposal._RowStore, "_merge")
+    pool = draw_mixture_pool(iter(X), 3.0, 40, np.random.default_rng(57))
+    assert len(merges) == 3
+    assert pool.indices.tolist() == [
+        1337, 104, 2557, 1443, 1443, 874, 320, 1294, 2429, 1353, 1353, 2429, 2572, 2952,
+        282, 689, 782, 2209, 363, 2838, 1443, 690, 560, 1944, 1878, 868, 751, 95, 529,
+        1243, 960, 1165, 1736, 2111, 2607, 2057, 1273, 69, 387, 576]
+    merges.clear()
+    basis = squared_length_sample(X, 2.0, 40, np.random.default_rng(58))
+    assert len(merges) == 3
+    assert list(basis.member_indices) == [
+        408, 751, 1552, 2868, 2607, 746, 746, 2209, 2626, 867, 1353, 2533, 1213, 2734,
+        609, 820, 535, 2360, 265, 2361, 1284, 1072, 299, 1820, 299, 2514, 2111, 2607,
+        216, 1443, 69, 2111, 2209, 1329, 782, 1120, 2393, 2209, 2111, 2209]
+
+
 _TOTAL_OVERFLOWS = "makes the running weight total overflow"
 
 
@@ -583,23 +618,28 @@ _TOTAL_OVERFLOWS = "makes the running weight total overflow"
     ([7.1e153] * 4, 340, f"its weight 5.041e\\+307 {_TOTAL_OVERFLOWS}", False),
     ([7.1e153] * 4, 386, f"its weight 5.041e\\+307 {_TOTAL_OVERFLOWS}", False),
     ([1e308, 0.0, np.nan, -1.0, 1e308], 300, f"its weight 1e\\+308 {_TOTAL_OVERFLOWS}", True),
-], ids=["weight_overflows", "total_overflows", "mid_block", "across_blocks", "zero_and_nan"])
-def test_pool_overflow_past_the_first_block_names_the_row(big, row, cause, seam):
+    ([7.1e153] * 4, 2340, f"its weight 5.041e\\+307 {_TOTAL_OVERFLOWS}", False),
+], ids=["weight_overflows", "total_overflows", "mid_block", "across_blocks", "zero_and_nan",
+        "after_a_merge"])
+def test_pool_overflow_past_the_first_block_names_the_row(monkeypatch, big, row, cause, seam):
     # the weight of the last of the `big` rows, which end at `row`, makes
     # the total overflow: alone, on top of rows of its own block (rows
     # 337-340 sit mid-block) or of the block before (rows 383-386 straddle
     # a block boundary). With the seam each row weighs its first
     # coordinate, and the zero, NaN and negative weights before row 300
-    # add nothing to the total.
-    X = _thousand_rows()
+    # add nothing to the total. Past row 1,000 the rows repeat, and the
+    # store of 100 + 1,024 rows has merged before row 2,340's block.
+    X = np.tile(_thousand_rows(), (-(-row // 1000), 1))
     X[row - len(big):row] = 0.0
     X[row - len(big):row, 0] = big
     rng = np.random.default_rng(54)
+    merges = _counting(monkeypatch, proposal._RowStore, "_merge")
     with pytest.raises(InputError, match=f"^data row {row}: {cause}"):
         if seam:
             _draw_banks(iter(X), lambda block: block[:, 0], 50, 50, rng)
         else:
             draw_mixture_pool(iter(X), 2.0, 100, rng)
+    assert bool(merges) == (row > 1000)
 
 
 def test_pool_rejects_rows_of_different_lengths():
