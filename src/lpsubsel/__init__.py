@@ -21,7 +21,7 @@ from .oracles import (DistributionTable, OracleReport, adaptive_distribution,
                       transition_matrix, tv_distance)
 from .proposal import MixtureWeights, ProposalPool, draw_mixture_pool, open_unit
 from .sampler import SamplerConfig, one_pass_adaptive_sample, theorem_params
-from .stream import DatasetSource, PassAuditor, as_source, open_csv
+from .stream import DatasetSource, as_source, open_csv
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,7 @@ __all__ = [
     "BACKEND", "RANK_TOLERANCE", "__version__",
     "DatasetSource", "DistributionTable", "ErrParams", "ExperimentSpec",
     "FormatError", "GuardError", "InputError",
-    "MixtureWeights", "OracleReport", "ParameterError", "PassAuditor",
+    "MixtureWeights", "OracleReport", "ParameterError",
     "PointSet", "ProposalPool", "RunReport", "SamplerConfig", "SourceChangedError",
     "StreamError",
     "SubsetBasis",

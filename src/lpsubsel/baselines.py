@@ -5,8 +5,8 @@ from collections import deque
 import numpy as np
 
 from .errors import ParameterError, readable
-from .geometry import SubsetBasis, check_p
-from .proposal import _distance_weights, _draw_banks, _norm_weights
+from .geometry import RANK_TOLERANCE, SubsetBasis, check_p
+from .proposal import _draw_banks, _norm_weights, _running_total
 from .stream import as_source
 
 
@@ -14,25 +14,28 @@ def _selection_pass(src):
     deque(src.iterate_once("selection"), maxlen=0)
 
 
-def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
+def exact_adaptive_sample(data, p, t, l, rng):
     """Ground-truth adaptive sampling: l rounds, one full pass per round.
 
     Each round streams the data to compute the exact distribution
     proportional to d(x, span S)^p, then draws t i.i.d. indices from it
     and extends S (duplicates collapse). Terminates early once the error
-    hits zero, where the distribution is undefined, or once the span is
-    all of R^d, as the sampler does. Its defining cost is up to l
-    selection passes on the auditor. It scores the source's `rows`: an
-    array input in place, a file's as its first pass keeps them (see
-    `DatasetSource.keep_rows`), so the file is parsed once and later
-    passes check its bytes and replay the kept rows. Besides those rows
-    it holds one n-vector of weights and `rng.choice`'s cumulative sum
-    of them; `SubsetBasis.distances` keeps its temporaries to CHUNK_ROWS
-    rows. Raises InputError naming the row at which a round's weight
-    total overflows. A round's new picks join S in draw order, in one
-    `extended_many` call.
+    hits zero, where the distribution is undefined, or once no row can
+    grow the span: every row's distance is at most half RANK_TOLERANCE
+    times its norm, so `extended_many` would add no direction for it
+    (this covers a span that is all of R^d, and data of rank below d).
+    Its defining cost is up to l selection passes, counted by the
+    source. It scores the source's `rows`: an array input in place, a
+    file's as its first pass keeps them (see `DatasetSource.keep_rows`),
+    so the file is parsed once and later passes check its bytes and
+    replay the kept rows. Besides those rows it holds two n-vectors, the
+    weights and the rows' span floor, and `rng.choice`'s cumulative sum
+    of the weights; `SubsetBasis.distances` keeps its temporaries to
+    CHUNK_ROWS rows. Raises InputError naming the row at which a round's
+    weight total overflows. A round's new picks join S in draw order, in
+    one `extended_many` call.
     """
-    src = as_source(data, auditor=auditor)
+    src = as_source(data)
     if t < 1 or l < 0:
         raise ParameterError(f"need t >= 1 and l >= 0, got t={readable(t)}, l={readable(l)}")
     check_p(p)
@@ -40,15 +43,18 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
     basis = SubsetBasis.empty(src.d)
     members = set()
     for round_ in range(l):
-        if basis.rank == src.d:
-            # the span is R^d, so the error is already 0 and the
-            # weights would be rounding noise
-            break
         if not round_:
             _selection_pass(src)
         # a later round's weights come from the kept rows before its pass,
-        # so a run whose error is zero ends without one
-        weights, total = _distance_weights(basis, src.rows, p)
+        # so a run that can no longer grow its span ends without one
+        with np.errstate(over="ignore"):  # an overflowing weight is raised below
+            weights = basis.distances(src.rows)
+            if not round_:
+                floor = weights * (0.5 * RANK_TOLERANCE)  # round 0's are the norms
+            elif not (weights > floor).any():
+                break
+            weights **= p
+        total = _running_total(0.0, weights)
         if total <= 0.0:
             break
         weights /= total
@@ -64,7 +70,7 @@ def exact_adaptive_sample(data, p, t, l, rng, auditor=None):
     return basis
 
 
-def squared_length_sample(data, p, count, rng, auditor=None):
+def squared_length_sample(data, p, count, rng):
     """One-shot norm-power sampling: count i.i.d. draws with P(x) ~ ||x||^p.
 
     p=2 is classical squared-length sampling. One selection pass; the
@@ -75,7 +81,7 @@ def squared_length_sample(data, p, count, rng, auditor=None):
     in the order of its first draw: the basis a chain over every draw
     gives, since a repeated row adds no direction.
     """
-    src = as_source(data, auditor=auditor)
+    src = as_source(data)
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {readable(count)}")
     check_p(p)

@@ -113,12 +113,6 @@ class RunReport:
         return header + "\n" + row + "\n"
 
 
-def _resolve_source(spec):
-    if isinstance(spec.input, (str, os.PathLike)):
-        return open_csv(spec.input, header=spec.header)
-    return as_source(spec.input)
-
-
 @dataclass
 class Evaluation:
     """What the evaluation pass gives the report and the oracles.
@@ -142,7 +136,7 @@ def _evaluation_pass(source, bases, p, oracle):
 
     Rows come in CHUNK_ROWS at a time. A source that holds its rows (an
     array input, or a file whose rows a baseline kept) is still passed
-    over once, for the audit and a file's change check, and then read in
+    over once, for the pass count and a file's change check, and then read in
     place, a slice at a time; any other source's rows are pulled at most
     a parse block (`_BLOCK_ROWS` rows) at a time, and never past the
     chunk being filled, each pull copied into one CHUNK_ROWS-row buffer
@@ -234,11 +228,12 @@ def _memory_guard(algorithm, config, source):
     The row store of a one-pass pool or a squared-length run has room
     for `proposal._store_rows` rows: two a pool slot or draw, and at
     least 8 * `_BLOCK_ROWS` rows beyond the slots, each d floats with a
-    position and a weight. Exact-adaptive keeps about three n-vectors:
-    its weights, `rng.choice`'s cumulative sum of them, and (under one
-    more) choice's sign check and a file's block records: the last line,
-    byte size, fingerprint of the bytes and rows at the end of each block
-    of lines, four ints a block of 128 rows. The weights' `_running_total` holds one transient n-vector,
+    position and a weight. Exact-adaptive keeps about four n-vectors:
+    its weights, the rows' span floor, `rng.choice`'s cumulative sum of
+    the weights, and (under one more) choice's sign check and a file's
+    block records: the last line, byte size, fingerprint of the bytes
+    and rows at the end of each block of lines, four ints a block of 128
+    rows. The weights' `_running_total` holds one transient n-vector,
     freed before `rng.choice`. It adds the distance temporaries of one
     CHUNK_ROWS-row chunk and a variate and an index per draw of a round.
     A file source also keeps its (n, d) rows, which an array input holds
@@ -247,7 +242,7 @@ def _memory_guard(algorithm, config, source):
     n, d = source.n, source.d
     if algorithm == "exact-adaptive":
         draws, per_draw = config.t, 16
-        fixed = 24 * n + 24 * min(n, CHUNK_ROWS) * d
+        fixed = 32 * n + 24 * min(n, CHUNK_ROWS) * d
         buffer = ""
         if source.rows is None:
             fixed += 8 * n * d
@@ -271,7 +266,10 @@ def run_experiment(spec):
     Size guards (the brute-force oracle's, and a recipe too large for
     memory) raise GuardError before the selection pass.
     """
-    source = _resolve_source(spec)
+    if isinstance(spec.input, (str, os.PathLike)):
+        source = open_csv(spec.input, header=spec.header)
+    else:
+        source = as_source(spec.input)
     ErrParams(p=spec.p, k=spec.k).check_dimension(source.d)
     config = theorem_params(spec.k, spec.p, spec.delta, t_override=spec.t,
                             seed=spec.seed, l_override=spec.l, m_override=spec.m,
@@ -336,8 +334,8 @@ def run_experiment(spec):
         empty_err_root=empty_sum ** inv_p,
         error_ratio_root=(final / empty_sum) ** inv_p,
         exact_cover=bool(final <= _EXACT_COVER_REL * empty_sum),
-        selection_passes=source.auditor.selection_passes,
-        evaluation_passes=source.auditor.evaluation_passes,
+        selection_passes=source.selection_passes,
+        evaluation_passes=source.evaluation_passes,
         evaluator=ev.evaluator,
         timings=timings,
         oracle=spec.oracle,

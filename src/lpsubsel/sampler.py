@@ -86,13 +86,9 @@ class SamplerConfig:
                 f"seed must be a nonnegative integer, got {readable(self.seed)}")
 
     @property
-    def pool_size_per_repetition(self):
-        # one start plus m proposals per walk
-        return self.l * self.t * (self.m + 1)
-
-    @property
     def pool_size(self):
-        return self.repetitions * self.pool_size_per_repetition
+        # one start plus m proposals per walk
+        return self.repetitions * (self.l * self.t * (self.m + 1))
 
     @property
     def lemma_min_walk_length(self):

@@ -1,9 +1,10 @@
-"""Single-pass data access with pass auditing.
+"""Single-pass data access with pass counting.
 
-Every full sequential read of a dataset is a "pass" and is charged to
-either selection (sampling) or evaluation (error measurement), so the
-one-pass claim of the sampler is a tested contract, not a convention.
-A pass counts only when the stream is consumed to exhaustion.
+Every full sequential read of a dataset is a "pass", and the source
+counts it as either selection (sampling) or evaluation (error
+measurement), so the one-pass claim of the sampler is a tested contract,
+not a convention. A pass counts only when the stream is consumed to
+exhaustion.
 
 CSV files have one parser, `_csv_block`, which file passes run: numpy's
 loader parses blocks of lines, and a block it rejects falls back to
@@ -45,39 +46,6 @@ _BLOCK_ROWS = 128
 _LOADER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-class PassAuditor:
-    """Counts completed full passes, split by what consumed them."""
-
-    __slots__ = ("selection_passes", "evaluation_passes")
-
-    def __init__(self):
-        self.selection_passes = 0
-        self.evaluation_passes = 0
-
-    def record(self, purpose):
-        if purpose == "selection":
-            self.selection_passes += 1
-        elif purpose == "evaluation":
-            self.evaluation_passes += 1
-        else:
-            raise ParameterError(f"unknown pass purpose {purpose!r}")
-
-    def __repr__(self):
-        return (f"PassAuditor(selection={self.selection_passes}, "
-                f"evaluation={self.evaluation_passes})")
-
-
-def _parse_row(line, row_number, expected_d):
-    cells = line.split(",")
-    if expected_d is not None and len(cells) != expected_d:
-        raise FormatError(
-            f"row {row_number}: expected {expected_d} values, got {len(cells)}")
-    try:
-        return [float(c) for c in cells]
-    except ValueError:
-        raise FormatError(f"row {row_number}: non-numeric cell") from None
-
-
 def _parse_block(lines, first_line, d):
     """Parse lines one row at a time with float(), raising the first fault.
 
@@ -90,7 +58,13 @@ def _parse_block(lines, first_line, d):
         line = raw.strip()
         if not line:
             continue
-        values = _parse_row(line, row_number, d)
+        cells = line.split(",")
+        if d is not None and len(cells) != d:
+            raise FormatError(f"row {row_number}: expected {d} values, got {len(cells)}")
+        try:
+            values = [float(c) for c in cells]
+        except ValueError:
+            raise FormatError(f"row {row_number}: non-numeric cell") from None
         if not all(map(math.isfinite, values)):
             raise FormatError(f"row {row_number}: non-finite cell")
         d = len(values)
@@ -155,6 +129,9 @@ class DatasetSource:
     same fixed order. For a file, n and d are fixed when it is opened and
     its rows are parsed only by passes (see `open_csv`).
 
+    `selection_passes` and `evaluation_passes` count the passes that
+    completed, split by the purpose `iterate_once` was given.
+
     A file source holds the block table opening recorded: for the header
     line and each block of `_BLOCK_ROWS` lines after it, the block's last
     line, byte size, a fingerprint of its bytes (the built-in `hash`) and
@@ -171,21 +148,16 @@ class DatasetSource:
     them it decodes and parses the verified bytes.
     """
 
-    def __init__(self, rows=None, path=None, d=None, n=None, blocks=None,
-                 auditor=None):
+    def __init__(self, rows=None, path=None, d=None, n=None, blocks=None):
         self.rows = rows
         self._path = path
         self._blocks = blocks
         self.d = d
         self.n = n
-        self.auditor = auditor if auditor is not None else PassAuditor()
+        self.selection_passes = 0
+        self.evaluation_passes = 0
         self._active = False
         self._keep = False
-
-    @classmethod
-    def from_points(cls, points, auditor=None):
-        ps = points if isinstance(points, PointSet) else PointSet(points)
-        return cls(rows=ps.points, d=ps.d, n=ps.n, auditor=auditor)
 
     def keep_rows(self):
         """Keep the rows of this source's next complete pass in `rows`.
@@ -200,7 +172,8 @@ class DatasetSource:
     def iterate_once(self, purpose):
         """Yield each point exactly once in source order.
 
-        The matching auditor counter is incremented only when the stream
+        `purpose` is "selection" or "evaluation", checked before anything
+        is yielded. The source's counter for it grows only when the stream
         completes; abandoning the iterator mid-way does not count.
         """
         if purpose not in _PURPOSES:
@@ -217,7 +190,10 @@ class DatasetSource:
                     yield from block
         finally:
             self._active = False
-        self.auditor.record(purpose)
+        if purpose == "selection":
+            self.selection_passes += 1
+        else:
+            self.evaluation_passes += 1
 
     def _iterate_file(self):
         """Yield a file pass's blocks of rows, each once its bytes are
@@ -259,7 +235,7 @@ class DatasetSource:
                     f"after line {line}, where it ended then")
 
 
-def open_csv(path, header=False, auditor=None):
+def open_csv(path, header=False):
     """Open a CSV of points: one point per line, comma-separated numbers.
 
     A cell is anything float() accepts, surrounding whitespace included;
@@ -270,7 +246,7 @@ def open_csv(path, header=False, auditor=None):
     which gives d; it records each block's byte range and fingerprint for
     the passes (see `DatasetSource`). Every other row is parsed by each
     pass: the first ragged, non-numeric or non-finite (NaN, infinite) row
-    raises FormatError naming its 1-based line. Opening is not an audited
+    raises FormatError naming its 1-based line. Opening is not a counted
     pass.
     """
     header = bool(header)
@@ -301,11 +277,12 @@ def open_csv(path, header=False, auditor=None):
         raise InputError(f"cannot read {path}: {exc}") from exc
     if n == 0:
         raise InputError(f"{path}: empty dataset (n >= 1 required)")
-    return DatasetSource(path=path, d=d, n=n, blocks=blocks, auditor=auditor)
+    return DatasetSource(path=path, d=d, n=n, blocks=blocks)
 
 
-def as_source(data, auditor=None):
+def as_source(data):
     """Coerce a PointSet, array, or DatasetSource into a DatasetSource."""
     if isinstance(data, DatasetSource):
         return data
-    return DatasetSource.from_points(data, auditor=auditor)
+    ps = data if isinstance(data, PointSet) else PointSet(data)
+    return DatasetSource(rows=ps.points, d=ps.d, n=ps.n)

@@ -207,16 +207,16 @@ def test_criterion_7_one_pass_contract():
     src = as_source(X)
     cfg = theorem_params(k=2, p=2.0, delta=0.5, t_override=6, seed=3)
     one_pass_adaptive_sample(src, cfg)
-    one_pass_ok = src.auditor.selection_passes == 1
+    one_pass_ok = src.selection_passes == 1
 
     src2 = as_source(X)
     exact_adaptive_sample(src2, 2.0, t=3, l=cfg.l, rng=np.random.default_rng(0))
-    exact_ok = src2.auditor.selection_passes == cfg.l
+    exact_ok = src2.selection_passes == cfg.l
     elapsed = time.perf_counter() - start
     _report(7, "pass accounting (MCMC = 1, exact adaptive = l)",
             one_pass_ok and exact_ok,
-            f"mcmc passes {src.auditor.selection_passes}, "
-            f"exact passes {src2.auditor.selection_passes} (l={cfg.l})",
+            f"mcmc passes {src.selection_passes}, "
+            f"exact passes {src2.selection_passes} (l={cfg.l})",
             elapsed, 10.0)
 
 

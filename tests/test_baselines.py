@@ -45,14 +45,14 @@ def test_exact_adaptive_degenerate_repeated_point():
     assert len(basis.member_indices) <= 3
     assert basis.rank == 1
     # the first round covers everything, so later rounds never stream
-    assert src.auditor.selection_passes == 1
+    assert src.selection_passes == 1
 
 
 def test_exact_adaptive_consumes_l_selection_passes():
     rng = np.random.default_rng(5)
     src = as_source(rng.standard_normal((20, 6)))
     exact_adaptive_sample(src, 1.5, t=2, l=3, rng=np.random.default_rng(1))
-    assert src.auditor.selection_passes == 3
+    assert src.selection_passes == 3
 
 
 def test_exact_adaptive_stops_once_its_span_is_the_whole_space():
@@ -62,7 +62,25 @@ def test_exact_adaptive_stops_once_its_span_is_the_whole_space():
     src = as_source(np.random.default_rng(6).standard_normal((50, 4)))
     basis = exact_adaptive_sample(src, 2.0, t=1, l=50, rng=np.random.default_rng(7))
     assert basis.rank == 4 and len(basis.member_indices) == 4
-    assert src.auditor.selection_passes == 4
+    assert src.selection_passes == 4
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["array", "csv"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_exact_adaptive_stops_once_no_row_can_grow_its_span(tmp_path, r, from_file):
+    # rank r < d: the span never reaches R^5, and the weights of rows it
+    # covers are rounding noise, so only the span floor can end the rounds
+    rng = np.random.default_rng(40 + r)
+    X = rng.standard_normal((40, r)) @ rng.standard_normal((r, 5))
+    if from_file:
+        path = str(tmp_path / "points.csv")
+        np.savetxt(path, X, delimiter=",", fmt="%.17g")
+        src = open_csv(path)
+    else:
+        src = as_source(X)
+    basis = exact_adaptive_sample(src, 2.0, t=2, l=10**20, rng=np.random.default_rng(r))
+    assert basis.rank == r
+    assert src.selection_passes <= r + 1
 
 
 def test_squared_length_frequencies():
@@ -90,7 +108,7 @@ def test_squared_length_rejects_all_zero_data():
 def test_squared_length_one_pass():
     src = as_source(SIX_POINTS)
     squared_length_sample(src, 2.0, count=10, rng=np.random.default_rng(5))
-    assert src.auditor.selection_passes == 1
+    assert src.selection_passes == 1
 
 
 def _span_draw_by_draw(indices, points, d):
@@ -197,7 +215,7 @@ def test_exact_adaptive_parses_its_file_once(tmp_path, monkeypatch):
     exact_adaptive_sample(src, 2.0, t=2, l=3, rng=np.random.default_rng(3))
     list(src.iterate_once("evaluation"))
     assert len(calls) == -(-rows // _BLOCK_ROWS)
-    assert (src.auditor.selection_passes, src.auditor.evaluation_passes) == (3, 1)
+    assert (src.selection_passes, src.evaluation_passes) == (3, 1)
 
 
 def test_exact_adaptive_scores_an_array_input_in_place():

@@ -191,7 +191,7 @@ def test_bruteforce_oracle_guard_propagates():
     with pytest.raises(GuardError):
         run_experiment(_spec(input=source, oracle="bruteforce"))
     # the guard fires before the selection pass, not after both passes
-    assert source.auditor.selection_passes == source.auditor.evaluation_passes == 0
+    assert source.selection_passes == source.evaluation_passes == 0
 
 
 def test_evaluation_pass_records():
@@ -674,7 +674,7 @@ def test_cli_exact_adaptive_buffer_beyond_memory_exits_3(tmp_path, capsys, monke
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "n=50 by d=4" in err
-    assert opened[0].auditor.selection_passes == 0
+    assert opened[0].selection_passes == 0
 
 
 @pytest.mark.parametrize("algorithm", ["mcmc-one-pass", "squared-length"])

@@ -331,7 +331,7 @@ def test_pool_consumes_exactly_one_selection_pass():
     src = as_source(SIX_POINTS)
     draw_mixture_pool(src.iterate_once("selection"), 2.0, 1234,
                       np.random.default_rng(8))
-    assert src.auditor.selection_passes == 1
+    assert src.selection_passes == 1
 
 
 def test_pool_deterministic_for_fixed_seed():

@@ -207,7 +207,7 @@ def test_one_pass_zero_rounds_returns_empty_subsets():
     bases = one_pass_adaptive_sample(src, cfg)
     assert len(bases) == 3
     assert all(b.member_indices == () for b in bases)
-    assert src.auditor.selection_passes == 0  # nothing to sample, no pass
+    assert src.selection_passes == 0  # nothing to sample, no pass
 
 
 def test_one_pass_timings_split():

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpsubsel import (FormatError, InputError, ParameterError, PassAuditor,
-                      SourceChangedError, StreamError, as_source, open_csv,
-                      one_pass_adaptive_sample, theorem_params)
+from lpsubsel import (FormatError, InputError, ParameterError, SourceChangedError,
+                      StreamError, as_source, open_csv, one_pass_adaptive_sample,
+                      theorem_params)
 from lpsubsel import stream
 from lpsubsel.stream import _BLOCK_ROWS
 
@@ -58,7 +58,7 @@ def _first_pass_raises(path, match, header=False):
     src = open_csv(path, header=header)
     with pytest.raises(FormatError, match=match):
         list(src.iterate_once("selection"))
-    assert src.auditor.selection_passes == 0
+    assert src.selection_passes == 0
 
 
 def test_open_csv_ragged_row_reports_row_number(tmp_path):
@@ -79,7 +79,7 @@ def test_open_csv_header_and_crlf(tmp_path):
     assert (src.n, src.d) == (2, 2)
     rows = np.vstack(list(src.iterate_once("evaluation")))
     np.testing.assert_allclose(rows, [[1.0, 0.0], [0.0, 2.0]])
-    assert src.auditor.evaluation_passes == 1
+    assert src.evaluation_passes == 1
 
 
 def _rows_text(count, d=3):
@@ -212,7 +212,7 @@ def test_line_count_agrees_with_the_parse(tmp_path_factory, case, block_rows):
         try:
             rows = list(src.iterate_once("selection"))
         except FormatError:
-            assert expected is None and src.auditor.selection_passes == 0
+            assert expected is None and src.selection_passes == 0
             return
         kept = open_csv(str(path), header=header)
         kept.keep_rows()
@@ -267,7 +267,7 @@ def test_pass_over_a_changed_file_names_the_changed_range(tmp_path, rows):
              else f"it has bytes after line {_BLOCK_ROWS}, where it ended then")
     with pytest.raises(SourceChangedError, match=f"changed since it was opened: {named}$"):
         list(src.iterate_once("selection"))
-    assert src.auditor.selection_passes == 0
+    assert src.selection_passes == 0
 
 
 def _rewrite_line(path, line_number, text):
@@ -289,7 +289,7 @@ def test_same_count_rewrite_after_the_first_pass_names_its_block(tmp_path, keep)
     with pytest.raises(SourceChangedError,
                        match=f"lines {_BLOCK_ROWS + 1}-{2 * _BLOCK_ROWS} are not"):
         list(src.iterate_once("evaluation"))
-    assert src.auditor.evaluation_passes == 0
+    assert src.evaluation_passes == 0
 
 
 @pytest.mark.parametrize("keep", [False, True])
@@ -305,7 +305,7 @@ def test_a_rewritten_header_names_line_1(tmp_path, keep, new_header):
     _rewrite_line(path, 1, new_header)
     with pytest.raises(SourceChangedError, match="line 1 is not what it read$"):
         list(src.iterate_once("evaluation"))
-    assert src.auditor.evaluation_passes == 0
+    assert src.evaluation_passes == 0
 
 
 @pytest.mark.parametrize("keep", [False, True])
@@ -322,7 +322,7 @@ def test_a_file_that_grows_after_the_first_pass_raises(tmp_path, keep, tail):
     with pytest.raises(SourceChangedError,
                        match=f"it has bytes after line {2 * _BLOCK_ROWS}, where"):
         list(src.iterate_once("evaluation"))
-    assert src.auditor.evaluation_passes == 0 and len(first) == 2 * _BLOCK_ROWS
+    assert src.evaluation_passes == 0 and len(first) == 2 * _BLOCK_ROWS
 
 
 @pytest.mark.parametrize("keep", [False, True])
@@ -338,7 +338,7 @@ def test_a_file_truncated_mid_block_names_that_block(tmp_path, keep):
     with pytest.raises(SourceChangedError,
                        match=f"lines {_BLOCK_ROWS + 1}-{2 * _BLOCK_ROWS} are not"):
         list(src.iterate_once("evaluation"))
-    assert src.auditor.evaluation_passes == 0
+    assert src.evaluation_passes == 0
 
 
 @pytest.mark.parametrize("header", [False, True])
@@ -391,7 +391,7 @@ def test_kept_rows_are_the_parsed_rows_and_later_passes_replay_them(tmp_path, mo
     replayed = np.vstack(list(src.iterate_once("evaluation")))
     assert first.tobytes() == parsed.tobytes() == src.rows.tobytes() == replayed.tobytes()
     assert not src.rows.flags.writeable and len(calls) == 0
-    assert (src.auditor.selection_passes, src.auditor.evaluation_passes) == (1, 1)
+    assert (src.selection_passes, src.evaluation_passes) == (1, 1)
 
 
 def test_rows_asked_for_after_the_first_pass_are_kept_by_the_next(tmp_path, monkeypatch):
@@ -422,7 +422,7 @@ def test_a_first_pass_that_does_not_complete_keeps_nothing(tmp_path, monkeypatch
     else:
         with pytest.raises(FormatError, match=f"^row {_BLOCK_ROWS + 2}: non-numeric cell$"):
             list(it)
-    assert src.rows is None and src.auditor.selection_passes == 0
+    assert src.rows is None and src.selection_passes == 0
     if how == "format_error":
         # the fault is in the bytes opening read, so the next pass meets it
         # again; a repaired line is a change since opening
@@ -432,7 +432,7 @@ def test_a_first_pass_that_does_not_complete_keeps_nothing(tmp_path, monkeypatch
         with pytest.raises(SourceChangedError,
                            match=f"lines {_BLOCK_ROWS + 1}-{2 * _BLOCK_ROWS} are not"):
             list(src.iterate_once("selection"))
-        assert src.rows is None and src.auditor.selection_passes == 0
+        assert src.rows is None and src.selection_passes == 0
         return
     calls = loadtxt_calls(monkeypatch)
     got = np.vstack(list(src.iterate_once("selection")))
@@ -458,9 +458,9 @@ def test_pass_counters():
     src = as_source(np.array([[1.0, 0.0], [0.0, 2.0]]))
     list(src.iterate_once("selection"))
     list(src.iterate_once("selection"))
-    assert (src.auditor.selection_passes, src.auditor.evaluation_passes) == (2, 0)
+    assert (src.selection_passes, src.evaluation_passes) == (2, 0)
     list(src.iterate_once("evaluation"))
-    assert (src.auditor.selection_passes, src.auditor.evaluation_passes) == (2, 1)
+    assert (src.selection_passes, src.evaluation_passes) == (2, 1)
 
 
 def test_abandoned_pass_not_counted():
@@ -468,9 +468,9 @@ def test_abandoned_pass_not_counted():
     it = src.iterate_once("selection")
     next(it)
     it.close()
-    assert src.auditor.selection_passes == 0
+    assert src.selection_passes == 0
     list(src.iterate_once("selection"))
-    assert src.auditor.selection_passes == 1
+    assert src.selection_passes == 1
 
 
 def test_one_active_stream_at_a_time():
@@ -494,8 +494,6 @@ def test_unknown_purpose_rejected():
     src = as_source(np.array([[1.0]]))
     with pytest.raises(ParameterError):
         next(src.iterate_once("sampling"))
-    with pytest.raises(ParameterError):
-        PassAuditor().record("other")
 
 
 def test_one_pass_sampler_consumes_one_selection_pass():
@@ -504,5 +502,5 @@ def test_one_pass_sampler_consumes_one_selection_pass():
     src = as_source(rng.standard_normal((25, 3)))
     cfg = theorem_params(k=2, p=1.5, delta=0.5, t_override=3, seed=4)
     one_pass_adaptive_sample(src, cfg)
-    assert src.auditor.selection_passes == 1
-    assert src.auditor.evaluation_passes == 0
+    assert src.selection_passes == 1
+    assert src.evaluation_passes == 0
