@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import GuardError, InputError, ParameterError, readable
-from .geometry import SubsetBasis, check_p
+from .geometry import RANK_TOLERANCE, SubsetBasis, check_p
 from .proposal import draw_mixture_pool, open_unit
 
 # Named RNG stream tags: pool pass, each round's walk variates, baseline draws.
@@ -176,8 +176,11 @@ def one_pass_adaptive_sample(source, config, timings=None):
     its current subset and keeps only each walk's final point. Walks within
     a round all see the basis frozen at the round start, so each round
     scores d(x, span S)^p once per distinct row its slots drew, not once
-    per slot. Returns one SubsetBasis per repetition (duplicate picks
-    collapse).
+    per slot. A repetition stops at rank d, and after a round whose picks
+    added no direction it stops if no pool row's distance exceeds half
+    RANK_TOLERANCE times its norm, as exact-adaptive does: walks land only
+    on pool rows, so no later pick could grow the span. Returns one
+    SubsetBasis per repetition (duplicate picks collapse).
 
     If `timings` is a dict it receives the wall-clock split between the
     streaming pass and the walk phase.
@@ -204,15 +207,26 @@ def one_pass_adaptive_sample(source, config, timings=None):
     drawn = np.empty(len(pool.rows), dtype=bool)
     scores = np.empty(len(pool.rows))
     gathered = np.empty((min(len(pool.rows), block), d))
+    floor = None  # each pool row's span floor, scored when first needed
     bases = []
     for rep in range(reps):
         basis = SubsetBasis.empty(d)
         members = set()
+        last_rank = None  # the rank the previous round started at
         for rnd in range(config.l):
             if basis.rank == d:
                 # span covers the ambient space, so every distance is zero;
                 # the adaptive target is undefined and the error already 0
                 break
+            if basis.rank == last_rank:
+                # the last round added no direction. Walks land only on
+                # pool rows: once none is farther from the span than its
+                # floor, no later pick adds one
+                if floor is None:
+                    floor = SubsetBasis.empty(d).distances(pool.rows) * (0.5 * RANK_TOLERANCE)
+                if not (basis.distances(pool.rows) > floor).any():
+                    break
+            last_rank = basis.rank
             start = (rep * config.l + rnd) * block
             assert start + block <= pool.size, "pool sized too small (sizing bug)"
             slot_rows = pool.row_of[start:start + block]

@@ -7,12 +7,12 @@ not a convention. A pass counts only when the stream is consumed to
 exhaustion.
 
 CSV files have one parser, `_csv_block`, which file passes run: numpy's
-loader parses blocks of lines, and a block it rejects falls back to
-float() per cell, so what is accepted, and the row an error names, are
-those of the per-cell parse. `open_csv` parses no more than the first
-data row: it reads the lines to count the non-blank ones and to record
-the passes' byte ranges, so a malformed later row is reported by the
-first pass over the file.
+loader parses each block's bytes, and only a block it rejects is split
+into lines and parsed again with float() per cell, so what is accepted,
+and the row an error names, are those of the per-cell parse. `open_csv`
+parses no more than the first data row: it reads the lines to count the
+non-blank ones and to record the passes' byte ranges, so a malformed
+later row is reported by the first pass over the file.
 
 Every file pass, the first included, has one reader, `_read_ranges`.
 Opening records each block's byte size, a fingerprint of its bytes and
@@ -21,9 +21,10 @@ binary mode and checks their fingerprints, so a file that changes after
 it was opened raises SourceChangedError. A caller that holds all n rows
 anyway asks for them with `DatasetSource.keep_rows`: then the file is
 parsed once, and later passes read and fingerprint its bytes but yield
-the kept rows without decoding them.
+the kept rows without parsing them.
 """
 
+import io
 import itertools
 import math
 import os
@@ -38,12 +39,12 @@ from .geometry import PointSet
 _PURPOSES = ("selection", "evaluation")
 
 # Lines parsed per loader call, and rows the pool and evaluation passes
-# pull from a pass at a time. Larger blocks parse no faster and leave
-# more per-line strings alive at once, which raised peak RSS.
+# pull from a pass at a time. Larger blocks parse no faster: a loader
+# call's own cost is about 5 us, under 2 ms a pass over 40,000 lines.
 _BLOCK_ROWS = 128
 
-# Characters numpy's loader strips around a cell but float() rejects.
-_LOADER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# Bytes numpy's loader strips around a cell but float() rejects.
+_LOADER_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 
 
 def _parse_block(lines, first_line, d):
@@ -81,36 +82,41 @@ def _read_lines(fh, count, path):
 
 
 def _byte_lines(data):
-    r"""The lines of a block's bytes, split as `open_csv` splits them, and
-    their text.
+    r"""The lines of a block's bytes, split as `open_csv` splits them, as
+    text.
 
     A newline="" reader splits at \n, \r and \r\n only, and so does
     bytes.splitlines; str.splitlines would also split at \v, \f,
     \x1c-\x1e, \x85, \u2028 and \u2029. No UTF-8 character holds either
     byte, so each line decodes on its own.
     """
-    return list(map(bytes.decode, data.splitlines(keepends=True))), data.decode("utf-8")
+    return list(map(bytes.decode, data.splitlines(keepends=True)))
 
 
-def _csv_block(lines, text, first_line, d):
-    """The rows of one block of lines as a (rows, d) float array.
+def _csv_block(data, first_line, d):
+    r"""The rows of one block's bytes, which hold at least one row, as a
+    (rows, d) float array.
 
-    `text` is the block's lines joined. numpy's loader parses the block;
-    a block it rejects, whose width is not d, or that holds a non-finite
-    cell is parsed again by `_parse_block`, which either accepts it or
-    raises the first fault. The loader accepts a subset of what float()
-    does and parses it to the same doubles.
+    numpy's loader parses the bytes, with each bare \r made a \n: on a
+    byte stream it splits lines at \n only, and it skips the empty line
+    this makes of a \r\n. A block it rejects, whose width is not d, or
+    that holds a non-finite cell is split into lines (`_byte_lines`) and
+    parsed again by `_parse_block`, which either accepts it or raises the
+    first fault. The loader accepts a subset of what float() does and
+    parses it to the same doubles; it reads the bytes as Latin-1, so a
+    non-ASCII character, which float() may accept, is one it rejects.
+    Passes skip a block with no row, whose bytes the loader would warn
+    hold no data.
     """
-    if text.isspace():
-        return np.empty((0, d))
     block = None
-    if not any(ch in text for ch in _LOADER_ONLY_SPACE):
+    if not any(byte in data for byte in _LOADER_ONLY_SPACE):
         try:
-            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            block = np.loadtxt(io.BytesIO(data.replace(b"\r", b"\n")), delimiter=",",
+                               comments=None, ndmin=2)
         except ValueError:
             pass
     if block is None or block.shape[1] != d or not np.isfinite(block).all():
-        block = _parse_block(lines, first_line, d)
+        block = _parse_block(_byte_lines(data), first_line, d)
     return block
 
 
@@ -144,8 +150,8 @@ class DatasetSource:
     `rows` is the source's rows as one read-only (n, d) float64 array, or
     None: an in-memory source's own array, or the rows a file pass kept
     after `keep_rows`. A later pass over a file with kept rows yields the
-    kept rows of each verified block without decoding its bytes; without
-    them it decodes and parses the verified bytes.
+    kept rows of each verified block without parsing its bytes; without
+    them it parses the verified bytes.
     """
 
     def __init__(self, rows=None, path=None, d=None, n=None, blocks=None):
@@ -185,8 +191,8 @@ class DatasetSource:
             if self._path is None:
                 yield from self.rows
             else:
-                # one generator level per row: the file readers yield blocks
-                for block in self._iterate_file():
+                # one generator level per row: the file reader yields blocks
+                for block in self._read_ranges():
                     yield from block
         finally:
             self._active = False
@@ -195,44 +201,44 @@ class DatasetSource:
         else:
             self.evaluation_passes += 1
 
-    def _iterate_file(self):
-        """Yield a file pass's blocks of rows, each once its bytes are
-        read and verified."""
+    def _read_ranges(self):
+        """Yield a file pass's blocks of rows, each once its bytes are read
+        and verified.
+
+        Reads the byte ranges of the block table and checks their
+        fingerprints. A block is the kept rows' slice when there are kept
+        rows, and `_csv_block`'s parse of its bytes otherwise; a pass
+        asked to keep its rows fills them as it parses, and keeps them
+        only if it completes.
+        """
         keep = np.empty((self.n, self.d)) if self._keep and self.rows is None else None
+        line = rows = 0
         try:
-            yield from self._read_ranges(keep)
+            with open(self._path, "rb") as fh:
+                for last, size, fingerprint, end in self._blocks:
+                    data = fh.read(size)
+                    if len(data) != size or hash(data) != fingerprint:
+                        raise _changed_block(self._path, line, last)
+                    if end > rows:
+                        if self.rows is not None:
+                            yield self.rows[rows:end]
+                        else:
+                            block = _csv_block(data, line + 1, self.d)
+                            if len(block) != end - rows:
+                                raise _changed_block(self._path, line, last)
+                            if keep is not None:
+                                keep[rows:end] = block
+                            yield block
+                    line, rows = last, end
+                if fh.read(1):
+                    raise SourceChangedError(
+                        f"{self._path} changed since it was opened: it has bytes "
+                        f"after line {line}, where it ended then")
         except OSError as exc:
             raise StreamError(f"I/O failure while streaming {self._path}: {exc}") from exc
         if keep is not None:
             keep.setflags(write=False)
             self.rows = keep
-
-    def _read_ranges(self, keep):
-        """Read the byte ranges of the block table and check their
-        fingerprints, yielding the kept rows of each block as one array
-        or, without them, parsing its bytes."""
-        line = rows = 0
-        with open(self._path, "rb") as fh:
-            for last, size, fingerprint, end in self._blocks:
-                data = fh.read(size)
-                if len(data) != size or hash(data) != fingerprint:
-                    raise _changed_block(self._path, line, last)
-                if end > rows:
-                    if self.rows is not None:
-                        yield self.rows[rows:end]
-                    else:
-                        lines, text = _byte_lines(data)
-                        block = _csv_block(lines, text, line + 1, self.d)
-                        if len(block) != end - rows:
-                            raise _changed_block(self._path, line, last)
-                        if keep is not None:
-                            keep[rows:end] = block
-                        yield block
-                line, rows = last, end
-            if fh.read(1):
-                raise SourceChangedError(
-                    f"{self._path} changed since it was opened: it has bytes "
-                    f"after line {line}, where it ended then")
 
 
 def open_csv(path, header=False):

@@ -5,7 +5,8 @@ import pytest
 
 from lpsubsel import (ParameterError, PointSet, SamplerConfig, SubsetBasis,
                       adaptive_distribution, as_source, draw_mixture_pool,
-                      one_pass_adaptive_sample, open_unit, theorem_params, tv_distance)
+                      one_pass_adaptive_sample, open_csv, open_unit, theorem_params,
+                      tv_distance)
 from lpsubsel import _kernels, sampler
 from lpsubsel.sampler import pool_rng, walk_rng
 
@@ -198,6 +199,27 @@ def test_one_pass_deterministic_and_bounded():
         assert len(basis.member_indices) <= cfg.t * cfg.l
         assert basis.rank <= min(len(basis.member_indices), 5)
         assert len(set(basis.member_indices)) == len(basis.member_indices)
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["array", "csv"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_one_pass_stops_once_no_pool_row_can_grow_its_span(tmp_path, r, from_file):
+    # rank r < d: the span never reaches R^5, and walks over rows it covers
+    # pick from rounding noise; without the stop, l = 50 rounds kept
+    # adding members that add no direction
+    rng = np.random.default_rng(40 + r)
+    X = rng.standard_normal((50, r)) @ rng.standard_normal((r, 5))
+    if from_file:
+        path = str(tmp_path / "points.csv")
+        np.savetxt(path, X, delimiter=",", fmt="%.17g")
+        src = open_csv(path)
+    else:
+        src = as_source(X)
+    cfg = SamplerConfig(k=1, p=2.0, delta=0.5, epsilon=0.125, epsilon1=0.1,
+                        epsilon2=0.01, m=5, t=2, l=50, repetitions=2, seed=3)
+    for basis in one_pass_adaptive_sample(src, cfg):
+        assert basis.rank == r
+        assert len(basis.member_indices) <= cfg.t * (r + 1)
 
 
 def test_one_pass_zero_rounds_returns_empty_subsets():

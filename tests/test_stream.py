@@ -361,6 +361,55 @@ def test_every_pass_reads_the_file_once(tmp_path, header):
     assert reads == [[False, size], [True, size], [True, size], [True, size]] * 2
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_the_loader_path_never_splits_a_block_into_lines(tmp_path, monkeypatch, end):
+    # numpy's loader takes each block's bytes; only a block it rejects is
+    # split into lines for the per-cell parse
+    text = _rows_text(3 * _BLOCK_ROWS).replace("\n", end)
+    path = str(tmp_path / "data.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    src = open_csv(path)
+
+    def not_called(*args):
+        raise AssertionError("a block the loader accepts was split into lines")
+
+    monkeypatch.setattr(stream, "_byte_lines", not_called)
+    monkeypatch.setattr(stream, "_parse_block", not_called)
+    rows = np.vstack(list(src.iterate_once("selection")))
+    assert rows.shape == (3 * _BLOCK_ROWS, 3) and src.selection_passes == 1
+
+
+@pytest.mark.parametrize("blank", ["\n", "\r\n", "\r", " \t\n"], ids=["lf", "crlf", "cr", "space"])
+def test_a_block_of_blank_lines_reaches_no_parser(tmp_path, monkeypatch, blank):
+    # opening counts no row in the middle block, so a pass skips its bytes;
+    # numpy's loader would warn that they hold no data, which the test
+    # configuration makes an error
+    path = _write(tmp_path, _rows_text(_BLOCK_ROWS) + blank * _BLOCK_ROWS + _rows_text(3))
+    calls = loadtxt_calls(monkeypatch)
+    src = open_csv(path)
+    assert len(list(src.iterate_once("selection"))) == src.n == _BLOCK_ROWS + 3
+    assert len(calls) == 2
+
+
+def test_only_the_block_the_loader_rejects_is_split(tmp_path, monkeypatch):
+    bad = 2 * _BLOCK_ROWS + 5
+    path = _write(tmp_path, _rows_text(3 * _BLOCK_ROWS))
+    _rewrite_line(path, bad, "1,x,2\n")
+    src = open_csv(path)
+    splits = []
+    byte_lines = stream._byte_lines
+
+    def counting_byte_lines(data):
+        splits.append(1)
+        return byte_lines(data)
+
+    monkeypatch.setattr(stream, "_byte_lines", counting_byte_lines)
+    with pytest.raises(FormatError, match=f"^row {bad}: non-numeric cell$"):
+        list(src.iterate_once("selection"))
+    assert len(splits) == 1
+
+
 def test_a_kept_replay_neither_parses_nor_decodes(tmp_path, monkeypatch):
     path = _write(tmp_path, "a,b,c\n" + _rows_text(2 * _BLOCK_ROWS + 3))
     src = open_csv(path, header=True)
