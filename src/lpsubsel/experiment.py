@@ -228,7 +228,9 @@ def _memory_guard(algorithm, config, source):
     The row store of a one-pass pool or a squared-length run has room
     for `proposal._store_rows` rows: two a pool slot or draw, and at
     least 8 * `_BLOCK_ROWS` rows beyond the slots, each d floats with a
-    position and a weight. Exact-adaptive keeps about four n-vectors:
+    position and a weight. The guard counts the whole room, an upper
+    bound on what the store allocates: its arrays grow to the room only
+    as rows arrive. Exact-adaptive keeps about four n-vectors:
     its weights, the rows' span floor, `rng.choice`'s cumulative sum of
     the weights, and (under one more) choice's sign check and a file's
     block records: the last line, byte size, fingerprint of the bytes

@@ -11,11 +11,13 @@ merge rule (`_RowStore._merge`), between blocks. q is bounded below by
 1/(2n), the floor the walk's mixing analysis relies on.
 
 A slot holds a position in a row store rather than a row. The store
-keeps every row, a block at a time; before a block that would not fit,
-and once more when the pass ends, the banks merge the rows kept since
-their last merge and the store drops the rows no slot holds. So the
-finished pool keeps each drawn row once: at most min(n, pool size) rows,
-however many slots draw the same row.
+keeps every row, a block at a time, in arrays that grow by doubling up
+to its room; before a block that would not fit in the room, and once
+more when the pass ends, the banks merge the rows kept since their last
+merge and the store drops the rows no slot holds. So the finished pool
+keeps each drawn row once, with its stream position and q-mass: at most
+min(n, pool size) rows, however many slots draw the same row. Per slot
+it keeps only the row's position among them.
 
 The pass draws from q with the empty pivot, whose distance weight is the
 plain norm power ||x||^p. It takes the stream `_BLOCK_ROWS` rows at a
@@ -89,25 +91,38 @@ class ProposalPool:
     """Finalized i.i.d. draws from q, in slot order, holding each drawn row once.
 
     `rows` holds every row some slot drew, once each, so at most
-    min(n, size) of them; slot j drew `rows[row_of[j]]`. Each slot also
-    records its row's position in the stream and its q-mass (computed at
-    pass end from the accumulated weight total and n).
+    min(n, size) of them, with each row's position in the stream
+    (`row_index`) and its q-mass (`row_qmass`, computed at pass end from
+    the accumulated weight total and n); slot j drew `rows[row_of[j]]`.
+    `indices` and `qmass` gather the per-slot values through `row_of`.
     """
 
-    rows: np.ndarray            # (distinct, d), each drawn row once
+    rows: np.ndarray            # (held, d), each drawn row once
     row_of: np.ndarray          # (size,) position in rows
-    indices: np.ndarray         # (size,) stream positions
-    qmass: np.ndarray           # (size,)
+    row_index: np.ndarray       # (held,) stream positions
+    row_qmass: np.ndarray       # (held,)
     stream_length: int
 
     def __post_init__(self):
+        # every slot's q-mass is one of the held rows'
         lo = MixtureWeights.floor(self.stream_length)
-        if self.qmass.size and not ((self.qmass >= lo - _MASS_TOL) & (self.qmass <= 1.0 + _MASS_TOL)).all():
+        q = self.row_qmass
+        if q.size and not ((q >= lo - _MASS_TOL) & (q <= 1.0 + _MASS_TOL)).all():
             raise InputError("recorded q-mass outside [1/(2n), 1]")
 
     @property
+    def indices(self):
+        """(size,) each slot's stream position, gathered anew."""
+        return self.row_index[self.row_of]
+
+    @property
+    def qmass(self):
+        """(size,) each slot's q-mass, gathered anew."""
+        return self.row_qmass[self.row_of]
+
+    @property
     def size(self):
-        return len(self.qmass)
+        return len(self.row_of)
 
 
 class _ReservoirBank:
@@ -133,18 +148,26 @@ def _store_rows(slots):
     """Rows a row store for `slots` slots has room for: besides the rows
     the slots hold, at least 8 blocks. A merge leaves at most `slots` rows,
     so a block always fits after one, and the banks merge at most once
-    every 8 * `_BLOCK_ROWS` rows however few slots they have."""
+    every 8 * `_BLOCK_ROWS` rows however few slots they have. The room
+    decides when the banks merge; the store's arrays grow up to it as
+    rows arrive (`_RowStore`)."""
     return slots + max(slots, 8 * _BLOCK_ROWS)
+
+
+# Rows a row store first allocates, unless its room is smaller.
+_FIRST_ROWS = 16 * _BLOCK_ROWS
 
 
 class _RowStore:
     """Every row since the banks' last merge, and the rows their slots hold,
     with stream positions and weights.
 
-    It has room for `_store_rows` rows. Before a block that would not fit,
-    and at `finish`, the banks merge the rows kept since their last merge
-    (`_merge`), and the rows no slot holds are dropped and the slots
-    renumbered.
+    It has room for `_store_rows` rows. Before a block that would not fit
+    in the room, and at `finish`, the banks merge the rows kept since
+    their last merge (`_merge`), and the rows no slot holds are dropped and
+    the slots renumbered. Its arrays start at `_FIRST_ROWS` rows, or the
+    room if that is smaller, and double, up to the room, when a block fits
+    in the room but not in them.
     """
 
     def __init__(self, weighted, uniform, rng):
@@ -152,22 +175,31 @@ class _RowStore:
         self.rng = rng
         self.size = 0
         self.unmerged = 0  # store position of the first row kept since the last merge
+        self.room = _store_rows(len(weighted.win) + len(uniform.win))
         self.rows = None
-        rows = _store_rows(len(weighted.win) + len(uniform.win))
+        rows = min(self.room, _FIRST_ROWS)
         self.index = np.empty(rows, dtype=np.intp)
         self.weight = np.empty(rows)
 
     def keep_block(self, first, block, weights):
         """Keep the rows of `block`, at stream positions from `first`; when
-        they would not fit, the banks merge first."""
+        they would not fit in the room, the banks merge first, and when
+        they fit in the room but not in the arrays, the arrays grow."""
         if self.rows is None:
             self.rows = np.empty((len(self.index), block.shape[1]))
-        if self.size + len(block) > len(self.index):
+        if self.size + len(block) > self.room:
             live = self._merge()
             self.rows[:self.size] = self.rows[live]
             self.index[:self.size] = self.index[live]
             self.weight[:self.size] = self.weight[live]
         end = self.size + len(block)
+        if end > len(self.index):
+            # a block has at most _BLOCK_ROWS rows, so doubling makes room
+            rows = min(self.room, 2 * len(self.index))
+            grown = np.empty((rows, block.shape[1])), np.empty(rows, dtype=np.intp), np.empty(rows)
+            for new, old in zip(grown, (self.rows, self.index, self.weight)):
+                new[:self.size] = old[:self.size]
+            self.rows, self.index, self.weight = grown
         self.rows[self.size:end] = block
         self.index[self.size:end] = np.arange(first, first + len(block))
         self.weight[self.size:end] = weights
@@ -367,6 +399,6 @@ def draw_mixture_pool(stream, p, pool_size, rng):
     row_of[np.flatnonzero(~take_weighted)] = uniform.win
     n = int(uniform.total)
     # the store keeps each row's distance weight, whichever bank drew it
-    qmass = (0.5 * row_w / weighted.total + 0.5 / n)[row_of]
-    return ProposalPool(rows=rows, row_of=row_of, indices=row_index[row_of],
-                        qmass=qmass, stream_length=n)
+    row_qmass = 0.5 * row_w / weighted.total + 0.5 / n
+    return ProposalPool(rows=rows, row_of=row_of, row_index=row_index,
+                        row_qmass=row_qmass, stream_length=n)

@@ -239,19 +239,19 @@ def one_pass_adaptive_sample(source, config, timings=None):
             rows = np.take(pool.rows, picked, axis=0, out=gathered[:len(picked)], mode="clip")
             scores[drawn] = basis.distances(rows) ** config.p
             dist_pow = scores[slot_rows].reshape(config.t, width)
-            qmat = pool.qmass[start:start + block].reshape(config.t, width)
+            qmat = pool.row_qmass[slot_rows].reshape(config.t, width)
             variates = open_unit(walk_rng(config.seed, rep, rnd), (config.t, config.m))
             _kernels.run_walks(dist_pow, qmat, variates, finals)
             # the round's new members, in walk order, join in one growth
-            new = []
+            new = []  # pool rows
             for w in range(config.t):
-                sel = start + w * width + int(finals[w])
-                idx = int(pool.indices[sel])
+                row = int(slot_rows[w * width + int(finals[w])])
+                idx = int(pool.row_index[row])
                 if idx not in members:
                     members.add(idx)
-                    new.append(sel)
+                    new.append(row)
             if new:
-                basis = basis.extended_many(pool.indices[new], pool.rows[pool.row_of[new]])
+                basis = basis.extended_many(pool.row_index[new], pool.rows[new])
         bases.append(basis)
     t2 = time.perf_counter()
     if timings is not None:

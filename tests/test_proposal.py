@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from lpsubsel import (DistributionTable, InputError, MixtureWeights, ParameterEr
 from lpsubsel import proposal
 from lpsubsel.proposal import _distance_weights, _draw_banks, _norm_weights, _running_total
 from lpsubsel.stream import _BLOCK_ROWS
+
+from helpers import peak_traced_bytes
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.0, 0.0], [-2.0, 1.0]])
@@ -387,6 +390,49 @@ def test_pool_and_bank_hold_each_drawn_row_once(n, slots):
                                                     np.random.default_rng(16))
     _assert_rows_held_once(rows, bank.win, row_index[bank.win], X, slots)
     np.testing.assert_array_equal(weights, X[row_index, 1])
+
+
+def test_pool_pass_allocates_by_the_rows_it_keeps():
+    # pool-deep's shape: 38,496 slots over 2,000 rows of 64. The store's
+    # room is 76,992 rows (39.4 MB), but the pass keeps at most 2,000 rows
+    # and the pool each held row's position and q-mass once
+    rng = np.random.default_rng(64)
+    X = rng.standard_normal((2000, 64)) * np.exp(rng.standard_normal((2000, 1)))
+    peak = peak_traced_bytes(lambda: draw_mixture_pool(iter(X), 3.0, 38_496,
+                                                       np.random.default_rng(65)))
+    assert peak < 4 * X.nbytes
+
+
+def test_pool_and_squared_length_fixed_seed_draws_across_store_growth(monkeypatch):
+    # recorded while the store allocated its whole room at once: a pool of
+    # 5,000 and 5,000 squared-length draws each have a room of 10,000
+    # rows, so the store's arrays grow 2,048 -> 4,096 -> 8,192 -> 10,000
+    # rows before the first merge, and the 20,000 rows merge three times
+    rng = np.random.default_rng(61)
+    X = rng.standard_normal((20_000, 3)) * np.exp(rng.standard_normal((20_000, 1)))
+    merges = _counting(monkeypatch, proposal._RowStore, "_merge")
+    allocated = []
+    keep_block = proposal._RowStore.keep_block
+
+    def recorded(store, *args):
+        keep_block(store, *args)
+        if not allocated or allocated[-1] != len(store.index):
+            allocated.append(len(store.index))
+
+    monkeypatch.setattr(proposal._RowStore, "keep_block", recorded)
+    pool = draw_mixture_pool(iter(X), 3.0, 5000, np.random.default_rng(62))
+    assert allocated == [2048, 4096, 8192, 10_000] and len(merges) == 3
+    digest = hashlib.sha256()
+    for values in (pool.rows[pool.row_of].astype("<f8"), pool.indices.astype("<i8"),
+                   pool.qmass.astype("<f8")):
+        digest.update(values.tobytes())
+    assert digest.hexdigest() == "b59c9b42e3b5313627eae97412fb4fb6e4b249fe7ede15c87e204de49ee5d30b"
+    merges.clear()
+    basis = squared_length_sample(X, 2.0, 5000, np.random.default_rng(63))
+    assert len(merges) == 3
+    members = np.asarray(basis.member_indices, dtype="<i8").tobytes()
+    assert hashlib.sha256(members).hexdigest() == (
+        "dbdb44a9380eb6cc56b19b0c7219d9dfd54c03b2bda22793f5ae1e2e8d24a516")
 
 
 def _chi2_passes(counts, probs):
