@@ -13,8 +13,7 @@ from .baselines import exact_adaptive_sample, squared_length_sample
 from .errors import (FormatError, GuardError, InputError, ParameterError,
                      SourceChangedError, StreamError)
 from .experiment import ExperimentSpec, RunReport, run_experiment
-from .geometry import (RANK_TOLERANCE, ErrParams, PointSet, SubsetBasis,
-                       err_p, extend_basis)
+from .geometry import RANK_TOLERANCE, PointSet, SubsetBasis, err_p, extend_basis
 from .oracles import (DistributionTable, OracleReport, adaptive_distribution,
                       brute_force_candidate_err, exact_walk_distribution,
                       gamma_bound, mixture_distribution, svd_optimal_err2,
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND", "RANK_TOLERANCE", "__version__",
-    "DatasetSource", "DistributionTable", "ErrParams", "ExperimentSpec",
+    "DatasetSource", "DistributionTable", "ExperimentSpec",
     "FormatError", "GuardError", "InputError",
     "MixtureWeights", "OracleReport", "ParameterError",
     "PointSet", "ProposalPool", "RunReport", "SamplerConfig", "SourceChangedError",

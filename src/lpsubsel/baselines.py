@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ParameterError, readable
 from .geometry import RANK_TOLERANCE, SubsetBasis, check_p
-from .proposal import _draw_banks, _norm_weights, _running_total
+from .proposal import _draw_banks, _norm_weigher, _running_total
 from .stream import as_source
 
 
@@ -86,7 +86,7 @@ def squared_length_sample(data, p, count, rng):
         raise ParameterError(f"count must be >= 1, got {readable(count)}")
     check_p(p)
     rows, row_index, _, bank, _ = _draw_banks(
-        src.iterate_once("selection"), lambda block: _norm_weights(block, p), count, 0, rng)
+        src.iterate_once("selection"), _norm_weigher(p), count, 0, rng)
     distinct = bank.win[np.sort(np.unique(bank.win, return_index=True)[1])]
     grown = SubsetBasis.empty(src.d).extended_many(row_index[distinct], rows[distinct])
     return SubsetBasis(row_index[bank.win], grown.basis, src.d)

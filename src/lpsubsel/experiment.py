@@ -19,9 +19,9 @@ import numpy as np
 
 from .baselines import exact_adaptive_sample, squared_length_sample
 from .errors import GuardError, InputError, ParameterError, readable
-from .geometry import CHUNK_ROWS, ErrParams, PointSet, SubsetBasis
+from .geometry import CHUNK_ROWS, PointSet, SubsetBasis
 from .oracles import _brute_force_guard, brute_force_candidate_err, svd_optimal_err2
-from .proposal import _store_rows
+from .proposal import _FIRST_ROWS, _store_rows
 from .sampler import baseline_rng, one_pass_adaptive_sample, theorem_params
 from .stream import _BLOCK_ROWS, as_source, open_csv
 
@@ -29,6 +29,10 @@ ALGORITHMS = ("mcmc-one-pass", "exact-adaptive", "squared-length")
 ORACLES = ("none", "svd", "bruteforce")
 
 _EXACT_COVER_REL = 1e-12
+
+# Bytes a pool slot or squared-length draw takes at most: about 59 in a
+# round whose walks take the whole pool, seven 8-byte arrays a slot.
+_SLOT_BYTES = 64
 
 
 @dataclass
@@ -115,32 +119,31 @@ class RunReport:
 
 @dataclass
 class Evaluation:
-    """What the evaluation pass gives the report and the oracles.
+    """What the evaluation pass gives the report and the SVD oracle.
 
     `sums` holds each candidate's err_p, `empty_sum` the empty span's.
     `r_factor` is the R of the data's QR decomposition at p = 2 or for
-    the SVD oracle, else None; `held` the rows the brute-force oracle
-    needs, else None. `evaluator` names what scored the sums.
+    the SVD oracle, else None. `evaluator` names what scored the sums.
     """
 
     sums: np.ndarray
     empty_sum: float
     r_factor: np.ndarray
-    held: PointSet
     evaluator: str
 
 
 def _evaluation_pass(source, bases, p, oracle):
     """One shared evaluation pass: per-candidate err_p, the empty-span
-    error, and what the oracle needs to see of the dataset.
+    error, and the R factor the SVD oracle reads.
 
     Rows come in CHUNK_ROWS at a time. A source that holds its rows (an
-    array input, or a file whose rows a baseline kept) is still passed
-    over once, for the pass count and a file's change check, and then read in
-    place, a slice at a time; any other source's rows are pulled at most
-    a parse block (`_BLOCK_ROWS` rows) at a time, and never past the
-    chunk being filled, each pull copied into one CHUNK_ROWS-row buffer
-    in one call. The chunks are the same either way, so are the results.
+    array input, or a file whose rows a baseline or the brute-force oracle
+    kept) is still passed over once, for the pass count and a file's
+    change check, and then read in place, a slice at a time; any other
+    source's rows are pulled at most a parse block (`_BLOCK_ROWS` rows) at
+    a time, and never past the chunk being filled, each pull copied into
+    one CHUNK_ROWS-row buffer in one call. The chunks are the same either
+    way, so are the results.
 
     At p = 2, or for the SVD oracle, each chunk is folded into the R
     factor of a running QR decomposition: X = QR with Q orthonormal, so
@@ -150,9 +153,7 @@ def _evaluation_pass(source, bases, p, oracle):
     scored from R's rows, as residuals, with no ‖X‖² − ‖XQᵀ‖²
     cancellation (evaluator "r-factor"). At any other p each chunk's
     distances to every span are summed in the loop (evaluator
-    "distances"). The SVD oracle reads the same R. The brute-force oracle
-    gets the rows of the one chunk: its guard, checked before the
-    selection pass, keeps n below CHUNK_ROWS.
+    "distances"). The SVD oracle reads the same R.
     """
     from_r = p == 2
     spans = [SubsetBasis.empty(source.d), *bases]
@@ -185,16 +186,9 @@ def _evaluation_pass(source, bases, p, oracle):
                 end = 0
         if end:
             score(buf[:end])
-        rows = buf[:end]  # every row, when n < CHUNK_ROWS
     if from_r:
         sums = np.array([float(np.sum(b.distances(r_factor) ** 2)) for b in spans])
-    if oracle == "bruteforce":
-        assert source.n < CHUNK_ROWS, "brute-force guard not checked"
-        held = PointSet(rows)
-    else:
-        held = None
-    return Evaluation(sums[1:], float(sums[0]), r_factor, held,
-                      "r-factor" if from_r else "distances")
+    return Evaluation(sums[1:], float(sums[0]), r_factor, "r-factor" if from_r else "distances")
 
 
 def _k_in_span_err2(r_factor, basis, k, span_err):
@@ -225,34 +219,40 @@ def _memory_guard(algorithm, config, source):
     """Raise GuardError, naming the recipe's sizes, if what `algorithm`
     keeps cannot fit in this machine's physical memory.
 
-    The row store of a one-pass pool or a squared-length run has room
-    for `proposal._store_rows` rows: two a pool slot or draw, and at
-    least 8 * `_BLOCK_ROWS` rows beyond the slots, each d floats with a
-    position and a weight. The guard counts the whole room, an upper
-    bound on what the store allocates: its arrays grow to the room only
-    as rows arrive. Exact-adaptive keeps about four n-vectors:
-    its weights, the rows' span floor, `rng.choice`'s cumulative sum of
-    the weights, and (under one more) choice's sign check and a file's
-    block records: the last line, byte size, fingerprint of the bytes
-    and rows at the end of each block of lines, four ints a block of 128
-    rows. The weights' `_running_total` holds one transient n-vector,
-    freed before `rng.choice`. It adds the distance temporaries of one
-    CHUNK_ROWS-row chunk and a variate and an index per draw of a round.
-    A file source also keeps its (n, d) rows, which an array input holds
-    already.
+    Every algorithm is charged 24 bytes a coordinate of one CHUNK_ROWS-row
+    chunk for the distance temporaries. A one-pass pool or a squared-length
+    run is charged `_SLOT_BYTES` a slot or draw, 64 bytes a coordinate and
+    256 a row of one `_BLOCK_ROWS`-row block (the row objects the pass
+    pulls, their stacked array, and a file's bytes and their parse), and
+    8 * (d + 2) bytes a row, d floats with a position and a weight, for
+    the rows its store's arrays can reach and for min(that, n) rows more:
+    the arrays they last grew from, or the pool's copy of its held rows.
+    The arrays double from `_FIRST_ROWS` rows toward the store's room,
+    `proposal._store_rows`, and hold at most n rows, so they reach
+    min(room, max(`_FIRST_ROWS`, 2n)) rows.
+
+    Exact-adaptive keeps about four n-vectors: its weights, the rows' span
+    floor, `rng.choice`'s cumulative sum of the weights, and (under one
+    more) choice's sign check and a file's block records: the last line,
+    byte size, fingerprint of the bytes and rows at the end of each block
+    of lines, four ints a block of 128 rows. The weights' `_running_total`
+    holds one transient n-vector, freed before `rng.choice`. It adds a
+    variate and an index per draw of a round. A file source also keeps its
+    (n, d) rows, which an array input holds already.
     """
     n, d = source.n, source.d
+    fixed, buffer = 24 * min(n, CHUNK_ROWS) * d, ""
     if algorithm == "exact-adaptive":
         draws, per_draw = config.t, 16
-        fixed = 32 * n + 24 * min(n, CHUNK_ROWS) * d
-        buffer = ""
+        fixed += 32 * n
         if source.rows is None:
             fixed += 8 * n * d
             buffer = f" and an n={n} by d={d} row buffer"
     else:
         draws = config.pool_size if algorithm == "mcmc-one-pass" else config.t * max(config.l, 1)
-        per_draw, buffer = 8 * (d + 2), ""
-        fixed = per_draw * (_store_rows(draws) - draws)
+        per_draw = _SLOT_BYTES
+        reach = min(_store_rows(draws), max(_FIRST_ROWS, 2 * n))
+        fixed += 8 * (d + 2) * (reach + min(reach, n)) + _BLOCK_ROWS * (64 * d + 256)
     memory = _physical_memory()
     if draws * per_draw + fixed > memory:
         raise GuardError(
@@ -272,26 +272,27 @@ def run_experiment(spec):
         source = open_csv(spec.input, header=spec.header)
     else:
         source = as_source(spec.input)
-    ErrParams(p=spec.p, k=spec.k).check_dimension(source.d)
+    if spec.k > source.d:
+        raise InputError(f"k={spec.k} exceeds ambient dimension d={source.d}")
     config = theorem_params(spec.k, spec.p, spec.delta, t_override=spec.t,
                             seed=spec.seed, l_override=spec.l, m_override=spec.m,
                             repetitions_override=spec.repetitions)
     if spec.oracle == "bruteforce":
         _brute_force_guard(source.n, spec.k)
+        source.keep_rows()
     _memory_guard(spec.algorithm, config, source)
 
     timings = {}
     if spec.algorithm == "mcmc-one-pass":
         bases = one_pass_adaptive_sample(source, config, timings=timings)
-    elif spec.algorithm == "exact-adaptive":
+    else:
         t0 = time.perf_counter()
-        bases = [exact_adaptive_sample(source, spec.p, config.t, config.l,
-                                       baseline_rng(spec.seed))]
-        timings.update(selection_seconds=time.perf_counter() - t0, walk_seconds=0.0)
-    else:  # squared-length
-        t0 = time.perf_counter()
-        bases = [squared_length_sample(source, spec.p, config.t * max(config.l, 1),
-                                       baseline_rng(spec.seed))]
+        rng = baseline_rng(spec.seed)
+        if spec.algorithm == "exact-adaptive":
+            basis = exact_adaptive_sample(source, spec.p, config.t, config.l, rng)
+        else:  # squared-length
+            basis = squared_length_sample(source, spec.p, config.t * max(config.l, 1), rng)
+        bases = [basis]
         timings.update(selection_seconds=time.perf_counter() - t0, walk_seconds=0.0)
 
     t0 = time.perf_counter()
@@ -317,7 +318,8 @@ def run_experiment(spec):
         oracle_root = oracle_err ** 0.5
         delta_term = spec.delta * empty_sum ** 0.5 if spec.p == 2 else None
     elif spec.oracle == "bruteforce":
-        oracle_err = brute_force_candidate_err(ev.held, spec.k, spec.p)
+        # the source kept its rows on its first complete pass
+        oracle_err = brute_force_candidate_err(PointSet(source.rows), spec.k, spec.p)
         oracle_root = oracle_err ** inv_p
         delta_term = spec.delta * empty_sum ** inv_p
 

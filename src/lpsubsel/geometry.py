@@ -7,7 +7,6 @@ so 32-bit storage is not supported. Summations use numpy reductions
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,23 +193,6 @@ class SubsetBasis:
 
     def __repr__(self):
         return f"SubsetBasis(members={len(self.member_indices)}, rank={self.rank}, d={self.d})"
-
-
-@dataclass(frozen=True)
-class ErrParams:
-    """Exponent p >= 1 and target subspace dimension k for the error functional."""
-
-    p: float
-    k: int
-
-    def __post_init__(self):
-        check_p(self.p)
-        if self.k < 1:
-            raise InputError(f"k must be a positive integer, got {readable(self.k)}")
-
-    def check_dimension(self, d):
-        if self.k > d:
-            raise InputError(f"k={self.k} exceeds ambient dimension d={d}")
 
 
 def extend_basis(basis, point_index, X):

@@ -40,7 +40,7 @@ from .errors import InputError, ParameterError, readable
 from .geometry import SubsetBasis, check_p, row_norms
 from .stream import _BLOCK_ROWS
 
-# Sum tolerance for an explicit probability vector over the dataset.
+# Slack on the range [1/(2n), 1] a pool checks its recorded q-masses against.
 _MASS_TOL = 1e-12
 
 
@@ -56,8 +56,7 @@ class MixtureWeights:
     pivot=None means the empty pivot, the form the shipped algorithm uses:
     the distance weight degenerates to the plain norm ||x||^p, the weight
     the pass gives each row bit for bit (`_norm_weights`). This class gives
-    the exact q that the oracles check the pass against, and the floor
-    `ProposalPool` checks recorded masses with.
+    the exact q that the oracles check the pass against.
     """
 
     p: float
@@ -75,15 +74,7 @@ class MixtureWeights:
         w, total = _distance_weights(pivot, X.points, self.p)
         if total <= 0.0:
             raise InputError("pivot spans the dataset; the mixture is undefined")
-        q = 0.5 * w / total + 0.5 / X.n
-        if not abs(q.sum() - 1.0) <= 100 * _MASS_TOL * X.n:
-            raise InputError(f"masses sum to {q.sum()!r}, not 1")
-        return q
-
-    @staticmethod
-    def floor(n):
-        """Guaranteed lower bound on q(x): the uniform component alone."""
-        return 0.5 / n
+        return 0.5 * w / total + 0.5 / X.n
 
 
 @dataclass(frozen=True)
@@ -95,6 +86,8 @@ class ProposalPool:
     (`row_index`) and its q-mass (`row_qmass`, computed at pass end from
     the accumulated weight total and n); slot j drew `rows[row_of[j]]`.
     `indices` and `qmass` gather the per-slot values through `row_of`.
+    Every q-mass must lie in [1/(2n), 1]: q's uniform component alone is
+    1/(2n).
     """
 
     rows: np.ndarray            # (held, d), each drawn row once
@@ -105,7 +98,7 @@ class ProposalPool:
 
     def __post_init__(self):
         # every slot's q-mass is one of the held rows'
-        lo = MixtureWeights.floor(self.stream_length)
+        lo = 0.5 / self.stream_length
         q = self.row_qmass
         if q.size and not ((q >= lo - _MASS_TOL) & (q <= 1.0 + _MASS_TOL)).all():
             raise InputError("recorded q-mass outside [1/(2n), 1]")
@@ -323,13 +316,30 @@ def _norm_weights(block, p):
     return weights
 
 
+def _norm_weigher(p):
+    """The pool's and squared-length's `block_weights`: `_norm_weights` of
+    each block, raising InputError naming the first row whose weight is
+    NaN, a row with a NaN coordinate (numpy makes a None one)."""
+    weighed = 0  # rows before the block
+
+    def weigh(block):
+        nonlocal weighed
+        weights = _norm_weights(block, p)
+        nan = np.isnan(weights)
+        if nan.any():
+            raise InputError(f"data row {weighed + int(np.argmax(nan)) + 1}: a coordinate is NaN")
+        weighed += len(weights)
+        return weights
+    return weigh
+
+
 def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     """One pass feeding every row to a weighted and a uniform reservoir bank.
 
     The weighted bank's slots become i.i.d. draws with P(x) proportional
     to x's weight, the uniform bank's i.i.d. uniform draws; both share one
     row store. `block_weights` maps a (b, d) float64 block of rows to one
-    weight per row: the pool and squared-length pass `_norm_weights`, and
+    weight per row: the pool and squared-length pass `_norm_weigher`'s, and
     the tests pass others to check the reservoir law. Returns (rows,
     stream positions, weights, weighted, uniform): each row some slot drew
     once, with its position and weight, and the two banks, whose `win`
@@ -337,8 +347,8 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     with no slots never draws a variate. Raises InputError for an empty
     stream, when no row has positive weight, naming the row at which the
     weight total overflows (`_running_total`, the rule the exact q's total
-    follows), and naming the block with a row whose length is not the
-    first row's.
+    follows), and naming the block with a value that is not a number or a
+    row whose length is not the first row's. A NaN weight adds nothing.
 
     The pass weighs and checks `_BLOCK_ROWS` rows at a time, in one call
     each, and the store keeps a block's rows in one slice copy; then every
@@ -352,16 +362,16 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     index = 0  # stream position of the block's first row
     width = None  # the first row's length, which every row must have
     while rows := list(itertools.islice(stream, _BLOCK_ROWS)):
+        named = f"data rows {index + 1}-{index + len(rows)}"
         try:
             block = np.array(rows, dtype=np.float64)
-        except ValueError:
+        except (TypeError, ValueError):
             if len({np.shape(row) for row in rows}) < 2:
-                raise  # a value that is not a number, not a ragged block
+                raise InputError(f"{named}: a value is not a number") from None
             block = None
         width = np.size(rows[0]) if width is None else width
         if block is None or block.shape != (len(rows), width):
-            raise InputError(f"data rows {index + 1}-{index + len(rows)}: a row "
-                             f"does not have the first row's {width} values")
+            raise InputError(f"{named}: a row does not have the first row's {width} values")
         weights = np.asarray(block_weights(block), dtype=np.float64)
         _running_total(weighted.total, weights, index)
         store.keep_block(index, block, weights)
@@ -384,7 +394,8 @@ def draw_mixture_pool(stream, p, pool_size, rng):
     so between them they hold `pool_size` slots. q-masses are attached
     after the pass from the distance-weight total and n. The pool keeps
     each drawn row once (see `ProposalPool`). Raises InputError naming the
-    row at which the distance-weight total overflows.
+    row at which the distance-weight total overflows, or the first row with
+    a NaN coordinate.
     """
     check_p(p)
     if pool_size < 1:
@@ -392,7 +403,7 @@ def draw_mixture_pool(stream, p, pool_size, rng):
     take_weighted = rng.random(pool_size) < 0.5
     slots = int(np.count_nonzero(take_weighted))
     rows, row_index, row_w, weighted, uniform = _draw_banks(
-        stream, lambda block: _norm_weights(block, p), slots, pool_size - slots, rng)
+        stream, _norm_weigher(p), slots, pool_size - slots, rng)
     row_of = np.empty(pool_size, dtype=np.intp)
     # by position: assigning through a random boolean mask is several times slower
     row_of[np.flatnonzero(take_weighted)] = weighted.win

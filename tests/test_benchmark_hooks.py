@@ -57,6 +57,39 @@ def test_the_benchmark_tracer_installs_and_the_backend_is_readable():
     assert metrics["sampler.walk_steps"] == cfg["repetitions"] * cfg["l"] * cfg["t"] * cfg["m"] > 0
 
 
+def test_every_tracer_wrapper_records_a_call(tmp_path, monkeypatch):
+    # the CLI on a CSV with the SVD oracle, one-pass and exact-adaptive: a
+    # wrapper that records nothing means the package no longer looks its
+    # name up at call time, so the benchmark's layer numbers would read 0.
+    # geometry.extended is the one exception: every basis grows through
+    # extended_many
+    tracing = _load("tracing")
+    installed = []
+
+    def recording(maker, fixed_name=None):
+        real = getattr(tracing, maker)
+
+        def make(tracer, *args):
+            installed.append(fixed_name or args[0])
+            return real(tracer, *args)
+        monkeypatch.setattr(tracing, maker, make)
+
+    recording("_span")
+    recording("_leaf")
+    recording("_stream", "stream.iter")
+    path = tmp_path / "input.csv"
+    np.savetxt(path, np.random.default_rng(8).standard_normal((300, 4)), delimiter=",")
+    tracer = tracing.Tracer()
+    with tracing.Installed(tracer):
+        for algo in ("mcmc-one-pass", "exact-adaptive"):
+            argv = ["--input", str(path), "--algo", algo, "--k", "2", "--t", "3",
+                    "--oracle", "svd", "--out", str(tmp_path / f"{algo}.json")]
+            assert cli.main(argv) == 0
+    recorded = {r["name"] for r in tracer.records if r["calls"] > 0}
+    assert len(installed) > 10
+    assert set(installed) - recorded <= {"geometry.extended"}
+
+
 @pytest.mark.parametrize("name", ["csv-tall", "exact-multipass", "pool-deep"])
 def test_the_benchmark_output_check_accepts_each_workload_shape(tmp_path, name):
     # each workload at 300 rows, with short walks: the CLI on a CSV with the

@@ -12,7 +12,7 @@ from lpsubsel.cli import main
 from lpsubsel.geometry import CHUNK_ROWS
 from lpsubsel.stream import _BLOCK_ROWS
 
-from helpers import basis_from, low_rank_plus_noise
+from helpers import basis_from, low_rank_plus_noise, peak_traced_bytes
 
 ALGORITHMS = ["mcmc-one-pass", "exact-adaptive", "squared-length"]
 
@@ -194,6 +194,16 @@ def test_bruteforce_oracle_guard_propagates():
     assert source.selection_passes == source.evaluation_passes == 0
 
 
+def test_k_above_d_is_an_input_error_before_any_pass(tmp_path, capsys):
+    X = np.random.default_rng(21).standard_normal((10, 3))
+    source = as_source(X)
+    with pytest.raises(InputError, match="^k=4 exceeds ambient dimension d=3$"):
+        run_experiment(_spec(input=source, k=4))
+    assert source.selection_passes == source.evaluation_passes == 0
+    assert main(["--input", _write_csv(tmp_path, X), "--k", "4", "--t", "2"]) == 2
+    assert capsys.readouterr().err == "error: k=4 exceeds ambient dimension d=3\n"
+
+
 def test_evaluation_pass_records():
     X = PointSet(np.eye(3))
     bases = [basis_from(X, members) for members in ([0, 1], [], [0, 1, 2])]
@@ -205,11 +215,10 @@ def test_evaluation_pass_records():
     assert bases[0].rank == 2
     assert (sums[1] / empty_sum) ** 0.5 == pytest.approx(1.0)
     assert sums[2] ** 0.5 == pytest.approx(0.0, abs=1e-12)
-    assert ev.held is None
     ev = experiment._evaluation_pass(as_source(X), [basis_from(X, [0])], 1.0, "none")
     assert ev.evaluator == "distances"
     assert ev.sums[0] == pytest.approx(2.0)
-    assert ev.r_factor is None and ev.held is None
+    assert ev.r_factor is None
 
 
 def _chunked_distance_sums(X, spans, p):
@@ -680,18 +689,74 @@ def test_cli_exact_adaptive_buffer_beyond_memory_exits_3(tmp_path, capsys, monke
 @pytest.mark.parametrize("algorithm", ["mcmc-one-pass", "squared-length"])
 def test_one_pass_memory_guard_counts_the_row_store_floor(monkeypatch, algorithm):
     # a small recipe's row store has room for its draws plus 8 blocks of
-    # rows, each d floats with a position and a weight
+    # rows, each d floats with a position and a weight: its arrays reach
+    # the room, and the 50 rows of the input are counted once more. Each
+    # draw takes _SLOT_BYTES, a block of the pass 64 bytes a coordinate and
+    # 256 a row, and an evaluation chunk 24 bytes a coordinate
     config = experiment.theorem_params(1, 2.0, 0.5, t_override=2, seed=0, l_override=1,
                                        m_override=3, repetitions_override=1)
     draws = config.pool_size if algorithm == "mcmc-one-pass" else config.t * config.l
     assert draws < 8 * _BLOCK_ROWS
     source = as_source(np.random.default_rng(18).standard_normal((50, 4)))
-    store = 8 * (4 + 2) * (draws + 8 * _BLOCK_ROWS)
-    monkeypatch.setattr(experiment, "_physical_memory", lambda: store)
+    count = (experiment._SLOT_BYTES * draws + 8 * (4 + 2) * (draws + 8 * _BLOCK_ROWS + 50)
+             + _BLOCK_ROWS * (64 * 4 + 256) + 24 * 50 * 4)
+    monkeypatch.setattr(experiment, "_physical_memory", lambda: count)
     experiment._memory_guard(algorithm, config, source)
-    monkeypatch.setattr(experiment, "_physical_memory", lambda: store - 1)
+    monkeypatch.setattr(experiment, "_physical_memory", lambda: count - 1)
     with pytest.raises(experiment.GuardError, match=f"keeps {draws} draws"):
         experiment._memory_guard(algorithm, config, source)
+
+
+@pytest.mark.parametrize("algorithm", ["mcmc-one-pass", "squared-length"])
+def test_one_pass_memory_guard_counts_the_rows_a_long_input_reaches(monkeypatch, algorithm):
+    # 5,000 rows and a pool of 8: the store's arrays reach its room of
+    # 8 + 8 blocks, not 2n, and the rows they last grew from are counted
+    config = experiment.theorem_params(1, 3.0, 0.5, t_override=2, seed=0, l_override=1,
+                                       m_override=3, repetitions_override=1)
+    draws = config.pool_size if algorithm == "mcmc-one-pass" else config.t * config.l
+    source = as_source(np.random.default_rng(19).standard_normal((5000, 3)))
+    reach = draws + 8 * _BLOCK_ROWS
+    count = (experiment._SLOT_BYTES * draws + 8 * (3 + 2) * 2 * reach
+             + _BLOCK_ROWS * (64 * 3 + 256) + 24 * CHUNK_ROWS * 3)
+    monkeypatch.setattr(experiment, "_physical_memory", lambda: count)
+    experiment._memory_guard(algorithm, config, source)
+    monkeypatch.setattr(experiment, "_physical_memory", lambda: count - 1)
+    with pytest.raises(experiment.GuardError):
+        experiment._memory_guard(algorithm, config, source)
+
+
+@pytest.mark.parametrize("n, d, kwargs", [
+    (2000, 64, dict(algorithm="mcmc-one-pass", k=3, p=3.0, t=16, l=3, m=400,
+                    repetitions=2)),  # pool-deep's shape: 38,496 slots
+    (2000, 10, dict(algorithm="mcmc-one-pass", k=2, p=2.0, t=50, l=2, m=60,
+                    repetitions=5)),  # criterion 9's: 30,500 slots
+    (500, 8, dict(algorithm="mcmc-one-pass", k=1, p=2.0, t=2000, l=1, m=50,
+                  repetitions=1)),  # one round walks the whole pool
+    (6000, 32, dict(algorithm="mcmc-one-pass", k=2, p=2.0, t=10, l=2, m=100,
+                    repetitions=3)),  # the store's arrays double past n
+    (2000, 10, dict(algorithm="squared-length", k=1, p=2.0, t=50000, l=1)),
+    (5000, 256, dict(algorithm="squared-length", k=1, p=3.0, t=2, l=1)),
+    (130, 1, dict(algorithm="mcmc-one-pass", k=1, p=2.0, t=2, l=3, m=3, repetitions=4)),
+], ids=["pool-deep", "criterion-9", "one-round", "long", "squared-length", "wide", "narrow"])
+def test_one_pass_memory_guard_counts_at_least_the_traced_peak(monkeypatch, n, d, kwargs):
+    guarded = []
+    real_guard = experiment._memory_guard
+    monkeypatch.setattr(experiment, "_memory_guard", lambda *args: guarded.extend(args))
+    X = np.random.default_rng(n + d).standard_normal((n, d))
+    peak = peak_traced_bytes(lambda: run_experiment(_spec(input=X, **kwargs)))
+    # the guard's count is at least the peak: it refuses a byte less
+    monkeypatch.setattr(experiment, "_physical_memory", lambda: peak - 1)
+    with pytest.raises(experiment.GuardError):
+        real_guard(*guarded)
+
+
+def test_the_paper_recipe_on_a_6_mb_input_passes_the_memory_guard(monkeypatch):
+    # theorem_params(2, 2, 0.5) pools about 4 million slots; a 3,000 x 256
+    # array keeps at most 3,000 rows of them, which fit in 8.4 GB
+    config = experiment.theorem_params(2, 2.0, 0.5)
+    assert config.pool_size == 4_048_938
+    monkeypatch.setattr(experiment, "_physical_memory", lambda: 8_408_645_632)
+    experiment._memory_guard("mcmc-one-pass", config, as_source(np.ones((3000, 256))))
 
 
 def test_cli_exact_adaptive_and_header(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lpsubsel import (RANK_TOLERANCE, ErrParams, ExperimentSpec, InputError, MixtureWeights,
+from lpsubsel import (RANK_TOLERANCE, ExperimentSpec, InputError, MixtureWeights,
                       ParameterError, PointSet, SamplerConfig, SubsetBasis, adaptive_distribution,
                       brute_force_candidate_err, draw_mixture_pool, err_p,
                       exact_adaptive_sample, exact_walk_distribution, extend_basis,
@@ -16,7 +16,6 @@ from helpers import basis_from, gram_schmidt_growth, peak_traced_bytes, residual
 _SMALL = PointSet(np.random.default_rng(71).standard_normal((12, 3)))
 _PIVOT = extend_basis(SubsetBasis.empty(3), 0, _SMALL)
 _TAKES_P = {
-    "ErrParams": lambda p: ErrParams(p=p, k=1),
     "err_p": lambda p: err_p(_SMALL, _PIVOT, p),
     "MixtureWeights": lambda p: MixtureWeights(p=p),
     "mixture_distribution": lambda p: mixture_distribution(_SMALL, p),
@@ -146,6 +145,16 @@ def test_extended_many_checks_every_row_before_growing(bad):
         basis.extended_many([1, 2], rows)  # one index short of the rows
 
 
+def test_a_row_whose_squared_norm_underflows_adds_no_direction():
+    # 1.5e-162 squared underflows to 0, so the row's norm is 0, but its
+    # residual off this basis keeps a square of about 5e-324: the direction
+    # it would add has norm 0.91, not 1
+    basis = SubsetBasis.empty(2).extended(0, np.array([-2.0, 1.0]))
+    grown = basis.extended_many([1], np.full((1, 2), 1.5e-162))
+    assert grown.member_indices == (0, 1)
+    assert grown.basis.tobytes() == basis.basis.tobytes()
+
+
 def test_dist_to_span_examples():
     basis = SubsetBasis.empty(3).extended(0, np.array([1.0, 0.0, 0.0]))
     assert basis.distance(np.array([1.0, 1.0, 0.0])) == pytest.approx(1.0)
@@ -234,16 +243,6 @@ def test_orthonormality_invariant_random_sequences():
         for idx in basis.member_indices:
             nrm = np.linalg.norm(X.points[idx])
             assert basis.distance(X.points[idx]) <= 1e-8 * max(nrm, 1e-30)
-
-
-def test_err_params_validation():
-    ErrParams(p=1.5, k=2).check_dimension(3)
-    with pytest.raises(InputError):
-        ErrParams(p=0.9, k=2)
-    with pytest.raises(InputError):
-        ErrParams(p=2.0, k=0)
-    with pytest.raises(InputError):
-        ErrParams(p=2.0, k=4).check_dimension(3)
 
 
 @pytest.mark.parametrize("rank", [0, 3, 6], ids=["empty", "rank3", "full_rank"])

@@ -21,6 +21,25 @@ def test_distribution_table_validation():
         DistributionTable(np.array([-0.1, 1.1]))
 
 
+_NINE = PointSet(np.random.default_rng(5).standard_normal((9, 3)))
+_NINE_PIVOT = extend_basis(SubsetBasis.empty(3), 0, _NINE)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DistributionTable(np.full((2, 2), 0.25)), "masses must be a vector"),
+    (lambda: exact_walk_distribution(_NINE, _NINE_PIVOT, None, 2.0, -1), "m must be >= 0"),
+    (lambda: gamma_bound(_NINE, _NINE_PIVOT, None, 2.0, 0), "m must be >= 1"),
+    (lambda: svd_optimal_err2(_NINE, 0), "need 1 <= k <= d=3, got k=0"),
+    (lambda: svd_optimal_err2(_NINE, 4), "need 1 <= k <= d=3, got k=4"),
+    (lambda: brute_force_candidate_err(_NINE, 0, 2.0), "k must be >= 1"),
+], ids=["table_not_a_vector", "walk_m_negative", "gamma_m_zero", "svd_k_zero", "svd_k_above_d",
+        "brute_force_k_zero"])
+def test_oracles_reject_an_argument_out_of_range(call, message):
+    # each call would otherwise return an answer
+    with pytest.raises(InputError, match=f"^{message}"):
+        call()
+
+
 def test_tv_distance_examples():
     a = np.array([0.5, 0.5])
     assert tv_distance(a, a) == 0.0

@@ -700,3 +700,30 @@ def test_pool_rejects_rows_of_different_lengths():
     # a later block whose rows agree with each other but not with the first row
     with pytest.raises(InputError, match="^data rows 129-130: a row does not have the first row's 5 values"):
         draw_mixture_pool(iter(rows + [np.ones(2), np.ones(2)]), 2.0, 10, np.random.default_rng(55))
+
+
+def test_pool_rejects_a_nan_row_on_every_seed():
+    # the uniform bank draws row 8 on only a few seeds, so a check of the
+    # pool's q-masses would catch it by chance
+    X = np.random.default_rng(56).standard_normal((50, 3))
+    X[7, 1] = np.nan
+    for seed in range(40):
+        with pytest.raises(InputError, match="^data row 8: a coordinate is NaN$"):
+            draw_mixture_pool(iter(X), 2.0, 10, np.random.default_rng(seed))
+
+
+def test_pool_rejects_a_value_that_is_not_a_number():
+    rows = [[1.0, 2.0]] * 200
+    # numpy makes a None a NaN
+    with pytest.raises(InputError, match="^data row 131: a coordinate is NaN$"):
+        draw_mixture_pool(iter(rows[:130] + [[1.0, None]] + rows), 2.0, 10,
+                          np.random.default_rng(57))
+    for cell in ("x", {}):
+        with pytest.raises(InputError, match="^data rows 129-256: a value is not a number$"):
+            draw_mixture_pool(iter(rows[:130] + [[1.0, cell]] + rows), 2.0, 10,
+                              np.random.default_rng(57))
+    # a test's weight function may still give a finite row a NaN weight,
+    # which adds nothing
+    _, row_index, _, bank, _ = _draw_banks(_stream(SIX_POINTS), lambda block: [np.nan, 1.0] * 3,
+                                           20, 0, np.random.default_rng(58))
+    assert set(row_index[bank.win].tolist()) == {1, 3, 5}

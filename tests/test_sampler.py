@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lpsubsel import (ParameterError, PointSet, SamplerConfig, SubsetBasis,
-                      adaptive_distribution, as_source, draw_mixture_pool,
+from lpsubsel import (DatasetSource, InputError, ParameterError, PointSet, SamplerConfig,
+                      SubsetBasis, adaptive_distribution, as_source, draw_mixture_pool,
                       one_pass_adaptive_sample, open_csv, open_unit, theorem_params,
                       tv_distance)
 from lpsubsel import _kernels, sampler
@@ -58,6 +58,12 @@ def test_theorem_params_rejects_bad_delta():
         theorem_params(k=2, p=1.0, delta=0.0)
     with pytest.raises(ParameterError):
         theorem_params(k=2, p=1.0, delta=1.0)
+
+
+def test_theorem_params_rejects_k_below_1():
+    # checked before the recipe, whose walk length takes the log of k
+    with pytest.raises(ParameterError, match="^k must be >= 1, got 0$"):
+        theorem_params(k=0, p=2.0, delta=0.5)
 
 
 @pytest.mark.parametrize("t, shown", [(0, "0"), (-1, "-1"), (-10 ** 400, "-1.00e400")],
@@ -222,6 +228,35 @@ def test_one_pass_stops_once_no_pool_row_can_grow_its_span(tmp_path, r, from_fil
         assert len(basis.member_indices) <= cfg.t * (r + 1)
 
 
+def test_one_pass_runs_no_round_once_the_span_is_all_of_r_d(monkeypatch):
+    # rank 3 comes within a few rounds of 2 picks each; a round after it
+    # would walk over distances of rounding size and keep more members
+    rounds, ranks = [], []
+    real_walk_rng, real_extended_many = sampler.walk_rng, SubsetBasis.extended_many
+
+    def walk_rng(seed, repetition, round_index):
+        rounds.append(repetition)
+        ranks.append(None)
+        return real_walk_rng(seed, repetition, round_index)
+
+    def extended_many(self, indices, points):
+        grown = real_extended_many(self, indices, points)
+        ranks[-1] = grown.rank
+        return grown
+
+    monkeypatch.setattr(sampler, "walk_rng", walk_rng)
+    monkeypatch.setattr(SubsetBasis, "extended_many", extended_many)
+    X = np.random.default_rng(4).standard_normal((30, 3))
+    cfg = SamplerConfig(k=1, p=2.0, delta=0.5, epsilon=0.125, epsilon1=0.1,
+                        epsilon2=0.01, m=5, t=2, l=6, repetitions=2, seed=4)
+    bases = one_pass_adaptive_sample(as_source(X), cfg)
+    assert [b.rank for b in bases] == [3, 3]
+    for rep in range(cfg.repetitions):
+        rep_ranks = [r for rr, r in zip(rounds, ranks) if rr == rep]
+        # the last round this repetition ran is the one that reached rank 3
+        assert len(rep_ranks) < cfg.l and rep_ranks[-1] == 3 and 3 not in rep_ranks[:-1]
+
+
 def test_one_pass_zero_rounds_returns_empty_subsets():
     cfg = SamplerConfig(k=1, p=2.0, delta=0.5, epsilon=0.125, epsilon1=0.1,
                         epsilon2=0.01, m=2, t=2, l=0, repetitions=3, seed=0)
@@ -230,6 +265,14 @@ def test_one_pass_zero_rounds_returns_empty_subsets():
     assert len(bases) == 3
     assert all(b.member_indices == () for b in bases)
     assert src.selection_passes == 0  # nothing to sample, no pass
+
+
+def test_one_pass_needs_the_source_dimension():
+    src = DatasetSource(rows=np.eye(3), n=3)  # built without d
+    cfg = theorem_params(k=1, p=2.0, delta=0.5, t_override=2)
+    with pytest.raises(InputError, match="^source dimension unknown$"):
+        one_pass_adaptive_sample(src, cfg)
+    assert src.selection_passes == 0
 
 
 def test_one_pass_timings_split():

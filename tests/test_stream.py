@@ -270,6 +270,19 @@ def test_pass_over_a_changed_file_names_the_changed_range(tmp_path, rows):
     assert src.selection_passes == 0
 
 
+def test_a_block_whose_rows_are_not_its_record_raises(tmp_path):
+    # the bytes match their fingerprint, but the block table records one
+    # row more than they hold, as a fingerprint collision would
+    path = _write(tmp_path, _rows_text(2 * _BLOCK_ROWS))
+    src = open_csv(path)
+    last, size, fingerprint, end = src._blocks[-1]
+    src._blocks[-1] = (last, size, fingerprint, end + 1)
+    with pytest.raises(SourceChangedError,
+                       match=f"lines {_BLOCK_ROWS + 1}-{2 * _BLOCK_ROWS} are not what it read$"):
+        list(src.iterate_once("selection"))
+    assert src.selection_passes == 0
+
+
 def _rewrite_line(path, line_number, text):
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
