@@ -142,8 +142,8 @@ def _evaluation_pass(source, bases, p, oracle):
     change check, and then read in place, a slice at a time; any other
     source's rows are pulled at most a parse block (`_BLOCK_ROWS` rows) at
     a time, and never past the chunk being filled, each pull copied into
-    one CHUNK_ROWS-row buffer in one call. The chunks are the same either
-    way, so are the results.
+    one buffer of min(n, CHUNK_ROWS) rows in one call. The chunks are the
+    same either way, so are the results.
 
     At p = 2, or for the SVD oracle, each chunk is folded into the R
     factor of a running QR decomposition: X = QR with Q orthonormal, so
@@ -174,14 +174,14 @@ def _evaluation_pass(source, bases, p, oracle):
         for start in range(0, len(rows), CHUNK_ROWS):
             score(rows[start:start + CHUNK_ROWS])
     else:
-        buf = np.empty((CHUNK_ROWS, source.d))
+        buf = np.empty((min(source.n, CHUNK_ROWS), source.d))
         stream = source.iterate_once("evaluation")
         end = 0
         # a pull holds a parse block's rows alive, not a whole chunk's
-        while pulled := list(itertools.islice(stream, min(_BLOCK_ROWS, CHUNK_ROWS - end))):
+        while pulled := list(itertools.islice(stream, min(_BLOCK_ROWS, len(buf) - end))):
             np.concatenate(pulled, out=buf[end:end + len(pulled)].reshape(-1))
             end += len(pulled)
-            if end == CHUNK_ROWS:
+            if end == len(buf):
                 score(buf)
                 end = 0
         if end:
@@ -239,9 +239,14 @@ def _memory_guard(algorithm, config, source):
     holds one transient n-vector, freed before `rng.choice`. It adds a
     variate and an index per draw of a round. A file source also keeps its
     (n, d) rows, which an array input holds already.
+
+    A file pass that forks a parse helper (`DatasetSource.helper_bytes`)
+    is charged, under every algorithm, its shared ring, `_HELPER_SLOTS`
+    slots of the largest block's bytes plus 8 * `_BLOCK_ROWS` * d bytes of
+    rows, and `_READ_AHEAD` read-ahead blocks' bytes.
     """
     n, d = source.n, source.d
-    fixed, buffer = 24 * min(n, CHUNK_ROWS) * d, ""
+    fixed, buffer = 24 * min(n, CHUNK_ROWS) * d + source.helper_bytes(), ""
     if algorithm == "exact-adaptive":
         draws, per_draw = config.t, 16
         fixed += 32 * n

@@ -20,6 +20,9 @@ RANK_TOLERANCE = 1e-10
 # the temporaries of one chunk stay a fixed size however many rows come in.
 CHUNK_ROWS = 1024
 
+# The least normal float: a residual's squared norm below it is subnormal.
+_TINY = np.finfo(np.float64).tiny
+
 
 def check_p(p):
     """Raise ParameterError unless the exponent p is a finite real >= 1."""
@@ -156,10 +159,12 @@ class SubsetBasis:
         Each row in turn gains the basis its normalized residual direction
         only if the residual (after one re-orthogonalization pass of
         modified Gram-Schmidt) exceeds RANK_TOLERANCE relative to the row
-        norm. The rows share one buffer allocated up front, and every
-        product is the one a chain of single-row extensions takes, so the
-        result is the same bit for bit, norms included: `np.linalg.norm`
-        of a vector is the root of its contiguous copy's dot with itself.
+        norm, and its squared norm is a normal float: a subnormal one has
+        lost the digits that would make the direction unit length. The
+        rows share one buffer allocated up front, and every product is the
+        one a chain of single-row extensions takes, so the result is the
+        same bit for bit, norms included: `np.linalg.norm` of a vector is
+        the root of its contiguous copy's dot with itself.
         Every row is checked to be finite before any is added.
 
         Once the rank reaches d the loop stops: a later row's residual
@@ -184,8 +189,9 @@ class SubsetBasis:
             resid = resid - q.T @ (q @ resid)
             flat = v.ravel()  # a strided row's own dot rounds otherwise
             norm_v = math.sqrt(flat.dot(flat))
-            norm_r = math.sqrt(resid.dot(resid))
-            if norm_r > RANK_TOLERANCE * norm_v and norm_v > 0.0:
+            square_r = resid.dot(resid)
+            norm_r = math.sqrt(square_r)
+            if norm_r > RANK_TOLERANCE * norm_v and square_r >= _TINY:
                 grown[rank] = resid / norm_r
                 rank += 1
         members = self.member_indices + tuple(int(i) for i in indices)

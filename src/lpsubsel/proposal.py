@@ -366,7 +366,11 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
         try:
             block = np.array(rows, dtype=np.float64)
         except (TypeError, ValueError):
-            if len({np.shape(row) for row in rows}) < 2:
+            try:
+                shapes = {np.shape(row) for row in rows}
+            except ValueError:  # a row holds a sequence
+                shapes = ()
+            if len(shapes) < 2:
                 raise InputError(f"{named}: a value is not a number") from None
             block = None
         width = np.size(rows[0]) if width is None else width

@@ -1,13 +1,17 @@
 import json
+import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from lpsubsel import (DatasetSource, ExperimentSpec, InputError, ParameterError,
-                      PointSet, SubsetBasis, as_source, brute_force_candidate_err, cli,
-                      draw_mixture_pool, exact_adaptive_sample, experiment, run_experiment,
-                      squared_length_sample, svd_optimal_err2)
+from lpsubsel import (DatasetSource, ExperimentSpec, FormatError, InputError,
+                      ParameterError, PointSet, SubsetBasis, as_source,
+                      brute_force_candidate_err, cli, draw_mixture_pool,
+                      exact_adaptive_sample, experiment, open_csv, run_experiment,
+                      squared_length_sample, stream, svd_optimal_err2)
 from lpsubsel.cli import main
 from lpsubsel.geometry import CHUNK_ROWS
 from lpsubsel.stream import _BLOCK_ROWS
@@ -757,6 +761,112 @@ def test_the_paper_recipe_on_a_6_mb_input_passes_the_memory_guard(monkeypatch):
     assert config.pool_size == 4_048_938
     monkeypatch.setattr(experiment, "_physical_memory", lambda: 8_408_645_632)
     experiment._memory_guard("mcmc-one-pass", config, as_source(np.ones((3000, 256))))
+
+
+def _large_csv(tmp_path, n=7500, d=8, seed=42):
+    """A CSV of at least 1 MiB, over which a pass forks a parse helper."""
+    path = str(tmp_path / "large.csv")
+    np.savetxt(path, np.random.default_rng(seed).standard_normal((n, d)), fmt="%.17g",
+               delimiter=",")
+    assert os.path.getsize(path) >= stream._HELPER_MIN_BYTES
+    return path
+
+
+def _guard_count(monkeypatch, algorithm, config, source):
+    """The bytes `_memory_guard` counts: the least memory it accepts."""
+    lo, hi = 0, 1 << 40
+    while lo < hi:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(experiment, "_physical_memory", lambda: mid)
+        try:
+            experiment._memory_guard(algorithm, config, source)
+            hi = mid
+        except experiment.GuardError:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_the_memory_guard_counts_a_helper_pass(tmp_path, monkeypatch, algorithm):
+    # on top of a serial pass's count: the ring, its slots of the largest
+    # block's bytes and of a block's rows, and the parent's read-ahead bytes
+    source = open_csv(_large_csv(tmp_path))
+    config = experiment.theorem_params(1, 2.0, 0.5, t_override=2, seed=0, l_override=1,
+                                       m_override=3, repetitions_override=1)
+    largest = max(size for _, size, _, _ in source._blocks)
+    ring = stream._HELPER_SLOTS * (largest + 8 * _BLOCK_ROWS * 8)
+    charged = ring + stream._READ_AHEAD * largest if stream._can_fork() else 0
+    assert source.helper_bytes() == charged
+    count = _guard_count(monkeypatch, algorithm, config, source)
+    monkeypatch.setattr(stream, "_HELPER_MIN_BYTES", math.inf)
+    assert count - _guard_count(monkeypatch, algorithm, config, source) == charged
+
+
+def test_the_memory_guard_counts_at_least_a_helper_pass_peak(tmp_path, monkeypatch):
+    path = _large_csv(tmp_path)
+    guarded = []
+    real_guard = experiment._memory_guard
+    monkeypatch.setattr(experiment, "_memory_guard", lambda *args: guarded.extend(args))
+    spec = _spec(input=path, k=2, t=4, l=2, m=5, repetitions=3)
+    peak = peak_traced_bytes(lambda: run_experiment(spec))
+    monkeypatch.setattr(experiment, "_physical_memory", lambda: peak - 1)
+    with pytest.raises(experiment.GuardError):
+        real_guard(*guarded)
+
+
+def test_the_evaluation_buffer_holds_at_most_n_rows(tmp_path):
+    # a file source's rows are pulled into one buffer, of min(n, CHUNK_ROWS)
+    # rows: a 130 x 300 input's is 0.31 MB, not a CHUNK_ROWS buffer's 2.46
+    # MB; the pass's peak, a parse block's bytes and rows included, stays
+    # under the larger buffer alone
+    X = np.random.default_rng(43).standard_normal((130, 300))
+    path = _write_csv(tmp_path, X)
+    source = open_csv(path)
+    basis = SubsetBasis.empty(300).extended(0, X[0])
+    ev = []
+    peak = peak_traced_bytes(
+        lambda: ev.append(experiment._evaluation_pass(source, [basis], 3.0, "none")))
+    assert peak < CHUNK_ROWS * 300 * 8
+    held = experiment._evaluation_pass(as_source(np.loadtxt(path, delimiter=",")), [basis],
+                                       3.0, "none")
+    assert (ev[0].sums.tolist(), ev[0].empty_sum) == (held.sums.tolist(), held.empty_sum)
+
+
+@pytest.mark.skipif(not (stream._can_fork() and os.path.isdir("/proc")),
+                    reason="needs os.fork, without a warning, and /proc")
+@pytest.mark.parametrize("fault", [None, "non_numeric"])
+def test_the_cli_on_a_large_csv_leaves_no_helper(tmp_path, monkeypatch, fault):
+    # the CLI in a process of its own, on a CSV whose passes fork a parse
+    # helper; a malformed row in a block the helper parses gives the serial
+    # loop's message, and the helper is gone when the CLI exits
+    path = _large_csv(tmp_path)
+    if fault:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        lines[_BLOCK_ROWS + 40] = "1,x" + ",0" * 6 + "\n"  # a line of the second block
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    monkeypatch.setattr(stream, "_HELPER_MIN_BYTES", math.inf)
+    try:
+        list(open_csv(path).iterate_once("selection"))
+        expected = ""
+    except FormatError as exc:
+        expected = f"error: {exc}\n"
+    assert bool(expected) == bool(fault)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    # a session of its own, so that any process the CLI leaves is found by group
+    proc = subprocess.Popen([sys.executable, "-m", "lpsubsel.cli", "--input", path, "--k", "1",
+                             "--t", "2", "--l", "1", "--m", "3", "--reps", "2"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == (2 if fault else 0)
+    assert err == expected
+    if not fault:
+        assert json.loads(out)["n"] == 7500
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 def test_cli_exact_adaptive_and_header(tmp_path, capsys):

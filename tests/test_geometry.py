@@ -225,6 +225,22 @@ def test_full_rank_basis_gives_zero_error():
     assert err_p(X, basis, 2.0) == pytest.approx(0.0, abs=1e-16)
 
 
+@pytest.mark.parametrize("c", [1e-160, 1e-161, 2e-162, 1e-200, 5e-324])
+def test_a_subnormal_residual_adds_no_direction(c):
+    # the residual of (c, c) against (-2, 1) has a subnormal squared norm,
+    # whose root has lost the digits a unit direction needs
+    basis = SubsetBasis.empty(2).extended(0, [-2.0, 1.0])
+    grown = basis.extended(1, [c, c])
+    assert grown.rank == 1 and grown.member_indices == (0, 1)
+    assert np.array_equal(grown.basis, basis.basis)
+    gram = grown.basis @ grown.basis.T
+    assert np.abs(gram - np.eye(grown.rank)).max() <= 1e-12
+    # a residual whose squared norm is normal still adds its direction
+    wider = basis.extended(1, [1e-150, 1e-150])
+    assert wider.rank == 2
+    assert np.abs(wider.basis @ wider.basis.T - np.eye(2)).max() <= 1e-12
+
+
 def test_orthonormality_invariant_random_sequences():
     # random extension sequences, including near-duplicates and rescaled points
     rng = np.random.default_rng(10)

@@ -718,10 +718,13 @@ def test_pool_rejects_a_value_that_is_not_a_number():
     with pytest.raises(InputError, match="^data row 131: a coordinate is NaN$"):
         draw_mixture_pool(iter(rows[:130] + [[1.0, None]] + rows), 2.0, 10,
                           np.random.default_rng(57))
-    for cell in ("x", {}):
+    for cell in ("x", {}, [1, 2]):
         with pytest.raises(InputError, match="^data rows 129-256: a value is not a number$"):
             draw_mixture_pool(iter(rows[:130] + [[1.0, cell]] + rows), 2.0, 10,
                               np.random.default_rng(57))
+    # a row that holds a sequence, which numpy cannot even give a shape
+    with pytest.raises(InputError, match="^data rows 1-2: a value is not a number$"):
+        draw_mixture_pool(iter([[1.0, 2.0], [1.0, [1, 2]]]), 2.0, 4, np.random.default_rng(0))
     # a test's weight function may still give a finite row a NaN weight,
     # which adds nothing
     _, row_index, _, bank, _ = _draw_banks(_stream(SIX_POINTS), lambda block: [np.nan, 1.0] * 3,

@@ -2,6 +2,10 @@ import contextlib
 import io
 import math
 import os
+import signal
+import threading
+import time
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -566,3 +570,269 @@ def test_one_pass_sampler_consumes_one_selection_pass():
     one_pass_adaptive_sample(src, cfg)
     assert src.selection_passes == 1
     assert src.evaluation_passes == 0
+
+
+# The parse helper: a pass over at least _HELPER_MIN_BYTES of blocks forks
+# one, and it must change nothing a pass yields or raises.
+
+_HAS_PROC = os.path.isdir("/proc/self/fd")
+needs_fork = pytest.mark.skipif(not (stream._can_fork() and _HAS_PROC),
+                                reason="needs os.fork, without a warning, and /proc")
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """With every file pass forking a parse helper, the pids forked."""
+    monkeypatch.setattr(stream, "_HELPER_MIN_BYTES", 0)
+    monkeypatch.setattr(stream, "_idle_cpu", lambda: True)
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _resources():
+    """This process's open descriptors and shared anonymous mappings."""
+    with open("/proc/self/maps", encoding="ascii") as fh:
+        mappings = sum("/dev/zero" in line for line in fh)
+    return len(os.listdir("/proc/self/fd")), mappings
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _outcome(src):
+    """The bytes of every row a selection pass yields, and the type and
+    message of what it raises, if it does."""
+    rows = []
+    try:
+        for row in src.iterate_once("selection"):
+            rows.append(row.tobytes())
+    except (FormatError, SourceChangedError) as exc:
+        return b"".join(rows), type(exc), str(exc)
+    return b"".join(rows), None, None
+
+
+def _serial_outcome(monkeypatch, src):
+    with monkeypatch.context() as m:
+        m.setattr(stream, "_HELPER_MIN_BYTES", math.inf)
+        return _outcome(src)
+
+
+_HELPER_BLOCKS = 12  # blocks of the helper tests' files
+
+
+def _helper_text(d=4, end="\n", header=False):
+    X = np.random.default_rng(40).standard_normal((_HELPER_BLOCKS * _BLOCK_ROWS, d))
+    lines = [",".join(f"{v:.17g}" for v in row) + end for row in X.tolist()]
+    return ("a,b,c,d" + end if header else "") + "".join(lines)
+
+
+@needs_fork
+@pytest.mark.parametrize("variant", ["lf", "crlf", "cr", "blank", "header", "x1c", "keep"])
+def test_a_helper_pass_yields_the_serial_rows(tmp_path, monkeypatch, helpers, variant):
+    end = {"crlf": "\r\n", "cr": "\r"}.get(variant, "\n")
+    text = _helper_text(end=end, header=variant == "header")
+    lines = text.splitlines(keepends=True)
+    if variant == "blank":
+        for at in (3, _BLOCK_ROWS, 3 * _BLOCK_ROWS + 1, 5 * _BLOCK_ROWS - 1):
+            lines.insert(at, " \n")
+        lines[6 * _BLOCK_ROWS:6 * _BLOCK_ROWS] = ["\n"] * _BLOCK_ROWS  # a block of none
+    if variant == "x1c":
+        # numpy's loader would strip \x1c around a cell, so these blocks
+        # take the per-cell parse, which strips it only around a line
+        for at in range(2, len(lines), 97):
+            lines[at] = "\x1c" + lines[at]
+    path = _write(tmp_path, "".join(lines))
+    src = open_csv(path, header=variant == "header")
+    expected = _serial_outcome(monkeypatch, src)
+    if variant == "keep":
+        src.keep_rows()
+    assert _outcome(src) == expected and expected[1] is None
+    assert len(helpers) == 1 and src.selection_passes == 2
+    if variant == "keep":
+        assert src.rows.tobytes() == expected[0]
+    _assert_reaped(helpers)
+
+
+@needs_fork
+def test_the_helper_parses_blocks_a_slow_consumer_has_not_reached(tmp_path, monkeypatch,
+                                                                   helpers):
+    # the parent parses every other block, and the helper's answers for
+    # the others are back by the time a consumer this slow reaches them
+    src = open_csv(_write(tmp_path, _helper_text()))
+    expected = _serial_outcome(monkeypatch, src)[0]
+    calls = loadtxt_calls(monkeypatch)
+    rows = []
+    for i, row in enumerate(src.iterate_once("selection")):
+        if i % _BLOCK_ROWS == 0:
+            time.sleep(0.01)
+        rows.append(row.tobytes())
+    assert b"".join(rows) == expected
+    assert _HELPER_BLOCKS // 2 <= len(calls) < _HELPER_BLOCKS
+
+
+@needs_fork
+def test_a_helper_that_keeps_missing_its_turn_gets_no_more_blocks(tmp_path, monkeypatch,
+                                                                  helpers):
+    # a helper five times slower than the parent: its blocks are parsed by
+    # the parent first, and once it has missed its turn 2 * _HELPER_SLOTS
+    # times more often than it made it, it is handed nothing more
+    blocks = 100
+    X = np.random.default_rng(44).standard_normal((blocks * _BLOCK_ROWS, 4))
+    path = _write(tmp_path, "".join(",".join(map(repr, row)) + "\n" for row in X.tolist()))
+    src = open_csv(path)
+    expected = _serial_outcome(monkeypatch, src)[0]
+    parent, csv_block = os.getpid(), stream._csv_block
+
+    def slow_in_the_helper(*args):
+        if os.getpid() != parent:
+            time.sleep(0.05)
+        return csv_block(*args)
+
+    monkeypatch.setattr(stream, "_csv_block", slow_in_the_helper)
+    sent, helper = [], []
+    send = stream._ParseHelper.send
+
+    def recording_send(self, *args):
+        helper[:] = [self]
+        sent.append(send(self, *args))
+        return sent[-1]
+
+    monkeypatch.setattr(stream._ParseHelper, "send", recording_send)
+    rows = []
+    for i, row in enumerate(src.iterate_once("selection")):
+        if i % _BLOCK_ROWS == 0:
+            time.sleep(0.01)
+        rows.append(row.tobytes())
+    assert b"".join(rows) == expected
+    assert helper[0]._missed > helper[0]._taken + 2 * stream._HELPER_SLOTS
+    handed = [i for i, slot in enumerate(sent) if slot is not None]
+    assert len(sent) == blocks // 2 and len(sent) - handed[-1] > blocks // 4
+    _assert_reaped(helpers)
+
+
+def _fault_line(block):
+    return block * _BLOCK_ROWS + 37
+
+
+@needs_fork
+@pytest.mark.parametrize("block", [4, 5], ids=["parent_block", "helper_block"])
+@pytest.mark.parametrize("fault", ["non_numeric", "ragged", "rewrite", "grown", "forged"])
+def test_a_helper_pass_raises_what_the_serial_loop_raises(tmp_path, monkeypatch, helpers,
+                                                          fault, block):
+    # blocks with a row alternate between the parent (even) and the helper
+    # (odd); a rewrite is found by the parent's fingerprint check, in its turn
+    path = _write(tmp_path, _helper_text())
+    line = _fault_line(block)
+    if fault == "non_numeric":
+        _rewrite_line(path, line, "1,x,2,3\n")
+    elif fault == "ragged":
+        _rewrite_line(path, line, "1,2,3\n")
+    src = open_csv(path)
+    if fault == "rewrite":
+        _rewrite_line(path, line, "1,2,3,4\n")
+    elif fault == "grown":
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("1,2,3,4\n")
+    elif fault == "forged":
+        # bytes that match their fingerprint but hold a row fewer than recorded
+        src._blocks[block:] = [(last, size, fingerprint, end + 1)
+                               for last, size, fingerprint, end in src._blocks[block:]]
+    expected = _serial_outcome(monkeypatch, src)
+    assert expected[1] is not None
+    assert _outcome(src) == expected
+    assert len(helpers) == 1 and src.selection_passes == 0
+    _assert_reaped(helpers)
+
+
+@needs_fork
+@pytest.mark.parametrize("how", ["end", "error", "close", "drop", "sigstop", "sigkill"])
+def test_no_helper_outlives_its_pass(tmp_path, monkeypatch, helpers, how):
+    path = _write(tmp_path, _helper_text())
+    if how == "error":
+        _rewrite_line(path, _fault_line(9), "1,x,2,3\n")
+    src = open_csv(path)
+    expected = _serial_outcome(monkeypatch, src)
+    before = _resources()
+    if how in ("end", "error"):
+        assert _outcome(src) == expected
+    else:
+        it = src.iterate_once("selection")
+        first = next(it).tobytes()
+        if how == "close":
+            it.close()
+        elif how == "drop":
+            del it
+        else:
+            # the pass goes on without the helper's answers, and never waits
+            os.kill(helpers[0], signal.SIGSTOP if how == "sigstop" else signal.SIGKILL)
+            rest = b"".join(row.tobytes() for row in it)
+            assert first + rest == expected[0]
+    assert len(helpers) == 1 and _resources() == before
+    _assert_reaped(helpers)
+
+
+def test_a_helper_needs_a_large_pass_of_a_file_to_parse(tmp_path, monkeypatch):
+    X = np.random.default_rng(41).standard_normal((9000, 8))
+    path = str(tmp_path / "large.csv")
+    np.savetxt(path, X, fmt="%.17g", delimiter=",")
+    assert os.path.getsize(path) >= stream._HELPER_MIN_BYTES
+    src = open_csv(path)
+    largest = max(size for _, size, _, _ in src._blocks)
+    expected = (stream._HELPER_SLOTS * (largest + 8 * _BLOCK_ROWS * 8)
+                + stream._READ_AHEAD * largest)
+    assert src.helper_bytes() == (expected if stream._can_fork() else 0)
+    monkeypatch.setattr(stream, "_can_fork", lambda: False)
+    assert src.helper_bytes() == 0
+    monkeypatch.undo()
+    src.keep_rows()
+    list(src.iterate_once("selection"))
+    assert src.helper_bytes() == 0  # later passes replay the kept rows
+    assert as_source(X).helper_bytes() == 0
+    small = open_csv(_write(tmp_path, _rows_text(3 * _BLOCK_ROWS)))
+    assert small.helper_bytes() == 0
+
+
+@pytest.mark.parametrize("runnable, cpus, idle", [(1, 2, True), (3, 4, True), (2, 2, False),
+                                                   (1, 1, False)])
+def test_an_idle_cpu_is_one_no_runnable_task_wants(monkeypatch, runnable, cpus, idle):
+    # /proc/loadavg's fourth field counts the runnable tasks, this one included
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(stream, "open", lambda *args, **kwargs: io.StringIO(
+        f"0.52 0.58 0.59 {runnable}/123 4567\n"), raising=False)
+    assert stream._idle_cpu() is idle
+
+
+@needs_fork
+def test_no_helper_without_an_idle_cpu(tmp_path, monkeypatch, helpers):
+    # a helper with no CPU of its own would only cost the parent its fork
+    monkeypatch.setattr(stream, "_idle_cpu", lambda: False)
+    src = open_csv(_write(tmp_path, _helper_text()))
+    assert len(list(src.iterate_once("selection"))) == src.n and helpers == []
+
+
+def test_no_helper_where_a_fork_would_warn(monkeypatch):
+    # from Python 3.12, os.fork warns in a process with more than one thread
+    monkeypatch.setattr(stream, "sys", SimpleNamespace(version_info=(3, 12)))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not stream._can_fork()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert not stream._can_fork()
