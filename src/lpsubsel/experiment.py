@@ -240,13 +240,16 @@ def _memory_guard(algorithm, config, source):
     variate and an index per draw of a round. A file source also keeps its
     (n, d) rows, which an array input holds already.
 
-    A file pass that forks a parse helper (`DatasetSource.helper_bytes`)
-    is charged, under every algorithm, its shared ring, `_HELPER_SLOTS`
-    slots of the largest block's bytes plus 8 * `_BLOCK_ROWS` * d bytes of
-    rows, and `_READ_AHEAD` read-ahead blocks' bytes.
+    A file pass that may fork a parse helper is charged, under every
+    algorithm, a second copy of all the above, since the helper keeps a
+    copy of each page the run writes while it lives, and
+    `DatasetSource.helper_bytes`: the shared ring, the read-ahead blocks'
+    bytes and the interpreter's pages (`_parse_helper.helper_bytes`).
+    When only that does not fit, the guard clears the source's
+    `allow_helper` instead, and its passes run in one process.
     """
     n, d = source.n, source.d
-    fixed, buffer = 24 * min(n, CHUNK_ROWS) * d + source.helper_bytes(), ""
+    fixed, buffer = 24 * min(n, CHUNK_ROWS) * d, ""
     if algorithm == "exact-adaptive":
         draws, per_draw = config.t, 16
         fixed += 32 * n
@@ -259,12 +262,15 @@ def _memory_guard(algorithm, config, source):
         reach = min(_store_rows(draws), max(_FIRST_ROWS, 2 * n))
         fixed += 8 * (d + 2) * (reach + min(reach, n)) + _BLOCK_ROWS * (64 * d + 256)
     memory = _physical_memory()
-    if draws * per_draw + fixed > memory:
+    need = draws * per_draw + fixed
+    if need > memory:
         raise GuardError(
             f"{algorithm} with t={readable(config.t)}, m={readable(config.m)}, "
             f"l={readable(config.l)}, repetitions={readable(config.repetitions)} keeps "
             f"{readable(draws)} draws{buffer}, too many for this machine's "
             f"{memory} bytes of memory")
+    if 2 * need + source.helper_bytes() > memory:
+        source.allow_helper = False
 
 
 def run_experiment(spec):

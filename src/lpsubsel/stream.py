@@ -23,19 +23,10 @@ anyway asks for them with `DatasetSource.keep_rows`: then the file is
 parsed once, and later passes read and fingerprint its bytes but yield
 the kept rows without parsing them.
 
-A pass that parses at least `_HELPER_MIN_BYTES` (1 MiB) of blocks forks
-one `_ParseHelper` at nice 19 (and SCHED_IDLE), to parse every other
-block with a row on an idle CPU; numpy's loader holds the GIL, so threads
-would not help.
-The parent still reads and fingerprints every byte, in file order, and
-copies each helper block's verified bytes into a small shared ring. It
-never waits on the helper: a block whose rows are not back in its turn,
-or that the helper could not parse, the parent parses itself, so a pass
-yields the same rows and raises the same errors as the serial loop, and
-on a busy host costs about what that loop costs. The helper is killed and
-reaped before the pass ends. Smaller passes, kept rows, a pass that
-starts with no idle CPU (`_idle_cpu`), a platform without os.fork and a
-process whose fork would warn run the serial loop.
+A pass that parses at least `_HELPER_MIN_BYTES` (1.5 MiB) of blocks may
+fork a parse helper, a process that parses every other block on an idle
+CPU (`_parse_helper`); the pass yields the same rows and raises the same
+errors as without it.
 """
 
 import io
@@ -43,9 +34,6 @@ import itertools
 import math
 import os
 import stat
-import struct
-import sys
-from collections import deque
 
 import numpy as np
 
@@ -60,20 +48,14 @@ _PURPOSES = ("selection", "evaluation")
 # call's own cost is about 5 us, under 2 ms a pass over 40,000 lines.
 _BLOCK_ROWS = 128
 
-# A pass over at least this many bytes of blocks forks a `_ParseHelper`:
-# forking and reaping one costs about 3 ms, parsing about 8.5 ms a MB, so
-# a smaller pass gains nothing.
-_HELPER_MIN_BYTES = 1 << 20
-
-# The helper's ring slots, and the blocks the parent reads ahead of the one
-# it yields: enough that a helper block is read a few blocks before its turn.
-_HELPER_SLOTS = 4
-_READ_AHEAD = 2 * _HELPER_SLOTS
-
-# The pipe messages: parent to helper (slot, byte size, first line), and
-# helper to parent (slot, row count or -1). Each is one atomic pipe write.
-_TASK = struct.Struct("=3q")
-_ANSWER = struct.Struct("=2q")
+# A pass over at least this many bytes of blocks may fork a parse helper.
+# A fork costs the parent about 5 ms, most of it in the minor faults it
+# takes after the fork write-protects its pages (about 1,000 over a CLI
+# run's pass and what follows it), and the helper saves at most half of
+# about 8.5 ms of parsing a MB. Paired CLI runs of 32-column CSVs on a
+# 2-vCPU host, helper against none: x1.07 at 1 MiB, x1.07-1.10 at 1.25
+# MiB, x0.96-0.975 at 1.5 MiB, x0.92-0.96 at 2 MiB, x0.84-0.89 at 4 MiB.
+_HELPER_MIN_BYTES = 3 << 19
 
 # Bytes numpy's loader strips around a cell but float() rejects.
 _LOADER_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
@@ -166,232 +148,6 @@ def _parsed(verified, d):
         yield block, _csv_block(data, block[0] + 1, d)
 
 
-def _idle_cpu():
-    """Whether a CPU this process may run on is idle now: the kernel's count
-    of runnable tasks, this one included (/proc/loadavg), is under the
-    number of those CPUs. A fork costs the parent page faults, about a
-    thousand over a 40,000 x 32 pass and its run, which a helper with no
-    CPU of its own cannot repay."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        with open("/proc/loadavg", encoding="ascii") as fh:
-            runnable = int(fh.read().split()[3].split("/")[0])
-    except (AttributeError, OSError, ValueError, IndexError):  # no way to tell here
-        return False
-    return runnable < cpus
-
-
-def _can_fork():
-    """Whether a pass may fork a `_ParseHelper`: os.fork exists and, from
-    Python 3.12, which warns on a fork with more than one OS thread, this
-    process has one."""
-    if not hasattr(os, "fork"):
-        return False
-    if sys.version_info < (3, 12):
-        return True
-    try:
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:  # no way to count the threads here
-        return False
-
-
-class _ParseHelper:
-    """A forked process, at nice 19 and, where the platform has it, in the
-    SCHED_IDLE class, that parses blocks a pass hands it. SCHED_IDLE lets
-    it run only on a CPU no other task wants, and never preempt the
-    parent when a task wakes it; at nice 19 alone it still took about a
-    tenth of the parent's time on a 2-vCPU host whose other CPU ran a
-    busy loop.
-
-    The parent copies a block's bytes into one of `_HELPER_SLOTS` slots of
-    an anonymous shared ring and writes (slot, size, first line) to a pipe.
-    The helper parses the bytes with `_csv_block`, writes the rows into the
-    slot's rows area, and answers (slot, row count), or (slot, -1) when it
-    could not parse them. It reads no file and sends no error: the parent
-    parses such a block itself, and so raises what the serial loop raises.
-
-    A slot is free again once the parent has taken its rows, or, when the
-    parent parsed its block itself, once the helper's answer for it is in:
-    the helper may still be writing into it until then. The parent never
-    waits for an answer, so a stopped, killed or slow helper only costs
-    the parent the blocks it parses itself. Once the helper has missed its
-    turn more than 2 * `_HELPER_SLOTS` times more often than it made it,
-    the parent hands it nothing more: a helper that gets no CPU of its own
-    could only take the parent's. `stop` closes the pipes, kills and reaps
-    the helper, and closes the ring.
-    """
-
-    def __init__(self, d, block_bytes):
-        # mmap and signal (in `stop`) are imported where a helper needs
-        # them: loading both took about 2 ms of `import lpsubsel`
-        import mmap
-        self.d = d
-        self._block_bytes = block_bytes
-        self._stride = block_bytes + 8 * _BLOCK_ROWS * d
-        self._free = list(range(_HELPER_SLOTS))
-        self._sizes = [0] * _HELPER_SLOTS
-        self._answers = {}   # slot -> row count the helper sent, not yet taken
-        self._orphans = set()  # slots the parent parsed itself, still unanswered
-        self._taken = self._missed = 0  # helper blocks whose rows were back, or not
-        self.ring = mmap.mmap(-1, _HELPER_SLOTS * self._stride)
-        fds = []
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            tasks, self._tasks, self._answers_fd, answers = fds
-            self.pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            self.ring.close()
-            raise
-        if self.pid == 0:
-            try:
-                os.close(self._tasks)
-                os.close(self._answers_fd)
-                os.nice(19)
-                try:
-                    os.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))
-                except (AttributeError, OSError):  # not on this platform
-                    pass
-                self._serve(tasks, answers)
-            finally:
-                os._exit(0)
-        os.close(tasks)
-        os.close(answers)
-        os.set_blocking(self._answers_fd, False)
-
-    def _serve(self, tasks, answers):
-        """The helper's loop, until the parent closes the task pipe."""
-        while len(task := os.read(tasks, _TASK.size)) == _TASK.size:
-            slot, size, first_line = _TASK.unpack(task)
-            base = slot * self._stride
-            count = -1
-            try:
-                rows = _csv_block(self.ring[base:base + size], first_line, self.d)
-            except (FormatError, ValueError):  # the parent raises it in its turn
-                pass
-            else:
-                if rows.nbytes <= self._stride - self._block_bytes:
-                    np.frombuffer(self.ring, np.float64, rows.size,
-                                  base + self._block_bytes)[:] = rows.ravel()
-                    count = len(rows)
-            os.write(answers, _ANSWER.pack(slot, count))
-
-    def send(self, data, first_line):
-        """Hand the helper a block's bytes, first at line `first_line`;
-        returns its slot, or None when no slot is free, the helper has
-        exited, or it has missed too many turns (see the class)."""
-        if self._missed > self._taken + 2 * _HELPER_SLOTS:
-            return None
-        if not self._free:
-            self._collect()
-            if not self._free:
-                return None
-        slot = self._free.pop()
-        base = slot * self._stride
-        self.ring[base:base + len(data)] = data
-        try:
-            os.write(self._tasks, _TASK.pack(slot, len(data), first_line))
-        except BrokenPipeError:  # the helper has exited: no slot frees again
-            self._free.clear()
-            return None
-        self._sizes[slot] = len(data)
-        return slot
-
-    def take(self, slot, first_line):
-        """The rows of the block in `slot`: the helper's if they are back,
-        else the parent's own parse of the slot's bytes."""
-        self._collect()
-        base = slot * self._stride
-        count = self._answers.pop(slot, None)
-        if count is None or count < 0:
-            if count is None:
-                self._orphans.add(slot)
-                self._missed += 1
-            else:
-                self._free.append(slot)
-            return _csv_block(self.ring[base:base + self._sizes[slot]], first_line, self.d)
-        self._free.append(slot)
-        self._taken += 1
-        offset = base + self._block_bytes
-        return np.frombuffer(self.ring, np.float64, count * self.d, offset).reshape(
-            count, self.d).copy()
-
-    def _collect(self):
-        """Take in the answers the helper has sent, without waiting."""
-        try:
-            got = os.read(self._answers_fd, _HELPER_SLOTS * _ANSWER.size)
-        except BlockingIOError:
-            return
-        for slot, count in _ANSWER.iter_unpack(got):
-            if slot in self._orphans:
-                self._orphans.remove(slot)
-                self._free.append(slot)
-            else:
-                self._answers[slot] = count
-
-    def stop(self):
-        """Close the pipes, kill and reap the helper, and close the ring."""
-        import signal
-        os.close(self._tasks)
-        os.close(self._answers_fd)
-        try:
-            os.kill(self.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        try:
-            os.waitpid(self.pid, 0)
-        except ChildProcessError:  # reaped by someone else
-            pass
-        self.ring.close()
-
-
-def _parsed_with_helper(verified, d, block_bytes):
-    """(block, rows) of each verified block in turn, as `_parsed` gives
-    them, with every other block parsed by a `_ParseHelper`.
-
-    The parent reads up to `_READ_AHEAD` blocks ahead of the one it yields,
-    copying each helper block's bytes into the ring as it reads it, so the
-    helper has blocks to parse while the parent parses its own. An error
-    reading ahead is raised in its turn, after the blocks before it. When
-    no pipe, mapping or process can be made, this is `_parsed`.
-    """
-    try:
-        helper = _ParseHelper(d, block_bytes)
-    except OSError:
-        yield from _parsed(verified, d)
-        return
-    try:
-        pending = deque()  # (block, its bytes or its slot), in file order
-        reading, turn = True, 0
-        while True:
-            while reading and len(pending) < _READ_AHEAD:
-                try:
-                    block, data = next(verified)
-                except StopIteration:
-                    reading = False
-                    break
-                except (SourceChangedError, OSError) as exc:
-                    pending.append((exc, None))
-                    reading = False
-                    break
-                slot = helper.send(data, block[0] + 1) if turn % 2 else None
-                turn += 1
-                pending.append((block, data if slot is None else slot))
-            if not pending:
-                return
-            block, held = pending.popleft()
-            if isinstance(block, Exception):
-                raise block
-            if isinstance(held, bytes):
-                yield block, _csv_block(held, block[0] + 1, d)
-            else:
-                yield block, helper.take(held, block[0] + 1)
-    finally:
-        helper.stop()
-
-
 class DatasetSource:
     """A replayable stream of points of fixed dimension d.
 
@@ -412,6 +168,10 @@ class DatasetSource:
     when its row count is unchanged, and so does one with bytes past the
     last range.
 
+    `allow_helper` is whether a large pass may fork a parse helper (see
+    `_read_ranges`); `experiment._memory_guard` clears it when the
+    helper's memory would not fit.
+
     `rows` is the source's rows as one read-only (n, d) float64 array, or
     None: an in-memory source's own array, or the rows a file pass kept
     after `keep_rows`. A later pass over a file with kept rows yields the
@@ -429,6 +189,7 @@ class DatasetSource:
         self.evaluation_passes = 0
         self._active = False
         self._keep = False
+        self.allow_helper = True
 
     def keep_rows(self):
         """Keep the rows of this source's next complete pass in `rows`.
@@ -476,15 +237,15 @@ class DatasetSource:
         asked to keep its rows fills them as it parses, and keeps them
         only if it completes.
 
-        A pass that parses over at least `_HELPER_MIN_BYTES` of blocks,
-        and starts while a CPU is idle, forks a `_ParseHelper`, unless the
-        fork would warn, and hands it every other block with a row
-        (`_parsed_with_helper`). The parent
-        never waits on it: a block whose rows are not back in its turn,
-        or that the helper could not parse, the parent parses itself. So
-        the pass yields the same rows, and raises the same errors after
-        the same rows, as the serial loop. The helper is stopped before
-        the pass ends, however it ends.
+        A pass that parses over at least `_HELPER_MIN_BYTES` (1.5 MiB) of
+        blocks, and starts in a one-thread process while a CPU is idle,
+        forks a parse helper and hands it every other block with a row
+        (`_parse_helper.parsed_with_helper`). The parent never waits on it:
+        a block whose rows are not back in its turn, or that the helper
+        could not parse, the parent parses itself. So the pass yields the
+        same rows, and raises the same errors after the same rows, as the
+        serial loop. The helper is stopped before the pass ends, however
+        it ends.
         """
         keep = np.empty((self.n, self.d)) if self._keep and self.rows is None else None
         try:
@@ -494,9 +255,10 @@ class DatasetSource:
                     for (_, _, rows, end), _ in verified:
                         yield self.rows[rows:end]
                     return
-                if self.helper_bytes() and _idle_cpu():
+                if self.helper_bytes():
+                    from ._parse_helper import parsed_with_helper
                     largest = max(size for _, size, _, _ in self._blocks)
-                    parsed = _parsed_with_helper(verified, self.d, largest)
+                    parsed = parsed_with_helper(verified, self.d, largest)
                 else:
                     parsed = _parsed(verified, self.d)
                 try:
@@ -533,19 +295,18 @@ class DatasetSource:
                 f"after line {line}, where it ended then")
 
     def helper_bytes(self):
-        """Bytes the parent keeps for a `_ParseHelper` during the next pass:
-        its ring, `_HELPER_SLOTS` slots of the largest block's bytes and
-        8 * `_BLOCK_ROWS` * d bytes of rows each, and up to `_READ_AHEAD`
-        read-ahead blocks' bytes. 0 when the pass runs the serial loop: an
-        in-memory source, kept rows to replay, under `_HELPER_MIN_BYTES` of
-        blocks, or a process that cannot fork without a warning."""
-        if self._path is None or self.rows is not None:
+        """Bytes a parse helper forked by the next pass adds beyond a copy
+        of the run's own memory (`_parse_helper.helper_bytes`). 0 when the
+        pass runs the serial loop: an in-memory source, kept rows to
+        replay, under `_HELPER_MIN_BYTES` of blocks, no os.fork, or
+        `allow_helper` cleared."""
+        if self._path is None or self.rows is not None or not self.allow_helper:
             return 0
         sizes = [size for _, size, _, _ in self._blocks]
-        if sum(sizes) < _HELPER_MIN_BYTES or not _can_fork():
+        if sum(sizes) < _HELPER_MIN_BYTES or not hasattr(os, "fork"):
             return 0
-        return (_HELPER_SLOTS * (max(sizes) + 8 * _BLOCK_ROWS * self.d)
-                + _READ_AHEAD * max(sizes))
+        from ._parse_helper import helper_bytes
+        return helper_bytes(self.d, max(sizes))
 
 
 def open_csv(path, header=False):

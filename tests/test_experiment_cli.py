@@ -12,6 +12,7 @@ from lpsubsel import (DatasetSource, ExperimentSpec, FormatError, InputError,
                       brute_force_candidate_err, cli, draw_mixture_pool,
                       exact_adaptive_sample, experiment, open_csv, run_experiment,
                       squared_length_sample, stream, svd_optimal_err2)
+from lpsubsel import _parse_helper
 from lpsubsel.cli import main
 from lpsubsel.geometry import CHUNK_ROWS
 from lpsubsel.stream import _BLOCK_ROWS
@@ -763,8 +764,8 @@ def test_the_paper_recipe_on_a_6_mb_input_passes_the_memory_guard(monkeypatch):
     experiment._memory_guard("mcmc-one-pass", config, as_source(np.ones((3000, 256))))
 
 
-def _large_csv(tmp_path, n=7500, d=8, seed=42):
-    """A CSV of at least 1 MiB, over which a pass forks a parse helper."""
+def _large_csv(tmp_path, n=10000, d=8, seed=42):
+    """A CSV over which a pass forks a parse helper."""
     path = str(tmp_path / "large.csv")
     np.savetxt(path, np.random.default_rng(seed).standard_normal((n, d)), fmt="%.17g",
                delimiter=",")
@@ -773,8 +774,9 @@ def _large_csv(tmp_path, n=7500, d=8, seed=42):
 
 
 def _guard_count(monkeypatch, algorithm, config, source):
-    """The bytes `_memory_guard` counts: the least memory it accepts."""
-    lo, hi = 0, 1 << 40
+    """The bytes `_memory_guard` counts: the least memory it accepts. The
+    source's `allow_helper` is left as it was."""
+    allow, lo, hi = source.allow_helper, 0, 1 << 40
     while lo < hi:
         mid = (lo + hi) // 2
         monkeypatch.setattr(experiment, "_physical_memory", lambda: mid)
@@ -783,35 +785,87 @@ def _guard_count(monkeypatch, algorithm, config, source):
             hi = mid
         except experiment.GuardError:
             lo = mid + 1
+    source.allow_helper = allow
     return lo
 
 
+_GUARD_CONFIG = dict(t_override=2, seed=0, l_override=1, m_override=3,
+                     repetitions_override=1)
+needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc")),
+                                reason="needs os.fork and /proc")
+
+
+@needs_fork
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_the_memory_guard_counts_a_helper_pass(tmp_path, monkeypatch, algorithm):
-    # on top of a serial pass's count: the ring, its slots of the largest
-    # block's bytes and of a block's rows, and the parent's read-ahead bytes
+def test_the_memory_guard_charges_a_helper_pass_a_second_copy(tmp_path, monkeypatch,
+                                                              algorithm):
+    # a pass that would fork a parse helper is charged the run's own count
+    # twice, plus the helper's bytes; when only that does not fit, the
+    # guard keeps the helper off rather than refuse the run
     source = open_csv(_large_csv(tmp_path))
-    config = experiment.theorem_params(1, 2.0, 0.5, t_override=2, seed=0, l_override=1,
-                                       m_override=3, repetitions_override=1)
-    largest = max(size for _, size, _, _ in source._blocks)
-    ring = stream._HELPER_SLOTS * (largest + 8 * _BLOCK_ROWS * 8)
-    charged = ring + stream._READ_AHEAD * largest if stream._can_fork() else 0
-    assert source.helper_bytes() == charged
-    count = _guard_count(monkeypatch, algorithm, config, source)
-    monkeypatch.setattr(stream, "_HELPER_MIN_BYTES", math.inf)
-    assert count - _guard_count(monkeypatch, algorithm, config, source) == charged
+    config = experiment.theorem_params(1, 2.0, 0.5, **_GUARD_CONFIG)
+    assert source.helper_bytes() > _parse_helper._HELPER_COPIED_BYTES
+    need = _guard_count(monkeypatch, algorithm, config, source)
+    with monkeypatch.context() as m:
+        m.setattr(stream, "_HELPER_MIN_BYTES", math.inf)
+        assert _guard_count(m, algorithm, config, source) == need
+    full = 2 * need + source.helper_bytes()
+    for memory, allowed in ((full, True), (full - 1, False), (need, False)):
+        source.allow_helper = True
+        monkeypatch.setattr(experiment, "_physical_memory", lambda: memory)
+        experiment._memory_guard(algorithm, config, source)
+        assert source.allow_helper is allowed
 
 
-def test_the_memory_guard_counts_at_least_a_helper_pass_peak(tmp_path, monkeypatch):
+def _private_bytes(pid):
+    """A process's private pages, clean and dirty, from /proc."""
+    total = 0
+    with open(f"/proc/{pid}/smaps_rollup", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith(("Private_Clean:", "Private_Dirty:")):
+                total += int(line.split()[1]) * 1024
+    return total
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps_rollup"),
+                    reason="reads /proc/<pid>/smaps_rollup")
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_the_memory_guard_charges_what_a_helper_uses(tmp_path, monkeypatch, algorithm):
+    # each helper's private pages, read while it parses and just before it
+    # is killed, with the parent's ring and read-ahead bytes, stay within
+    # what the guard charges a helper pass beyond a serial one
     path = _large_csv(tmp_path)
-    guarded = []
-    real_guard = experiment._memory_guard
-    monkeypatch.setattr(experiment, "_memory_guard", lambda *args: guarded.extend(args))
-    spec = _spec(input=path, k=2, t=4, l=2, m=5, repetitions=3)
-    peak = peak_traced_bytes(lambda: run_experiment(spec))
-    monkeypatch.setattr(experiment, "_physical_memory", lambda: peak - 1)
-    with pytest.raises(experiment.GuardError):
-        real_guard(*guarded)
+    monkeypatch.setattr(_parse_helper, "_idle_cpu", lambda: True)
+    peaks = {}
+    take, stop = _parse_helper._ParseHelper.take, _parse_helper._ParseHelper.stop
+
+    def sample(helper):
+        used = _private_bytes(helper.pid) + len(helper.ring)
+        peaks[helper.pid] = max(peaks.get(helper.pid, 0), used)
+
+    def sampling_take(self, *args):
+        sample(self)
+        return take(self, *args)
+
+    def sampling_stop(self):
+        sample(self)
+        stop(self)
+
+    monkeypatch.setattr(_parse_helper._ParseHelper, "take", sampling_take)
+    monkeypatch.setattr(_parse_helper._ParseHelper, "stop", sampling_stop)
+    guarded, guard = [], experiment._memory_guard
+    monkeypatch.setattr(experiment, "_memory_guard",
+                        lambda *args: guarded.append(args) or guard(*args))
+    run_experiment(_spec(input=path, algorithm=algorithm, k=2, t=4, l=2, m=5, repetitions=3))
+    monkeypatch.setattr(experiment, "_memory_guard", guard)
+    assert peaks  # the run forked helpers
+    [(_, config, _)] = guarded
+    source = open_csv(path)
+    need = _guard_count(monkeypatch, algorithm, config, source)
+    largest = max(size for _, size, _, _ in source._blocks)
+    read_ahead = _parse_helper._READ_AHEAD * largest
+    assert max(peaks.values()) + read_ahead <= need + source.helper_bytes()
 
 
 def test_the_evaluation_buffer_holds_at_most_n_rows(tmp_path):
@@ -832,8 +886,25 @@ def test_the_evaluation_buffer_holds_at_most_n_rows(tmp_path):
     assert (ev[0].sums.tolist(), ev[0].empty_sum) == (held.sums.tolist(), held.empty_sum)
 
 
-@pytest.mark.skipif(not (stream._can_fork() and os.path.isdir("/proc")),
-                    reason="needs os.fork, without a warning, and /proc")
+# The CLI, with every pass's helper forked whatever the host's load, and
+# each helper's pid written to the file named by its first argument.
+_FORKING_CLI = """
+import os, sys
+from lpsubsel import _parse_helper, cli
+_parse_helper._idle_cpu = lambda: True
+fork = os.fork
+def recording_fork():
+    pid = fork()
+    if pid:
+        with open(sys.argv[1], "a") as fh:
+            fh.write(f"{pid}\\n")
+    return pid
+os.fork = recording_fork
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@needs_fork
 @pytest.mark.parametrize("fault", [None, "non_numeric"])
 def test_the_cli_on_a_large_csv_leaves_no_helper(tmp_path, monkeypatch, fault):
     # the CLI in a process of its own, on a CSV whose passes fork a parse
@@ -854,17 +925,20 @@ def test_the_cli_on_a_large_csv_leaves_no_helper(tmp_path, monkeypatch, fault):
         expected = f"error: {exc}\n"
     assert bool(expected) == bool(fault)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    forked = tmp_path / "forked"
     # a session of its own, so that any process the CLI leaves is found by group
-    proc = subprocess.Popen([sys.executable, "-m", "lpsubsel.cli", "--input", path, "--k", "1",
-                             "--t", "2", "--l", "1", "--m", "3", "--reps", "2"],
+    proc = subprocess.Popen([sys.executable, "-c", _FORKING_CLI, str(forked), "--input", path,
+                             "--k", "1", "--t", "2", "--l", "1", "--m", "3", "--reps", "2"],
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             text=True, start_new_session=True)
     out, err = proc.communicate(timeout=120)
     assert proc.returncode == (2 if fault else 0)
     assert err == expected
     if not fault:
-        assert json.loads(out)["n"] == 7500
+        assert json.loads(out)["n"] == 10000
+    # a helper for each pass: the selection pass, and the evaluation pass
+    assert len(forked.read_text().split()) == (1 if fault else 2)
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
 

@@ -5,7 +5,6 @@ import os
 import signal
 import threading
 import time
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from lpsubsel import (FormatError, InputError, ParameterError, SourceChangedError,
                       StreamError, as_source, open_csv, one_pass_adaptive_sample,
                       theorem_params)
-from lpsubsel import stream
+from lpsubsel import _parse_helper, stream
 from lpsubsel.stream import _BLOCK_ROWS
 
 from helpers import loadtxt_calls
@@ -576,15 +575,15 @@ def test_one_pass_sampler_consumes_one_selection_pass():
 # one, and it must change nothing a pass yields or raises.
 
 _HAS_PROC = os.path.isdir("/proc/self/fd")
-needs_fork = pytest.mark.skipif(not (stream._can_fork() and _HAS_PROC),
-                                reason="needs os.fork, without a warning, and /proc")
+needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and _HAS_PROC),
+                                reason="needs os.fork and /proc")
 
 
 @pytest.fixture
 def helpers(monkeypatch):
     """With every file pass forking a parse helper, the pids forked."""
     monkeypatch.setattr(stream, "_HELPER_MIN_BYTES", 0)
-    monkeypatch.setattr(stream, "_idle_cpu", lambda: True)
+    monkeypatch.setattr(_parse_helper, "_idle_cpu", lambda: True)
     pids = []
     fork = os.fork
 
@@ -693,30 +692,30 @@ def test_a_helper_that_keeps_missing_its_turn_gets_no_more_blocks(tmp_path, monk
     path = _write(tmp_path, "".join(",".join(map(repr, row)) + "\n" for row in X.tolist()))
     src = open_csv(path)
     expected = _serial_outcome(monkeypatch, src)[0]
-    parent, csv_block = os.getpid(), stream._csv_block
+    parent, csv_block = os.getpid(), _parse_helper._csv_block
 
     def slow_in_the_helper(*args):
         if os.getpid() != parent:
             time.sleep(0.05)
         return csv_block(*args)
 
-    monkeypatch.setattr(stream, "_csv_block", slow_in_the_helper)
+    monkeypatch.setattr(_parse_helper, "_csv_block", slow_in_the_helper)
     sent, helper = [], []
-    send = stream._ParseHelper.send
+    send = _parse_helper._ParseHelper.send
 
     def recording_send(self, *args):
         helper[:] = [self]
         sent.append(send(self, *args))
         return sent[-1]
 
-    monkeypatch.setattr(stream._ParseHelper, "send", recording_send)
+    monkeypatch.setattr(_parse_helper._ParseHelper, "send", recording_send)
     rows = []
     for i, row in enumerate(src.iterate_once("selection")):
         if i % _BLOCK_ROWS == 0:
             time.sleep(0.01)
         rows.append(row.tobytes())
     assert b"".join(rows) == expected
-    assert helper[0]._missed > helper[0]._taken + 2 * stream._HELPER_SLOTS
+    assert helper[0]._missed > helper[0]._taken + 2 * _parse_helper._HELPER_SLOTS
     handed = [i for i, slot in enumerate(sent) if slot is not None]
     assert len(sent) == blocks // 2 and len(sent) - handed[-1] > blocks // 4
     _assert_reaped(helpers)
@@ -784,18 +783,21 @@ def test_no_helper_outlives_its_pass(tmp_path, monkeypatch, helpers, how):
 
 
 def test_a_helper_needs_a_large_pass_of_a_file_to_parse(tmp_path, monkeypatch):
-    X = np.random.default_rng(41).standard_normal((9000, 8))
+    X = np.random.default_rng(41).standard_normal((10000, 8))
     path = str(tmp_path / "large.csv")
     np.savetxt(path, X, fmt="%.17g", delimiter=",")
     assert os.path.getsize(path) >= stream._HELPER_MIN_BYTES
     src = open_csv(path)
     largest = max(size for _, size, _, _ in src._blocks)
-    expected = (stream._HELPER_SLOTS * (largest + 8 * _BLOCK_ROWS * 8)
-                + stream._READ_AHEAD * largest)
-    assert src.helper_bytes() == (expected if stream._can_fork() else 0)
-    monkeypatch.setattr(stream, "_can_fork", lambda: False)
+    expected = (_parse_helper._HELPER_SLOTS * (largest + 8 * _BLOCK_ROWS * 8)
+                + _parse_helper._READ_AHEAD * largest + _parse_helper._HELPER_COPIED_BYTES)
+    assert src.helper_bytes() == (expected if hasattr(os, "fork") else 0)
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork", raising=False)
+        assert src.helper_bytes() == 0
+    src.allow_helper = False
     assert src.helper_bytes() == 0
-    monkeypatch.undo()
+    src.allow_helper = True
     src.keep_rows()
     list(src.iterate_once("selection"))
     assert src.helper_bytes() == 0  # later passes replay the kept rows
@@ -804,35 +806,95 @@ def test_a_helper_needs_a_large_pass_of_a_file_to_parse(tmp_path, monkeypatch):
     assert small.helper_bytes() == 0
 
 
+def _fake_proc(monkeypatch, files, threads=1):
+    """Let `_parse_helper` open `files` ({path: text}) and no other file, and see
+    `threads` threads in /proc/self/task (None: this process's own)."""
+    def fake_open(path, *args, **kwargs):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(_parse_helper, "open", fake_open, raising=False)
+    if threads is not None:
+        listdir = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda path: [str(i) for i in range(threads)]
+                            if path == "/proc/self/task" else listdir(path))
+
+
+def _loadavg(runnable):
+    # the fourth field counts the runnable tasks, this one included
+    return {"/proc/loadavg": f"0.52 0.58 0.59 {runnable}/123 4567\n"}
+
+
 @pytest.mark.parametrize("runnable, cpus, idle", [(1, 2, True), (3, 4, True), (2, 2, False),
                                                    (1, 1, False)])
 def test_an_idle_cpu_is_one_no_runnable_task_wants(monkeypatch, runnable, cpus, idle):
-    # /proc/loadavg's fourth field counts the runnable tasks, this one included
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(stream, "open", lambda *args, **kwargs: io.StringIO(
-        f"0.52 0.58 0.59 {runnable}/123 4567\n"), raising=False)
-    assert stream._idle_cpu() is idle
+    _fake_proc(monkeypatch, _loadavg(runnable))
+    assert _parse_helper._idle_cpu() is idle
+
+
+_V2 = "0::/box/run\n"
+_V1 = "4:memory:/box\n2:cpu,cpuacct:/box/run\n"
+
+
+@pytest.mark.parametrize("cgroup, quotas, cpus", [
+    (_V2, {"/sys/fs/cgroup/box/run/cpu.max": "max 100000\n"}, math.inf),
+    (_V2, {"/sys/fs/cgroup/box/run/cpu.max": "100000 100000\n"}, 1.0),
+    (_V2, {"/sys/fs/cgroup/box/run/cpu.max": "300000 100000\n",
+           "/sys/fs/cgroup/box/cpu.max": "150000 100000\n"}, 1.5),  # a parent's quota
+    (_V2, {"/sys/fs/cgroup/cpu.max": "200000 100000\n"}, 2.0),  # a container's own root
+    (_V2, {"/sys/fs/cgroup/unified/box/cpu.max": "50000 100000\n"}, 0.5),  # hybrid
+    ("2:cpu,cpuacct:/box/run\n", {"/sys/fs/cgroup/cpu/box/run/cpu.cfs_quota_us": "-1\n",
+                                  "/sys/fs/cgroup/cpu/box/run/cpu.cfs_period_us": "100000\n"},
+     math.inf),
+    (_V1, {"/sys/fs/cgroup/cpu/box/cpu.cfs_quota_us": "100000\n",
+           "/sys/fs/cgroup/cpu/box/cpu.cfs_period_us": "100000\n",
+           "/sys/fs/cgroup/memory/box/cpu.cfs_quota_us": "1\n"}, 1.0),
+    (_V2, {"/sys/fs/cgroup/box/run/cpu.max": "garbage\n"}, math.inf),
+    (None, {}, math.inf),
+])
+def test_a_cgroup_cpu_quota_caps_the_cpus(monkeypatch, cgroup, quotas, cpus):
+    files = dict(quotas, **({"/proc/self/cgroup": cgroup} if cgroup else {}))
+    _fake_proc(monkeypatch, files)
+    assert _parse_helper._cgroup_cpus() == cpus
+
+
+@pytest.mark.parametrize("quota, idle", [(None, True), ("200000 100000", True),
+                                         ("150000 100000", False), ("100000 100000", False)])
+def test_no_idle_cpu_under_a_quota_of_less_than_two(monkeypatch, quota, idle):
+    # a container limited to one CPU sees every host CPU in its affinity
+    # mask, and the host's spare ones in /proc/loadavg
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    files = dict(_loadavg(1), **{"/proc/self/cgroup": _V2})
+    if quota:
+        files["/sys/fs/cgroup/box/run/cpu.max"] = quota + "\n"
+    _fake_proc(monkeypatch, files)
+    assert _parse_helper._idle_cpu() is idle
 
 
 @needs_fork
 def test_no_helper_without_an_idle_cpu(tmp_path, monkeypatch, helpers):
     # a helper with no CPU of its own would only cost the parent its fork
-    monkeypatch.setattr(stream, "_idle_cpu", lambda: False)
+    monkeypatch.setattr(_parse_helper, "_idle_cpu", lambda: False)
     src = open_csv(_write(tmp_path, _helper_text()))
     assert len(list(src.iterate_once("selection"))) == src.n and helpers == []
 
 
-def test_no_helper_where_a_fork_would_warn(monkeypatch):
-    # from Python 3.12, os.fork warns in a process with more than one thread
-    monkeypatch.setattr(stream, "sys", SimpleNamespace(version_info=(3, 12)))
+@pytest.mark.skipif(not _HAS_PROC, reason="counts threads in /proc")
+def test_no_helper_in_a_process_with_more_than_one_thread(monkeypatch):
+    # another thread, numpy's BLAS threads included, may want the idle CPU
+    # or hold a lock the helper would inherit held
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _fake_proc(monkeypatch, _loadavg(1), threads=None)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert not stream._can_fork()
+        assert len(os.listdir("/proc/self/task")) > 1 and not _parse_helper._idle_cpu()
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    monkeypatch.delattr(os, "fork")
-    assert not stream._can_fork()
+    _fake_proc(monkeypatch, _loadavg(1), threads=1)
+    assert _parse_helper._idle_cpu()
