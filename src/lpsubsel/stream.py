@@ -24,9 +24,9 @@ parsed once, and later passes read and fingerprint its bytes but yield
 the kept rows without parsing them.
 
 A pass that parses at least `_HELPER_MIN_BYTES` (1.5 MiB) of blocks may
-fork a parse helper, a process that parses every other block on an idle
-CPU (`_parse_helper`); the pass yields the same rows and raises the same
-errors as without it.
+fork a parse helper, a process on an idle CPU that parses the blocks it
+reaches before the pass does (`_parse_helper`); the pass yields the same
+rows and raises the same errors as without it.
 """
 
 import io
@@ -239,13 +239,13 @@ class DatasetSource:
 
         A pass that parses over at least `_HELPER_MIN_BYTES` (1.5 MiB) of
         blocks, and starts in a one-thread process while a CPU is idle,
-        forks a parse helper and hands it every other block with a row
-        (`_parse_helper.parsed_with_helper`). The parent never waits on it:
-        a block whose rows are not back in its turn, or that the helper
-        could not parse, the parent parses itself. So the pass yields the
-        same rows, and raises the same errors after the same rows, as the
-        serial loop. The helper is stopped before the pass ends, however
-        it ends.
+        forks a parse helper and offers it each block with a row it reads
+        ahead (`_parse_helper.parsed_with_helper`). The parent never waits
+        on it: a block whose rows are not back in its turn, or that the
+        helper could not parse, the parent parses itself. So the pass
+        yields the same rows, and raises the same errors after the same
+        rows, as the serial loop. The helper is stopped before the pass
+        ends, however it ends.
         """
         keep = np.empty((self.n, self.d)) if self._keep and self.rows is None else None
         try:
