@@ -667,8 +667,9 @@ def test_a_helper_pass_yields_the_serial_rows(tmp_path, monkeypatch, helpers, va
 @needs_fork
 def test_the_helper_parses_blocks_a_slow_consumer_has_not_reached(tmp_path, monkeypatch,
                                                                    helpers):
-    # the parent parses every other block, and the helper's answers for
-    # the others are back by the time a consumer this slow reaches them
+    # the helper is offered every block the parent reads ahead and parses
+    # the newest first, so its rows are back for most blocks by the time a
+    # consumer this slow reaches them: the parent parses fewer than half
     src = open_csv(_write(tmp_path, _helper_text()))
     expected = _serial_outcome(monkeypatch, src)[0]
     calls = loadtxt_calls(monkeypatch)
@@ -678,15 +679,17 @@ def test_the_helper_parses_blocks_a_slow_consumer_has_not_reached(tmp_path, monk
             time.sleep(0.01)
         rows.append(row.tobytes())
     assert b"".join(rows) == expected
-    assert _HELPER_BLOCKS // 2 <= len(calls) < _HELPER_BLOCKS
+    assert len(calls) < _HELPER_BLOCKS // 2
 
 
 @needs_fork
 def test_a_helper_that_keeps_missing_its_turn_gets_no_more_blocks(tmp_path, monkeypatch,
                                                                   helpers):
-    # a helper five times slower than the parent: its blocks are parsed by
-    # the parent first, and once it has missed its turn 2 * _HELPER_SLOTS
-    # times more often than it made it, it is handed nothing more
+    # a helper five times slower than the parent: the parent claims most of
+    # the blocks it offers it, and once the helper has missed its turn
+    # 2 * _HELPER_SLOTS times more often than it made it, it is retired.
+    # Until then every block is offered a slot when one is free; after it,
+    # none is
     blocks = 100
     X = np.random.default_rng(44).standard_normal((blocks * _BLOCK_ROWS, 4))
     path = _write(tmp_path, "".join(",".join(map(repr, row)) + "\n" for row in X.tolist()))
@@ -700,13 +703,15 @@ def test_a_helper_that_keeps_missing_its_turn_gets_no_more_blocks(tmp_path, monk
         return csv_block(*args)
 
     monkeypatch.setattr(_parse_helper, "_csv_block", slow_in_the_helper)
-    sent, helper = [], []
+    sent, helper = [], []  # (retired before the offer, slot given, slots still free)
     send = _parse_helper._ParseHelper.send
 
     def recording_send(self, *args):
         helper[:] = [self]
-        sent.append(send(self, *args))
-        return sent[-1]
+        retired = self.retired
+        slot = send(self, *args)
+        sent.append((retired, slot, len(self._free)))
+        return slot
 
     monkeypatch.setattr(_parse_helper._ParseHelper, "send", recording_send)
     rows = []
@@ -715,9 +720,13 @@ def test_a_helper_that_keeps_missing_its_turn_gets_no_more_blocks(tmp_path, monk
             time.sleep(0.01)
         rows.append(row.tobytes())
     assert b"".join(rows) == expected
+    assert helper[0].retired
     assert helper[0]._missed > helper[0]._taken + 2 * _parse_helper._HELPER_SLOTS
-    handed = [i for i, slot in enumerate(sent) if slot is not None]
-    assert len(sent) == blocks // 2 and len(sent) - handed[-1] > blocks // 4
+    assert len(sent) == blocks
+    cut = [retired for retired, _, _ in sent].index(True)
+    assert 0 < cut < blocks - blocks // 4
+    assert all(slot is not None or free == 0 for _, slot, free in sent[:cut])
+    assert all(retired and slot is None for retired, slot, _ in sent[cut:])
     _assert_reaped(helpers)
 
 
@@ -730,8 +739,10 @@ def _fault_line(block):
 @pytest.mark.parametrize("fault", ["non_numeric", "ragged", "rewrite", "grown", "forged"])
 def test_a_helper_pass_raises_what_the_serial_loop_raises(tmp_path, monkeypatch, helpers,
                                                           fault, block):
-    # blocks with a row alternate between the parent (even) and the helper
-    # (odd); a rewrite is found by the parent's fingerprint check, in its turn
+    # the parent parses block 4, on which the helper stalls, and the helper
+    # block 5, whose answer the parent waits for before it takes it (a pass
+    # never waits); a rewrite is found by the parent's fingerprint check, in
+    # its turn, and the block is never handed to the helper
     path = _write(tmp_path, _helper_text())
     line = _fault_line(block)
     if fault == "non_numeric":
@@ -750,8 +761,90 @@ def test_a_helper_pass_raises_what_the_serial_loop_raises(tmp_path, monkeypatch,
                                for last, size, fingerprint, end in src._blocks[block:]]
     expected = _serial_outcome(monkeypatch, src)
     assert expected[1] is not None
+    first = block * _BLOCK_ROWS + 1  # the faulty block's first line
+    parent, csv_block = os.getpid(), _parse_helper._csv_block
+
+    def stalling_on_block_4(data, first_line, d):
+        if os.getpid() != parent and first_line == 4 * _BLOCK_ROWS + 1:
+            time.sleep(60)  # until the pass kills it
+        return csv_block(data, first_line, d)
+
+    answers = {}  # first line -> the helper's answer when the parent took it
+    take = _parse_helper._ParseHelper.take
+
+    def recording_take(self, slot, first_line):
+        deadline = time.monotonic() + 10
+        while (block == 5 and first_line == first and slot not in self._answers
+               and time.monotonic() < deadline):
+            self._collect()
+            time.sleep(0.001)
+        self._collect()
+        answers[first_line] = self._answers.get(slot)
+        return take(self, slot, first_line)
+
+    monkeypatch.setattr(_parse_helper, "_csv_block", stalling_on_block_4)
+    monkeypatch.setattr(_parse_helper._ParseHelper, "take", recording_take)
     assert _outcome(src) == expected
+    if fault == "rewrite":
+        assert first not in answers
+    elif block == 4:
+        assert answers[first] is None  # not back: the parent parsed it
+    else:
+        assert answers[first] == (-1 if fault in ("non_numeric", "ragged") else _BLOCK_ROWS)
     assert len(helpers) == 1 and src.selection_passes == 0
+    _assert_reaped(helpers)
+
+
+@needs_fork
+def test_the_helper_skips_a_block_the_parent_claimed(tmp_path, monkeypatch, helpers):
+    # held in its first block, the helper is sent four more; the parent
+    # claims the first two of them, and the helper, once let go, answers
+    # those unparsed and parses the others newest first
+    log, gate = tmp_path / "parsed", tmp_path / "gate"
+    parent, csv_block = os.getpid(), _parse_helper._csv_block
+
+    def logging_csv_block(data, first_line, d):
+        if os.getpid() != parent:
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{first_line}\n")
+            deadline = time.monotonic() + 10
+            while first_line == 1 and not gate.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        return csv_block(data, first_line, d)
+
+    def parsed():
+        return [int(v) for v in log.read_text(encoding="ascii").split()] if log.exists() else []
+
+    def until(condition):
+        deadline = time.monotonic() + 10
+        while not condition() and time.monotonic() < deadline:
+            time.sleep(0.001)
+
+    monkeypatch.setattr(_parse_helper, "_csv_block", logging_csv_block)
+    lines = _helper_text().splitlines(keepends=True)
+    firsts = [1 + i * _BLOCK_ROWS for i in range(5)]
+    blocks = ["".join(lines[f - 1:f - 1 + _BLOCK_ROWS]).encode() for f in firsts]
+    helper = _parse_helper._ParseHelper(4, max(map(len, blocks)))
+    try:
+        slots = [helper.send(blocks[0], firsts[0])]
+        until(lambda: parsed() == [1])
+        slots += [helper.send(data, f) for data, f in zip(blocks[1:], firsts[1:])]
+        claimed = [helper.take(slots[i], firsts[i]) for i in (1, 2)]
+        gate.touch()
+
+        def all_answered():
+            helper._collect()
+            return not helper._orphans and all(
+                slots[i] in helper._answers for i in (0, 3, 4))
+
+        until(all_answered)
+        rows = claimed + [helper.take(slots[i], firsts[i]) for i in (0, 3, 4)]
+    finally:
+        helper.stop()
+    assert parsed() == [firsts[0], firsts[4], firsts[3]]
+    assert (helper._taken, helper._missed) == (3, 2)
+    for got, i in zip(rows, (1, 2, 0, 3, 4)):
+        assert got.tobytes() == stream._csv_block(blocks[i], firsts[i], 4).tobytes()
     _assert_reaped(helpers)
 
 
@@ -789,7 +882,7 @@ def test_a_helper_needs_a_large_pass_of_a_file_to_parse(tmp_path, monkeypatch):
     assert os.path.getsize(path) >= stream._HELPER_MIN_BYTES
     src = open_csv(path)
     largest = max(size for _, size, _, _ in src._blocks)
-    expected = (_parse_helper._HELPER_SLOTS * (largest + 8 * _BLOCK_ROWS * 8)
+    expected = (_parse_helper._HELPER_SLOTS * (largest + 8 * _BLOCK_ROWS * 8 + 1)
                 + _parse_helper._READ_AHEAD * largest + _parse_helper._HELPER_COPIED_BYTES)
     assert src.helper_bytes() == (expected if hasattr(os, "fork") else 0)
     with monkeypatch.context() as m:
