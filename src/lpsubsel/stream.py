@@ -32,6 +32,7 @@ rows and raises the same errors as without it.
 import io
 import itertools
 import math
+import mmap
 import os
 import stat
 
@@ -148,6 +149,18 @@ def _parsed(verified, d):
         yield block, _csv_block(data, block[0] + 1, d)
 
 
+def _fresh_rows(n, d):
+    """An (n, d) float64 array in pages mapped now, which no process forked
+    before shares, so a write to them copies no page. It asks for huge
+    pages, as numpy does for an array this large."""
+    if not hasattr(mmap, "MAP_PRIVATE"):  # no fork on this platform either
+        return np.empty((n, d))
+    pages = mmap.mmap(-1, 8 * n * d, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        pages.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(pages, np.float64).reshape(n, d)
+
+
 class DatasetSource:
     """A replayable stream of points of fixed dimension d.
 
@@ -245,9 +258,12 @@ class DatasetSource:
         helper could not parse, the parent parses itself. So the pass
         yields the same rows, and raises the same errors after the same
         rows, as the serial loop. The helper is stopped before the pass
-        ends, however it ends.
+        ends, however it ends. The kept rows are mapped once the first
+        block is parsed, after a helper's fork, in fresh pages: pages the
+        parent wrote before the fork and rewrote after it would each be
+        copied, the helper holding the old copy.
         """
-        keep = np.empty((self.n, self.d)) if self._keep and self.rows is None else None
+        keep = None
         try:
             with open(self._path, "rb") as fh:
                 verified = self._verified_blocks(fh)
@@ -265,7 +281,9 @@ class DatasetSource:
                     for (line, last, rows, end), block in parsed:
                         if len(block) != end - rows:
                             raise _changed_block(self._path, line, last)
-                        if keep is not None:
+                        if self._keep:
+                            if keep is None:
+                                keep = _fresh_rows(self.n, self.d)
                             keep[rows:end] = block
                         yield block
                 finally:
