@@ -10,8 +10,26 @@ from .proposal import _draw_banks, _norm_weigher, _running_total
 from .stream import as_source
 
 
+# Draws deduplicated at a time: np.unique's sort takes about 30 bytes a draw
+# beside the draws, more than the memory guard charges a draw.
+_DEDUP_DRAWS = 1 << 16
+
+
 def _selection_pass(src):
     deque(src.iterate_once("selection"), maxlen=0)
+
+
+def _first_draws(draws, member):
+    """The rows of `draws` that `member` (a bool n-vector) does not flag,
+    each once, in the order of its first draw; flags them."""
+    picks = []
+    for start in range(0, len(draws), _DEDUP_DRAWS):
+        chunk = draws[start:start + _DEDUP_DRAWS]
+        new = chunk[np.sort(np.unique(chunk, return_index=True)[1])]
+        new = new[~member[new]]
+        member[new] = True
+        picks += new.tolist()
+    return picks
 
 
 def exact_adaptive_sample(data, p, t, l, rng):
@@ -32,8 +50,8 @@ def exact_adaptive_sample(data, p, t, l, rng):
     weights and the rows' span floor, and `rng.choice`'s cumulative sum
     of the weights; `SubsetBasis.distances` keeps its temporaries to
     CHUNK_ROWS rows. Raises InputError naming the row at which a round's
-    weight total overflows. A round's new picks join S in draw order, in
-    one `extended_many` call.
+    weight total overflows. A round's new picks join S in the order of
+    their first draw, in one `extended_many` call.
     """
     src = as_source(data)
     if t < 1 or l < 0:
@@ -41,7 +59,7 @@ def exact_adaptive_sample(data, p, t, l, rng):
     check_p(p)
     src.keep_rows()
     basis = SubsetBasis.empty(src.d)
-    members = set()
+    member = np.zeros(src.n, dtype=bool)
     for round_ in range(l):
         if not round_:
             _selection_pass(src)
@@ -60,12 +78,7 @@ def exact_adaptive_sample(data, p, t, l, rng):
         weights /= total
         if round_:
             _selection_pass(src)
-        picks = []
-        for i in rng.choice(src.n, size=t, p=weights):
-            idx = int(i)
-            if idx not in members:
-                members.add(idx)
-                picks.append(idx)
+        picks = _first_draws(rng.choice(src.n, size=t, p=weights), member)
         basis = basis.extended_many(picks, src.rows[picks])
     return basis
 

@@ -4,6 +4,7 @@ import pytest
 from lpsubsel import (RANK_TOLERANCE, GuardError, InputError, PointSet, SubsetBasis,
                       adaptive_distribution, as_source, exact_adaptive_sample, experiment,
                       open_csv, squared_length_sample, theorem_params, tv_distance)
+from lpsubsel import baselines
 from lpsubsel.stream import _BLOCK_ROWS
 
 from helpers import loadtxt_calls, peak_traced_bytes
@@ -170,6 +171,31 @@ def test_squared_length_many_draws_match_both_growth_references(rank):
     assert basis.rank == scanned.rank == chained.rank == (rank or d)
     assert chained.member_indices == basis.member_indices
     assert basis.basis.tobytes() == scanned.basis.tobytes() == chained.basis.tobytes()
+
+
+@pytest.mark.parametrize("n, draws", [
+    (1, [0]),
+    (2, [1, 1, 0, 1]),
+    # rows 10..49 first drawn past the first _DEDUP_DRAWS draws
+    (50, np.concatenate([np.random.default_rng(36).integers(0, 10, 100_000),
+                         np.random.default_rng(37).integers(0, 50, 100_000)])),
+    (3_000, np.random.default_rng(38).choice(3_000, 150_000, p=np.arange(1, 3_001) / 4_501_500)),
+], ids=["one_row", "two_rows", "late_rows", "skewed"])
+def test_exact_adaptive_dedup_matches_the_per_draw_loop(n, draws):
+    # a round's picks: each drawn row not yet a member, once, in the order
+    # of its first draw, as a loop over the draws gives them
+    draws = np.asarray(draws, dtype=np.int64)
+    member = np.zeros(n, dtype=bool)
+    member[::7] = True
+    members = set(np.flatnonzero(member).tolist())
+    want = []
+    for i in draws:
+        idx = int(i)
+        if idx not in members:
+            members.add(idx)
+            want.append(idx)
+    assert baselines._first_draws(draws, member) == want
+    assert set(np.flatnonzero(member).tolist()) == members
 
 
 # members recorded before distances were scored in CHUNK_ROWS-row chunks;
