@@ -9,6 +9,7 @@ error is scored from R; at any other p it sums each chunk's distances.
 
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -153,7 +154,8 @@ def _evaluation_pass(source, bases, p, oracle):
     scored from R's rows, as residuals, with no ‖X‖² − ‖XQᵀ‖²
     cancellation (evaluator "r-factor"). At any other p each chunk's
     distances to every span are summed in the loop (evaluator
-    "distances"). The SVD oracle reads the same R.
+    "distances"). The SVD oracle reads the same R. A sum that overflows
+    is inf, which `run_experiment` raises as an InputError.
     """
     from_r = p == 2
     spans = [SubsetBasis.empty(source.d), *bases]
@@ -165,8 +167,9 @@ def _evaluation_pass(source, bases, p, oracle):
         if r_factor is not None:
             r_factor = np.linalg.qr(np.vstack((r_factor, arr)), mode="r")
         if not from_r:
-            for i, b in enumerate(spans):
-                sums[i] += float(np.sum(b.distances(arr) ** p))
+            with np.errstate(over="ignore"):  # run_experiment raises an overflow
+                for i, b in enumerate(spans):
+                    sums[i] += float(np.sum(b.distances(arr) ** p))
 
     rows = source.rows
     if rows is not None:
@@ -187,7 +190,8 @@ def _evaluation_pass(source, bases, p, oracle):
         if end:
             score(buf[:end])
     if from_r:
-        sums = np.array([float(np.sum(b.distances(r_factor) ** 2)) for b in spans])
+        with np.errstate(over="ignore"):
+            sums = np.array([float(np.sum(b.distances(r_factor) ** 2)) for b in spans])
     return Evaluation(sums[1:], float(sums[0]), r_factor, "r-factor" if from_r else "distances")
 
 
@@ -312,6 +316,8 @@ def run_experiment(spec):
     sums, empty_sum = ev.sums, ev.empty_sum
     if empty_sum <= 0.0:
         raise InputError("all points are zero; errors are degenerate")
+    if not (math.isfinite(empty_sum) and np.isfinite(sums).all()):
+        raise InputError("the data's errors overflow to inf; rescale the data or lower p")
 
     # best-of-R picks by the whole span's error, not by k_in_span_err
     best = int(np.argmin(sums))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpsubsel import (DatasetSource, ExperimentSpec, FormatError, InputError,
                       ParameterError, PointSet, SubsetBasis, as_source,
@@ -981,6 +985,20 @@ def test_cli_overflowing_weight_exits_2(tmp_path, capsys, algo, text, p, row):
     assert f"error: data row {row}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algo", ["mcmc-one-pass", "exact-adaptive"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_cli_overflowing_error_with_no_round_exits_2(tmp_path, capsys, algo, p):
+    # with no round, no selection pass weighs the rows, and the evaluation
+    # pass is the first to find that their errors overflow
+    path = tmp_path / "huge.csv"
+    path.write_text("0\n" * 32 + "1.3407807929942597e+154\n", encoding="utf-8")
+    code = main(["--input", str(path), "--algo", algo, "--k", "1", "--t", "1", "--l", "0",
+                 "--p", str(p)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the data's errors overflow to inf; rescale the data or lower p\n")
+
+
 # each takes the caller's array; the first two hand back the view they hold
 _TAKES_AN_ARRAY = {
     "PointSet": lambda X: PointSet(X).points,
@@ -1001,3 +1019,64 @@ def test_the_callers_array_stays_writeable(name):
     if isinstance(held, np.ndarray):
         assert np.shares_memory(held, X) and not held.flags.writeable
     X[0] = 1.0
+
+
+# The CLI never shows a traceback: on any small CSV and any flags it exits
+# 0, 2 or 3. t, l, m and the repetitions are capped so that each run is
+# quick. Three runs in four get valid flags only, so that most reach the
+# passes; p reaches 300 and cells 1e308, so that weights and their totals
+# overflow.
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.integers(-3, 3).map(str),
+                     st.sampled_from(["1e-300", "1e300", "1e160", "-2e155", "1e103", "-0.0",
+                                      " 2.5 "]))
+_CELLS = st.one_of(_NUMBERS, st.sampled_from(["nan", "inf", "-inf", "1e400", "", " ", "x",
+                                              "\x1c1.5", "2.5\x1c", "\x1c"]))
+_FLAGS = {  # flag: (valid values, invalid ones)
+    "--algo": (ALGORITHMS, []),
+    "--k": (["1", "2", "3"], ["0", "-1", "7"]),
+    "--p": (["1", "1.5", "2", "3", "4", "40", "300"], ["0.5", "nan", "inf"]),
+    "--delta": (["0.5", "0.9", "0.1"], ["0", "1.5"]),
+    "--t": (["1", "2", "3", "6"], ["0", "-1"]),
+    "--l": (["0", "1", "2", "3"], ["-1"]),
+    "--m": (["1", "2", "8"], ["0", "-1"]),
+    "--reps": (["1", "2", "3"], ["0"]),
+    "--oracle": (experiment.ORACLES, []),
+    "--report": (cli.REPORT_FORMATS, []),
+}
+
+
+@st.composite
+def _cli_runs(draw):
+    """(file bytes, argv without --input and --out) of one CLI run."""
+    d, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    cells = _NUMBERS if draw(st.booleans()) else _CELLS
+    ragged = draw(st.integers(0, 4)) == 0
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = draw(st.booleans())
+    lines = [",".join("abcdef"[:d])] if header else []
+    for _ in range(n):
+        width = draw(st.integers(1, 6)) if ragged else d
+        lines.append(",".join(draw(st.lists(cells, min_size=width, max_size=width))))
+    text = ("\ufeff" if draw(st.booleans()) else "") + end.join(lines) + end
+    valid = draw(st.integers(0, 3)) > 0
+    argv = ["--seed", str(draw(st.integers(0, 2**32)))] + (["--header"] if header else [])
+    for flag, (good, bad) in _FLAGS.items():
+        argv += [flag, draw(st.sampled_from(list(good) + ([] if valid else bad)))]
+    return text.encode("utf-8"), argv
+
+
+@settings(max_examples=250, deadline=None)
+@given(_cli_runs())
+def test_the_cli_never_shows_a_traceback(tmp_path_factory, run):
+    data, argv = run
+    base = tmp_path_factory.getbasetemp()
+    path, out = base / "fuzzed.csv", base / "fuzzed-report"
+    path.write_bytes(data)
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["--input", str(path), "--out", str(out)] + argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    assert out.exists() == (code == 0)
