@@ -10,9 +10,9 @@ rows are not back in its turn, or that the helper could not parse, the
 parent claims and parses itself, and the helper skips a claimed block it
 has not started, so a pass yields the same rows and raises the same
 errors as the serial loop, and on a busy host costs about what that loop
-costs. The helper is killed and
-reaped before the pass ends. A pass that starts in a process with more
-than one thread or with no idle CPU (`_idle_cpu`) runs the serial loop.
+costs. The helper is killed and reaped before the pass ends. A pass that
+starts in a process with more than one thread or with no idle CPU
+(`_idle_cpu`) runs the serial loop.
 
 `stream` imports this module only for a file of at least
 `stream._HELPER_MIN_BYTES`, whose passes may fork a helper: every module
@@ -34,7 +34,7 @@ from .stream import _BLOCK_ROWS, _csv_block, _parsed
 
 # The helper's ring slots, and the blocks the parent reads ahead of the one
 # it yields, each offered to the helper: the newest is read 8 blocks before
-# its turn. On a 2-vCPU host the helper took 163-227 of a csv-tall pass's
+# its turn. On a 2-vCPU host the helper took 221-233 of a csv-tall pass's
 # 313 blocks, against at most 156 when it was handed every other block.
 _HELPER_SLOTS = 8
 _READ_AHEAD = _HELPER_SLOTS
@@ -154,9 +154,9 @@ class _ParseHelper:
     waits for an answer, so a stopped, killed or slow helper only costs
     the parent the blocks it parses itself. Once the helper has missed its
     turn more than 2 * `_HELPER_SLOTS` times more often than it made it,
-    it is `retired`, and the parent hands it nothing more: a helper that gets no CPU of its own
-    could only take the parent's. `stop` closes the pipes, kills and reaps
-    the helper, and closes the ring.
+    it is `retired`, and the parent hands it nothing more: a helper that
+    gets no CPU of its own could only take the parent's. `stop` closes the
+    pipes, kills and reaps the helper, and closes the ring.
     """
 
     def __init__(self, d, block_bytes):
