@@ -47,8 +47,8 @@ def exact_adaptive_sample(data, p, t, l, rng):
     file's as its first pass keeps them (see `DatasetSource.keep_rows`),
     so the file is parsed once and later passes check its bytes and
     replay the kept rows. Besides those rows it holds two n-vectors, the
-    weights and the rows' span floor, and `rng.choice`'s cumulative sum
-    of the weights; `SubsetBasis.distances` keeps its temporaries to
+    weights and the rows' span floor, a member flag a row, and
+    `rng.choice`'s cumulative sum of the weights; `SubsetBasis.distances` keeps its temporaries to
     CHUNK_ROWS rows. Raises InputError naming the row at which a round's
     weight total overflows. A round's new picks join S in the order of
     their first draw, in one `extended_many` call.
