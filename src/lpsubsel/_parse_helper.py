@@ -30,14 +30,13 @@ from collections import deque
 import numpy as np
 
 from .errors import FormatError, SourceChangedError
-from .stream import _BLOCK_ROWS, _csv_block, _parsed
+from .stream import _BLOCK_ROWS, _csv_block
 
 # The helper's ring slots, and the blocks the parent reads ahead of the one
 # it yields, each offered to the helper: the newest is read 8 blocks before
 # its turn. On a 2-vCPU host the helper took 221-233 of a csv-tall pass's
 # 313 blocks, against at most 156 when it was handed every other block.
 _HELPER_SLOTS = 8
-_READ_AHEAD = _HELPER_SLOTS
 
 # A helper maps the parent's pages as they were at the fork, and a page
 # either process then writes is copied, so the helper can come to hold a
@@ -305,55 +304,54 @@ class _ParseHelper:
         self.ring.close()
 
 
-def parsed_with_helper(verified, d, block_bytes):
-    """(block, rows) of each verified block in turn, as `stream._parsed`
-    gives them, with the blocks a `_ParseHelper` reaches first parsed by
-    it; its ring slots hold `block_bytes` bytes of a block.
-
-    The parent reads up to `_READ_AHEAD` blocks ahead of the one it yields
-    and offers each to the helper as it reads it, copying its bytes into
-    a free ring slot, so the helper has blocks to parse while the parent
-    does the rest of the pass's work; a block read while no slot is free
-    the parent parses itself. An error reading ahead is raised in its
-    turn, after the blocks before it. When no CPU is idle (`_idle_cpu`),
-    or no pipe, mapping or process can be made, this is `stream._parsed`.
-    """
-    helper = None
-    if _idle_cpu():
-        try:
-            helper = _ParseHelper(d, block_bytes)
-        except OSError:
-            pass
-    if helper is None:
-        yield from _parsed(verified, d)
-        return
+def start_helper(d, block_bytes):
+    """A `_ParseHelper` for a pass whose blocks hold at most `block_bytes`
+    bytes, or None when no CPU is idle (`_idle_cpu`) or no pipe, mapping
+    or process can be made: the pass then runs `stream._parsed`."""
+    if not _idle_cpu():
+        return None
     try:
-        pending = deque()  # (block, its bytes or its slot), in file order
-        reading = True
-        while True:
-            while reading and len(pending) < _READ_AHEAD:
-                try:
-                    block, data = next(verified)
-                except StopIteration:
-                    reading = False
-                    break
-                except (SourceChangedError, OSError) as exc:
-                    pending.append((exc, None))
-                    reading = False
-                    break
-                slot = helper.send(data, block[0] + 1)
-                pending.append((block, data if slot is None else slot))
-            if not pending:
-                return
-            block, held = pending.popleft()
-            if isinstance(block, Exception):
-                raise block
-            if isinstance(held, bytes):
-                yield block, _csv_block(held, block[0] + 1, d)
-            else:
-                yield block, helper.take(held, block[0] + 1)
-    finally:
-        helper.stop()
+        return _ParseHelper(d, block_bytes)
+    except OSError:
+        return None
+
+
+def parsed_with_helper(verified, d, helper):
+    """(block, rows) of each verified block in turn, as `stream._parsed`
+    gives them, with the blocks `helper` reaches first parsed by it. The
+    caller stops the helper.
+
+    The parent reads up to `_HELPER_SLOTS` blocks ahead of the one it
+    yields and offers each to the helper as it reads it, copying its bytes
+    into a free ring slot, so the helper has blocks to parse while the
+    parent does the rest of the pass's work; a block read while no slot is
+    free the parent parses itself. An error reading ahead is raised in its
+    turn, after the blocks before it.
+    """
+    pending = deque()  # (block, its bytes or its slot), in file order
+    reading = True
+    while True:
+        while reading and len(pending) < _HELPER_SLOTS:
+            try:
+                block, data = next(verified)
+            except StopIteration:
+                reading = False
+                break
+            except (SourceChangedError, OSError) as exc:
+                pending.append((exc, None))
+                reading = False
+                break
+            slot = helper.send(data, block[0] + 1)
+            pending.append((block, data if slot is None else slot))
+        if not pending:
+            return
+        block, held = pending.popleft()
+        if isinstance(block, Exception):
+            raise block
+        if isinstance(held, bytes):
+            yield block, _csv_block(held, block[0] + 1, d)
+        else:
+            yield block, helper.take(held, block[0] + 1)
 
 
 def _ring_bytes(d, block_bytes):
@@ -366,5 +364,5 @@ def helper_bytes(d, block_bytes):
     """Bytes a helper adds to a pass over blocks of at most `block_bytes`
     bytes of d-column rows, beyond a copy of the run's own memory (see
     `_HELPER_COPIED_BYTES`): the parent's ring (`_ring_bytes`), its up to
-    `_READ_AHEAD` read-ahead blocks' bytes, and `_HELPER_COPIED_BYTES`."""
-    return _ring_bytes(d, block_bytes) + _READ_AHEAD * block_bytes + _HELPER_COPIED_BYTES
+    `_HELPER_SLOTS` read-ahead blocks' bytes, and `_HELPER_COPIED_BYTES`."""
+    return _ring_bytes(d, block_bytes) + _HELPER_SLOTS * block_bytes + _HELPER_COPIED_BYTES

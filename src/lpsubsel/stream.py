@@ -152,10 +152,13 @@ def _parsed(verified, d):
 def _fresh_rows(n, d):
     """An (n, d) float64 array in pages mapped now, which no process forked
     before shares, so a write to them copies no page. It asks for huge
-    pages, as numpy does for an array this large."""
-    if not hasattr(mmap, "MAP_PRIVATE"):  # no fork on this platform either
+    pages, as numpy does for an array this large. Where no pages can be
+    mapped it is `np.empty`'s, which raises MemoryError if it cannot be
+    had either."""
+    try:
+        pages = mmap.mmap(-1, 8 * n * d, flags=mmap.MAP_PRIVATE)
+    except OSError:
         return np.empty((n, d))
-    pages = mmap.mmap(-1, 8 * n * d, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         pages.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(pages, np.float64).reshape(n, d)
@@ -258,8 +261,8 @@ class DatasetSource:
         helper could not parse, the parent parses itself. So the pass
         yields the same rows, and raises the same errors after the same
         rows, as the serial loop. The helper is stopped before the pass
-        ends, however it ends. The kept rows are mapped once the first
-        block is parsed, after a helper's fork, in fresh pages: pages the
+        ends, however it ends. A pass that forked a helper maps the kept
+        rows after the fork, in fresh pages (`_fresh_rows`): pages the
         parent wrote before the fork and rewrote after it would each be
         copied, the helper holding the old copy.
         """
@@ -271,23 +274,28 @@ class DatasetSource:
                     for (_, _, rows, end), _ in verified:
                         yield self.rows[rows:end]
                     return
+                helper = None
                 if self.helper_bytes():
-                    from ._parse_helper import parsed_with_helper
-                    largest = max(size for _, size, _, _ in self._blocks)
-                    parsed = parsed_with_helper(verified, self.d, largest)
-                else:
+                    from ._parse_helper import parsed_with_helper, start_helper
+                    helper = start_helper(self.d, max(size for _, size, _, _ in self._blocks))
+                if helper is None:
                     parsed = _parsed(verified, self.d)
+                else:
+                    parsed = parsed_with_helper(verified, self.d, helper)
                 try:
+                    if self._keep:
+                        keep = (np.empty((self.n, self.d)) if helper is None
+                                else _fresh_rows(self.n, self.d))
                     for (line, last, rows, end), block in parsed:
                         if len(block) != end - rows:
                             raise _changed_block(self._path, line, last)
-                        if self._keep:
-                            if keep is None:
-                                keep = _fresh_rows(self.n, self.d)
+                        if keep is not None:
                             keep[rows:end] = block
                         yield block
                 finally:
-                    parsed.close()  # stops a helper, however the pass ends
+                    parsed.close()
+                    if helper is not None:  # however the pass ends
+                        helper.stop()
         except OSError as exc:
             raise StreamError(f"I/O failure while streaming {self._path}: {exc}") from exc
         if keep is not None:

@@ -868,7 +868,7 @@ def test_the_memory_guard_charges_what_a_helper_uses(tmp_path, monkeypatch, algo
     source = open_csv(path)
     need = _guard_count(monkeypatch, algorithm, config, source)
     largest = max(size for _, size, _, _ in source._blocks)
-    read_ahead = _parse_helper._READ_AHEAD * largest
+    read_ahead = _parse_helper._HELPER_SLOTS * largest
     assert max(peaks.values()) + read_ahead <= need + source.helper_bytes()
 
 

@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import io
 import math
+import mmap
 import os
 import signal
 import threading
@@ -741,8 +743,10 @@ def test_a_helper_pass_raises_what_the_serial_loop_raises(tmp_path, monkeypatch,
                                                           fault, block):
     # the parent parses block 4, on which the helper stalls, and the helper
     # block 5, whose answer the parent waits for before it takes it (a pass
-    # never waits); a rewrite is found by the parent's fingerprint check, in
-    # its turn, and the block is never handed to the helper
+    # never waits); with the fault in block 5 the helper stalls on block 4
+    # only once it has parsed block 5, whichever of the two it reached
+    # first. A rewrite is found by the parent's fingerprint check, in its
+    # turn, and the block is never handed to the helper
     path = _write(tmp_path, _helper_text())
     line = _fault_line(block)
     if fault == "non_numeric":
@@ -764,9 +768,13 @@ def test_a_helper_pass_raises_what_the_serial_loop_raises(tmp_path, monkeypatch,
     first = block * _BLOCK_ROWS + 1  # the faulty block's first line
     parent, csv_block = os.getpid(), _parse_helper._csv_block
 
+    parsed = set()  # first lines the helper has started, in the helper
+
     def stalling_on_block_4(data, first_line, d):
-        if os.getpid() != parent and first_line == 4 * _BLOCK_ROWS + 1:
-            time.sleep(60)  # until the pass kills it
+        if os.getpid() != parent:
+            if first_line == 4 * _BLOCK_ROWS + 1 and (block == 4 or first in parsed):
+                time.sleep(60)  # until the pass kills it
+            parsed.add(first_line)
         return csv_block(data, first_line, d)
 
     answers = {}  # first line -> the helper's answer when the parent took it
@@ -875,6 +883,49 @@ def test_no_helper_outlives_its_pass(tmp_path, monkeypatch, helpers, how):
     _assert_reaped(helpers)
 
 
+@needs_fork
+@pytest.mark.parametrize("forks", [True, False], ids=["helper", "serial"])
+def test_kept_rows_are_mapped_fresh_only_by_a_pass_that_forked(tmp_path, monkeypatch,
+                                                               helpers, forks):
+    # a page the parent fills after a fork copies nothing only if the fork
+    # did not share it; a pass that forks no helper keeps np.empty's array,
+    # whose pages the heap may reuse
+    if not forks:
+        monkeypatch.setattr(_parse_helper, "_idle_cpu", lambda: False)
+    src = open_csv(_write(tmp_path, _helper_text()))
+    expected = _serial_outcome(monkeypatch, src)[0]
+    mapped, fresh_rows = [], stream._fresh_rows
+    monkeypatch.setattr(stream, "_fresh_rows",
+                        lambda n, d: mapped.append((n, d)) or fresh_rows(n, d))
+    src.keep_rows()
+    list(src.iterate_once("selection"))
+    assert src.rows.tobytes() == expected and not src.rows.flags.writeable
+    assert len(helpers) == forks
+    assert mapped == ([(src.n, src.d)] if forks else [])
+    _assert_reaped(helpers)
+
+
+@needs_fork
+def test_kept_rows_fall_back_to_the_heap_when_no_pages_can_be_mapped(tmp_path, monkeypatch,
+                                                                      helpers):
+    # a mapping that fails is no I/O failure of the file: the pass keeps
+    # np.empty's array instead
+    src = open_csv(_write(tmp_path, _helper_text()))
+    expected = _serial_outcome(monkeypatch, src)[0]
+    real = mmap.mmap
+
+    def no_private_pages(fileno, length, *args, flags=mmap.MAP_SHARED, **kwargs):
+        if flags == mmap.MAP_PRIVATE:
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+        return real(fileno, length, *args, flags=flags, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", no_private_pages)
+    src.keep_rows()
+    list(src.iterate_once("selection"))
+    assert src.rows.tobytes() == expected and len(helpers) == 1
+    _assert_reaped(helpers)
+
+
 def test_a_helper_needs_a_large_pass_of_a_file_to_parse(tmp_path, monkeypatch):
     X = np.random.default_rng(41).standard_normal((10000, 8))
     path = str(tmp_path / "large.csv")
@@ -883,7 +934,7 @@ def test_a_helper_needs_a_large_pass_of_a_file_to_parse(tmp_path, monkeypatch):
     src = open_csv(path)
     largest = max(size for _, size, _, _ in src._blocks)
     expected = (_parse_helper._HELPER_SLOTS * (largest + 8 * _BLOCK_ROWS * 8 + 1)
-                + _parse_helper._READ_AHEAD * largest + _parse_helper._HELPER_COPIED_BYTES)
+                + _parse_helper._HELPER_SLOTS * largest + _parse_helper._HELPER_COPIED_BYTES)
     assert src.helper_bytes() == (expected if hasattr(os, "fork") else 0)
     with monkeypatch.context() as m:
         m.delattr(os, "fork", raising=False)
