@@ -26,3 +26,20 @@ def test_a_gain_is_resolved_by_nine_tenths_of_the_pairs_and_the_parents_spread()
     assert (s["wins"], s["losses"], s["gain_resolved"]) == (1, 9, False)
     s = bench_pairs.compare([(1.0, 1.0)] * 3, "lower")
     assert (s["ties"], s["gain_resolved"]) == (3, False)
+
+
+def test_every_run_lasts_the_benchmark_s_run_seconds(monkeypatch, tmp_path, capsys):
+    metrics, seconds, _ = bench_pairs.declared(bench_pairs.ROOT)
+    calls = []
+
+    def run_once(checkout, workload, seed, run_seconds):
+        calls.append((checkout, workload, seed, run_seconds))
+        return dict.fromkeys(metrics, 1.0), {}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", str(tmp_path), "--workload", "csv-tall",
+                             "--pairs", "2", "--first-seed", "7"]) == 0
+    change = str(bench_pairs.ROOT)
+    assert calls == [(str(tmp_path), "csv-tall", 7, seconds), (change, "csv-tall", 7, seconds),
+                     (change, "csv-tall", 8, seconds), (str(tmp_path), "csv-tall", 8, seconds)]
+    assert "csv-tall: 2 pairs, 0 failed runs" in capsys.readouterr().out

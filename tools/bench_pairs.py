@@ -7,9 +7,10 @@ Usage, from the root of the change's checkout:
 
 For each workload and each of --pairs seeds (--first-seed, --first-seed +
 1, ...), runs `python3 lpbench/run.py --workload W --seed S --seconds X
---trace 0` once in each checkout, the parent first on even pairs and the
-change first on odd ones, so that a host whose speed drifts favours
-neither side. Each run's last line of standard output is the benchmark's
+--trace 0` once in each checkout, X being the run_seconds the change's
+BENCHMARK.json declares, the parent first on even pairs and the change
+first on odd ones, so that a host whose speed drifts favours neither
+side. Each run's last line of standard output is the benchmark's
 JSON object; a run that exits non-zero or prints none is counted as
 failed and its pair left out of the comparison.
 
@@ -87,7 +88,7 @@ def compare(pairs, better):
 
 def declared(checkout):
     """The end-to-end metrics and the run length `checkout`'s BENCHMARK.json
-    declares: ({name: better}, seconds)."""
+    declares, and its workloads: ({name: better}, seconds, [name])."""
     with open(Path(checkout) / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
     return {m["name"]: m["better"] for m in spec["end_to_end"]}, spec["run_seconds"], [
@@ -111,15 +112,12 @@ def main(argv=None):
                         help="a workload to run (repeatable; default every one)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=2000)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="lpbench's --seconds (default BENCHMARK.json's run_seconds)")
     parser.add_argument("--sha", default=None, help="the change's short SHA, to record")
     parser.add_argument("--out", default=None, help="write the results here as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.first_seed < 0:
         parser.error("need --pairs >= 1 and --first-seed >= 0")
     metrics, seconds, workloads = declared(args.change)
-    seconds = args.seconds if args.seconds is not None else seconds
     sides = {"parent": args.parent, "change": args.change}
     results = {"change_sha": args.sha or short_sha(args.change),
                "parent_sha": short_sha(args.parent), "nproc": os.cpu_count(),
