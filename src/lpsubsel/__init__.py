@@ -8,36 +8,37 @@ adaptive sampling. Ships with exact multi-pass baselines and brute-force
 oracles that verify the distributional guarantees at desk scale.
 """
 
-from ._kernels import BACKEND
-from .baselines import exact_adaptive_sample, squared_length_sample
-from .errors import (FormatError, GuardError, InputError, ParameterError,
-                     SourceChangedError, StreamError)
-from .experiment import ExperimentSpec, RunReport, run_experiment
-from .geometry import RANK_TOLERANCE, PointSet, SubsetBasis, err_p, extend_basis
-from .oracles import (DistributionTable, OracleReport, adaptive_distribution,
-                      brute_force_candidate_err, exact_walk_distribution,
-                      gamma_bound, mixture_distribution, svd_optimal_err2,
-                      transition_matrix, tv_distance)
-from .proposal import MixtureWeights, ProposalPool, draw_mixture_pool, open_unit
-from .sampler import SamplerConfig, one_pass_adaptive_sample, theorem_params
-from .stream import DatasetSource, as_source, open_csv
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND", "RANK_TOLERANCE", "__version__",
-    "DatasetSource", "DistributionTable", "ExperimentSpec",
-    "FormatError", "GuardError", "InputError",
-    "MixtureWeights", "OracleReport", "ParameterError",
-    "PointSet", "ProposalPool", "RunReport", "SamplerConfig", "SourceChangedError",
-    "StreamError",
-    "SubsetBasis",
-    "adaptive_distribution", "as_source",
-    "brute_force_candidate_err", "draw_mixture_pool", "err_p",
-    "exact_adaptive_sample",
-    "exact_walk_distribution", "extend_basis", "gamma_bound",
-    "mixture_distribution", "one_pass_adaptive_sample", "open_csv",
-    "open_unit", "run_experiment",
-    "squared_length_sample", "svd_optimal_err2", "theorem_params",
-    "transition_matrix", "tv_distance",
-]
+# Each public name, by the module that defines it and loads on first use
+# (PEP 562): `import lpsubsel` loads no numpy, so `cli` can set its threads.
+_EXPORTS = {
+    "_kernels": ["BACKEND"],
+    "baselines": ["exact_adaptive_sample", "squared_length_sample"],
+    "errors": ["FormatError", "GuardError", "InputError", "ParameterError",
+               "SourceChangedError", "StreamError"],
+    "experiment": ["ExperimentSpec", "RunReport", "run_experiment"],
+    "geometry": ["RANK_TOLERANCE", "PointSet", "SubsetBasis", "err_p", "extend_basis"],
+    "oracles": ["DistributionTable", "OracleReport", "adaptive_distribution",
+                "brute_force_candidate_err", "exact_walk_distribution", "gamma_bound",
+                "mixture_distribution", "svd_optimal_err2", "transition_matrix",
+                "tv_distance"],
+    "proposal": ["MixtureWeights", "ProposalPool", "draw_mixture_pool", "open_unit"],
+    "sampler": ["SamplerConfig", "one_pass_adaptive_sample", "theorem_params"],
+    "stream": ["DatasetSource", "as_source", "open_csv"],
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

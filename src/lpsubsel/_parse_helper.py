@@ -110,12 +110,12 @@ def _idle_cpu():
 
     A fork costs the parent page faults, which a helper with no CPU of
     its own cannot repay, and under a quota of one CPU the helper's work
-    would be charged to the parent's share. numpy's BLAS threads, by
-    default one a CPU, spin for a while after each BLAS call: on a 2-vCPU
-    host they took the CPU from the SCHED_IDLE helper, and CLI runs on a
-    40,000 x 32 CSV that forked it read x1.04 (7 of 20 pairs faster than
-    without it). With one thread, too, the helper inherits no lock another
-    thread holds, and Python 3.12 and later do not warn on the fork.
+    would be charged to the parent's share. The CLI runs one BLAS thread;
+    a library caller's numpy may run one a CPU, and such threads spin after
+    each BLAS call: on a 2-vCPU host they took the CPU from the SCHED_IDLE
+    helper (CLI runs on a 40,000 x 32 CSV that forked it read x1.04, 7 of
+    20 pairs faster). With one thread, too, the helper inherits no lock
+    another thread holds, and Python 3.12 and later do not warn on the fork.
     """
     try:
         if len(os.listdir("/proc/self/task")) != 1:

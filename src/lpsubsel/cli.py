@@ -2,15 +2,20 @@
 
 Exit codes: 0 success, 2 input error or read failure, 3 size-guard violation.
 The seed comes from --seed, else the SUBSEL_SEED environment variable,
-else 0.
+else 0. Unless the environment sets a BLAS thread count or numpy is loaded,
+loading this module sets one, so a large file's passes can fork a helper.
 """
 
 import argparse
 import os
 import sys
 
-from .errors import GuardError, InputError, StreamError
-from .experiment import ALGORITHMS, ORACLES, ExperimentSpec, run_experiment
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+
+from .errors import GuardError, InputError, StreamError  # noqa: E402
+from .experiment import ALGORITHMS, ORACLES, ExperimentSpec, run_experiment  # noqa: E402
 
 REPORT_FORMATS = ("json", "csv")
 
@@ -19,7 +24,9 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="lpsubsel",
         description="One-pass streaming subset selection for l_p subspace "
-                    "approximation, with multi-pass baselines and oracles.")
+                    "approximation, with multi-pass baselines and oracles.",
+        epilog=f"numpy's BLAS runs one thread unless {' or '.join(_BLAS_THREADS)} is set; "
+               "with more, no parse helper forks and large files parse slower.")
     parser.add_argument("--input", required=True, help="CSV file, one point per line")
     parser.add_argument("--algo", default="mcmc-one-pass", choices=ALGORITHMS)
     parser.add_argument("--k", type=int, required=True, help="target subspace dimension")

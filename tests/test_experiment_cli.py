@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -891,10 +892,11 @@ def test_the_evaluation_buffer_holds_at_most_n_rows(tmp_path):
 
 
 # The CLI, with every pass's helper forked whatever the host's load, and
-# each helper's pid written to the file named by its first argument.
+# each helper's pid written to the file named by its first argument. `cli`
+# loads first, so that it sets numpy's BLAS threads as the shipped CLI does.
 _FORKING_CLI = """
 import os, sys
-from lpsubsel import _parse_helper, cli
+from lpsubsel import cli, _parse_helper
 _parse_helper._idle_cpu = lambda: True
 fork = os.fork
 def recording_fork():
@@ -929,7 +931,8 @@ def test_the_cli_on_a_large_csv_leaves_no_helper(tmp_path, monkeypatch, fault):
         expected = f"error: {exc}\n"
     assert bool(expected) == bool(fault)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREADS}
+    env["PYTHONPATH"] = src
     forked = tmp_path / "forked"
     # a session of its own, so that any process the CLI leaves is found by group
     proc = subprocess.Popen([sys.executable, "-c", _FORKING_CLI, str(forked), "--input", path,
@@ -1023,13 +1026,18 @@ def test_the_callers_array_stays_writeable(name):
 
 # The CLI never shows a traceback: on any small CSV and any flags it exits
 # 0, 2 or 3. t, l, m and the repetitions are capped so that each run is
-# quick. Three runs in four get valid flags only, so that most reach the
-# passes; p reaches 300 and cells 1e308, so that weights and their totals
-# overflow.
+# quick. Three runs in four get valid flags only, with k <= d, so that most
+# reach the passes; p reaches 300 and cells 1e308, so that weights and their
+# totals overflow. Half the files parse, and most of those hold modest or
+# tiny numbers, so that many runs exit 0 and their reports are checked; the
+# square of a tiny cell is subnormal.
 _NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                      st.integers(-3, 3).map(str),
                      st.sampled_from(["1e-300", "1e300", "1e160", "-2e155", "1e103", "-0.0",
                                       " 2.5 "]))
+_MODEST = st.one_of(st.floats(-100, 100).map(repr), st.integers(-3, 3).map(str),
+                    st.sampled_from(["3e-160", "1e-300", "-0.0"]))
+_TINY = st.sampled_from(["3e-160", "-2e-158", "1e-155", "1e-150", "0"])
 _CELLS = st.one_of(_NUMBERS, st.sampled_from(["nan", "inf", "-inf", "1e400", "", " ", "x",
                                               "\x1c1.5", "2.5\x1c", "\x1c"]))
 _FLAGS = {  # flag: (valid values, invalid ones)
@@ -1050,25 +1058,103 @@ _FLAGS = {  # flag: (valid values, invalid ones)
 def _cli_runs(draw):
     """(file bytes, argv without --input and --out) of one CLI run."""
     d, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
-    cells = _NUMBERS if draw(st.booleans()) else _CELLS
-    ragged = draw(st.integers(0, 4)) == 0
+    parses = draw(st.booleans())  # numbers only, one width, a BOM only before a header
+    cells = draw(st.sampled_from([_MODEST, _TINY, _NUMBERS] if parses else [_NUMBERS, _CELLS]))
+    ragged = not parses and draw(st.integers(0, 4)) == 0
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     header = draw(st.booleans())
     lines = [",".join("abcdef"[:d])] if header else []
     for _ in range(n):
         width = draw(st.integers(1, 6)) if ragged else d
         lines.append(",".join(draw(st.lists(cells, min_size=width, max_size=width))))
-    text = ("\ufeff" if draw(st.booleans()) else "") + end.join(lines) + end
+    bom = draw(st.booleans()) and (header or not parses)
+    text = ("\ufeff" if bom else "") + end.join(lines) + end
     valid = draw(st.integers(0, 3)) > 0
     argv = ["--seed", str(draw(st.integers(0, 2**32)))] + (["--header"] if header else [])
     for flag, (good, bad) in _FLAGS.items():
+        good = good[:d] if valid and flag == "--k" else good
         argv += [flag, draw(st.sampled_from(list(good) + ([] if valid else bad)))]
     return text.encode("utf-8"), argv
+
+
+def _parsed_csv(data, header):
+    """The rows of a CSV the CLI read through, parsed with float() as its
+    reference parser does: LF, CRLF and CR end lines, blank lines are
+    skipped, and a header is the first line."""
+    lines = re.split(r"\r\n|\r|\n", data.decode("utf-8"))[int(header):]
+    return np.array([[float(c) for c in line.strip().split(",")]
+                     for line in lines if line.strip()])
+
+
+def _span_err_root(X, members, p):
+    """(sum_x d(x, span X[members])^p)^(1/p). The members grow an
+    orthonormal basis in turn by Gram-Schmidt, twice over; as in
+    `extended_many`, a residual adds a direction only if it is above 1e-10
+    of its row's norm and its squared norm is a normal float. X is scaled
+    by its largest magnitude and the distances by the largest, so no square
+    or power overflows."""
+    scale = np.abs(X).max()
+    X = X / scale
+    Q = np.zeros((0, X.shape[1]))
+    for v in X[members]:
+        r = v - (v @ Q.T) @ Q
+        r -= (r @ Q.T) @ Q
+        norm_r = np.linalg.norm(r)
+        if norm_r > 1e-10 * np.linalg.norm(v) and norm_r >= math.sqrt(np.finfo(float).tiny) / scale:
+            Q = np.vstack([Q, r / norm_r])
+    dist = np.linalg.norm(X - (X @ Q.T) @ Q, axis=1)
+    top = dist.max()
+    return 0.0 if top == 0 else scale * top * float(np.sum((dist / top) ** p)) ** (1 / p)
+
+
+def _report_fields(text, form):
+    """A report's fields by name. A CSV report's numbers are parsed back
+    and its members split; the other fields are left out."""
+    if form == "json":
+        return json.loads(text)
+    fields = dict(zip(*(line.split(",") for line in text.splitlines())))
+    report = {k: None if v == "None" else float(v) for k, v in fields.items()
+              if k in ("n", "d") or k.endswith(("_err", "_err_root", "_passes"))}
+    report["selected_members"] = [int(i) for i in fields["selected_members"].split(";") if i]
+    return report
+
+
+def _check_report(report, data, argv):
+    """The promises a report makes, checked against a numpy recomputation."""
+    valued = [a for a in argv if a != "--header"]
+    flags = dict(zip(valued[::2], valued[1::2]))
+    algo, p, l = flags["--algo"], float(flags["--p"]), int(flags["--l"])
+    X = _parsed_csv(data, "--header" in argv)
+    n = report["n"]
+    assert X.shape == (n, report["d"])
+    members = report["selected_members"]
+    assert all(0 <= i < n for i in members)
+    if algo != "squared-length":  # squared-length keeps duplicate draws
+        assert len(set(members)) == len(members)
+    if algo == "exact-adaptive":
+        assert report["selection_passes"] <= l
+    else:
+        assert report["selection_passes"] == (int(l > 0) if algo == "mcmc-one-pass" else 1)
+    assert report["evaluation_passes"] == 1
+    assert report["final_err"] <= report["empty_err"]
+    if p == 2:
+        assert report["k_in_span_err"] >= report["final_err"]
+        if flags["--oracle"] == "svd":  # equal where the span holds the optimum
+            assert report["k_in_span_err"] >= report["oracle_err"] - 1e-12 * report["empty_err"]
+    # below the least normal float, a square or a p-th power is rounded to a
+    # multiple of the least subnormal one, `sub`, or to 0: that moves each
+    # distance by at most sqrt(d * sub) and the sum by (n + d) * d * sub, so
+    # the root by at most `lost` (ROADMAP item 5)
+    d, sub = X.shape[1], np.finfo(float).smallest_subnormal
+    lost = ((n + d) * d * sub) ** (1 / p) + n ** (1 / p) * math.sqrt(d * sub)
+    recomputed = _span_err_root(X, members, p)
+    assert abs(report["final_err_root"] - recomputed) <= 1e-6 * report["empty_err_root"] + lost
 
 
 @settings(max_examples=250, deadline=None)
 @given(_cli_runs())
 def test_the_cli_never_shows_a_traceback(tmp_path_factory, run):
+    # and on exit 0, the report keeps its promises
     data, argv = run
     base = tmp_path_factory.getbasetemp()
     path, out = base / "fuzzed.csv", base / "fuzzed-report"
@@ -1080,3 +1166,6 @@ def test_the_cli_never_shows_a_traceback(tmp_path_factory, run):
     assert code in (0, 2, 3)
     assert "Traceback" not in stderr.getvalue()
     assert out.exists() == (code == 0)
+    if code == 0:
+        form = argv[argv.index("--report") + 1]
+        _check_report(_report_fields(out.read_text(encoding="utf-8"), form), data, argv)

@@ -1,19 +1,97 @@
-"""The package's public surface: its export list and the README's example."""
+"""The package's public surface: its lazy export list, the CLI's BLAS thread
+setting, and the README's example. Each import check runs in a fresh
+interpreter, since this one has loaded numpy and every module already."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
-
-import lpsubsel
+import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh(code, **env):
+    """Run `code` in a fresh interpreter whose environment sets none of the
+    BLAS thread variables but those in `env`; fail on a nonzero exit."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(base, PYTHONPATH=str(SRC), **env), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_importing_the_package_loads_no_numpy():
+    _fresh("import sys, lpsubsel\n"
+           "assert 'numpy' not in sys.modules, sorted(sys.modules)")
 
 
 def test_every_export_resolves_once():
-    names = lpsubsel.__all__
-    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
-    assert [n for n in names if not hasattr(lpsubsel, n)] == []
+    # each name once, and each resolves to the object its module defines
+    _fresh("""
+import importlib, lpsubsel
+names = lpsubsel.__all__
+assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+assert set(names) == {"__version__", *lpsubsel._MODULE_OF}
+for module, exported in lpsubsel._EXPORTS.items():
+    defined = vars(importlib.import_module(f"lpsubsel.{module}"))
+    for name in exported:
+        obj = getattr(lpsubsel, name)
+        assert obj is defined[name], name
+        assert getattr(obj, "__module__", f"lpsubsel.{module}") == f"lpsubsel.{module}", name
+assert set(names) <= set(dir(lpsubsel))
+""")
+
+
+def test_an_unknown_name_raises():
+    _fresh("""
+import lpsubsel
+try:
+    lpsubsel.nope
+except AttributeError as exc:
+    assert "nope" in str(exc)
+else:
+    raise SystemExit("lpsubsel.nope resolved")
+try:
+    from lpsubsel import nope
+except ImportError:
+    pass
+else:
+    raise SystemExit("from lpsubsel import nope resolved")
+""")
+
+
+def test_a_star_import_binds_every_export():
+    _fresh("""
+import lpsubsel
+namespace = {}
+exec("from lpsubsel import *", namespace)
+assert [n for n in lpsubsel.__all__ if n not in namespace] == []
+""")
+
+
+_REPORT_BLAS = ("import os, sys\nimport lpsubsel.cli\n"
+                "print([os.environ.get(v) for v in lpsubsel.cli._BLAS_THREADS])\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc/self/task is Linux's")
+def test_the_cli_runs_one_blas_thread_by_default():
+    out = _fresh(_REPORT_BLAS + "assert 'numpy' in sys.modules\n"
+                 "print(len(os.listdir('/proc/self/task')))")
+    assert out.split("\n")[:2] == ["['1', '1', '1']", "1"]
+
+
+def test_the_cli_keeps_a_blas_thread_count_the_environment_sets():
+    assert _fresh(_REPORT_BLAS, OMP_NUM_THREADS="2") == "[None, '2', None]\n"
+
+
+def test_the_cli_keeps_the_environment_of_a_process_that_loaded_numpy():
+    assert _fresh("import numpy\n" + _REPORT_BLAS) == "[None, None, None]\n"
 
 
 def test_readme_library_example_runs_as_printed(tmp_path, monkeypatch, capsys):
