@@ -151,10 +151,9 @@ class _ParseHelper:
     rows, or, for a claimed block, once the helper's answer for it is in:
     the helper may still be writing into it until then. The parent never
     waits for an answer, so a stopped, killed or slow helper only costs
-    the parent the blocks it parses itself. Once the helper has missed its
-    turn more than 2 * `_HELPER_SLOTS` times more often than it made it,
-    it is `retired`, and the parent hands it nothing more: a helper that
-    gets no CPU of its own could only take the parent's. `stop` closes the
+    the parent the blocks it parses itself, and since only an answer
+    frees a slot, a helper that stops answering holds every slot within
+    `_HELPER_SLOTS` blocks and is offered nothing more. `stop` closes the
     pipes, kills and reaps the helper, and closes the ring.
     """
 
@@ -167,8 +166,6 @@ class _ParseHelper:
         self._sizes = [0] * _HELPER_SLOTS
         self._answers = {}   # slot -> row count the helper sent, not yet taken
         self._orphans = set()  # slots the parent claimed, still unanswered
-        self._taken = self._missed = 0  # helper blocks whose rows were back, or not
-        self.retired = False  # offered nothing more: it missed too many turns, or exited
         self.ring = mmap.mmap(-1, _ring_bytes(d, block_bytes))
         fds = []
         try:
@@ -234,10 +231,8 @@ class _ParseHelper:
 
     def send(self, data, first_line):
         """Hand the helper a block's bytes, first at line `first_line`;
-        returns its slot, or None when no slot is free, the helper has
-        exited, or it has missed too many turns (see the class)."""
-        if self.retired:
-            return None
+        returns its slot, or None when no slot is free or the helper has
+        exited."""
         if not self._free:
             self._collect()
             if not self._free:
@@ -249,7 +244,6 @@ class _ParseHelper:
         try:
             os.write(self._tasks, _TASK.pack(slot, len(data), first_line))
         except BrokenPipeError:  # the helper has exited: no slot frees again
-            self.retired = True
             return None
         self._sizes[slot] = len(data)
         return slot
@@ -265,13 +259,10 @@ class _ParseHelper:
             if count is None:
                 self.ring[self._claims + slot] = 1
                 self._orphans.add(slot)
-                self._missed += 1
-                self.retired |= self._missed > self._taken + 2 * _HELPER_SLOTS
             else:
                 self._free.append(slot)
             return _csv_block(self.ring[base:base + self._sizes[slot]], first_line, self.d)
         self._free.append(slot)
-        self._taken += 1
         offset = base + self._block_bytes
         return np.frombuffer(self.ring, np.float64, count * self.d, offset).reshape(
             count, self.d).copy()

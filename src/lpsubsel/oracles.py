@@ -170,7 +170,8 @@ def _brute_force_guard(n, k):
 
 
 def brute_force_candidate_err(X, k, p):
-    """Minimum err_p over the spans of all k-subsets of X.
+    """Minimum err_p over the spans of all k-subsets of X, or the span of
+    all of X when it has fewer than k points.
 
     The optimal subspace does at least as well as every candidate span, so
     this is a valid stand-in upper bound for err_p(X, V*) when p != 2.
@@ -181,7 +182,7 @@ def brute_force_candidate_err(X, k, p):
         raise InputError(f"k must be >= 1, got {k}")
     best = np.inf
     empty = SubsetBasis.empty(X.d)
-    for subset in itertools.combinations(range(X.n), k):
+    for subset in itertools.combinations(range(X.n), min(k, X.n)):
         basis = empty.extended_many(subset, X.points[list(subset)])
         best = min(best, err_p(X, basis, p))
     return float(best)

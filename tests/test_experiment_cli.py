@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -1141,14 +1142,30 @@ def _check_report(report, data, argv):
         assert report["k_in_span_err"] >= report["final_err"]
         if flags["--oracle"] == "svd":  # equal where the span holds the optimum
             assert report["k_in_span_err"] >= report["oracle_err"] - 1e-12 * report["empty_err"]
-    # below the least normal float, a square or a p-th power is rounded to a
-    # multiple of the least subnormal one, `sub`, or to 0: that moves each
-    # distance by at most sqrt(d * sub) and the sum by (n + d) * d * sub, so
-    # the root by at most `lost` (ROADMAP item 5)
-    d, sub = X.shape[1], np.finfo(float).smallest_subnormal
-    lost = ((n + d) * d * sub) ** (1 / p) + n ** (1 / p) * math.sqrt(d * sub)
     recomputed = _span_err_root(X, members, p)
-    assert abs(report["final_err_root"] - recomputed) <= 1e-6 * report["empty_err_root"] + lost
+    assert abs(report["final_err_root"] - recomputed) <= _slack(report, X, p)
+    k = int(flags["--k"])
+    if flags["--oracle"] == "svd":  # the singular values beyond k
+        scale = np.abs(X).max()
+        s = np.linalg.svd(X / scale, compute_uv=False)
+        recomputed = scale * float(np.linalg.norm(s[k:]))
+        assert abs(report["oracle_err_root"] - recomputed) <= _slack(report, X, 2)
+    elif flags["--oracle"] == "bruteforce":  # the best span of k rows, or of all
+        recomputed = min(_span_err_root(X, list(subset), p)
+                         for subset in itertools.combinations(range(len(X)), min(k, len(X))))
+        assert abs(report["oracle_err_root"] - recomputed) <= _slack(report, X, p)
+
+
+def _slack(report, X, p):
+    """How far a reported error root at p may be from its recomputation:
+    1e-6 of the empty span's, plus `lost`. Below the least normal float, a
+    square or a p-th power is rounded to a multiple of the least subnormal
+    one, `sub`, or to 0: that moves each distance by at most sqrt(d * sub)
+    and the sum by (n + d) * d * sub, so the root by at most `lost`
+    (ROADMAP item 5)."""
+    (n, d), sub = X.shape, np.finfo(float).smallest_subnormal
+    lost = ((n + d) * d * sub) ** (1 / p) + n ** (1 / p) * math.sqrt(d * sub)
+    return 1e-6 * report["empty_err_root"] + lost
 
 
 @settings(max_examples=250, deadline=None)

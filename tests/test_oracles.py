@@ -81,6 +81,12 @@ def test_brute_force_low_rank_is_zero():
     assert brute_force_candidate_err(X, 2, 1.5) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_brute_force_with_fewer_points_than_k_takes_them_all():
+    # no k-subset exists; the span of every point leaves no error
+    X = PointSet(np.random.default_rng(5).standard_normal((2, 4)))
+    assert brute_force_candidate_err(X, 3, 1.0) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_brute_force_guards():
     rng = np.random.default_rng(3)
     with pytest.raises(GuardError):

@@ -94,6 +94,27 @@ def test_the_cli_keeps_the_environment_of_a_process_that_loaded_numpy():
     assert _fresh("import numpy\n" + _REPORT_BLAS) == "[None, None, None]\n"
 
 
+def test_runs_that_fork_no_helper_never_load_it(tmp_path):
+    # the parse helper's module loads only for a file large enough that a
+    # pass may fork it; loading it costs a run time and memory
+    path, out = tmp_path / "small.csv", tmp_path / "report"
+    np.savetxt(path, np.random.default_rng(5).standard_normal((300, 4)), delimiter=",")
+    _fresh(f"""
+import sys
+import lpsubsel.cli
+import numpy as np
+from lpsubsel import stream
+from lpsubsel.experiment import ExperimentSpec, run_experiment
+assert {path.stat().st_size} < stream._HELPER_MIN_BYTES
+X = np.random.default_rng(6).standard_normal((300, 4))
+run_experiment(ExperimentSpec(input=X, k=2, t=3, seed=0))
+assert lpsubsel.cli.main(["--input", {str(path)!r}, "--out", {str(out)!r}, "--k", "2",
+                          "--t", "3"]) == 0
+assert "lpsubsel._parse_helper" not in sys.modules
+""")
+    assert out.exists()
+
+
 def test_readme_library_example_runs_as_printed(tmp_path, monkeypatch, capsys):
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     X = np.random.default_rng(3).standard_normal((60, 4))

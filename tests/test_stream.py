@@ -685,50 +685,34 @@ def test_the_helper_parses_blocks_a_slow_consumer_has_not_reached(tmp_path, monk
 
 
 @needs_fork
-def test_a_helper_that_keeps_missing_its_turn_gets_no_more_blocks(tmp_path, monkeypatch,
-                                                                  helpers):
-    # a helper five times slower than the parent: the parent claims most of
-    # the blocks it offers it, and once the helper has missed its turn
-    # 2 * _HELPER_SLOTS times more often than it made it, it is retired.
-    # Until then every block is offered a slot when one is free; after it,
-    # none is
-    blocks = 100
-    X = np.random.default_rng(44).standard_normal((blocks * _BLOCK_ROWS, 4))
+def test_a_helper_that_stops_answering_is_offered_at_most_its_slots(tmp_path, monkeypatch,
+                                                                    helpers):
+    # only an answer frees a slot, so once the helper is stopped at most
+    # _HELPER_SLOTS more blocks find one, and the parent parses the rest
+    slots = _parse_helper._HELPER_SLOTS
+    X = np.random.default_rng(44).standard_normal((6 * slots * _BLOCK_ROWS, 4))
     path = _write(tmp_path, "".join(",".join(map(repr, row)) + "\n" for row in X.tolist()))
     src = open_csv(path)
     expected = _serial_outcome(monkeypatch, src)[0]
-    parent, csv_block = os.getpid(), _parse_helper._csv_block
-
-    def slow_in_the_helper(*args):
-        if os.getpid() != parent:
-            time.sleep(0.05)
-        return csv_block(*args)
-
-    monkeypatch.setattr(_parse_helper, "_csv_block", slow_in_the_helper)
-    sent, helper = [], []  # (retired before the offer, slot given, slots still free)
+    sent, stopped = [], []  # (stopped before the offer, slot given)
     send = _parse_helper._ParseHelper.send
 
     def recording_send(self, *args):
-        helper[:] = [self]
-        retired = self.retired
         slot = send(self, *args)
-        sent.append((retired, slot, len(self._free)))
+        sent.append((bool(stopped), slot))
         return slot
 
     monkeypatch.setattr(_parse_helper._ParseHelper, "send", recording_send)
-    rows = []
-    for i, row in enumerate(src.iterate_once("selection")):
-        if i % _BLOCK_ROWS == 0:
-            time.sleep(0.01)
-        rows.append(row.tobytes())
-    assert b"".join(rows) == expected
-    assert helper[0].retired
-    assert helper[0]._missed > helper[0]._taken + 2 * _parse_helper._HELPER_SLOTS
-    assert len(sent) == blocks
-    cut = [retired for retired, _, _ in sent].index(True)
-    assert 0 < cut < blocks - blocks // 4
-    assert all(slot is not None or free == 0 for _, slot, free in sent[:cut])
-    assert all(retired and slot is None for retired, slot, _ in sent[cut:])
+    it = src.iterate_once("selection")
+    first = next(it).tobytes()
+    os.kill(helpers[0], signal.SIGSTOP)
+    stopped.append(True)
+    rest = b"".join(row.tobytes() for row in it)
+    assert first + rest == expected
+    after = [slot for was_stopped, slot in sent if was_stopped]
+    assert len(sent) == 6 * slots and len(after) == 5 * slots
+    assert sum(slot is not None for slot in after) <= slots
+    assert len(helpers) == 1
     _assert_reaped(helpers)
 
 
@@ -850,7 +834,6 @@ def test_the_helper_skips_a_block_the_parent_claimed(tmp_path, monkeypatch, help
     finally:
         helper.stop()
     assert parsed() == [firsts[0], firsts[4], firsts[3]]
-    assert (helper._taken, helper._missed) == (3, 2)
     for got, i in zip(rows, (1, 2, 0, 3, 4)):
         assert got.tobytes() == stream._csv_block(blocks[i], firsts[i], 4).tobytes()
     _assert_reaped(helpers)
@@ -881,6 +864,42 @@ def test_no_helper_outlives_its_pass(tmp_path, monkeypatch, helpers, how):
             assert first + rest == expected[0]
     assert len(helpers) == 1 and _resources() == before
     _assert_reaped(helpers)
+
+
+@needs_fork
+@pytest.mark.parametrize("fails", ["first_pipe", "second_pipe", "fork", "ring"])
+def test_a_helper_that_cannot_start_leaves_the_pass_serial(tmp_path, monkeypatch, helpers,
+                                                           fails):
+    # the pipes and the ring made before the failure are closed, and the
+    # pass runs the serial loop
+    src = open_csv(_write(tmp_path, _helper_text()))
+    expected = _serial_outcome(monkeypatch, src)
+    before = _resources()
+    error = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    pipe, real_mmap, pipes = os.pipe, mmap.mmap, []
+
+    def failing_pipe():
+        pipes.append(None)
+        if len(pipes) == {"first_pipe": 1, "second_pipe": 2}.get(fails):
+            raise error
+        return pipe()
+
+    def failing_fork():
+        raise error
+
+    def failing_ring(fileno, length, *args, **kwargs):
+        if fileno == -1 and kwargs.get("flags", mmap.MAP_SHARED) == mmap.MAP_SHARED:
+            raise error
+        return real_mmap(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(os, "pipe", failing_pipe)
+    if fails == "fork":
+        monkeypatch.setattr(os, "fork", failing_fork)
+    elif fails == "ring":
+        monkeypatch.setattr(mmap, "mmap", failing_ring)
+    assert _outcome(src) == expected and expected[1] is None
+    assert helpers == [] and _resources() == before
+    assert len(pipes) == {"first_pipe": 1, "second_pipe": 2, "fork": 2, "ring": 0}[fails]
 
 
 @needs_fork
