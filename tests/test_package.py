@@ -112,7 +112,6 @@ assert lpsubsel.cli.main(["--input", {str(path)!r}, "--out", {str(out)!r}, "--k"
                           "--t", "3"]) == 0
 assert "lpsubsel._parse_helper" not in sys.modules
 """)
-    assert out.exists()
 
 
 def test_readme_library_example_runs_as_printed(tmp_path, monkeypatch, capsys):

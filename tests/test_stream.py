@@ -694,22 +694,20 @@ def test_a_helper_that_stops_answering_is_offered_at_most_its_slots(tmp_path, mo
     path = _write(tmp_path, "".join(",".join(map(repr, row)) + "\n" for row in X.tolist()))
     src = open_csv(path)
     expected = _serial_outcome(monkeypatch, src)[0]
-    sent, stopped = [], []  # (stopped before the offer, slot given)
-    send = _parse_helper._ParseHelper.send
+    sent, send = [], _parse_helper._ParseHelper.send  # the slots given, or None
 
     def recording_send(self, *args):
-        slot = send(self, *args)
-        sent.append((bool(stopped), slot))
-        return slot
+        sent.append(send(self, *args))
+        return sent[-1]
 
     monkeypatch.setattr(_parse_helper._ParseHelper, "send", recording_send)
     it = src.iterate_once("selection")
     first = next(it).tobytes()
     os.kill(helpers[0], signal.SIGSTOP)
-    stopped.append(True)
+    at_stop = len(sent)
     rest = b"".join(row.tobytes() for row in it)
     assert first + rest == expected
-    after = [slot for was_stopped, slot in sent if was_stopped]
+    after = sent[at_stop:]
     assert len(sent) == 6 * slots and len(after) == 5 * slots
     assert sum(slot is not None for slot in after) <= slots
     assert len(helpers) == 1
@@ -876,27 +874,19 @@ def test_a_helper_that_cannot_start_leaves_the_pass_serial(tmp_path, monkeypatch
     expected = _serial_outcome(monkeypatch, src)
     before = _resources()
     error = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-    pipe, real_mmap, pipes = os.pipe, mmap.mmap, []
+    pipe, pipes = os.pipe, []
 
-    def failing_pipe():
+    def counted_pipe():
         pipes.append(None)
         if len(pipes) == {"first_pipe": 1, "second_pipe": 2}.get(fails):
             raise error
         return pipe()
 
-    def failing_fork():
-        raise error
-
-    def failing_ring(fileno, length, *args, **kwargs):
-        if fileno == -1 and kwargs.get("flags", mmap.MAP_SHARED) == mmap.MAP_SHARED:
-            raise error
-        return real_mmap(fileno, length, *args, **kwargs)
-
-    monkeypatch.setattr(os, "pipe", failing_pipe)
+    monkeypatch.setattr(os, "pipe", counted_pipe)
     if fails == "fork":
-        monkeypatch.setattr(os, "fork", failing_fork)
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=error))
     elif fails == "ring":
-        monkeypatch.setattr(mmap, "mmap", failing_ring)
+        monkeypatch.setattr(mmap, "mmap", mock.Mock(side_effect=error))
     assert _outcome(src) == expected and expected[1] is None
     assert helpers == [] and _resources() == before
     assert len(pipes) == {"first_pipe": 1, "second_pipe": 2, "fork": 2, "ring": 0}[fails]
