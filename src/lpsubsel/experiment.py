@@ -233,7 +233,11 @@ def _memory_guard(algorithm, config, source):
     the arrays they last grew from, or the pool's copy of its held rows.
     The arrays double from `_FIRST_ROWS` rows toward the store's room,
     `proposal._store_rows`, and hold at most n rows, so they reach
-    min(room, max(`_FIRST_ROWS`, 2n)) rows.
+    min(room, max(`_FIRST_ROWS`, 2n)) rows. The walk phase runs once the
+    pass's arrays are freed and is charged nothing more: beside the pool
+    it holds a few floats a held row or slot and one gathered chunk of at
+    most min(held rows, CHUNK_ROWS) rows of d floats, within the second
+    count of rows and the slots' bytes.
 
     Exact-adaptive keeps about four n-vectors: its weights, the rows' span
     floor, `rng.choice`'s cumulative sum of the weights, and (under one

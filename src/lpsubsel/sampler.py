@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import GuardError, InputError, ParameterError, readable
-from .geometry import RANK_TOLERANCE, SubsetBasis, check_p
+from .geometry import CHUNK_ROWS, RANK_TOLERANCE, SubsetBasis, check_p
 from .proposal import draw_mixture_pool, open_unit
 
 # Named RNG stream tags: pool pass, each round's walk variates, baseline draws.
@@ -176,11 +176,15 @@ def one_pass_adaptive_sample(source, config, timings=None):
     its current subset and keeps only each walk's final point. Walks within
     a round all see the basis frozen at the round start, so each round
     scores d(x, span S)^p once per distinct row its slots drew, not once
-    per slot. A repetition stops at rank d, and after a round whose picks
-    added no direction it stops if no pool row's distance exceeds half
-    RANK_TOLERANCE times its norm, as exact-adaptive does: walks land only
-    on pool rows, so no later pick could grow the span. Returns one
-    SubsetBasis per repetition (duplicate picks collapse).
+    per slot. It gathers those rows into one reused buffer a CHUNK_ROWS
+    chunk at a time, so beyond the pool the walk phase holds a score and a
+    flag a held row and at most CHUNK_ROWS rows of d floats. The chunks are
+    those `SubsetBasis.distances` scores in, so every score equals that of
+    one call on all the round's rows. A repetition stops at rank d, and
+    after a round whose picks added no direction it stops if no pool row's
+    distance exceeds half RANK_TOLERANCE times its norm, as exact-adaptive
+    does: walks land only on pool rows, so no later pick could grow the
+    span. Returns one SubsetBasis per repetition (duplicate picks collapse).
 
     If `timings` is a dict it receives the wall-clock split between the
     streaming pass and the walk phase.
@@ -203,10 +207,12 @@ def one_pass_adaptive_sample(source, config, timings=None):
     width = config.m + 1
     block = config.t * width
     finals = np.empty(config.t, dtype=np.intp)
-    # held across rounds, so the walk phase allocates no per-round gather
+    # held across rounds, so the walk phase allocates no per-round gather;
+    # a round gathers its distinct rows one CHUNK_ROWS chunk at a time,
+    # the chunks `SubsetBasis.distances` would score them in anyway
     drawn = np.empty(len(pool.rows), dtype=bool)
     scores = np.empty(len(pool.rows))
-    gathered = np.empty((min(len(pool.rows), block), d))
+    gathered = np.empty((min(len(pool.rows), block, CHUNK_ROWS), d))
     floor = None  # each pool row's span floor, scored when first needed
     bases = []
     for rep in range(reps):
@@ -235,9 +241,11 @@ def one_pass_adaptive_sample(source, config, timings=None):
             drawn.fill(False)
             drawn[slot_rows] = True
             picked = np.flatnonzero(drawn)
-            # in range by construction; "clip" spares take's buffered `out` copy
-            rows = np.take(pool.rows, picked, axis=0, out=gathered[:len(picked)], mode="clip")
-            scores[drawn] = basis.distances(rows) ** config.p
+            for start in range(0, len(picked), CHUNK_ROWS):
+                part = picked[start:start + CHUNK_ROWS]
+                # in range by construction; "clip" spares take's buffered `out` copy
+                rows = np.take(pool.rows, part, axis=0, out=gathered[:len(part)], mode="clip")
+                scores[part] = basis.distances(rows) ** config.p
             dist_pow = scores[slot_rows].reshape(config.t, width)
             qmat = pool.row_qmass[slot_rows].reshape(config.t, width)
             variates = open_unit(walk_rng(config.seed, rep, rnd), (config.t, config.m))

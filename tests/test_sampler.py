@@ -8,9 +8,10 @@ from lpsubsel import (DatasetSource, InputError, ParameterError, PointSet, Sampl
                       one_pass_adaptive_sample, open_csv, open_unit, theorem_params,
                       tv_distance)
 from lpsubsel import _kernels, sampler
+from lpsubsel.geometry import CHUNK_ROWS
 from lpsubsel.sampler import pool_rng, walk_rng
 
-from helpers import acceptance_ratio, basis_from, random_walk
+from helpers import acceptance_ratio, basis_from, peak_traced_bytes, random_walk
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.5, 0.5], [-2.0, 1.0]])
@@ -372,3 +373,55 @@ def test_walk_rounds_score_each_distinct_row_once(monkeypatch):
     for rnd, rows in enumerate(scored):
         distinct = len(np.unique(pool.row_of[rnd * block:(rnd + 1) * block]))
         assert rows == distinct <= len(pool.rows) < block
+
+
+def _wide_rounds(monkeypatch):
+    """A pool whose rounds each draw over 2 * CHUNK_ROWS distinct rows of
+    d = 64, drawn before the call and handed to the sampler."""
+    X = _lognormal_low_rank(6000, 64, 7)
+    config = SamplerConfig(k=3, p=2.0, delta=0.5, epsilon=0.125, epsilon1=0.1,
+                           epsilon2=0.01, m=800, t=8, l=3, repetitions=1, seed=8)
+    pool = draw_mixture_pool(iter(X), config.p, config.pool_size, pool_rng(config.seed))
+    monkeypatch.setattr(sampler, "draw_mixture_pool", lambda *args: pool)
+    block = config.t * (config.m + 1)
+    for rnd in range(config.l):
+        assert len(np.unique(pool.row_of[rnd * block:(rnd + 1) * block])) > 2 * CHUNK_ROWS
+    return as_source(X), config, pool
+
+
+def test_walk_rounds_gather_one_chunk_of_rows_at_a_time(monkeypatch):
+    # beyond the pool, a round holds one gathered chunk and the distance
+    # temporaries of one chunk (at most two more at this rank), however
+    # many distinct rows it drew; a buffer for all of them would not fit
+    source, config, pool = _wide_rounds(monkeypatch)
+    chunk_bytes = CHUNK_ROWS * source.d * 8
+    assert min(len(pool.rows), config.t * (config.m + 1)) * source.d * 8 > 4 * chunk_bytes
+    peak = peak_traced_bytes(lambda: one_pass_adaptive_sample(source, config))
+    assert peak < 4 * chunk_bytes
+
+
+def test_chunked_round_scores_equal_one_distances_call(monkeypatch):
+    # the scores the walks see equal one `distances` call on all the
+    # round's distinct rows, the last chunk a partial one
+    source, config, pool = _wide_rounds(monkeypatch)
+    block = config.t * (config.m + 1)
+    bases, compared = [], []
+    distances, run_walks = SubsetBasis.distances, _kernels.run_walks
+
+    def recording_distances(self, rows):
+        bases.append(self)
+        return distances(self, rows)
+
+    def checking_run_walks(dist_pow, qmass, variates, out):
+        start = len(compared) * block
+        picked, where = np.unique(pool.row_of[start:start + block], return_inverse=True)
+        assert len(picked) % CHUNK_ROWS
+        want = distances(bases[-1], pool.rows[picked]) ** config.p
+        compared.append(np.array_equal(dist_pow.reshape(-1), want[where]))
+        return run_walks(dist_pow, qmass, variates, out)
+
+    monkeypatch.setattr(SubsetBasis, "distances", recording_distances)
+    monkeypatch.setattr(_kernels, "run_walks", checking_run_walks)
+    one_pass_adaptive_sample(source, config)
+    assert compared == [True] * config.l
+    assert bases[-1].rank > 0
