@@ -1156,6 +1156,20 @@ def _check_report(report, data, argv):
         assert abs(report["oracle_err_root"] - recomputed) <= _slack(report, X, p)
 
 
+def _check_exit_2(message, data, argv):
+    """What an exit-2 message says of the input is true of it: a file said
+    to hold no rows parses to none, and where every point or distance
+    weight is called zero, the rows' empty-span error root at p is 0
+    within `_slack`, which allows for norms whose p-th powers underflow."""
+    if "n >= 1" in message or "are zero" in message:
+        X = _parsed_csv(data, "--header" in argv)
+        if "n >= 1" in message:
+            assert len(X) == 0
+        elif X.any():
+            p = float(argv[argv.index("--p") + 1])
+            assert _span_err_root(X, [], p) <= _slack({"empty_err_root": 0.0}, X, p)
+
+
 def _slack(report, X, p):
     """How far a reported error root at p may be from its recomputation:
     1e-6 of the empty span's, plus `lost`. Below the least normal float, a
@@ -1171,7 +1185,7 @@ def _slack(report, X, p):
 @settings(max_examples=250, deadline=None)
 @given(_cli_runs())
 def test_the_cli_never_shows_a_traceback(tmp_path_factory, run):
-    # and on exit 0, the report keeps its promises
+    # and on exit 0 the report keeps its promises, on exit 2 its message
     data, argv = run
     base = tmp_path_factory.getbasetemp()
     path, out = base / "fuzzed.csv", base / "fuzzed-report"
@@ -1186,3 +1200,5 @@ def test_the_cli_never_shows_a_traceback(tmp_path_factory, run):
     if code == 0:
         form = argv[argv.index("--report") + 1]
         _check_report(_report_fields(out.read_text(encoding="utf-8"), form), data, argv)
+    elif code == 2:
+        _check_exit_2(stderr.getvalue(), data, argv)
