@@ -1,9 +1,11 @@
-"""Paired benchmark runs: a parent checkout against a change.
+"""Benchmark runs of one checkout alone, or of a parent checkout against
+a change, paired.
 
 Usage, from the root of the change's checkout:
 
-    python3 tools/bench_pairs.py --parent ../parent --workload csv-tall \\
-        --pairs 10 --first-seed 2000 --out BENCH_<short-sha>.json
+    python3 tools/bench_pairs.py --parent ../parent --parent-sha <parent's SHA> \\
+        --workload csv-tall --pairs 10 --first-seed 2000 --out BENCH_<short-sha>.json
+    python3 tools/bench_pairs.py --workload pool-deep --seeds 10 --out BENCH_<short-sha>.json
 
 For each workload and each of --pairs seeds (--first-seed, --first-seed +
 1, ...), runs `python3 lpbench/run.py --workload W --seed S --seconds X
@@ -18,11 +20,16 @@ For each end-to-end metric the change's BENCHMARK.json declares, it prints
 both sides' medians and quartiles, the change's wins, losses and ties over
 the pairs by the metric's "better" direction, and whether a gain is
 resolved: wins in at least nine tenths of the pairs and medians further
-apart than the parent's quartiles. It also prints the host's CPU count,
-the Python and numpy versions and the BLAS threads the runs pinned. --out
-writes all of it, every run's values included, as one JSON file. The
-script edits no file in either checkout; lpbench writes its own results
-under each checkout's .lpbench-out/.
+apart than the parent's quartiles. Without --parent it runs the change's
+checkout alone, once a seed (--seeds is another name for --pairs), and
+prints each metric's median and quartiles: a point of the trajectory.
+It also prints the host's CPU count, the Python and numpy versions and
+the BLAS threads the runs pinned. --out writes all of it, every run's
+values and both checkouts' SHAs included, as one JSON file; a checkout
+that is no git repository, such as a `git archive` copy, has its SHA
+from --sha or --parent-sha, or else "unknown". The script edits no file
+in either checkout; lpbench writes its own results under each
+checkout's .lpbench-out/.
 """
 
 import argparse
@@ -70,20 +77,29 @@ def spread(values):
     return statistics.median(values), q1, q3
 
 
+def summary(values):
+    """One side's median, quartiles and values."""
+    median, q1, q3 = spread(values)
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
 def compare(pairs, better):
     """Summary of one metric over (parent, change) value pairs, where
     `better` is "lower" or "higher"."""
-    parent = [p for p, _ in pairs]
-    change = [c for _, c in pairs]
+    parent = summary([p for p, _ in pairs])
+    change = summary([c for _, c in pairs])
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c in pairs)
     losses = sum(sign * (c - p) > 0 for p, c in pairs)
-    (pm, p1, p3), (cm, c1, c3) = spread(parent), spread(change)
-    resolved = bool(pairs) and wins >= 0.9 * len(pairs) and sign * (pm - cm) > p3 - p1
-    return {"parent": {"median": pm, "q1": p1, "q3": p3, "values": parent},
-            "change": {"median": cm, "q1": c1, "q3": c3, "values": change},
+    resolved = bool(pairs) and wins >= 0.9 * len(pairs) and \
+        sign * (parent["median"] - change["median"]) > parent["q3"] - parent["q1"]
+    return {"parent": parent, "change": change,
             "wins": wins, "losses": losses, "ties": len(pairs) - wins - losses,
             "pairs": len(pairs), "gain_resolved": resolved}
+
+
+def _side(s):
+    return f"{s['median']:<10.5g} [{s['q1']:.5g}, {s['q3']:.5g}]"
 
 
 def declared(checkout):
@@ -106,28 +122,36 @@ def short_sha(checkout):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="the parent commit's checkout")
+    parser.add_argument("--parent", default=None,
+                        help="the parent commit's checkout (default: run the change alone)")
     parser.add_argument("--change", default=str(ROOT), help="the change's checkout")
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable; default every one)")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", "--seeds", dest="pairs", type=int, default=10,
+                        help="seeds to run, a pair or one run each")
     parser.add_argument("--first-seed", type=int, default=2000)
     parser.add_argument("--sha", default=None, help="the change's short SHA, to record")
+    parser.add_argument("--parent-sha", default=None, help="the parent's short SHA, to record")
     parser.add_argument("--out", default=None, help="write the results here as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.first_seed < 0:
         parser.error("need --pairs >= 1 and --first-seed >= 0")
+    if args.parent is None and args.parent_sha is not None:
+        parser.error("--parent-sha needs --parent")
     metrics, seconds, workloads = declared(args.change)
-    sides = {"parent": args.parent, "change": args.change}
-    results = {"change_sha": args.sha or short_sha(args.change),
-               "parent_sha": short_sha(args.parent), "nproc": os.cpu_count(),
-               "affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else None, "seconds": seconds, "workloads": {}}
+    sides = {"change": args.change}
+    results = {"change_sha": args.sha or short_sha(args.change)}
+    if args.parent is not None:
+        sides = {"parent": args.parent, **sides}
+        results["parent_sha"] = args.parent_sha or short_sha(args.parent)
+    results.update(nproc=os.cpu_count(), affinity=len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity") else None, seconds=seconds,
+                   workloads={})
     for workload in args.workload or workloads:
         runs, failures = [], []
         for i in range(args.pairs):
             seed = args.first_seed + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
             got = {}
             for side in order:
                 values, info = run_once(sides[side], workload, seed, seconds)
@@ -136,24 +160,32 @@ def main(argv=None):
                 else:
                     got[side] = values
                     results.setdefault("metadata", {})[side] = info
-            if len(got) == 2:
-                runs.append((seed, got["parent"], got["change"]))
+            if len(got) == len(sides):
+                runs.append((seed, got))
             print(f"{workload} seed {seed} ({order[0]} first): " + ", ".join(
                 f"{side} run_ref {got[side]['run_ref']:.4g}" for side in sides if side in got),
                 flush=True)
-        summary = {name: compare([(p[name], c[name]) for _, p, c in runs], better)
-                   for name, better in metrics.items()}
+        if args.parent is None:
+            table = {name: summary([got["change"][name] for _, got in runs]) for name in metrics}
+        else:
+            table = {name: compare([(got["parent"][name], got["change"][name])
+                                    for _, got in runs], better)
+                     for name, better in metrics.items()}
         results["workloads"][workload] = {
-            "seeds": [seed for seed, _, _ in runs], "failures": failures, "metrics": summary}
-        print(f"\n{workload}: {len(runs)} pairs, {len(failures)} failed runs")
+            "seeds": [seed for seed, _ in runs], "failures": failures, "metrics": table}
+        print(f"\n{workload}: {len(runs)} {'pairs' if args.parent else 'runs'}, "
+              f"{len(failures)} failed runs")
+        if not runs:
+            continue
+        if args.parent is None:
+            print(f"{'metric':14s} median [q1, q3]")
+            for name, s in table.items():
+                print(f"{name:14s} {_side(s)}")
+            continue
         print(f"{'metric':14s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} "
               f"wins/losses/ties  gain resolved")
-        for name, s in summary.items():
-            if not s["pairs"]:
-                continue
-            p, c = s["parent"], s["change"]
-            print(f"{name:14s} {p['median']:<10.5g} [{p['q1']:.5g}, {p['q3']:.5g}]"
-                  f"{'':4s} {c['median']:<10.5g} [{c['q1']:.5g}, {c['q3']:.5g}]{'':4s}"
+        for name, s in table.items():
+            print(f"{name:14s} {_side(s['parent'])}{'':4s} {_side(s['change'])}{'':4s}"
                   f" {s['wins']}/{s['losses']}/{s['ties']}{'':10s} {s['gain_resolved']}")
     info = results.get("metadata", {}).get("change", {})
     print(f"\nnproc {results['nproc']} (affinity {results['affinity']}), python "
