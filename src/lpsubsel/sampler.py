@@ -208,8 +208,7 @@ def one_pass_adaptive_sample(source, config, timings=None):
     block = config.t * width
     finals = np.empty(config.t, dtype=np.intp)
     # held across rounds, so the walk phase allocates no per-round gather;
-    # a round gathers its distinct rows one CHUNK_ROWS chunk at a time,
-    # the chunks `SubsetBasis.distances` would score them in anyway
+    # `gathered` holds one CHUNK_ROWS chunk of a round's distinct rows
     drawn = np.empty(len(pool.rows), dtype=bool)
     scores = np.empty(len(pool.rows))
     gathered = np.empty((min(len(pool.rows), block, CHUNK_ROWS), d))

@@ -47,14 +47,12 @@ def test_every_run_lasts_the_benchmark_s_run_seconds(monkeypatch, tmp_path, caps
 
 
 def _fake_runs(monkeypatch, metrics):
-    """Replace lpbench runs by fixed values: every metric reads the seed,
-    plus 100 in the checkout named "parent"."""
+    """Replace lpbench runs by fixed values: every metric reads the seed."""
     calls = []
 
     def run_once(checkout, workload, seed, run_seconds):
         calls.append((Path(checkout).name, seed))
-        value = seed + (100 if Path(checkout).name == "parent" else 0)
-        return dict.fromkeys(metrics, float(value)), {"python": "3"}
+        return dict.fromkeys(metrics, float(seed)), {"python": "3"}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     return calls
