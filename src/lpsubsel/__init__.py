@@ -20,7 +20,7 @@ _EXPORTS = {
     "errors": ["FormatError", "GuardError", "InputError", "ParameterError",
                "SourceChangedError", "StreamError"],
     "experiment": ["ExperimentSpec", "RunReport", "run_experiment"],
-    "geometry": ["RANK_TOLERANCE", "PointSet", "SubsetBasis", "err_p", "extend_basis"],
+    "geometry": ["RANK_TOLERANCE", "PointSet", "SubsetBasis", "err_p"],
     "oracles": ["DistributionTable", "OracleReport", "adaptive_distribution",
                 "brute_force_candidate_err", "exact_walk_distribution", "gamma_bound",
                 "mixture_distribution", "svd_optimal_err2", "transition_matrix",

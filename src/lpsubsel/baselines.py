@@ -20,8 +20,9 @@ def _selection_pass(src):
 
 
 def _first_draws(draws, member):
-    """The rows of `draws` that `member` (a bool n-vector) does not flag,
-    each once, in the order of its first draw; flags them."""
+    """The rows of `draws` that `member` (a bool flag a row) does not flag,
+    each once, in the order of its first draw; flags them. The one
+    first-draw rule: it sorts `_DEDUP_DRAWS` draws at a time."""
     picks = []
     for start in range(0, len(draws), _DEDUP_DRAWS):
         chunk = draws[start:start + _DEDUP_DRAWS]
@@ -91,8 +92,9 @@ def squared_length_sample(data, p, count, rng):
     (with-replacement semantics), so its rank is at most the number of
     distinct picks. It is the mixture pool's pass with no uniform slots.
     The span grows in one `extended_many` call over each drawn row once,
-    in the order of its first draw: the basis a chain over every draw
-    gives, since a repeated row adds no direction.
+    in the order of its first draw (`_first_draws`, exact-adaptive's
+    rule): the basis a chain over every draw gives, since a repeated row
+    adds no direction.
     """
     src = as_source(data)
     if count < 1:
@@ -100,6 +102,6 @@ def squared_length_sample(data, p, count, rng):
     check_p(p)
     rows, row_index, _, bank, _ = _draw_banks(
         src.iterate_once("selection"), _norm_weigher(p), count, 0, rng)
-    distinct = bank.win[np.sort(np.unique(bank.win, return_index=True)[1])]
+    distinct = _first_draws(bank.win, np.zeros(len(rows), dtype=bool))
     grown = SubsetBasis.empty(src.d).extended_many(row_index[distinct], rows[distinct])
     return SubsetBasis(row_index[bank.win], grown.basis, src.d)

@@ -1,6 +1,10 @@
 """Exact numeric kernel: point sets, incrementally grown orthonormal bases,
 and the l_p error functional sum_x d(x, span)^p.
 
+Each primitive has one path. A span grows by `SubsetBasis.extended_many`,
+whose one-row case is `extended`; distances to it, of one row (1-d) or
+many, come from `SubsetBasis.distances`; `err_p` sums their p-th powers.
+
 All arithmetic is float64; p-th powers of distances amplify rounding error,
 so 32-bit storage is not supported. Summations use numpy reductions
 (pairwise summation), which are deterministic for a fixed operand order.
@@ -46,15 +50,6 @@ def _as_matrix(points):
     if not np.isfinite(arr).all():
         raise InputError("points contain NaN or Inf coordinates")
     return arr
-
-
-def _as_vector(x, d):
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != (d,):
-        raise InputError(f"expected a vector of dimension {d}, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise InputError("vector contains NaN or Inf coordinates")
-    return v
 
 
 class PointSet:
@@ -145,13 +140,10 @@ class SubsetBasis:
         sq *= sq
         return np.sqrt(np.add.reduce(sq, axis=-1))
 
-    def distance(self, x):
-        return float(self.distances(_as_vector(x, self.d)))
-
     def extended(self, index, point):
         """New basis with `point` appended to the member list: one row of
         `extended_many`."""
-        return self.extended_many((index,), _as_vector(point, self.d)[None])
+        return self.extended_many((index,), [point])
 
     def extended_many(self, indices, points):
         """New basis with `points` appended to the member list, in order.
@@ -199,13 +191,6 @@ class SubsetBasis:
 
     def __repr__(self):
         return f"SubsetBasis(members={len(self.member_indices)}, rank={self.rank}, d={self.d})"
-
-
-def extend_basis(basis, point_index, X):
-    """Append X[point_index] to the subset, growing the basis if independent."""
-    if not (0 <= point_index < X.n):
-        raise InputError(f"point index {point_index} out of range for n={X.n}")
-    return basis.extended(point_index, X.points[point_index])
 
 
 def err_p(X, basis, p):

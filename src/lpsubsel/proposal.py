@@ -17,7 +17,8 @@ more when the pass ends, the banks merge the rows kept since their last
 merge and the store drops the rows no slot holds. So the finished pool
 keeps each drawn row once, with its stream position and q-mass: at most
 min(n, pool size) rows, however many slots draw the same row. Per slot
-it keeps only the row's position among them.
+it keeps only the row's position among them, `ProposalPool.row_of`, the
+one path to a slot's row, stream position and q-mass.
 
 The pass draws from q with the empty pivot, whose distance weight is the
 plain norm power ||x||^p. It takes the stream `_BLOCK_ROWS` rows at a
@@ -84,8 +85,8 @@ class ProposalPool:
     `rows` holds every row some slot drew, once each, so at most
     min(n, size) of them, with each row's position in the stream
     (`row_index`) and its q-mass (`row_qmass`, computed at pass end from
-    the accumulated weight total and n); slot j drew `rows[row_of[j]]`.
-    `indices` and `qmass` gather the per-slot values through `row_of`.
+    the accumulated weight total and n); slot j drew `rows[row_of[j]]`,
+    and every per-slot value is read through `row_of` the same way.
     Every q-mass must lie in [1/(2n), 1]: q's uniform component alone is
     1/(2n).
     """
@@ -102,16 +103,6 @@ class ProposalPool:
         q = self.row_qmass
         if q.size and not ((q >= lo - _MASS_TOL) & (q <= 1.0 + _MASS_TOL)).all():
             raise InputError("recorded q-mass outside [1/(2n), 1]")
-
-    @property
-    def indices(self):
-        """(size,) each slot's stream position, gathered anew."""
-        return self.row_index[self.row_of]
-
-    @property
-    def qmass(self):
-        """(size,) each slot's q-mass, gathered anew."""
-        return self.row_qmass[self.row_of]
 
     @property
     def size(self):

@@ -10,13 +10,13 @@ import tracemalloc
 
 import numpy as np
 
-from lpsubsel import RANK_TOLERANCE, InputError, PointSet, SubsetBasis, extend_basis
+from lpsubsel import RANK_TOLERANCE, InputError, PointSet, SubsetBasis
 
 
 def basis_from(X, indices):
     basis = SubsetBasis.empty(X.d)
     for idx in indices:
-        basis = extend_basis(basis, int(idx), X)
+        basis = basis.extended(int(idx), X[idx])
     return basis
 
 
@@ -81,8 +81,8 @@ def acceptance_ratio(x, y, basis, p):
     y_point, _, y_mass = y
     if x_mass <= 0.0 or y_mass <= 0.0:
         raise InputError("q-masses must be positive (mixture floor)")
-    dx = basis.distance(x_point) ** p
-    dy = basis.distance(y_point) ** p
+    dx = float(basis.distances(x_point)) ** p
+    dy = float(basis.distances(y_point)) ** p
     if dx == 0.0:
         return math.inf if dy > 0.0 else 1.0
     return (dy * x_mass) / (dx * y_mass)

@@ -227,8 +227,8 @@ def test_criterion_8_reservoir_fidelity():
     exact = MixtureWeights(p=p).masses(X)
     pool = draw_mixture_pool(iter(X.points), p, 100_000,
                              np.random.default_rng(2718))
-    floor_ok = bool((pool.qmass >= 1.0 / (2 * X.n) - 1e-15).all())
-    counts = np.bincount(pool.indices, minlength=X.n).astype(float)
+    floor_ok = bool((pool.row_qmass[pool.row_of] >= 1.0 / (2 * X.n) - 1e-15).all())
+    counts = np.bincount(pool.row_index[pool.row_of], minlength=X.n).astype(float)
     tv = tv_distance(counts / counts.sum(), exact)
     expected = exact * pool.size
     chi2 = float(((counts - expected) ** 2 / expected).sum())

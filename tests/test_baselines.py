@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,47 @@ def test_squared_length_many_draws_match_both_growth_references(rank):
     assert basis.rank == scanned.rank == chained.rank == (rank or d)
     assert chained.member_indices == basis.member_indices
     assert basis.basis.tobytes() == scanned.basis.tobytes() == chained.basis.tobytes()
+
+
+def _sixty_points_tiled():
+    # 60 points, each repeated 40 times; the 6 small ones alone leave the
+    # first five axes
+    rng = np.random.default_rng(41)
+    base = rng.standard_normal((60, 5)) @ rng.standard_normal((5, 6))
+    base[:54, 5] = 0.0
+    base[54:] *= 0.015
+    return np.tile(base, (40, 1))
+
+
+def _distinct_rows_of_rank3():
+    # 20,000 distinct rows of rank 3 in R^5, the last 8 small and off it
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((20_000, 3)) @ rng.standard_normal((3, 5))
+    X[-8:] = 0.27 * rng.standard_normal((8, 5))
+    return X
+
+
+@pytest.mark.parametrize("points, seed, digest", [
+    (_sixty_points_tiled, 43, "d630dac961dec29efd705759dda542ff43b5579f50ab70740f61e9e1bf99aa4f"),
+    (_distinct_rows_of_rank3, 44,
+     "6d9628c7ae1acbeb2ca2a14528ee646420a318cdea15a880553af288dedd26ca"),
+], ids=["many_repeats", "no_repeats"])
+def test_squared_length_dedup_past_one_dedup_chunk(points, seed, digest):
+    # 150,000 draws span three _DEDUP_DRAWS chunks, and a direction joins
+    # from a row first drawn past the first. Members and basis rows equal
+    # the span grown over the draws deduplicated in one np.unique call,
+    # and the digest recorded when squared-length deduplicated that way
+    X = points()
+    d = X.shape[1]
+    basis = squared_length_sample(X, 2.0, 150_000, np.random.default_rng(seed))
+    drawn = np.asarray(basis.member_indices)
+    first = drawn[np.sort(np.unique(drawn, return_index=True)[1])]
+    want = SubsetBasis.empty(d).extended_many(first, X[first])
+    assert basis.basis.tobytes() == want.basis.tobytes()
+    early = len(np.unique(drawn[:baselines._DEDUP_DRAWS]))
+    assert SubsetBasis.empty(d).extended_many(first[:early], X[first[:early]]).rank < basis.rank
+    recorded = hashlib.sha256(drawn.astype("<i8").tobytes() + basis.basis.astype("<f8").tobytes())
+    assert recorded.hexdigest() == digest
 
 
 @pytest.mark.parametrize("n, draws", [

@@ -1087,13 +1087,12 @@ def _parsed_csv(data, header):
                      for line in lines if line.strip()])
 
 
-def _span_err_root(X, members, p):
-    """(sum_x d(x, span X[members])^p)^(1/p). The members grow an
-    orthonormal basis in turn by Gram-Schmidt, twice over; as in
-    `extended_many`, a residual adds a direction only if it is above 1e-10
-    of its row's norm and its squared norm is a normal float. X is scaled
-    by its largest magnitude and the distances by the largest, so no square
-    or power overflows."""
+def _span_basis(X, members):
+    """(X scaled by its largest magnitude, so no square overflows; the
+    scale; an orthonormal basis Q of the scaled members' span). The members
+    grow Q in turn by Gram-Schmidt, twice over; as in `extended_many`, a
+    residual adds a direction only if it is above 1e-10 of its row's norm
+    and its squared norm, at X's own scale, is a normal float."""
     scale = np.abs(X).max()
     X = X / scale
     Q = np.zeros((0, X.shape[1]))
@@ -1103,9 +1102,26 @@ def _span_err_root(X, members, p):
         norm_r = np.linalg.norm(r)
         if norm_r > 1e-10 * np.linalg.norm(v) and norm_r >= math.sqrt(np.finfo(float).tiny) / scale:
             Q = np.vstack([Q, r / norm_r])
+    return X, scale, Q
+
+
+def _span_err_root(X, members, p):
+    """(sum_x d(x, span X[members])^p)^(1/p), the distances scaled by the
+    largest, so no power overflows."""
+    X, scale, Q = _span_basis(X, members)
     dist = np.linalg.norm(X - (X @ Q.T) @ Q, axis=1)
     top = dist.max()
     return 0.0 if top == 0 else scale * top * float(np.sum((dist / top) ** p)) ** (1 / p)
+
+
+def _k_in_span_err_root(X, members, k):
+    """err_2 root of the best k-dimensional subspace inside span X[members]:
+    the residuals off the span, and the singular values of the rows'
+    coordinates in it beyond the top k."""
+    X, scale, Q = _span_basis(X, members)
+    coords = X @ Q.T
+    beyond = np.linalg.svd(coords, compute_uv=False)[k:] if Q.size else np.zeros(0)
+    return scale * math.hypot(np.linalg.norm(X - coords @ Q), np.linalg.norm(beyond))
 
 
 def _report_fields(text, form):
@@ -1202,3 +1218,48 @@ def test_the_cli_never_shows_a_traceback(tmp_path_factory, run):
         _check_report(_report_fields(out.read_text(encoding="utf-8"), form), data, argv)
     elif code == 2:
         _check_exit_2(stderr.getvalue(), data, argv)
+
+
+@st.composite
+def _evaluated_runs(draw):
+    """(file bytes, argv) of a CLI run that reaches the evaluation pass's R
+    fold: valid cells and flags only, p = 2, the SVD oracle, and a first
+    cell that keeps the points and their weights from being all zero."""
+    d, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    cells = st.one_of(_MODEST, _TINY)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = draw(st.booleans())
+    lines = [",".join("abcdef"[:d])] if header else []
+    for _ in range(n):
+        lines.append(",".join(draw(st.lists(cells, min_size=d, max_size=d))))
+    first = draw(st.one_of(st.floats(0.5, 100), st.floats(-100, -0.5)).map(repr))
+    lines[int(header)] = ",".join([first] + lines[int(header)].split(",")[1:])
+    text = ("\ufeff" if header and draw(st.booleans()) else "") + end.join(lines) + end
+    argv = ["--seed", str(draw(st.integers(0, 2**32)))] + (["--header"] if header else [])
+    for flag, (good, _) in _FLAGS.items():
+        good = {"--k": good[:d], "--p": ["2"], "--oracle": ["svd"]}.get(flag, good)
+        argv += [flag, draw(st.sampled_from(list(good)))]
+    return text.encode("utf-8"), argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_evaluated_runs())
+def test_every_valid_p2_run_reports_errors_numpy_agrees_with(tmp_path_factory, run):
+    # every example exits 0 through the R fold, so a fault there shows
+    # whatever the Hypothesis seed: final_err, oracle_err and
+    # k_in_span_err against numpy, within the fuzz test's slack
+    data, argv = run
+    base = tmp_path_factory.getbasetemp()
+    path, out = base / "evaluated.csv", base / "evaluated-report"
+    path.write_bytes(data)
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["--input", str(path), "--out", str(out)] + argv)
+    assert code == 0, stderr.getvalue()
+    report = _report_fields(out.read_text(encoding="utf-8"), argv[argv.index("--report") + 1])
+    _check_report(report, data, argv)
+    X = _parsed_csv(data, "--header" in argv)
+    k = int(argv[argv.index("--k") + 1])
+    recomputed = _k_in_span_err_root(X, report["selected_members"], k)
+    assert abs(report["k_in_span_err_root"] - recomputed) <= _slack(report, X, 2)

@@ -6,7 +6,7 @@ import pytest
 from lpsubsel import (RANK_TOLERANCE, ExperimentSpec, InputError, MixtureWeights,
                       ParameterError, PointSet, SamplerConfig, SubsetBasis, adaptive_distribution,
                       brute_force_candidate_err, draw_mixture_pool, err_p,
-                      exact_adaptive_sample, exact_walk_distribution, extend_basis,
+                      exact_adaptive_sample, exact_walk_distribution,
                       gamma_bound, mixture_distribution, run_experiment,
                       squared_length_sample, theorem_params, transition_matrix)
 from lpsubsel.geometry import CHUNK_ROWS
@@ -14,7 +14,7 @@ from lpsubsel.geometry import CHUNK_ROWS
 from helpers import basis_from, gram_schmidt_growth, peak_traced_bytes, residual_norms
 
 _SMALL = PointSet(np.random.default_rng(71).standard_normal((12, 3)))
-_PIVOT = extend_basis(SubsetBasis.empty(3), 0, _SMALL)
+_PIVOT = SubsetBasis.empty(3).extended(0, _SMALL[0])
 _TAKES_P = {
     "err_p": lambda p: err_p(_SMALL, _PIVOT, p),
     "MixtureWeights": lambda p: MixtureWeights(p=p),
@@ -58,7 +58,7 @@ def test_every_function_that_takes_p_rejects_a_bad_one(call, p):
 
 def test_extend_normalizes_first_point():
     X = PointSet(np.array([[3.0, 0.0, 0.0]]))
-    basis = extend_basis(SubsetBasis.empty(3), 0, X)
+    basis = SubsetBasis.empty(3).extended(0, X[0])
     assert basis.rank == 1
     assert basis.member_indices == (0,)
     np.testing.assert_allclose(basis.basis[0], [1.0, 0.0, 0.0])
@@ -78,10 +78,9 @@ def test_extend_gram_schmidt_on_axis_aligned_data():
     np.testing.assert_allclose(basis.basis[1], [0.0, 1.0, 0.0], atol=1e-12)
 
 
-def test_extend_rejects_bad_index_and_nonfinite():
-    X = PointSet(np.array([[1.0, 0.0]]))
-    with pytest.raises(InputError):
-        extend_basis(SubsetBasis.empty(2), 3, X)
+def test_extend_rejects_wrong_dimension_and_nonfinite():
+    with pytest.raises(InputError, match="^expected 1 vectors of dimension 2, got shape"):
+        SubsetBasis.empty(2).extended(0, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(InputError):
         SubsetBasis.empty(2).extended(0, np.array([np.nan, 1.0]))
 
@@ -156,16 +155,13 @@ def test_a_row_whose_squared_norm_underflows_adds_no_direction():
 
 
 def test_dist_to_span_examples():
+    # one row (1-d) and rows (2-d) take the one path
     basis = SubsetBasis.empty(3).extended(0, np.array([1.0, 0.0, 0.0]))
-    assert basis.distance(np.array([1.0, 1.0, 0.0])) == pytest.approx(1.0)
-    assert basis.distance(np.array([2.5, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-8 * 2.5)
-    assert SubsetBasis.empty(2).distance(np.array([3.0, 4.0])) == pytest.approx(5.0)
-
-
-def test_dist_to_span_dimension_mismatch():
-    basis = SubsetBasis.empty(3)
-    with pytest.raises(InputError):
-        basis.distance(np.array([1.0, 2.0]))
+    assert basis.distances(np.array([1.0, 1.0, 0.0])) == pytest.approx(1.0)
+    assert basis.distances(np.array([2.5, 0.0, 0.0])) == pytest.approx(0.0, abs=1e-8 * 2.5)
+    assert SubsetBasis.empty(2).distances(np.array([3.0, 4.0])) == pytest.approx(5.0)
+    many = basis.distances(np.array([[1.0, 1.0, 0.0], [2.5, 0.0, 0.0], [0.0, 3.0, 4.0]]))
+    np.testing.assert_allclose(many, [1.0, 0.0, 5.0], atol=1e-8 * 2.5)
 
 
 def test_err_p_examples():
@@ -198,7 +194,7 @@ def test_err_monotone_under_extension(p):
     basis = SubsetBasis.empty(5)
     prev = err_p(X, basis, p)
     for idx in rng.permutation(15)[:6]:
-        basis = extend_basis(basis, int(idx), X)
+        basis = basis.extended(int(idx), X[idx])
         cur = err_p(X, basis, p)
         assert cur <= prev + 1e-9
         prev = cur
@@ -209,10 +205,10 @@ def test_dist_nonincreasing_under_extension():
     X = PointSet(rng.standard_normal((10, 4)))
     probe = rng.standard_normal(4)
     basis = SubsetBasis.empty(4)
-    prev = basis.distance(probe)
+    prev = basis.distances(probe)
     for idx in range(6):
-        basis = extend_basis(basis, idx, X)
-        cur = basis.distance(probe)
+        basis = basis.extended(idx, X[idx])
+        cur = basis.distances(probe)
         assert cur <= prev + 1e-9
         prev = cur
 
@@ -252,13 +248,13 @@ def test_orthonormality_invariant_random_sequences():
         X = PointSet(rows)
         basis = SubsetBasis.empty(d)
         for idx in rng.integers(0, n, size=n):
-            basis = extend_basis(basis, int(idx), X)
+            basis = basis.extended(int(idx), X[idx])
         gram = basis.basis @ basis.basis.T
         assert np.abs(gram - np.eye(basis.rank)).max() <= 1e-8
         assert basis.rank <= min(len(basis.member_indices), d)
         for idx in basis.member_indices:
             nrm = np.linalg.norm(X.points[idx])
-            assert basis.distance(X.points[idx]) <= 1e-8 * max(nrm, 1e-30)
+            assert basis.distances(X.points[idx]) <= 1e-8 * max(nrm, 1e-30)
 
 
 @pytest.mark.parametrize("rank", [0, 3, 6], ids=["empty", "rank3", "full_rank"])

@@ -6,7 +6,7 @@ import pytest
 
 from lpsubsel import (DistributionTable, GuardError, InputError, PointSet,
                       SubsetBasis, adaptive_distribution,
-                      brute_force_candidate_err, err_p, exact_walk_distribution, extend_basis,
+                      brute_force_candidate_err, err_p, exact_walk_distribution,
                       gamma_bound, mixture_distribution, svd_optimal_err2,
                       transition_matrix, tv_distance)
 
@@ -22,7 +22,7 @@ def test_distribution_table_validation():
 
 
 _NINE = PointSet(np.random.default_rng(5).standard_normal((9, 3)))
-_NINE_PIVOT = extend_basis(SubsetBasis.empty(3), 0, _NINE)
+_NINE_PIVOT = SubsetBasis.empty(3).extended(0, _NINE[0])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -125,7 +125,7 @@ def test_brute_force_is_the_per_index_extension_minimum(n, d, k, p):
     for subset in itertools.combinations(range(n), k):
         basis = SubsetBasis.empty(d)
         for idx in subset:
-            basis = extend_basis(basis, idx, X)
+            basis = basis.extended(idx, X[idx])
         best = min(best, err_p(X, basis, p))
     assert brute_force_candidate_err(X, k, p) == float(best)
 

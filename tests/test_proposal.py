@@ -6,7 +6,7 @@ import pytest
 
 from lpsubsel import (DistributionTable, InputError, MixtureWeights, ParameterError,
                       PointSet, SubsetBasis, _kernels, adaptive_distribution, as_source,
-                      draw_mixture_pool, extend_basis, gamma_bound, mixture_distribution,
+                      draw_mixture_pool, gamma_bound, mixture_distribution,
                       open_unit, squared_length_sample, transition_matrix, tv_distance)
 from lpsubsel import proposal
 from lpsubsel.proposal import _distance_weights, _draw_banks, _norm_weights, _running_total
@@ -58,7 +58,7 @@ def test_mixture_floor_covers_zero_vector():
 
 def test_mixture_with_pivot_subset():
     X = PointSet(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]))
-    pivot = extend_basis(SubsetBasis.empty(2), 0, X)
+    pivot = SubsetBasis.empty(2).extended(0, X[0])
     q = MixtureWeights(p=2.0, pivot=pivot).masses(X)
     # distances to span(e1): 0, 2, 1 -> squared weights 0, 4, 1
     np.testing.assert_allclose(q, [1 / 6, 0.5 * 4 / 5 + 1 / 6, 0.5 / 5 + 1 / 6])
@@ -66,7 +66,7 @@ def test_mixture_with_pivot_subset():
 
 def test_mixture_undefined_when_pivot_spans_data():
     X = PointSet(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    pivot = extend_basis(SubsetBasis.empty(2), 0, X)
+    pivot = SubsetBasis.empty(2).extended(0, X[0])
     with pytest.raises(InputError):
         MixtureWeights(p=2.0, pivot=pivot).masses(X)
 
@@ -251,19 +251,20 @@ def test_reservoir_errors():
 def test_pool_uniform_for_equal_norm_points():
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
     pool = draw_mixture_pool(_stream(rows), 2.0, 50_000, np.random.default_rng(5))
-    share = float(np.mean(pool.indices == 0))
+    share = float(np.mean(pool.row_index[pool.row_of] == 0))
     assert share == pytest.approx(0.5, abs=0.015)
-    np.testing.assert_allclose(pool.qmass, 0.5)
+    np.testing.assert_allclose(pool.row_qmass[pool.row_of], 0.5)
 
 
 def test_pool_qmass_floor_and_zero_vector_reachable():
     pool = draw_mixture_pool(_stream(SIX_POINTS), 2.0, 50_000,
                              np.random.default_rng(6))
     n = len(SIX_POINTS)
-    assert pool.qmass.min() >= 1.0 / (2 * n) - 1e-15
+    qmass, positions = pool.row_qmass[pool.row_of], pool.row_index[pool.row_of]
+    assert qmass.min() >= 1.0 / (2 * n) - 1e-15
     zero_idx = 4
-    assert (pool.indices == zero_idx).any()
-    assert pool.qmass[pool.indices == zero_idx].max() == pytest.approx(1.0 / (2 * n))
+    assert (positions == zero_idx).any()
+    assert qmass[positions == zero_idx].max() == pytest.approx(1.0 / (2 * n))
 
 
 def test_pool_matches_exact_mixture_small_n():
@@ -272,7 +273,7 @@ def test_pool_matches_exact_mixture_small_n():
     exact = MixtureWeights(p=p).masses(X)
     pool = draw_mixture_pool(_stream(SIX_POINTS), p, 100_000,
                              np.random.default_rng(7))
-    counts = np.bincount(pool.indices, minlength=X.n).astype(float)
+    counts = np.bincount(pool.row_index[pool.row_of], minlength=X.n).astype(float)
     freq = counts / counts.sum()
     assert tv_distance(freq, exact) <= 0.02
     # chi-square sanity at 3 sigma
@@ -289,7 +290,8 @@ def test_pool_slots_pairwise_independent():
                              np.random.default_rng(12))
     n = len(SIX_POINTS)
     table = np.zeros((n, n))
-    np.add.at(table, (pool.indices[0::2], pool.indices[1::2]), 1.0)
+    positions = pool.row_index[pool.row_of]
+    np.add.at(table, (positions[0::2], positions[1::2]), 1.0)
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
     chi2 = float(((table - expected) ** 2 / expected).sum())
     df = (n - 1) ** 2
@@ -306,9 +308,10 @@ def test_pool_exact_across_store_compaction():
     X = PointSet(np.vstack([np.zeros((zeros, 2)), np.column_stack([norms, np.zeros(n)])]))
     exact = MixtureWeights(p=2.0).masses(X)
     pool = draw_mixture_pool(iter(X.points), 2.0, 500, np.random.default_rng(14))
-    np.testing.assert_array_equal(pool.rows[pool.row_of], X.points[pool.indices])
-    np.testing.assert_array_equal(pool.qmass, exact[pool.indices])
-    positions = pool.indices - zeros
+    drawn = pool.row_index[pool.row_of]
+    np.testing.assert_array_equal(pool.rows[pool.row_of], X.points[drawn])
+    np.testing.assert_array_equal(pool.row_qmass[pool.row_of], exact[drawn])
+    positions = drawn - zeros
     late = positions >= n // 2
     share = exact[zeros + n // 2:].sum()
     assert late.mean() == pytest.approx(share, abs=3.0 * np.sqrt(share * (1 - share) / 500))
@@ -327,7 +330,7 @@ def test_pool_qmass_is_the_exact_q_bit_for_bit(p):
     X = PointSet(rng.lognormal(size=(2000, 1)) * rng.standard_normal((2000, 64)))
     pool = draw_mixture_pool(iter(X.points), p, 5000, np.random.default_rng(100))
     exact = MixtureWeights(p=p).masses(X)
-    assert pool.qmass.tobytes() == exact[pool.indices].tobytes()
+    assert pool.row_qmass.tobytes() == exact[pool.row_index].tobytes()
 
 
 def test_pool_consumes_exactly_one_selection_pass():
@@ -340,9 +343,9 @@ def test_pool_consumes_exactly_one_selection_pass():
 def test_pool_deterministic_for_fixed_seed():
     a = draw_mixture_pool(_stream(SIX_POINTS), 1.5, 500, np.random.default_rng(9))
     b = draw_mixture_pool(_stream(SIX_POINTS), 1.5, 500, np.random.default_rng(9))
-    np.testing.assert_array_equal(a.indices, b.indices)
+    np.testing.assert_array_equal(a.row_index[a.row_of], b.row_index[b.row_of])
     np.testing.assert_array_equal(a.rows[a.row_of], b.rows[b.row_of])
-    np.testing.assert_array_equal(a.qmass, b.qmass)
+    np.testing.assert_array_equal(a.row_qmass[a.row_of], b.row_qmass[b.row_of])
 
 
 def test_pool_rejects_degenerate_inputs():
@@ -360,7 +363,8 @@ def test_pool_rejects_degenerate_inputs():
 
 def test_pool_slot_triples():
     pool = draw_mixture_pool(_stream(SIX_POINTS), 2.0, 16, np.random.default_rng(11))
-    point, index, qmass = pool.rows[pool.row_of[3]], int(pool.indices[3]), float(pool.qmass[3])
+    slot = pool.row_of[3]
+    point, index, qmass = pool.rows[slot], int(pool.row_index[slot]), float(pool.row_qmass[slot])
     assert point.shape == (2,)
     assert 0 <= index < len(SIX_POINTS)
     np.testing.assert_array_equal(point, SIX_POINTS[index])
@@ -385,7 +389,7 @@ def test_pool_and_bank_hold_each_drawn_row_once(n, slots):
     # many times before the pass ends
     X = np.column_stack([np.arange(n, dtype=float), 1.0 + np.arange(n) % 7])
     pool = draw_mixture_pool(_stream(X), 2.0, slots, np.random.default_rng(15))
-    _assert_rows_held_once(pool.rows, pool.row_of, pool.indices, X, slots)
+    _assert_rows_held_once(pool.rows, pool.row_of, pool.row_index[pool.row_of], X, slots)
     rows, row_index, weights, bank, _ = _draw_banks(_stream(X), lambda block: block[:, 1], slots, 0,
                                                     np.random.default_rng(16))
     _assert_rows_held_once(rows, bank.win, row_index[bank.win], X, slots)
@@ -423,8 +427,9 @@ def test_pool_and_squared_length_fixed_seed_draws_across_store_growth(monkeypatc
     pool = draw_mixture_pool(iter(X), 3.0, 5000, np.random.default_rng(62))
     assert allocated == [2048, 4096, 8192, 10_000] and len(merges) == 3
     digest = hashlib.sha256()
-    for values in (pool.rows[pool.row_of].astype("<f8"), pool.indices.astype("<i8"),
-                   pool.qmass.astype("<f8")):
+    for values in (pool.rows[pool.row_of].astype("<f8"),
+                   pool.row_index[pool.row_of].astype("<i8"),
+                   pool.row_qmass[pool.row_of].astype("<f8")):
         digest.update(values.tobytes())
     assert digest.hexdigest() == "b59c9b42e3b5313627eae97412fb4fb6e4b249fe7ede15c87e204de49ee5d30b"
     merges.clear()
@@ -556,8 +561,8 @@ def test_pool_settled_mid_stream_matches_exact_mixture(extra):
     counts = np.zeros(n)
     for seed in range(passes):
         pool = draw_mixture_pool(iter(X.points), 2.0, pool_size, np.random.default_rng(seed))
-        np.testing.assert_array_equal(pool.qmass, exact[pool.indices])
-        counts += np.bincount(pool.indices, minlength=n)
+        np.testing.assert_array_equal(pool.row_qmass, exact[pool.row_index])
+        counts += np.bincount(pool.row_index[pool.row_of], minlength=n)
     assert _chi2_passes(counts, exact)
 
 
@@ -615,7 +620,7 @@ def test_pool_and_squared_length_fixed_seed_draws_in_one_merge():
     # 100 + 1,024 rows, so the 1,000 rows end in one merge
     X = _thousand_rows()
     pool = draw_mixture_pool(iter(X), 3.0, 100, np.random.default_rng(52))
-    assert pool.indices.tolist() == [
+    assert pool.row_index[pool.row_of].tolist() == [
         89, 185, 143, 10, 229, 43, 91, 10, 20, 850, 102, 677, 91, 152, 687, 634, 634, 603,
         218, 835, 10, 81, 10, 738, 636, 10, 221, 91, 417, 10, 458, 91, 20, 10, 91, 126, 468,
         10, 91, 91, 169, 146, 169, 197, 955, 91, 42, 575, 503, 169, 18, 278, 123, 573, 415,
@@ -642,7 +647,7 @@ def test_pool_and_squared_length_fixed_seed_draws_merged_mid_stream(monkeypatch)
     merges = _counting(monkeypatch, proposal._RowStore, "_merge")
     pool = draw_mixture_pool(iter(X), 3.0, 40, np.random.default_rng(57))
     assert len(merges) == 3
-    assert pool.indices.tolist() == [
+    assert pool.row_index[pool.row_of].tolist() == [
         1337, 104, 2557, 1443, 1443, 874, 320, 1294, 2429, 1353, 1353, 2429, 2572, 2952,
         282, 689, 782, 2209, 363, 2838, 1443, 690, 560, 1944, 1878, 868, 751, 95, 529,
         1243, 960, 1165, 1736, 2111, 2607, 2057, 1273, 69, 387, 576]

@@ -137,8 +137,8 @@ def test_random_walk_matches_kernel_backend():
     X = PointSet(rng_data.standard_normal((12, 3)))
     basis = basis_from(X, [0, 5])
     pool = draw_mixture_pool(iter(X.points), 2.0, 9, np.random.default_rng(7))
-    draws = [(pool.rows[pool.row_of[j]], int(pool.indices[j]), float(pool.qmass[j]))
-             for j in range(9)]
+    draws = [(pool.rows[i], int(pool.row_index[i]), float(pool.row_qmass[i]))
+             for i in pool.row_of]
 
     variates = open_unit(np.random.default_rng(99), (1, 8))
     ref = random_walk(draws, basis, 2.0, variates[0])
@@ -175,7 +175,7 @@ def test_run_walks_match_the_scalar_reference_over_many_rounds(p):
         start = rnd * t * width
         slots = pool.row_of[start:start + t * width]
         dist_pow = (basis.distances(pool.rows[slots]) ** p).reshape(t, width)
-        qmat = pool.qmass[start:start + t * width].reshape(t, width)
+        qmat = pool.row_qmass[pool.row_of[start:start + t * width]].reshape(t, width)
         variates = open_unit(walk_rng(63, 0, rnd), (t, m))
         _kernels.run_walks(dist_pow, qmat, variates, finals)
         for w in range(t):
@@ -312,6 +312,7 @@ def _slot_by_slot_members(X, config):
     """Reference sampler: every slot's draw scored on its own gathered copy."""
     pool = draw_mixture_pool(iter(X), config.p, config.pool_size, pool_rng(config.seed))
     points = pool.rows[pool.row_of]
+    positions, qmass = pool.row_index[pool.row_of], pool.row_qmass[pool.row_of]
     width = config.m + 1
     block = config.t * width
     finals = np.empty(config.t, dtype=np.intp)
@@ -324,13 +325,13 @@ def _slot_by_slot_members(X, config):
             dist_pow = basis.distances(points[start:start + block]) ** config.p
             variates = open_unit(walk_rng(config.seed, rep, rnd), (config.t, config.m))
             _kernels.run_walks(dist_pow.reshape(config.t, width),
-                               pool.qmass[start:start + block].reshape(config.t, width),
+                               qmass[start:start + block].reshape(config.t, width),
                                variates, finals)
             for w in range(config.t):
                 sel = start + w * width + int(finals[w])
-                if int(pool.indices[sel]) not in members:
-                    members.append(int(pool.indices[sel]))
-                    basis = basis.extended(pool.indices[sel], points[sel])
+                if int(positions[sel]) not in members:
+                    members.append(int(positions[sel]))
+                    basis = basis.extended(positions[sel], points[sel])
         picked.append(tuple(members))
     return picked
 
