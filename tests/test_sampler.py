@@ -175,7 +175,7 @@ def test_run_walks_match_the_scalar_reference_over_many_rounds(p):
         start = rnd * t * width
         slots = pool.row_of[start:start + t * width]
         dist_pow = (basis.distances(pool.rows[slots]) ** p).reshape(t, width)
-        qmat = pool.row_qmass[pool.row_of[start:start + t * width]].reshape(t, width)
+        qmat = pool.row_qmass[slots].reshape(t, width)
         variates = open_unit(walk_rng(63, 0, rnd), (t, m))
         _kernels.run_walks(dist_pow, qmat, variates, finals)
         for w in range(t):
