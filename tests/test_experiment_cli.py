@@ -1229,11 +1229,9 @@ def _evaluated_runs(draw):
     cells = st.one_of(_MODEST, _TINY)
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     header = draw(st.booleans())
-    lines = [",".join("abcdef"[:d])] if header else []
-    for _ in range(n):
-        lines.append(",".join(draw(st.lists(cells, min_size=d, max_size=d))))
-    first = draw(st.one_of(st.floats(0.5, 100), st.floats(-100, -0.5)).map(repr))
-    lines[int(header)] = ",".join([first] + lines[int(header)].split(",")[1:])
+    rows = [draw(st.lists(cells, min_size=d, max_size=d)) for _ in range(n)]
+    rows[0][0] = draw(st.one_of(st.floats(0.5, 100), st.floats(-100, -0.5)).map(repr))
+    lines = ([",".join("abcdef"[:d])] if header else []) + [",".join(row) for row in rows]
     text = ("\ufeff" if header and draw(st.booleans()) else "") + end.join(lines) + end
     argv = ["--seed", str(draw(st.integers(0, 2**32)))] + (["--header"] if header else [])
     for flag, (good, _) in _FLAGS.items():
