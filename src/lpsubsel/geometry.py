@@ -42,13 +42,18 @@ def row_norms(rows):
 
 
 def _as_matrix(points):
-    arr = np.asarray(points, dtype=np.float64)
+    """The one array check: InputError names the first non-finite point."""
+    try:
+        arr = np.asarray(points, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"points are not an array of numbers: {exc}") from None
     if arr.ndim != 2:
         raise InputError(f"expected a 2-d array of points, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise InputError(f"need n >= 1 and d >= 1, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise InputError("points contain NaN or Inf coordinates")
+        point = int(np.argmin(np.isfinite(arr).all(axis=1))) + 1
+        raise InputError(f"point {point} has a NaN or infinite coordinate")
     return arr
 
 
@@ -111,7 +116,7 @@ class SubsetBasis:
         return len(self.member_indices)
 
     def distances(self, rows):
-        """Euclidean distances from each row to span(basis).
+        """Euclidean distances from each row, of width d, to span(basis).
 
         Works for an empty basis too: the projection is zero and the
         distance is the row norm. More than CHUNK_ROWS rows are scored
@@ -124,6 +129,8 @@ class SubsetBasis:
         axis=-1)` bit for bit, in the projection's one buffer.
         """
         rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape[-1:] != (self.d,):
+            raise InputError(f"expected rows of dimension {self.d}, got shape {rows.shape}")
         if rows.ndim == 1 or len(rows) <= CHUNK_ROWS:
             return self._residual_norms(rows)
         out = np.empty(len(rows))

@@ -21,9 +21,9 @@ it keeps only the row's position among them, `ProposalPool.row_of`, the
 one path to a slot's row, stream position and q-mass.
 
 The pass draws from q with the empty pivot, whose distance weight is the
-plain norm power ||x||^p. It takes the stream `_BLOCK_ROWS` rows at a
-time, stacked into one array, and weighs each block in one
-`_norm_weights` call, the exact q's weights bit for bit.
+plain norm power ||x||^p. It takes a source's checked rows (`as_source`)
+`_BLOCK_ROWS` at a time, stacked into one array, and weighs each block
+in one `_norm_weights` call, the exact q's weights bit for bit.
 
 Squared-length (norm-power) sampling is the same pass with no uniform
 slots: `_draw_banks` serves both. `MixtureWeights` gives the exact q, for
@@ -39,7 +39,7 @@ import numpy as np
 from . import _kernels
 from .errors import InputError, ParameterError, readable
 from .geometry import SubsetBasis, check_p, row_norms
-from .stream import _BLOCK_ROWS
+from .stream import _BLOCK_ROWS, as_source
 
 # Slack on the range [1/(2n), 1] a pool checks its recorded q-masses against.
 _MASS_TOL = 1e-12
@@ -307,43 +307,25 @@ def _norm_weights(block, p):
     return weights
 
 
-def _norm_weigher(p):
-    """The pool's and squared-length's `block_weights`: `_norm_weights` of
-    each block, raising InputError naming the first row whose weight is
-    NaN, a row with a NaN coordinate (numpy makes a None one)."""
-    weighed = 0  # rows before the block
-
-    def weigh(block):
-        nonlocal weighed
-        weights = _norm_weights(block, p)
-        nan = np.isnan(weights)
-        if nan.any():
-            raise InputError(f"data row {weighed + int(np.argmax(nan)) + 1}: a coordinate is NaN")
-        weighed += len(weights)
-        return weights
-    return weigh
-
-
 def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     """One pass feeding every row to a weighted and a uniform reservoir bank.
 
     The weighted bank's slots become i.i.d. draws with P(x) proportional
     to x's weight, the uniform bank's i.i.d. uniform draws; both share one
-    row store. `block_weights` maps a (b, d) float64 block of rows to one
-    weight per row: the pool and squared-length pass `_norm_weigher`'s, and
-    the tests pass others to check the reservoir law. Returns (rows,
-    stream positions, weights, weighted, uniform): each row some slot drew
-    once, with its position and weight, and the two banks, whose `win`
-    index into rows and whose totals are the weight total and n. A bank
-    with no slots never draws a variate. Raises InputError for an empty
-    stream, when no row has positive weight, naming the row at which the
-    weight total overflows (`_running_total`, the rule the exact q's total
-    follows), and naming the block with a value that is not a number or a
-    row whose length is not the first row's. A NaN weight adds nothing.
+    row store. `stream` yields a source's checked rows; `block_weights`
+    maps a (b, d) float64 block of them to one weight per row: the pool
+    and squared-length pass `_norm_weights`, and the tests pass others to
+    check the reservoir law. Returns (rows, stream positions, weights,
+    weighted, uniform): each row some slot drew once, with its position
+    and weight, and the two banks, whose `win` index into rows and whose
+    totals are the weight total and n. A bank with no slots never draws a
+    variate. Raises InputError when no row has positive weight, or naming
+    the row at which the weight total overflows (`_running_total`, the
+    exact q's rule). A NaN weight adds nothing.
 
-    The pass weighs and checks `_BLOCK_ROWS` rows at a time, in one call
-    each, and the store keeps a block's rows in one slice copy; then every
-    row of the block goes through `_kernels.update_bank` once per bank, in
+    The pass weighs `_BLOCK_ROWS` rows at a time, in one call each, and
+    the store keeps a block's rows in one slice copy; then every row of
+    the block goes through `_kernels.update_bank` once per bank, in
     stream order. So when the store merges before a block, the banks'
     totals count exactly the rows it kept.
     """
@@ -351,22 +333,8 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     uniform = _ReservoirBank(uniform_slots)
     store = _RowStore(weighted, uniform, rng)
     index = 0  # stream position of the block's first row
-    width = None  # the first row's length, which every row must have
     while rows := list(itertools.islice(stream, _BLOCK_ROWS)):
-        named = f"data rows {index + 1}-{index + len(rows)}"
-        try:
-            block = np.array(rows, dtype=np.float64)
-        except (TypeError, ValueError):
-            try:
-                shapes = {np.shape(row) for row in rows}
-            except ValueError:  # a row holds a sequence
-                shapes = ()
-            if len(shapes) < 2:
-                raise InputError(f"{named}: a value is not a number") from None
-            block = None
-        width = np.size(rows[0]) if width is None else width
-        if block is None or block.shape != (len(rows), width):
-            raise InputError(f"{named}: a row does not have the first row's {width} values")
+        block = np.array(rows, dtype=np.float64)
         weights = np.asarray(block_weights(block), dtype=np.float64)
         _running_total(weighted.total, weights, index)
         store.keep_block(index, block, weights)
@@ -374,23 +342,22 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
             _kernels.update_bank(weighted, w)
             _kernels.update_bank(uniform, 1.0)
         index += len(rows)
-    if uniform.total == 0.0:
-        raise InputError("empty stream")
     if weighted.total <= 0.0:
         raise InputError("all distance weights are zero; nothing can be drawn")
     return (*store.finish(), weighted, uniform)
 
 
-def draw_mixture_pool(stream, p, pool_size, rng):
-    """Build a ProposalPool of `pool_size` i.i.d. draws from q in one pass.
+def draw_mixture_pool(data, p, pool_size, rng):
+    """Build a ProposalPool of `pool_size` i.i.d. draws from q in one pass
+    over `data` (`as_source`).
 
     Each slot first flips a fair coin that assigns it to the distance-weight
     bank or to the uniform bank; both banks then run over the same stream,
     so between them they hold `pool_size` slots. q-masses are attached
     after the pass from the distance-weight total and n. The pool keeps
-    each drawn row once (see `ProposalPool`). Raises InputError naming the
-    row at which the distance-weight total overflows, or the first row with
-    a NaN coordinate.
+    each drawn row once (see `ProposalPool`). Raises InputError for a
+    malformed array, before any pass, or naming the row at which the
+    distance-weight total overflows.
     """
     check_p(p)
     if pool_size < 1:
@@ -398,7 +365,8 @@ def draw_mixture_pool(stream, p, pool_size, rng):
     take_weighted = rng.random(pool_size) < 0.5
     slots = int(np.count_nonzero(take_weighted))
     rows, row_index, row_w, weighted, uniform = _draw_banks(
-        stream, _norm_weigher(p), slots, pool_size - slots, rng)
+        as_source(data).iterate_once("selection"), lambda block: _norm_weights(block, p),
+        slots, pool_size - slots, rng)
     row_of = np.empty(pool_size, dtype=np.intp)
     # by position: assigning through a random boolean mask is several times slower
     row_of[np.flatnonzero(take_weighted)] = weighted.win

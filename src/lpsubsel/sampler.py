@@ -16,9 +16,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import GuardError, InputError, ParameterError, readable
+from .errors import GuardError, ParameterError, readable
 from .geometry import CHUNK_ROWS, RANK_TOLERANCE, SubsetBasis, check_p
 from .proposal import draw_mixture_pool, open_unit
+from .stream import as_source
 
 # Named RNG stream tags: pool pass, each round's walk variates, baseline draws.
 _POOL_STREAM = 0
@@ -168,8 +169,8 @@ def theorem_params(k, p, delta, t_override=None, *, seed=0,
                          repetitions=repetitions, seed=seed)
 
 
-def one_pass_adaptive_sample(source, config, timings=None):
-    """The one-pass approximate adaptive sampler.
+def one_pass_adaptive_sample(data, config, timings=None):
+    """The one-pass approximate adaptive sampler over `data` (`as_source`).
 
     One selection pass builds the shared proposal pool for all repetitions;
     each repetition then runs l rounds of t independent m-step walks against
@@ -189,9 +190,8 @@ def one_pass_adaptive_sample(source, config, timings=None):
     If `timings` is a dict it receives the wall-clock split between the
     streaming pass and the walk phase.
     """
+    source = as_source(data)
     d = source.d
-    if d is None:
-        raise InputError("source dimension unknown")
     reps = config.repetitions
     if config.l == 0:
         # no rounds requested: nothing to sample, no pass needed
@@ -200,8 +200,7 @@ def one_pass_adaptive_sample(source, config, timings=None):
         return [SubsetBasis.empty(d) for _ in range(reps)]
 
     t0 = time.perf_counter()
-    pool = draw_mixture_pool(source.iterate_once("selection"), config.p,
-                             config.pool_size, pool_rng(config.seed))
+    pool = draw_mixture_pool(source, config.p, config.pool_size, pool_rng(config.seed))
     t1 = time.perf_counter()
 
     width = config.m + 1

@@ -169,8 +169,9 @@ class DatasetSource:
 
     Backed either by an in-memory array or a CSV file. Hands out one
     active stream at a time; a given pass always yields points in the
-    same fixed order. For a file, n and d are fixed when it is opened and
-    its rows are parsed only by passes (see `open_csv`).
+    same fixed order. In-memory rows pass PointSet's check, which gives n
+    and d, when the source is built; a file's are fixed when it is opened
+    and its rows are parsed and checked only by passes (see `open_csv`).
 
     `selection_passes` and `evaluation_passes` count the passes that
     completed, split by the purpose `iterate_once` was given.
@@ -196,6 +197,9 @@ class DatasetSource:
     """
 
     def __init__(self, rows=None, path=None, d=None, n=None, blocks=None):
+        if rows is not None:
+            points = rows if isinstance(rows, PointSet) else PointSet(rows)
+            rows, n, d = points.points, points.n, points.d
         self.rows = rows
         self._path = path
         self._blocks = blocks
@@ -382,7 +386,4 @@ def open_csv(path, header=False):
 
 def as_source(data):
     """Coerce a PointSet, array, or DatasetSource into a DatasetSource."""
-    if isinstance(data, DatasetSource):
-        return data
-    ps = data if isinstance(data, PointSet) else PointSet(data)
-    return DatasetSource(rows=ps.points, d=ps.d, n=ps.n)
+    return data if isinstance(data, DatasetSource) else DatasetSource(rows=data)

@@ -225,7 +225,7 @@ def test_criterion_8_reservoir_fidelity():
     p = 2.0
     X = PointSet(SIX_POINTS)
     exact = MixtureWeights(p=p).masses(X)
-    pool = draw_mixture_pool(iter(X.points), p, 100_000,
+    pool = draw_mixture_pool(X, p, 100_000,
                              np.random.default_rng(2718))
     floor_ok = bool((pool.row_qmass[pool.row_of] >= 1.0 / (2 * X.n) - 1e-15).all())
     counts = np.bincount(pool.row_index[pool.row_of], minlength=X.n).astype(float)

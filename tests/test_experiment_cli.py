@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from lpsubsel import (DatasetSource, ExperimentSpec, FormatError, InputError,
                       ParameterError, PointSet, SubsetBasis, as_source,
                       brute_force_candidate_err, cli, draw_mixture_pool,
-                      exact_adaptive_sample, experiment, open_csv, run_experiment,
-                      squared_length_sample, stream, svd_optimal_err2)
+                      exact_adaptive_sample, experiment, one_pass_adaptive_sample, open_csv,
+                      run_experiment, squared_length_sample, stream, svd_optimal_err2)
 from lpsubsel import _parse_helper
 from lpsubsel.cli import main
 from lpsubsel.geometry import CHUNK_ROWS
@@ -635,7 +635,7 @@ _HUGE = -10 ** 40
     (lambda rng: exact_adaptive_sample(np.eye(2), 2.0, _HUGE, 1, rng), "t=-1.00e40,"),
     (lambda rng: exact_adaptive_sample(np.eye(2), 2.0, 1, _HUGE, rng), "l=-1.00e40"),
     (lambda rng: squared_length_sample(np.eye(2), 2.0, _HUGE, rng), "got -1.00e40"),
-    (lambda rng: draw_mixture_pool(iter(np.eye(2)), 2.0, _HUGE, rng), "got -1.00e40"),
+    (lambda rng: draw_mixture_pool(np.eye(2), 2.0, _HUGE, rng), "got -1.00e40"),
     (lambda rng: SubsetBasis.empty(_HUGE), "got -1.00e40"),
 ], ids=["exact_t", "exact_l", "squared_length_count", "pool_size", "basis_dimension"])
 def test_library_range_messages_give_a_long_count_to_three_digits(call, named):
@@ -1023,6 +1023,70 @@ def test_the_callers_array_stays_writeable(name):
     if isinstance(held, np.ndarray):
         assert np.shares_memory(held, X) and not held.flags.writeable
     X[0] = 1.0
+
+
+def _finite_rows(n=20, d=3):
+    return np.random.default_rng(21).standard_normal((n, d))
+
+
+def _with_cell(cell):
+    rows = _finite_rows(20, 2).tolist()
+    rows[5][1] = cell
+    return rows
+
+
+def _with(row, col, value):
+    X = _finite_rows()
+    X[row, col] = value
+    return X
+
+
+# malformed in-memory inputs, each made afresh, and what its message names
+_MALFORMED = {
+    "ragged": (lambda: _finite_rows().tolist()[:10] + [[1.0, 2.0]], "not an array of numbers"),
+    "cell_str": (lambda: _with_cell("x"), "not an array of numbers"),
+    "cell_dict": (lambda: _with_cell({}), "not an array of numbers"),
+    "cell_none": (lambda: _with_cell(None), "^point 6 has a NaN"),  # numpy makes None a NaN
+    "cell_list": (lambda: _with_cell([1, 2]), "not an array of numbers"),
+    "nan_in_row_8": (lambda: _with(7, 1, np.nan), "^point 8 has a NaN or infinite coordinate$"),
+    "inf": (lambda: _with(3, 0, -np.inf), "^point 4 has a NaN or infinite coordinate$"),
+    "no_rows": (lambda: np.empty((0, 2)), "need n >= 1"),
+    "one_dimensional": (lambda: np.ones(3), "2-d array"),
+    "iterator": (lambda: iter(_finite_rows()), "not an array of numbers"),
+}
+
+# every entry point that takes an array, a PointSet or a source
+_TAKES_DATA = {
+    "PointSet": PointSet,
+    "as_source": as_source,
+    "draw_mixture_pool": lambda X: draw_mixture_pool(X, 2.0, 10, np.random.default_rng(1)),
+    "squared_length_sample": lambda X: squared_length_sample(X, 2.0, 4,
+                                                             np.random.default_rng(1)),
+    "exact_adaptive_sample": lambda X: exact_adaptive_sample(X, 2.0, 2, 2,
+                                                             np.random.default_rng(1)),
+    "one_pass_adaptive_sample": lambda X: one_pass_adaptive_sample(
+        X, experiment.theorem_params(1, 2.0, 0.5, t_override=2)),
+    "run_experiment": lambda X: run_experiment(_spec(input=X, k=1)),
+}
+
+
+@pytest.mark.parametrize("bad", list(_MALFORMED))
+@pytest.mark.parametrize("name", list(_TAKES_DATA))
+def test_every_entry_point_refuses_a_malformed_array(monkeypatch, name, bad):
+    # one check for every array entry point: InputError, never numpy's bare
+    # ValueError or TypeError, and before any pass starts
+    passes = []
+    iterate_once = DatasetSource.iterate_once
+
+    def counted(self, purpose):
+        passes.append(purpose)
+        return iterate_once(self, purpose)
+
+    monkeypatch.setattr(DatasetSource, "iterate_once", counted)
+    make, named = _MALFORMED[bad]
+    with pytest.raises(InputError, match=named):
+        _TAKES_DATA[name](make())
+    assert passes == []
 
 
 # The CLI never shows a traceback: on any small CSV and any flags it exits

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ _TAKES_P = {
     "SamplerConfig": lambda p: SamplerConfig(k=1, p=p, delta=0.5, epsilon=0.125, epsilon1=0.1,
                                              epsilon2=0.01, m=3, t=1, l=1, repetitions=1),
     "theorem_params": lambda p: theorem_params(1, p, 0.5, t_override=2),
-    "draw_mixture_pool": lambda p: draw_mixture_pool(iter(_SMALL.points), p, 10,
+    "draw_mixture_pool": lambda p: draw_mixture_pool(_SMALL, p, 10,
                                                      np.random.default_rng(72)),
     "squared_length_sample": lambda p: squared_length_sample(_SMALL.points, p, 3,
                                                              np.random.default_rng(73)),
@@ -142,6 +143,17 @@ def test_extended_many_checks_every_row_before_growing(bad):
     assert basis.member_indices == (0,) and basis.rank == 1
     with pytest.raises(InputError, match="dimension 3"):
         basis.extended_many([1, 2], rows)  # one index short of the rows
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(2, 5), (5,), (2, 2)], ids=["rows", "one_row", "narrow"])
+def test_distances_reject_rows_of_another_width(rank, shape):
+    # an empty basis would return the rows' own norms, and a grown one
+    # would raise numpy's matmul error
+    basis = SubsetBasis.empty(3).extended_many(range(rank), np.eye(3)[:rank])
+    named = re.escape(f"expected rows of dimension 3, got shape {shape}")
+    with pytest.raises(InputError, match=f"^{named}$"):
+        basis.distances(np.ones(shape))
 
 
 def test_a_row_whose_squared_norm_underflows_adds_no_direction():

@@ -1,7 +1,9 @@
 """The package's public surface: its lazy export list, the CLI's BLAS thread
-setting, and the README's example. Each import check runs in a fresh
-interpreter, since this one has loaded numpy and every module already."""
+setting, the README's example, and no unused import in its modules. Each
+import check runs in a fresh interpreter, since this one has loaded numpy
+and every module already."""
 
+import ast
 import os
 import re
 import subprocess
@@ -122,3 +124,18 @@ def test_readme_library_example_runs_as_printed(tmp_path, monkeypatch, capsys):
     exec(compile(block, str(README), "exec"), {})
     *members, selection, evaluation = capsys.readouterr().out.split()
     assert members and (selection, evaluation) == ("1", "0")
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "lpsubsel").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    # no linter ships with the package's test tools, so the check is an AST
+    # walk: every name an import binds is read somewhere in the module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(bound - read) == []

@@ -238,8 +238,9 @@ def test_reservoir_fixed_seed_draws():
 
 def test_reservoir_errors():
     rng = np.random.default_rng(4)
-    with pytest.raises(InputError, match="empty stream"):
-        _reservoir_draws(np.empty((0, 2)), lambda x: 1.0, 3, rng)
+    # an empty array is refused by its source's check, before any pass
+    with pytest.raises(InputError, match="^need n >= 1 and d >= 1, got shape"):
+        squared_length_sample(np.empty((0, 2)), 2.0, 3, rng)
     with pytest.raises(InputError):
         _reservoir_draws(np.ones((3, 2)), lambda x: 0.0, 3, rng)
     with pytest.raises(InputError):
@@ -250,14 +251,14 @@ def test_reservoir_errors():
 
 def test_pool_uniform_for_equal_norm_points():
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-    pool = draw_mixture_pool(_stream(rows), 2.0, 50_000, np.random.default_rng(5))
+    pool = draw_mixture_pool(rows, 2.0, 50_000, np.random.default_rng(5))
     share = float(np.mean(pool.row_index[pool.row_of] == 0))
     assert share == pytest.approx(0.5, abs=0.015)
     np.testing.assert_allclose(pool.row_qmass[pool.row_of], 0.5)
 
 
 def test_pool_qmass_floor_and_zero_vector_reachable():
-    pool = draw_mixture_pool(_stream(SIX_POINTS), 2.0, 50_000,
+    pool = draw_mixture_pool(SIX_POINTS, 2.0, 50_000,
                              np.random.default_rng(6))
     n = len(SIX_POINTS)
     qmass, positions = pool.row_qmass[pool.row_of], pool.row_index[pool.row_of]
@@ -271,7 +272,7 @@ def test_pool_matches_exact_mixture_small_n():
     p = 2.0
     X = PointSet(SIX_POINTS)
     exact = MixtureWeights(p=p).masses(X)
-    pool = draw_mixture_pool(_stream(SIX_POINTS), p, 100_000,
+    pool = draw_mixture_pool(SIX_POINTS, p, 100_000,
                              np.random.default_rng(7))
     counts = np.bincount(pool.row_index[pool.row_of], minlength=X.n).astype(float)
     freq = counts / counts.sum()
@@ -286,7 +287,7 @@ def test_pool_matches_exact_mixture_small_n():
 def test_pool_slots_pairwise_independent():
     # chi-square contingency test on adjacent slot pairs of one pool: slots
     # that shared a thinning decision would show up as dependence
-    pool = draw_mixture_pool(_stream(SIX_POINTS), 2.0, 100_000,
+    pool = draw_mixture_pool(SIX_POINTS, 2.0, 100_000,
                              np.random.default_rng(12))
     n = len(SIX_POINTS)
     table = np.zeros((n, n))
@@ -307,7 +308,7 @@ def test_pool_exact_across_store_compaction():
     norms = np.where(np.arange(n) < n // 2, 1.0, np.sqrt(3.0))
     X = PointSet(np.vstack([np.zeros((zeros, 2)), np.column_stack([norms, np.zeros(n)])]))
     exact = MixtureWeights(p=2.0).masses(X)
-    pool = draw_mixture_pool(iter(X.points), 2.0, 500, np.random.default_rng(14))
+    pool = draw_mixture_pool(X, 2.0, 500, np.random.default_rng(14))
     drawn = pool.row_index[pool.row_of]
     np.testing.assert_array_equal(pool.rows[pool.row_of], X.points[drawn])
     np.testing.assert_array_equal(pool.row_qmass[pool.row_of], exact[drawn])
@@ -328,21 +329,20 @@ def test_pool_qmass_is_the_exact_q_bit_for_bit(p):
     # is the exact one
     rng = np.random.default_rng(99)
     X = PointSet(rng.lognormal(size=(2000, 1)) * rng.standard_normal((2000, 64)))
-    pool = draw_mixture_pool(iter(X.points), p, 5000, np.random.default_rng(100))
+    pool = draw_mixture_pool(X, p, 5000, np.random.default_rng(100))
     exact = MixtureWeights(p=p).masses(X)
     assert pool.row_qmass.tobytes() == exact[pool.row_index].tobytes()
 
 
 def test_pool_consumes_exactly_one_selection_pass():
     src = as_source(SIX_POINTS)
-    draw_mixture_pool(src.iterate_once("selection"), 2.0, 1234,
-                      np.random.default_rng(8))
+    draw_mixture_pool(src, 2.0, 1234, np.random.default_rng(8))
     assert src.selection_passes == 1
 
 
 def test_pool_deterministic_for_fixed_seed():
-    a = draw_mixture_pool(_stream(SIX_POINTS), 1.5, 500, np.random.default_rng(9))
-    b = draw_mixture_pool(_stream(SIX_POINTS), 1.5, 500, np.random.default_rng(9))
+    a = draw_mixture_pool(SIX_POINTS, 1.5, 500, np.random.default_rng(9))
+    b = draw_mixture_pool(SIX_POINTS, 1.5, 500, np.random.default_rng(9))
     np.testing.assert_array_equal(a.row_index[a.row_of], b.row_index[b.row_of])
     np.testing.assert_array_equal(a.rows[a.row_of], b.rows[b.row_of])
     np.testing.assert_array_equal(a.row_qmass[a.row_of], b.row_qmass[b.row_of])
@@ -351,18 +351,18 @@ def test_pool_deterministic_for_fixed_seed():
 def test_pool_rejects_degenerate_inputs():
     rng = np.random.default_rng(10)
     with pytest.raises(ParameterError):
-        draw_mixture_pool(_stream(SIX_POINTS), 2.0, 0, rng)
+        draw_mixture_pool(SIX_POINTS, 2.0, 0, rng)
     with pytest.raises(InputError):
-        draw_mixture_pool(_stream(np.empty((0, 2))), 2.0, 4, rng)
+        draw_mixture_pool(np.empty((0, 2)), 2.0, 4, rng)
     with pytest.raises(InputError):
-        draw_mixture_pool(_stream(np.zeros((3, 2))), 2.0, 4, rng)
+        draw_mixture_pool(np.zeros((3, 2)), 2.0, 4, rng)
     # nonzero norms whose p-th powers underflow: the weights are zero, not the norms
     with pytest.raises(InputError, match="all distance weights are zero"):
-        draw_mixture_pool(_stream(1e-4 * SIX_POINTS[:4]), 120.0, 4, rng)
+        draw_mixture_pool(1e-4 * SIX_POINTS[:4], 120.0, 4, rng)
 
 
 def test_pool_slot_triples():
-    pool = draw_mixture_pool(_stream(SIX_POINTS), 2.0, 16, np.random.default_rng(11))
+    pool = draw_mixture_pool(SIX_POINTS, 2.0, 16, np.random.default_rng(11))
     slot = pool.row_of[3]
     point, index, qmass = pool.rows[slot], int(pool.row_index[slot]), float(pool.row_qmass[slot])
     assert point.shape == (2,)
@@ -388,7 +388,7 @@ def test_pool_and_bank_hold_each_drawn_row_once(n, slots):
     # with 20,000 rows into 500 slots the row store fills and is compacted
     # many times before the pass ends
     X = np.column_stack([np.arange(n, dtype=float), 1.0 + np.arange(n) % 7])
-    pool = draw_mixture_pool(_stream(X), 2.0, slots, np.random.default_rng(15))
+    pool = draw_mixture_pool(X, 2.0, slots, np.random.default_rng(15))
     _assert_rows_held_once(pool.rows, pool.row_of, pool.row_index[pool.row_of], X, slots)
     rows, row_index, weights, bank, _ = _draw_banks(_stream(X), lambda block: block[:, 1], slots, 0,
                                                     np.random.default_rng(16))
@@ -402,7 +402,7 @@ def test_pool_pass_allocates_by_the_rows_it_keeps():
     # and the pool each held row's position and q-mass once
     rng = np.random.default_rng(64)
     X = rng.standard_normal((2000, 64)) * np.exp(rng.standard_normal((2000, 1)))
-    peak = peak_traced_bytes(lambda: draw_mixture_pool(iter(X), 3.0, 38_496,
+    peak = peak_traced_bytes(lambda: draw_mixture_pool(X, 3.0, 38_496,
                                                        np.random.default_rng(65)))
     assert peak < 4 * X.nbytes
 
@@ -424,7 +424,7 @@ def test_pool_and_squared_length_fixed_seed_draws_across_store_growth(monkeypatc
             allocated.append(len(store.index))
 
     monkeypatch.setattr(proposal._RowStore, "keep_block", recorded)
-    pool = draw_mixture_pool(iter(X), 3.0, 5000, np.random.default_rng(62))
+    pool = draw_mixture_pool(X, 3.0, 5000, np.random.default_rng(62))
     assert allocated == [2048, 4096, 8192, 10_000] and len(merges) == 3
     digest = hashlib.sha256()
     for values in (pool.rows[pool.row_of].astype("<f8"),
@@ -560,7 +560,7 @@ def test_pool_settled_mid_stream_matches_exact_mixture(extra):
     exact = MixtureWeights(p=2.0).masses(X)
     counts = np.zeros(n)
     for seed in range(passes):
-        pool = draw_mixture_pool(iter(X.points), 2.0, pool_size, np.random.default_rng(seed))
+        pool = draw_mixture_pool(X, 2.0, pool_size, np.random.default_rng(seed))
         np.testing.assert_array_equal(pool.row_qmass, exact[pool.row_index])
         counts += np.bincount(pool.row_index[pool.row_of], minlength=n)
     assert _chi2_passes(counts, exact)
@@ -597,7 +597,7 @@ def test_passes_feed_each_row_once_and_merge_once_unless_full(monkeypatch, n, fi
         return merge(store)
 
     monkeypatch.setattr(proposal._RowStore, "_merge", counted)
-    for run in (lambda: draw_mixture_pool(iter(X), 2.0, 1000, np.random.default_rng(43)),
+    for run in (lambda: draw_mixture_pool(X, 2.0, 1000, np.random.default_rng(43)),
                 lambda: squared_length_sample(X, 2.0, 1000, np.random.default_rng(44))):
         updates.clear()
         merges.clear()
@@ -619,7 +619,7 @@ def test_pool_and_squared_length_fixed_seed_draws_in_one_merge():
     # a pool of 100 and 100 squared-length draws each have a store of
     # 100 + 1,024 rows, so the 1,000 rows end in one merge
     X = _thousand_rows()
-    pool = draw_mixture_pool(iter(X), 3.0, 100, np.random.default_rng(52))
+    pool = draw_mixture_pool(X, 3.0, 100, np.random.default_rng(52))
     assert pool.row_index[pool.row_of].tolist() == [
         89, 185, 143, 10, 229, 43, 91, 10, 20, 850, 102, 677, 91, 152, 687, 634, 634, 603,
         218, 835, 10, 81, 10, 738, 636, 10, 221, 91, 417, 10, 458, 91, 20, 10, 91, 126, 468,
@@ -645,7 +645,7 @@ def test_pool_and_squared_length_fixed_seed_draws_merged_mid_stream(monkeypatch)
     rng = np.random.default_rng(56)
     X = rng.standard_normal((3000, 5)) * np.exp(rng.standard_normal((3000, 1)))
     merges = _counting(monkeypatch, proposal._RowStore, "_merge")
-    pool = draw_mixture_pool(iter(X), 3.0, 40, np.random.default_rng(57))
+    pool = draw_mixture_pool(X, 3.0, 40, np.random.default_rng(57))
     assert len(merges) == 3
     assert pool.row_index[pool.row_of].tolist() == [
         1337, 104, 2557, 1443, 1443, 874, 320, 1294, 2429, 1353, 1353, 2429, 2572, 2952,
@@ -689,49 +689,13 @@ def test_pool_overflow_past_the_first_block_names_the_row(monkeypatch, big, row,
         if seam:
             _draw_banks(iter(X), lambda block: block[:, 0], 50, 50, rng)
         else:
-            draw_mixture_pool(iter(X), 2.0, 100, rng)
+            draw_mixture_pool(X, 2.0, 100, rng)
     assert bool(merges) == (row > 1000)
 
 
-def test_pool_rejects_rows_of_different_lengths():
-    rows = list(_thousand_rows()[:128])
-    # a final block of rows of lengths 2 and 4, which one concatenation
-    # would have reshaped into two rows of 3
-    with pytest.raises(InputError, match="^data rows 129-130: a row does not have the first row's 5 values"):
-        draw_mixture_pool(iter(rows + [np.ones(2), np.ones(4)]), 2.0, 10, np.random.default_rng(55))
-    # a first block whose rows differ among themselves
-    with pytest.raises(InputError, match="^data rows 1-3: a row does not have the first row's 3 values"):
-        draw_mixture_pool(iter([np.ones(3), np.ones(3), np.ones(2)]), 2.0, 10, np.random.default_rng(55))
-    # a later block whose rows agree with each other but not with the first row
-    with pytest.raises(InputError, match="^data rows 129-130: a row does not have the first row's 5 values"):
-        draw_mixture_pool(iter(rows + [np.ones(2), np.ones(2)]), 2.0, 10, np.random.default_rng(55))
-
-
-def test_pool_rejects_a_nan_row_on_every_seed():
-    # the uniform bank draws row 8 on only a few seeds, so a check of the
-    # pool's q-masses would catch it by chance
-    X = np.random.default_rng(56).standard_normal((50, 3))
-    X[7, 1] = np.nan
-    for seed in range(40):
-        with pytest.raises(InputError, match="^data row 8: a coordinate is NaN$"):
-            draw_mixture_pool(iter(X), 2.0, 10, np.random.default_rng(seed))
-
-
-def test_pool_rejects_a_value_that_is_not_a_number():
-    rows = [[1.0, 2.0]] * 200
-    # numpy makes a None a NaN
-    with pytest.raises(InputError, match="^data row 131: a coordinate is NaN$"):
-        draw_mixture_pool(iter(rows[:130] + [[1.0, None]] + rows), 2.0, 10,
-                          np.random.default_rng(57))
-    for cell in ("x", {}, [1, 2]):
-        with pytest.raises(InputError, match="^data rows 129-256: a value is not a number$"):
-            draw_mixture_pool(iter(rows[:130] + [[1.0, cell]] + rows), 2.0, 10,
-                              np.random.default_rng(57))
-    # a row that holds a sequence, which numpy cannot even give a shape
-    with pytest.raises(InputError, match="^data rows 1-2: a value is not a number$"):
-        draw_mixture_pool(iter([[1.0, 2.0], [1.0, [1, 2]]]), 2.0, 4, np.random.default_rng(0))
-    # a test's weight function may still give a finite row a NaN weight,
-    # which adds nothing
+def test_a_nan_weight_adds_nothing():
+    # a seam weight function may give a row a NaN weight, which adds
+    # nothing; the pool's norm weights of finite rows are never NaN
     _, row_index, _, bank, _ = _draw_banks(_stream(SIX_POINTS), lambda block: [np.nan, 1.0] * 3,
                                            20, 0, np.random.default_rng(58))
     assert set(row_index[bank.win].tolist()) == {1, 3, 5}

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lpsubsel import (DatasetSource, InputError, ParameterError, PointSet, SamplerConfig,
-                      SubsetBasis, adaptive_distribution, as_source, draw_mixture_pool,
+from lpsubsel import (ParameterError, PointSet, SamplerConfig, SubsetBasis,
+                      adaptive_distribution, as_source, draw_mixture_pool,
                       one_pass_adaptive_sample, open_csv, open_unit, theorem_params,
                       tv_distance)
 from lpsubsel import _kernels, sampler
@@ -136,7 +136,7 @@ def test_random_walk_matches_kernel_backend():
     rng_data = np.random.default_rng(42)
     X = PointSet(rng_data.standard_normal((12, 3)))
     basis = basis_from(X, [0, 5])
-    pool = draw_mixture_pool(iter(X.points), 2.0, 9, np.random.default_rng(7))
+    pool = draw_mixture_pool(X, 2.0, 9, np.random.default_rng(7))
     draws = [(pool.rows[i], int(pool.row_index[i]), float(pool.row_qmass[i]))
              for i in pool.row_of]
 
@@ -164,7 +164,7 @@ def test_run_walks_match_the_scalar_reference_over_many_rounds(p):
     X[10] = 0.0
     rounds, t, m = 40, 8, 12
     width = m + 1
-    pool = draw_mixture_pool(iter(X), p, rounds * t * width, np.random.default_rng(62))
+    pool = draw_mixture_pool(X, p, rounds * t * width, np.random.default_rng(62))
     axes = np.eye(5)
     finals = np.empty(t, dtype=np.intp)
     covered_starts = covered_proposals = last_accepted = 0
@@ -268,14 +268,6 @@ def test_one_pass_zero_rounds_returns_empty_subsets():
     assert src.selection_passes == 0  # nothing to sample, no pass
 
 
-def test_one_pass_needs_the_source_dimension():
-    src = DatasetSource(rows=np.eye(3), n=3)  # built without d
-    cfg = theorem_params(k=1, p=2.0, delta=0.5, t_override=2)
-    with pytest.raises(InputError, match="^source dimension unknown$"):
-        one_pass_adaptive_sample(src, cfg)
-    assert src.selection_passes == 0
-
-
 def test_one_pass_timings_split():
     cfg = theorem_params(k=1, p=2.0, delta=0.5, t_override=2, seed=5)
     timings = {}
@@ -310,7 +302,7 @@ def _lognormal_low_rank(n, d, seed):
 
 def _slot_by_slot_members(X, config):
     """Reference sampler: every slot's draw scored on its own gathered copy."""
-    pool = draw_mixture_pool(iter(X), config.p, config.pool_size, pool_rng(config.seed))
+    pool = draw_mixture_pool(X, config.p, config.pool_size, pool_rng(config.seed))
     points = pool.rows[pool.row_of]
     positions, qmass = pool.row_index[pool.row_of], pool.row_qmass[pool.row_of]
     width = config.m + 1
@@ -382,7 +374,7 @@ def _wide_rounds(monkeypatch):
     X = _lognormal_low_rank(6000, 64, 7)
     config = SamplerConfig(k=3, p=2.0, delta=0.5, epsilon=0.125, epsilon1=0.1,
                            epsilon2=0.01, m=800, t=8, l=3, repetitions=1, seed=8)
-    pool = draw_mixture_pool(iter(X), config.p, config.pool_size, pool_rng(config.seed))
+    pool = draw_mixture_pool(X, config.p, config.pool_size, pool_rng(config.seed))
     monkeypatch.setattr(sampler, "draw_mixture_pool", lambda *args: pool)
     block = config.t * (config.m + 1)
     for rnd in range(config.l):

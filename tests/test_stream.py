@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpsubsel import (FormatError, InputError, ParameterError, SourceChangedError,
-                      StreamError, as_source, open_csv, one_pass_adaptive_sample,
+from lpsubsel import (DatasetSource, FormatError, InputError, ParameterError,
+                      SourceChangedError, StreamError, as_source, open_csv, one_pass_adaptive_sample,
                       theorem_params)
 from lpsubsel import _parse_helper, stream
 from lpsubsel.stream import _BLOCK_ROWS
@@ -514,6 +514,18 @@ def test_an_array_source_keeps_its_own_rows():
     src.keep_rows()
     assert np.shares_memory(src.rows, X) and not src.rows.flags.writeable
     assert np.vstack(list(src.iterate_once("selection"))).tobytes() == X.tobytes()
+
+
+def test_a_source_built_from_rows_takes_n_and_d_from_them():
+    # in-memory rows pass PointSet's check when the source is built, so a
+    # NaN row is refused before any pass could start
+    src = DatasetSource(rows=np.arange(6.0).reshape(2, 3))
+    assert (src.n, src.d) == (2, 3) and not src.rows.flags.writeable
+    assert np.vstack(list(src.iterate_once("selection"))).tolist() == [[0, 1, 2], [3, 4, 5]]
+    X = np.ones((5, 2))
+    X[3, 1] = np.nan
+    with pytest.raises(InputError, match="^point 4 has a NaN or infinite coordinate$"):
+        DatasetSource(rows=X)
 
 
 def test_missing_file_is_input_error(tmp_path):
