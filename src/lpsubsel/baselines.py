@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ParameterError, readable
 from .geometry import RANK_TOLERANCE, SubsetBasis, check_p
-from .proposal import _draw_banks, _norm_weights, _running_total
+from .proposal import _draw_banks, _norm_weights, _running_sums
 from .stream import as_source
 
 
@@ -48,11 +48,14 @@ def exact_adaptive_sample(data, p, t, l, rng):
     file's as its first pass keeps them (see `DatasetSource.keep_rows`),
     so the file is parsed once and later passes check its bytes and
     replay the kept rows. Besides those rows it holds two n-vectors, the
-    weights and the rows' span floor, a member flag a row, and
-    `rng.choice`'s cumulative sum of the weights; `SubsetBasis.distances` keeps its temporaries to
-    CHUNK_ROWS rows. Raises InputError naming the row at which a round's
-    weight total overflows. A round's new picks join S in the order of
-    their first draw, in one `extended_many` call.
+    weights (then their running sums) and the rows' span floor, a member
+    flag a row, and for a moment a third n-vector, the running sums as
+    they are taken; `SubsetBasis.distances` keeps its temporaries to
+    CHUNK_ROWS rows. A round draws its t rows as `rng.choice` with the
+    weights as probabilities would, from the same t variates. Raises
+    InputError naming the row at which a round's weight total overflows.
+    A round's new picks join S in the order of their first draw, in one
+    `extended_many` call.
     """
     src = as_source(data)
     if t < 1 or l < 0:
@@ -73,13 +76,17 @@ def exact_adaptive_sample(data, p, t, l, rng):
             elif not (weights > floor).any():
                 break
             weights **= p
-        total = _running_total(0.0, weights)
+        # the weights give way to their running sums over their total, the
+        # cumulative sum `rng.choice` would take: a variate u draws the
+        # first row whose sum exceeds it
+        weights = _running_sums(0.0, weights)
+        total = float(weights[-1])
         if total <= 0.0:
             break
         weights /= total
         if round_:
             _selection_pass(src)
-        picks = _first_draws(rng.choice(src.n, size=t, p=weights), member)
+        picks = _first_draws(np.searchsorted(weights, rng.random(t), side="right"), member)
         basis = basis.extended_many(picks, src.rows[picks])
     return basis
 

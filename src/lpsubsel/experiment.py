@@ -142,9 +142,9 @@ def _evaluation_pass(source, bases, p, oracle):
     kept) is still passed over once, for the pass count and a file's
     change check, and then read in place, a slice at a time; any other
     source's rows are pulled at most a parse block (`_BLOCK_ROWS` rows) at
-    a time, and never past the chunk being filled, each pull copied into
-    one buffer of min(n, CHUNK_ROWS) rows in one call. The chunks are the
-    same either way, so are the results.
+    a time, and never past the chunk being filled, each pull copied in one
+    call into the chunk area of one buffer, min(n, CHUNK_ROWS) rows. The
+    chunks are the same either way, so are the results.
 
     At p = 2, or for the SVD oracle, each chunk is folded into the R
     factor of a running QR decomposition: X = QR with Q orthonormal, so
@@ -156,39 +156,61 @@ def _evaluation_pass(source, bases, p, oracle):
     distances to every span are summed in the loop (evaluator
     "distances"). The SVD oracle reads the same R. A sum that overflows
     is inf, which `run_experiment` raises as an InputError.
+
+    A pass that folds more than one chunk has the buffer hold R too: above
+    the chunk area, room for the most rows R has at a fold, min(d, the
+    rows before the last chunk). Before each fold after the first, R's
+    rows are written just above the chunk's (a held chunk is copied into
+    the area first), and the fold factors that one slice of the buffer,
+    with no stacked copy of R and the chunk beside it. A pass that does
+    not fold, or folds one chunk of held rows, allocates no buffer for
+    held rows and reads them in place.
     """
     from_r = p == 2
+    fold = from_r or oracle == "svd"
     spans = [SubsetBasis.empty(source.d), *bases]
     sums = np.zeros(len(spans))
-    r_factor = np.empty((0, source.d)) if from_r or oracle == "svd" else None
+    rows = source.rows
+    # R's rows at a fold: at most d, and at most the rows before the last chunk
+    top = min(source.d, (source.n - 1) // CHUNK_ROWS * CHUNK_ROWS) if fold else 0
+    buf = area = None
+    if rows is None or top:
+        buf = np.empty((top + min(source.n, CHUNK_ROWS), source.d))
+        area = buf[top:]  # a chunk's rows, with R's just above them
+    r_factor = np.empty((0, source.d)) if fold else None
 
     def score(arr):
         nonlocal r_factor
-        if r_factor is not None:
-            r_factor = np.linalg.qr(np.vstack((r_factor, arr)), mode="r")
+        if fold:
+            stacked = arr  # the first chunk is factored where it is
+            if len(r_factor):  # R's rows go just above the chunk's
+                start = top - len(r_factor)
+                buf[start:top] = r_factor
+                if rows is not None:  # a held chunk is copied in, a pulled one is there
+                    area[:len(arr)] = arr
+                stacked = buf[start:top + len(arr)]
+            r_factor = np.linalg.qr(stacked, mode="r")
         if not from_r:
             with np.errstate(over="ignore"):  # run_experiment raises an overflow
                 for i, b in enumerate(spans):
                     sums[i] += float(np.sum(b.distances(arr) ** p))
 
-    rows = source.rows
     if rows is not None:
         deque(source.iterate_once("evaluation"), maxlen=0)
         for start in range(0, len(rows), CHUNK_ROWS):
             score(rows[start:start + CHUNK_ROWS])
     else:
-        buf = np.empty((min(source.n, CHUNK_ROWS), source.d))
         stream = source.iterate_once("evaluation")
         end = 0
         # a pull holds a parse block's rows alive, not a whole chunk's
-        while pulled := list(itertools.islice(stream, min(_BLOCK_ROWS, len(buf) - end))):
-            np.concatenate(pulled, out=buf[end:end + len(pulled)].reshape(-1))
+        while pulled := list(itertools.islice(stream, min(_BLOCK_ROWS, len(area) - end))):
+            np.concatenate(pulled, out=area[end:end + len(pulled)].reshape(-1))
             end += len(pulled)
-            if end == len(buf):
-                score(buf)
+            if end == len(area):
+                score(area)
                 end = 0
         if end:
-            score(buf[:end])
+            score(area[:end])
     if from_r:
         with np.errstate(over="ignore"):
             sums = np.array([float(np.sum(b.distances(r_factor) ** 2)) for b in spans])
@@ -240,13 +262,12 @@ def _memory_guard(algorithm, config, source):
     count of rows and the slots' bytes.
 
     Exact-adaptive keeps about four n-vectors: its weights, the rows' span
-    floor, `rng.choice`'s cumulative sum of the weights, and (under one
-    more) choice's sign check and a file's block records: the last line,
-    byte size, fingerprint of the bytes and rows at the end of each block
-    of lines, four ints a block of 128 rows. The weights' `_running_total`
-    holds one transient n-vector, freed before `rng.choice`. It adds a
-    variate and an index per draw of a round. A file source also keeps its
-    (n, d) rows, which an array input holds already.
+    floor, the weights' running sums (taken while the weights live, then
+    kept in their place for the draws), and (under one more) a file's
+    block records: the last line, byte size, fingerprint of the bytes and
+    rows at the end of each block of lines, four ints a block of 128
+    rows. It adds a variate and an index per draw of a round. A file
+    source also keeps its (n, d) rows, which an array input holds already.
 
     A file pass that may fork a parse helper is charged, under every
     algorithm, a second copy of all the above, since the helper keeps a

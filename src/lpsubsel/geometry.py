@@ -44,7 +44,10 @@ def row_norms(rows):
 def _as_matrix(points):
     """The one array check: InputError names the first non-finite point."""
     try:
-        arr = np.asarray(points, dtype=np.float64)
+        arr = np.asarray(points)
+        if arr.dtype.kind == "c":  # a cast would drop the imaginary parts
+            raise InputError("points have complex values; pass their real or imaginary parts")
+        arr = arr.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         raise InputError(f"points are not an array of numbers: {exc}") from None
     if arr.ndim != 2:
@@ -63,7 +66,8 @@ class PointSet:
     `points` is a read-only view of the backing array, which is the
     caller's own when it is already a C-contiguous float64 array: no copy
     is made, and the caller's array stays writeable. Every coordinate
-    must be finite.
+    must be finite and real: complex values raise InputError, and
+    booleans are taken as 0 and 1.
     """
 
     __slots__ = ("points", "n", "d")

@@ -258,13 +258,13 @@ class _RowStore:
         return live
 
 
-def _running_total(total, weights, first=0):
+def _running_sums(total, weights, first=0):
     """`total` plus `weights` as a bank adds them, in order, NaN and weights
-    <= 0 adding nothing: the one weight total, and its one overflow rule.
+    <= 0 adding nothing: one new array, the running total after each row.
+    The one weight total, and its one overflow rule.
 
     Raises InputError naming the row (the first at 0-based stream position
-    `first`) whose weight takes the total to inf. The running sum takes one
-    transient copy of `weights`.
+    `first`) whose weight takes the total to inf.
     """
     running = np.fmax(weights, 0.0)  # NaN and weights <= 0 add nothing
     with np.errstate(over="ignore"):
@@ -276,7 +276,12 @@ def _running_total(total, weights, first=0):
         cause = ("its weight overflows to inf" if w == math.inf
                  else f"its weight {w:.6g} makes the running weight total overflow")
         raise InputError(f"data row {first + row + 1}: {cause}; rescale the data or lower p")
-    return float(running[-1])
+    return running
+
+
+def _running_total(total, weights, first=0):
+    """The last of `_running_sums`, whose array is freed on return."""
+    return float(_running_sums(total, weights, first)[-1])
 
 
 def _distance_weights(basis, rows, p):
