@@ -45,11 +45,12 @@ def _as_matrix(points):
     """The one array check: InputError names the first non-finite point."""
     try:
         arr = np.asarray(points)
-        if arr.dtype.kind == "c":  # a cast would drop the imaginary parts
-            raise InputError("points have complex values; pass their real or imaginary parts")
-        arr = arr.astype(np.float64, copy=False)
+        if arr.dtype.kind != "c":  # a cast would drop the imaginary parts
+            arr = arr.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         raise InputError(f"points are not an array of numbers: {exc}") from None
+    if arr.dtype.kind == "c":
+        raise InputError("points have complex values; pass their real or imaginary parts")
     if arr.ndim != 2:
         raise InputError(f"expected a 2-d array of points, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:

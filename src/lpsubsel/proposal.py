@@ -279,24 +279,19 @@ def _running_sums(total, weights, first=0):
     return running
 
 
-def _running_total(total, weights, first=0):
-    """The last of `_running_sums`, whose array is freed on return."""
-    return float(_running_sums(total, weights, first)[-1])
-
-
 def _distance_weights(basis, rows, p):
     """(weights, total): d(x, span basis)^p for each row, as one vector, and
-    their `_running_total`.
+    their total, the last of their `_running_sums`.
 
     The power is taken in place. The total adds the weights in order, as
     the pass's banks do, so a pool's q-masses equal the exact q's bit for
-    bit. Raises the `_running_total` InputError naming the row at which
+    bit. Raises the `_running_sums` InputError naming the row at which
     the total overflows.
     """
     with np.errstate(over="ignore"):  # an overflowing weight is raised below
         weights = basis.distances(rows)
         weights **= p
-    return weights, _running_total(0.0, weights)
+    return weights, float(_running_sums(0.0, weights)[-1])
 
 
 def _norm_weights(block, p):
@@ -325,7 +320,7 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     and weight, and the two banks, whose `win` index into rows and whose
     totals are the weight total and n. A bank with no slots never draws a
     variate. Raises InputError when no row has positive weight, or naming
-    the row at which the weight total overflows (`_running_total`, the
+    the row at which the weight total overflows (`_running_sums`, the
     exact q's rule). A NaN weight adds nothing.
 
     The pass weighs `_BLOCK_ROWS` rows at a time, in one call each, and
@@ -341,7 +336,7 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     while rows := list(itertools.islice(stream, _BLOCK_ROWS)):
         block = np.array(rows, dtype=np.float64)
         weights = np.asarray(block_weights(block), dtype=np.float64)
-        _running_total(weighted.total, weights, index)
+        _running_sums(weighted.total, weights, index)
         store.keep_block(index, block, weights)
         for w in weights.tolist():
             _kernels.update_bank(weighted, w)

@@ -3,7 +3,8 @@ references the kernels are checked against: for `_kernels.run_walks`, the
 scalar walk, which scores one draw at a time, the cross-multiplied kernel
 and the per-step ratio loop; for `SubsetBasis`, the residual norm formula
 and the Gram-Schmidt loop that `distances` and `extended_many` reproduce
-bit for bit."""
+bit for bit; for the evaluation pass, the chain of QR folds its R factor
+reproduces bit for bit."""
 
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ import tracemalloc
 import numpy as np
 
 from lpsubsel import RANK_TOLERANCE, InputError, PointSet, SubsetBasis
+from lpsubsel.geometry import CHUNK_ROWS
 
 
 def basis_from(X, indices):
@@ -174,3 +176,12 @@ def gram_schmidt_growth(basis, indices, points):
             rank += 1
     members = basis.member_indices + tuple(int(i) for i in indices)
     return SubsetBasis(members, grown[:rank], basis.d)
+
+
+def r_factor_chain(rows):
+    """Reference for the evaluation pass's R factor: R stacked on each
+    CHUNK_ROWS-row chunk in turn, one `np.linalg.qr` a chunk."""
+    r_factor = np.empty((0, rows.shape[1]))
+    for start in range(0, len(rows), CHUNK_ROWS):
+        r_factor = np.linalg.qr(np.vstack((r_factor, rows[start:start + CHUNK_ROWS])), mode="r")
+    return r_factor

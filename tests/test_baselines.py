@@ -27,6 +27,22 @@ def test_exact_adaptive_first_pick_probability():
     assert hits / runs == pytest.approx(0.8, abs=0.02)
 
 
+@pytest.mark.parametrize("scale", [1.0, 4e-162], ids=["normal", "subnormal_weights"])
+def test_exact_adaptive_draws_as_rng_choice_does(scale):
+    # a round's draws are those of rng.choice with the weights as its
+    # probabilities, even where every weight is a few subnormal units (223
+    # in all): a variate times that total rounds to a whole unit, and to
+    # the total itself, past the last row, for a variate near 1
+    X = scale * np.random.default_rng(36).standard_normal((30, 3))
+    weights = np.linalg.norm(X, axis=1) ** 2
+    if scale < 1.0:
+        assert 0.0 < weights.sum() < np.finfo(float).tiny
+    draws = np.random.default_rng(5).choice(30, size=40, p=weights / weights.sum())
+    first = draws[np.sort(np.unique(draws, return_index=True)[1])]
+    basis = exact_adaptive_sample(X, 2.0, t=40, l=1, rng=np.random.default_rng(5))
+    assert basis.member_indices == tuple(first.tolist())
+
+
 def test_exact_adaptive_round_one_matches_exact_distribution():
     # empirical round-1 pick frequencies against the exact normalization oracle
     X = PointSet(SIX_POINTS)

@@ -23,7 +23,7 @@ from lpsubsel.cli import main
 from lpsubsel.geometry import CHUNK_ROWS
 from lpsubsel.stream import _BLOCK_ROWS
 
-from helpers import basis_from, low_rank_plus_noise, peak_traced_bytes
+from helpers import basis_from, low_rank_plus_noise, peak_traced_bytes, r_factor_chain
 
 ALGORITHMS = ["mcmc-one-pass", "exact-adaptive", "squared-length"]
 
@@ -892,6 +892,48 @@ def test_the_evaluation_buffer_holds_at_most_n_rows(tmp_path):
     assert (ev[0].sums.tolist(), ev[0].empty_sum) == (held.sums.tolist(), held.empty_sum)
 
 
+@pytest.mark.parametrize("n, d", [(5, 8), (CHUNK_ROWS, 8), (CHUNK_ROWS + 1, 8),
+                                  (3 * CHUNK_ROWS + 5, 8)])
+@pytest.mark.parametrize("p, oracle", [(2.0, "none"), (3.0, "svd")])
+@pytest.mark.parametrize("from_file", [False, True], ids=["array", "csv"])
+def test_the_fold_gives_the_r_factor_of_stacking_r_on_each_chunk(tmp_path, n, d, p, oracle,
+                                                                   from_file):
+    # R's rows written into the pass's buffer just above the chunk's make
+    # the matrix a stacked copy would: R is that chain's bit for bit
+    X = np.random.default_rng(n + d).standard_normal((n, d))
+    path = _write_csv(tmp_path, X)
+    X = np.loadtxt(path, delimiter=",", ndmin=2)
+    source = open_csv(path) if from_file else as_source(X)
+    ev = experiment._evaluation_pass(source, [basis_from(PointSet(X), [0])], p, oracle)
+    assert ev.r_factor.tobytes() == r_factor_chain(X).tobytes()
+    assert ev.r_factor.shape == (min(n, d), d)
+
+
+def _fold_peak(path, p):
+    source = open_csv(path)
+    source.allow_helper = False  # the parse stays in this process, where it is traced
+    basis = SubsetBasis.empty(source.d).extended(0, np.ones(source.d))
+    return peak_traced_bytes(lambda: experiment._evaluation_pass(source, [basis], p, "none"))
+
+
+@pytest.mark.parametrize("n, d", [(5000, 32), (3000, 64)])
+def test_a_p2_pass_over_a_file_folds_in_its_own_buffer(tmp_path, n, d):
+    # one buffer of R's rows and a chunk's, and QR's copy of the two: 2.58
+    # units here, where stacking R on the chunk beside the buffer held 3.55
+    path = _write_csv(tmp_path, np.random.default_rng(44).standard_normal((n, d)))
+    unit = (min(n, d) + min(n, CHUNK_ROWS)) * d * 8
+    assert _fold_peak(path, 2.0) < 3 * unit
+
+
+def test_a_file_of_one_chunk_folds_with_no_room_for_r(tmp_path):
+    # R is empty at the only fold: a 130 x 300 file's p = 2 pass holds no
+    # more than its p = 3 pass, which folds nothing (room for R's 130 rows
+    # would add 0.31 MB)
+    X = np.random.default_rng(43).standard_normal((130, 300))
+    path = _write_csv(tmp_path, X)
+    assert _fold_peak(path, 2.0) <= _fold_peak(path, 3.0) + 0.1 * X.nbytes
+
+
 # The CLI, with every pass's helper forked whatever the host's load, and
 # each helper's pid written to the file named by its first argument. `cli`
 # loads first, so that it sets numpy's BLAS threads as the shipped CLI does.
@@ -1053,6 +1095,7 @@ _MALFORMED = {
     "no_rows": (lambda: np.empty((0, 2)), "need n >= 1"),
     "one_dimensional": (lambda: np.ones(3), "2-d array"),
     "iterator": (lambda: iter(_finite_rows()), "not an array of numbers"),
+    "complex": (lambda: _finite_rows() * (1 + 2j), "^points have complex values"),
 }
 
 # every entry point that takes an array, a PointSet or a source

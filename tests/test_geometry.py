@@ -49,6 +49,19 @@ def test_pointset_rejects_nonfinite_and_degenerate():
         PointSet(np.array([1.0, 2.0]))  # not 2-d
 
 
+@pytest.mark.parametrize("points", [np.array([[1 + 2j, 3], [0, 1j]]), [[1 + 2j, 3.0]],
+                                    [np.array([1, 2j]), np.array([0, 1])]],
+                         ids=["ndarray", "list", "complex_rows"])
+def test_pointset_refuses_complex_values(points):
+    # a cast would keep the real parts only: [[1, 3], [0, 0]] for the first
+    with pytest.raises(InputError, match="^points have complex values"):
+        PointSet(points)
+
+
+def test_pointset_takes_booleans_as_zero_and_one():
+    assert PointSet(np.array([[True, False], [False, True]])).points.tolist() == [[1, 0], [0, 1]]
+
+
 @pytest.mark.parametrize("p", [0.5, np.nan, np.inf], ids=["half", "nan", "inf"])
 @pytest.mark.parametrize("call", list(_TAKES_P.values()), ids=list(_TAKES_P))
 def test_every_function_that_takes_p_rejects_a_bad_one(call, p):

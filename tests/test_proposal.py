@@ -9,7 +9,7 @@ from lpsubsel import (DistributionTable, InputError, MixtureWeights, ParameterEr
                       draw_mixture_pool, gamma_bound, mixture_distribution,
                       open_unit, squared_length_sample, transition_matrix, tv_distance)
 from lpsubsel import proposal
-from lpsubsel.proposal import _distance_weights, _draw_banks, _norm_weights, _running_total
+from lpsubsel.proposal import _distance_weights, _draw_banks, _norm_weights, _running_sums
 from lpsubsel.stream import _BLOCK_ROWS
 
 from helpers import peak_traced_bytes
@@ -99,7 +99,7 @@ def test_running_total_stays_finite_where_only_the_pairwise_sum_overflows():
     weights = np.array([big, 0.0, 2.0 ** 969, 2.0 ** 969, 0.0, 0.0, 0.0, 0.0])
     with np.errstate(over="ignore"):
         assert weights.sum() == math.inf
-    assert _running_total(0.0, weights) == big
+    assert _running_sums(0.0, weights)[-1] == big
     # rows whose squared norms do the same, so the exact q is defined
     X = np.zeros((16, 2))
     X[0, 0] = np.sqrt(big)  # its weight is one ulp short of the float max
