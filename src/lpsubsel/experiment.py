@@ -161,10 +161,11 @@ def _evaluation_pass(source, bases, p, oracle):
     the chunk area, room for the most rows R has at a fold, min(d, the
     rows before the last chunk). Before each fold after the first, R's
     rows are written just above the chunk's (a held chunk is copied into
-    the area first), and the fold factors that one slice of the buffer,
-    with no stacked copy of R and the chunk beside it. A pass that does
-    not fold, or folds one chunk of held rows, allocates no buffer for
-    held rows and reads them in place.
+    the area first, so for held rows the area is only as large as the
+    chunks after the first), and the fold factors that one slice of the
+    buffer, with no stacked copy of R and the chunk beside it. A pass that
+    does not fold, or folds one chunk of held rows, allocates no buffer
+    for held rows and reads them in place.
     """
     from_r = p == 2
     fold = from_r or oracle == "svd"
@@ -175,7 +176,8 @@ def _evaluation_pass(source, bases, p, oracle):
     top = min(source.d, (source.n - 1) // CHUNK_ROWS * CHUNK_ROWS) if fold else 0
     buf = area = None
     if rows is None or top:
-        buf = np.empty((top + min(source.n, CHUNK_ROWS), source.d))
+        in_place = 0 if rows is None else CHUNK_ROWS  # a held first chunk is factored in place
+        buf = np.empty((top + min(source.n - in_place, CHUNK_ROWS), source.d))
         area = buf[top:]  # a chunk's rows, with R's just above them
     r_factor = np.empty((0, source.d)) if fold else None
 
