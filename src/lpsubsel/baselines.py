@@ -108,7 +108,8 @@ def squared_length_sample(data, p, count, rng):
         raise ParameterError(f"count must be >= 1, got {readable(count)}")
     check_p(p)
     rows, row_index, _, bank, _ = _draw_banks(
-        src.iterate_once("selection"), lambda block: _norm_weights(block, p), count, 0, rng)
+        src.iterate_once("selection"), lambda block: _norm_weights(block, p), count, 0, rng,
+        src.rows)
     distinct = _first_draws(bank.win, np.zeros(len(rows), dtype=bool))
     grown = SubsetBasis.empty(src.d).extended_many(row_index[distinct], rows[distinct])
     return SubsetBasis(row_index[bank.win], grown.basis, src.d)

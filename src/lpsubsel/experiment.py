@@ -243,12 +243,19 @@ def _physical_memory():
     return pages * page_size if pages > 0 and page_size > 0 else sys.maxsize
 
 
-def _memory_guard(algorithm, config, source):
+def _memory_guard(algorithm, config, source, oracle="none"):
     """Raise GuardError, naming the recipe's sizes, if what `algorithm`
     keeps cannot fit in this machine's physical memory.
 
     Every algorithm is charged 24 bytes a coordinate of one CHUNK_ROWS-row
-    chunk for the distance temporaries. A one-pass pool or a squared-length
+    chunk for the distance temporaries. An evaluation pass that folds R
+    (p = 2, or the SVD oracle) holds, per coordinate of a chunk, about as
+    much: its buffer's chunk area and `np.linalg.qr`'s two copies of the
+    stack. It is charged 32 bytes a coordinate more for the most rows R
+    has at a fold, min(d, the rows before the last chunk): 8 in the
+    buffer above the chunk, 16 in QR's two copies and 8 in R itself.
+
+    A one-pass pool or a squared-length
     run is charged `_SLOT_BYTES` a slot or draw, 64 bytes a coordinate and
     256 a row of one `_BLOCK_ROWS`-row block (the row objects the pass
     pulls, their stacked array, and a file's bytes and their parse), and
@@ -257,7 +264,10 @@ def _memory_guard(algorithm, config, source):
     the arrays they last grew from, or the pool's copy of its held rows.
     The arrays double from `_FIRST_ROWS` rows toward the store's room,
     `proposal._store_rows`, and hold at most n rows, so they reach
-    min(room, max(`_FIRST_ROWS`, 2n)) rows. The walk phase runs once the
+    min(room, max(`_FIRST_ROWS`, 2n)) rows. A source that holds its rows
+    before the pass (an array input) has a store of positions and weights
+    alone and a pool that reads its rows in place, so for it this row
+    count is an upper bound. The walk phase runs once the
     pass's arrays are freed and is charged nothing more: beside the pool
     it holds a few floats a held row or slot and one gathered chunk of at
     most min(held rows, CHUNK_ROWS) rows of d floats, within the second
@@ -281,6 +291,8 @@ def _memory_guard(algorithm, config, source):
     """
     n, d = source.n, source.d
     fixed, buffer = 24 * min(n, CHUNK_ROWS) * d, ""
+    if config.p == 2 or oracle == "svd":
+        fixed += 32 * min(d, (n - 1) // CHUNK_ROWS * CHUNK_ROWS) * d
     if algorithm == "exact-adaptive":
         draws, per_draw = config.t, 16
         fixed += 32 * n
@@ -322,7 +334,7 @@ def run_experiment(spec):
     if spec.oracle == "bruteforce":
         _brute_force_guard(source.n, spec.k)
         source.keep_rows()
-    _memory_guard(spec.algorithm, config, source)
+    _memory_guard(spec.algorithm, config, source, spec.oracle)
 
     timings = {}
     if spec.algorithm == "mcmc-one-pass":

@@ -45,11 +45,15 @@ def _as_matrix(points):
     """The one array check: InputError names the first non-finite point."""
     try:
         arr = np.asarray(points)
-        if arr.dtype.kind != "c":  # a cast would drop the imaginary parts
+        # a cast would drop the imaginary parts, of a complex array or of
+        # complex numbers in an object array
+        complex_values = arr.dtype.kind == "c" or arr.dtype.kind == "O" and any(
+            isinstance(v, (complex, np.complexfloating)) for v in arr.flat)
+        if not complex_values:
             arr = arr.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         raise InputError(f"points are not an array of numbers: {exc}") from None
-    if arr.dtype.kind == "c":
+    if complex_values:
         raise InputError("points have complex values; pass their real or imaginary parts")
     if arr.ndim != 2:
         raise InputError(f"expected a 2-d array of points, got ndim={arr.ndim}")

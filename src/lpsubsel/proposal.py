@@ -11,19 +11,26 @@ merge rule (`_RowStore._merge`), between blocks. q is bounded below by
 1/(2n), the floor the walk's mixing analysis relies on.
 
 A slot holds a position in a row store rather than a row. The store
-keeps every row, a block at a time, in arrays that grow by doubling up
-to its room; before a block that would not fit in the room, and once
-more when the pass ends, the banks merge the rows kept since their last
-merge and the store drops the rows no slot holds. So the finished pool
-keeps each drawn row once, with its stream position and q-mass: at most
-min(n, pool size) rows, however many slots draw the same row. Per slot
-it keeps only the row's position among them, `ProposalPool.row_of`, the
-one path to a slot's row, stream position and q-mass.
+keeps every row's stream position and weight, a block at a time, in
+arrays that grow by doubling up to its room, and a copy of the row
+unless the source held its rows before the pass; before a block that
+would not fit in the room, and once more when the pass ends, the banks
+merge the rows kept since their last merge and the store drops the rows
+no slot holds. So the finished pool keeps each drawn row once, with its
+stream position and q-mass: at most min(n, pool size) rows, however many
+slots draw the same row. Per slot it keeps only the row's position among
+them, `ProposalPool.row_of`, the one path to a slot's row, stream
+position and q-mass.
 
 The pass draws from q with the empty pivot, whose distance weight is the
-plain norm power ||x||^p. It takes a source's checked rows (`as_source`)
-`_BLOCK_ROWS` at a time, stacked into one array, and weighs each block
-in one `_norm_weights` call, the exact q's weights bit for bit.
+plain norm power ||x||^p. It drains a source's checked rows (`as_source`)
+`_BLOCK_ROWS` at a time and weighs each block in one `_norm_weights`
+call, the exact q's weights bit for bit. A source that holds its rows
+(`DatasetSource.rows`: an array input, or a file whose rows an earlier
+pass kept) has each block read in place, as a slice of them, and no row
+copied; a pool that draws every row keeps the source's array itself, and
+one that draws some keeps one gather of them. A file pass that parses its
+rows has each block stacked into one array and copied into the store.
 
 Squared-length (norm-power) sampling is the same pass with no uniform
 slots: `_draw_banks` serves both. `MixtureWeights` gives the exact q, for
@@ -87,8 +94,10 @@ class ProposalPool:
     (`row_index`) and its q-mass (`row_qmass`, computed at pass end from
     the accumulated weight total and n); slot j drew `rows[row_of[j]]`,
     and every per-slot value is read through `row_of` the same way.
-    Every q-mass must lie in [1/(2n), 1]: q's uniform component alone is
-    1/(2n).
+    When every row of a source that holds its rows was drawn, `rows` is
+    the source's array, a read-only view of the caller's array as
+    `PointSet.points` is. Every q-mass must lie in [1/(2n), 1]: q's
+    uniform component alone is 1/(2n).
     """
 
     rows: np.ndarray            # (held, d), each drawn row once
@@ -152,11 +161,17 @@ class _RowStore:
     the slots renumbered. Its arrays start at `_FIRST_ROWS` rows, or the
     room if that is smaller, and double, up to the room, when a block fits
     in the room but not in them.
+
+    `held` is the source's rows when it holds them all before the pass
+    (`DatasetSource.rows`). Then the store keeps only positions and
+    weights: a block is never copied, and `finish` reads the held rows
+    through their positions. Otherwise `rows` keeps a copy of each block.
     """
 
-    def __init__(self, weighted, uniform, rng):
+    def __init__(self, weighted, uniform, rng, held=None):
         self.banks = (weighted, uniform)
         self.rng = rng
+        self.held = held
         self.size = 0
         self.unmerged = 0  # store position of the first row kept since the last merge
         self.room = _store_rows(len(weighted.win) + len(uniform.win))
@@ -165,26 +180,33 @@ class _RowStore:
         self.index = np.empty(rows, dtype=np.intp)
         self.weight = np.empty(rows)
 
+    def _arrays(self):
+        """The store's arrays: positions, weights and any copied rows."""
+        return (self.index, self.weight) if self.rows is None else (
+            self.index, self.weight, self.rows)
+
     def keep_block(self, first, block, weights):
         """Keep the rows of `block`, at stream positions from `first`; when
         they would not fit in the room, the banks merge first, and when
         they fit in the room but not in the arrays, the arrays grow."""
-        if self.rows is None:
+        if self.rows is None and self.held is None:
             self.rows = np.empty((len(self.index), block.shape[1]))
         if self.size + len(block) > self.room:
             live = self._merge()
-            self.rows[:self.size] = self.rows[live]
-            self.index[:self.size] = self.index[live]
-            self.weight[:self.size] = self.weight[live]
+            for kept in self._arrays():
+                kept[:self.size] = kept[live]
         end = self.size + len(block)
         if end > len(self.index):
             # a block has at most _BLOCK_ROWS rows, so doubling makes room
             rows = min(self.room, 2 * len(self.index))
-            grown = np.empty((rows, block.shape[1])), np.empty(rows, dtype=np.intp), np.empty(rows)
-            for new, old in zip(grown, (self.rows, self.index, self.weight)):
+            grown = [np.empty((rows, *old.shape[1:]), old.dtype) for old in self._arrays()]
+            for new, old in zip(grown, self._arrays()):
                 new[:self.size] = old[:self.size]
-            self.rows, self.index, self.weight = grown
-        self.rows[self.size:end] = block
+            self.index, self.weight, *copied = grown
+            if copied:
+                self.rows = copied[0]
+        if self.rows is not None:
+            self.rows[self.size:end] = block
         self.index[self.size:end] = np.arange(first, first + len(block))
         self.weight[self.size:end] = weights
         self.size = end
@@ -193,10 +215,19 @@ class _RowStore:
         """(rows, stream positions, weights) of the rows the slots hold, once each,
         after the last merge.
 
-        The banks' slots are renumbered into the returned arrays.
+        The banks' slots are renumbered into the returned arrays. With held
+        rows, the rows are the held array itself when the slots hold every
+        row, and one gather of it otherwise.
         """
         live = self._merge()
-        return self.rows[live], self.index[live], self.weight[live]
+        index = self.index[live]
+        if self.held is None:
+            rows = self.rows[live]
+        elif len(index) == len(self.held):  # every row, so index is 0..n-1
+            rows = self.held
+        else:
+            rows = self.held[index]
+        return rows, index, self.weight[live]
 
     def _merge(self):
         """Merge the rows kept since the banks' last merge into their slots,
@@ -307,7 +338,7 @@ def _norm_weights(block, p):
     return weights
 
 
-def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
+def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng, held=None):
     """One pass feeding every row to a weighted and a uniform reservoir bank.
 
     The weighted bank's slots become i.i.d. draws with P(x) proportional
@@ -315,7 +346,9 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     row store. `stream` yields a source's checked rows; `block_weights`
     maps a (b, d) float64 block of them to one weight per row: the pool
     and squared-length pass `_norm_weights`, and the tests pass others to
-    check the reservoir law. Returns (rows, stream positions, weights,
+    check the reservoir law. `held` is the (n, d) array the stream yields
+    the rows of, when the source holds them before the pass starts
+    (`DatasetSource.rows`). Returns (rows, stream positions, weights,
     weighted, uniform): each row some slot drew once, with its position
     and weight, and the two banks, whose `win` index into rows and whose
     totals are the weight total and n. A bank with no slots never draws a
@@ -323,18 +356,24 @@ def _draw_banks(stream, block_weights, weighted_slots, uniform_slots, rng):
     the row at which the weight total overflows (`_running_sums`, the
     exact q's rule). A NaN weight adds nothing.
 
-    The pass weighs `_BLOCK_ROWS` rows at a time, in one call each, and
-    the store keeps a block's rows in one slice copy; then every row of
-    the block goes through `_kernels.update_bank` once per bank, in
-    stream order. So when the store merges before a block, the banks'
-    totals count exactly the rows it kept.
+    The pass drains the stream `_BLOCK_ROWS` rows at a time and weighs
+    each block in one call. With held rows the block is the slice
+    `held[first:first + b]`, read in place, and the store keeps only its
+    positions and weights; otherwise the rows are stacked into one array
+    and the store keeps them in one slice copy. Then every row of the
+    block goes through `_kernels.update_bank` once per bank, in stream
+    order. So when the store merges before a block, the banks' totals
+    count exactly the rows it kept.
     """
     weighted = _ReservoirBank(weighted_slots)
     uniform = _ReservoirBank(uniform_slots)
-    store = _RowStore(weighted, uniform, rng)
+    store = _RowStore(weighted, uniform, rng, held)
     index = 0  # stream position of the block's first row
     while rows := list(itertools.islice(stream, _BLOCK_ROWS)):
-        block = np.array(rows, dtype=np.float64)
+        if held is None:
+            block = np.array(rows, dtype=np.float64)
+        else:
+            block = held[index:index + len(rows)]
         weights = np.asarray(block_weights(block), dtype=np.float64)
         _running_sums(weighted.total, weights, index)
         store.keep_block(index, block, weights)
@@ -364,9 +403,10 @@ def draw_mixture_pool(data, p, pool_size, rng):
         raise ParameterError(f"pool_size must be >= 1, got {readable(pool_size)}")
     take_weighted = rng.random(pool_size) < 0.5
     slots = int(np.count_nonzero(take_weighted))
+    source = as_source(data)
     rows, row_index, row_w, weighted, uniform = _draw_banks(
-        as_source(data).iterate_once("selection"), lambda block: _norm_weights(block, p),
-        slots, pool_size - slots, rng)
+        source.iterate_once("selection"), lambda block: _norm_weights(block, p),
+        slots, pool_size - slots, rng, source.rows)
     row_of = np.empty(pool_size, dtype=np.intp)
     # by position: assigning through a random boolean mask is several times slower
     row_of[np.flatnonzero(take_weighted)] = weighted.win

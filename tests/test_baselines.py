@@ -130,6 +130,54 @@ def test_squared_length_one_pass():
     assert src.selection_passes == 1
 
 
+
+def _as_file_sources(X, tmp_path):
+    """X as a CSV file whose pass parses its rows, and as the same file
+    after a pass kept its rows, which later passes read in place."""
+    path = str(tmp_path / "rows.csv")
+    np.savetxt(path, X, fmt="%.17g", delimiter=",")
+    kept = open_csv(path)
+    kept.keep_rows()
+    baselines._selection_pass(kept)
+    return {"file": open_csv(path), "kept": kept}
+
+
+@pytest.mark.parametrize("n, d, count, every_row", [
+    (3000, 5, 40, False),  # a store of 40 + 1,024 rows merges twice mid-stream
+    (150, 6, 20_000, True),  # 20,000 draws reach every row of norm 0.5-2
+], ids=["merges_some_rows_held", "every_row_held"])
+def test_squared_length_over_an_array_equals_it_over_its_file(monkeypatch, tmp_path, n, d,
+                                                             count, every_row):
+    # the pass reads an array's rows in place, and copies a parsed file's;
+    # the draws, their rows and the basis are the same bit for bit
+    rng = np.random.default_rng(n + d)
+    X = rng.standard_normal((n, d))
+    if every_row:
+        X *= rng.uniform(0.5, 2.0, (n, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
+    else:
+        X *= np.exp(rng.standard_normal((n, 1)))
+    draw_banks, drawn = baselines._draw_banks, {}
+
+    def kept_draws(*args):
+        drawn[name] = draw_banks(*args)
+        return drawn[name]
+
+    monkeypatch.setattr(baselines, "_draw_banks", kept_draws)
+    bases = {}
+    for name, source in {"array": X, **_as_file_sources(X, tmp_path)}.items():
+        bases[name] = squared_length_sample(source, 2.0, count, np.random.default_rng(6))
+    want_rows, want_index, want_weights, want_bank, _ = drawn["array"]
+    assert (len(want_rows) == n) == every_row
+    assert np.shares_memory(want_rows, X) == every_row
+    for name, basis in bases.items():
+        rows, row_index, weights, bank, _ = drawn[name]
+        for got, want in ((rows, want_rows), (row_index, want_index),
+                          (weights, want_weights), (bank.win, want_bank.win)):
+            assert got.tobytes() == want.tobytes(), name
+        assert basis.member_indices == bases["array"].member_indices
+        assert basis.basis.tobytes() == bases["array"].basis.tobytes()
+
+
 def _span_draw_by_draw(indices, points, d):
     """Reference span assembly: every draw scored on its own copy of its row."""
     tracker = SubsetBasis.empty(d)

@@ -761,6 +761,28 @@ def test_one_pass_memory_guard_counts_at_least_the_traced_peak(monkeypatch, n, d
         real_guard(*guarded)
 
 
+
+@pytest.mark.parametrize("algorithm, p, oracle", [
+    ("exact-adaptive", 2.0, "none"), ("exact-adaptive", 3.0, "svd"),
+    ("squared-length", 2.0, "none"), ("mcmc-one-pass", 2.0, "svd"),
+], ids=["exact_p2", "exact_p3_svd", "squared_length_p2", "one_pass_p2_svd"])
+def test_the_memory_guard_charges_a_wide_fold_r_and_qr_copies(monkeypatch, algorithm, p, oracle):
+    # a 2,000 x 1,500 array's evaluation pass folds a chunk under R's 1,024
+    # rows, in a buffer of both, and QR copies that stack twice: the run's
+    # traced peak, about 80.6 MB, is above a count of one chunk's distance
+    # temporaries and the pass's own arrays (37 MB for exact-adaptive, 74
+    # for the one-pass pools)
+    guarded = []
+    real_guard = experiment._memory_guard
+    monkeypatch.setattr(experiment, "_memory_guard", lambda *args: guarded.extend(args))
+    X = np.random.default_rng(15).standard_normal((2000, 1500))
+    peak = peak_traced_bytes(lambda: run_experiment(_spec(
+        input=X, algorithm=algorithm, k=1, p=p, t=2, l=1, m=5, repetitions=1, oracle=oracle)))
+    monkeypatch.setattr(experiment, "_physical_memory", lambda: peak - 1)
+    with pytest.raises(experiment.GuardError):
+        real_guard(*guarded)
+
+
 def test_the_paper_recipe_on_a_6_mb_input_passes_the_memory_guard(monkeypatch):
     # theorem_params(2, 2, 0.5) pools about 4 million slots; a 3,000 x 256
     # array keeps at most 3,000 rows of them, which fit in 8.4 GB
@@ -866,7 +888,7 @@ def test_the_memory_guard_charges_what_a_helper_uses(tmp_path, monkeypatch, algo
     run_experiment(_spec(input=path, algorithm=algorithm, k=2, t=4, l=2, m=5, repetitions=3))
     monkeypatch.setattr(experiment, "_memory_guard", guard)
     assert peaks  # the run forked helpers
-    [(_, config, _)] = guarded
+    [(_, config, _, _)] = guarded
     source = open_csv(path)
     need = _guard_count(monkeypatch, algorithm, config, source)
     largest = max(size for _, size, _, _ in source._blocks)
@@ -1096,6 +1118,8 @@ _MALFORMED = {
     "one_dimensional": (lambda: np.ones(3), "2-d array"),
     "iterator": (lambda: iter(_finite_rows()), "not an array of numbers"),
     "complex": (lambda: _finite_rows() * (1 + 2j), "^points have complex values"),
+    "complex_in_objects": (lambda: np.array(_with_cell(np.complex128(1 + 2j)), dtype=object),
+                           "^points have complex values"),
 }
 
 # every entry point that takes an array, a PointSet or a source

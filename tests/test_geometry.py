@@ -49,11 +49,16 @@ def test_pointset_rejects_nonfinite_and_degenerate():
         PointSet(np.array([1.0, 2.0]))  # not 2-d
 
 
-@pytest.mark.parametrize("points", [np.array([[1 + 2j, 3], [0, 1j]]), [[1 + 2j, 3.0]],
-                                    [np.array([1, 2j]), np.array([0, 1])]],
-                         ids=["ndarray", "list", "complex_rows"])
+@pytest.mark.parametrize("points", [
+    np.array([[1 + 2j, 3], [0, 1j]]), [[1 + 2j, 3.0]], [np.array([1, 2j]), np.array([0, 1])],
+    np.array([[np.complex128(1 + 2j), 3.0]], dtype=object),
+    np.array([[1.0, 3.0], [np.complex64(1j), 2.0]], dtype=object),
+    np.array([[1 + 2j, 3.0]], dtype=object),
+], ids=["ndarray", "list", "complex_rows", "object_numpy_complex", "object_complex64",
+        "object_python_complex"])
 def test_pointset_refuses_complex_values(points):
-    # a cast would keep the real parts only: [[1, 3], [0, 0]] for the first
+    # a cast would keep the real parts only: [[1, 3], [0, 0]] for the first,
+    # and [[1, 3]] for the numpy complex scalar in an object array
     with pytest.raises(InputError, match="^points have complex values"):
         PointSet(points)
 

@@ -6,7 +6,7 @@ import pytest
 
 from lpsubsel import (DistributionTable, InputError, MixtureWeights, ParameterError,
                       PointSet, SubsetBasis, _kernels, adaptive_distribution, as_source,
-                      draw_mixture_pool, gamma_bound, mixture_distribution,
+                      draw_mixture_pool, gamma_bound, mixture_distribution, open_csv,
                       open_unit, squared_length_sample, transition_matrix, tv_distance)
 from lpsubsel import proposal
 from lpsubsel.proposal import _distance_weights, _draw_banks, _norm_weights, _running_sums
@@ -405,6 +405,65 @@ def test_pool_pass_allocates_by_the_rows_it_keeps():
     peak = peak_traced_bytes(lambda: draw_mixture_pool(X, 3.0, 38_496,
                                                        np.random.default_rng(65)))
     assert peak < 4 * X.nbytes
+
+
+
+def _held_and_streamed_sources(X, tmp_path):
+    """X as an array, as a CSV file whose pass parses its rows, and as the
+    same file after a pass kept its rows: the pool pass reads the first and
+    the last in place and copies the rows the second parses."""
+    path = str(tmp_path / "rows.csv")
+    np.savetxt(path, X, fmt="%.17g", delimiter=",")
+    kept = open_csv(path)
+    kept.keep_rows()
+    for _ in kept.iterate_once("selection"):
+        pass
+    assert kept.rows is not None
+    return {"array": X, "file": open_csv(path), "kept": kept}
+
+
+@pytest.mark.parametrize("n, d, slots, merges, every_row", [
+    (3000, 5, 40, 3, False),  # a store of 40 + 1,024 rows merges twice mid-stream
+    (200, 7, 8000, 1, True),  # 4,000-odd uniform slots over 200 rows draw them all
+], ids=["merges_some_rows_held", "one_merge_every_row_held"])
+def test_a_pool_over_an_array_equals_the_pool_over_its_file(monkeypatch, tmp_path, n, d,
+                                                            slots, merges, every_row):
+    # rows read in place and rows copied from the parse give the same pool
+    # bit for bit, whether every row is held or a gather of some
+    rng = np.random.default_rng(n + d)
+    X = rng.standard_normal((n, d)) * np.exp(rng.standard_normal((n, 1)))
+    calls = _counting(monkeypatch, proposal._RowStore, "_merge")
+    pools = {}
+    for name, source in _held_and_streamed_sources(X, tmp_path).items():
+        calls.clear()
+        pools[name] = draw_mixture_pool(source, 3.0, slots, np.random.default_rng(5))
+        assert len(calls) == merges
+    for pool in pools.values():
+        assert (len(pool.rows) == n) == every_row
+        for field in ("rows", "row_of", "row_index", "row_qmass"):
+            want = getattr(pools["array"], field)
+            got = getattr(pool, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+        assert pool.stream_length == n
+
+
+def test_a_pool_that_draws_every_row_of_an_array_reads_it_in_place():
+    # every one of 500 rows is drawn by about 10,000 uniform slots: the
+    # pool's rows are the caller's array, and the pass copies none of its
+    # rows (a copy of them alone is 1 MB)
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((500, 256)) * np.exp(rng.standard_normal((500, 1)))
+    pools = []
+    peak = peak_traced_bytes(lambda: pools.append(
+        draw_mixture_pool(X, 3.0, 20_000, np.random.default_rng(8))))
+    [pool] = pools
+    assert len(pool.rows) == len(X) and np.shares_memory(pool.rows, X)
+    assert not pool.rows.flags.writeable
+    assert peak < X.nbytes
+    # a pool that holds some of the rows gathers them into an array of its own
+    some = draw_mixture_pool(X, 3.0, 50, np.random.default_rng(9))
+    assert len(some.rows) < len(X) and not np.shares_memory(some.rows, X)
+    np.testing.assert_array_equal(some.rows, X[some.row_index])
 
 
 def test_pool_and_squared_length_fixed_seed_draws_across_store_growth(monkeypatch):
