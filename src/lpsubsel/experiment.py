@@ -248,12 +248,12 @@ def _memory_guard(algorithm, config, source, oracle="none"):
     keeps cannot fit in this machine's physical memory.
 
     Every algorithm is charged 24 bytes a coordinate of one CHUNK_ROWS-row
-    chunk for the distance temporaries. An evaluation pass that folds R
-    (p = 2, or the SVD oracle) holds, per coordinate of a chunk, about as
-    much: its buffer's chunk area and `np.linalg.qr`'s two copies of the
-    stack. It is charged 32 bytes a coordinate more for the most rows R
-    has at a fold, min(d, the rows before the last chunk): 8 in the
-    buffer above the chunk, 16 in QR's two copies and 8 in R itself.
+    chunk for the distance temporaries. When the evaluation pass folds R
+    (p = 2, or the SVD oracle), the same 24 bytes cover a chunk's rows in
+    its buffer and in `np.linalg.qr`'s two copies of the stack; R's rows
+    at a fold, at most min(d, the rows before the last chunk), are
+    charged 32 bytes a coordinate more: 8 in the buffer above the chunk,
+    16 in QR's two copies and 8 in R itself.
 
     A one-pass pool or a squared-length
     run is charged `_SLOT_BYTES` a slot or draw, 64 bytes a coordinate and

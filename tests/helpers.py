@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 
-from lpsubsel import RANK_TOLERANCE, InputError, PointSet, SubsetBasis
+from lpsubsel import RANK_TOLERANCE, InputError, PointSet, SubsetBasis, open_csv
 from lpsubsel.geometry import CHUNK_ROWS
 
 
@@ -185,3 +185,17 @@ def r_factor_chain(rows):
     for start in range(0, len(rows), CHUNK_ROWS):
         r_factor = np.linalg.qr(np.vstack((r_factor, rows[start:start + CHUNK_ROWS])), mode="r")
     return r_factor
+
+
+def array_and_file_sources(X, tmp_path):
+    """X as an array, as a CSV file whose pass parses its rows, and as the
+    same file after a pass kept its rows: a selection pass reads the first
+    and the last in place and copies the rows the second parses."""
+    path = str(tmp_path / "rows.csv")
+    np.savetxt(path, X, fmt="%.17g", delimiter=",")
+    kept = open_csv(path)
+    kept.keep_rows()
+    for _ in kept.iterate_once("selection"):
+        pass
+    assert kept.rows is not None
+    return {"array": X, "file": open_csv(path), "kept": kept}

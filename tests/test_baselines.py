@@ -9,7 +9,7 @@ from lpsubsel import (RANK_TOLERANCE, GuardError, InputError, PointSet, SubsetBa
 from lpsubsel import baselines
 from lpsubsel.stream import _BLOCK_ROWS
 
-from helpers import loadtxt_calls, peak_traced_bytes
+from helpers import array_and_file_sources, loadtxt_calls, peak_traced_bytes
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.5, 0.5], [-2.0, 1.0]])
@@ -130,18 +130,6 @@ def test_squared_length_one_pass():
     assert src.selection_passes == 1
 
 
-
-def _as_file_sources(X, tmp_path):
-    """X as a CSV file whose pass parses its rows, and as the same file
-    after a pass kept its rows, which later passes read in place."""
-    path = str(tmp_path / "rows.csv")
-    np.savetxt(path, X, fmt="%.17g", delimiter=",")
-    kept = open_csv(path)
-    kept.keep_rows()
-    baselines._selection_pass(kept)
-    return {"file": open_csv(path), "kept": kept}
-
-
 @pytest.mark.parametrize("n, d, count, every_row", [
     (3000, 5, 40, False),  # a store of 40 + 1,024 rows merges twice mid-stream
     (150, 6, 20_000, True),  # 20,000 draws reach every row of norm 0.5-2
@@ -164,7 +152,7 @@ def test_squared_length_over_an_array_equals_it_over_its_file(monkeypatch, tmp_p
 
     monkeypatch.setattr(baselines, "_draw_banks", kept_draws)
     bases = {}
-    for name, source in {"array": X, **_as_file_sources(X, tmp_path)}.items():
+    for name, source in array_and_file_sources(X, tmp_path).items():
         bases[name] = squared_length_sample(source, 2.0, count, np.random.default_rng(6))
     want_rows, want_index, want_weights, want_bank, _ = drawn["array"]
     assert (len(want_rows) == n) == every_row

@@ -761,7 +761,6 @@ def test_one_pass_memory_guard_counts_at_least_the_traced_peak(monkeypatch, n, d
         real_guard(*guarded)
 
 
-
 @pytest.mark.parametrize("algorithm, p, oracle", [
     ("exact-adaptive", 2.0, "none"), ("exact-adaptive", 3.0, "svd"),
     ("squared-length", 2.0, "none"), ("mcmc-one-pass", 2.0, "svd"),

@@ -6,13 +6,13 @@ import pytest
 
 from lpsubsel import (DistributionTable, InputError, MixtureWeights, ParameterError,
                       PointSet, SubsetBasis, _kernels, adaptive_distribution, as_source,
-                      draw_mixture_pool, gamma_bound, mixture_distribution, open_csv,
+                      draw_mixture_pool, gamma_bound, mixture_distribution,
                       open_unit, squared_length_sample, transition_matrix, tv_distance)
 from lpsubsel import proposal
 from lpsubsel.proposal import _distance_weights, _draw_banks, _norm_weights, _running_sums
 from lpsubsel.stream import _BLOCK_ROWS
 
-from helpers import peak_traced_bytes
+from helpers import array_and_file_sources, peak_traced_bytes
 
 SIX_POINTS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                        [3.0, 4.0], [0.0, 0.0], [-2.0, 1.0]])
@@ -407,21 +407,6 @@ def test_pool_pass_allocates_by_the_rows_it_keeps():
     assert peak < 4 * X.nbytes
 
 
-
-def _held_and_streamed_sources(X, tmp_path):
-    """X as an array, as a CSV file whose pass parses its rows, and as the
-    same file after a pass kept its rows: the pool pass reads the first and
-    the last in place and copies the rows the second parses."""
-    path = str(tmp_path / "rows.csv")
-    np.savetxt(path, X, fmt="%.17g", delimiter=",")
-    kept = open_csv(path)
-    kept.keep_rows()
-    for _ in kept.iterate_once("selection"):
-        pass
-    assert kept.rows is not None
-    return {"array": X, "file": open_csv(path), "kept": kept}
-
-
 @pytest.mark.parametrize("n, d, slots, merges, every_row", [
     (3000, 5, 40, 3, False),  # a store of 40 + 1,024 rows merges twice mid-stream
     (200, 7, 8000, 1, True),  # 4,000-odd uniform slots over 200 rows draw them all
@@ -434,7 +419,7 @@ def test_a_pool_over_an_array_equals_the_pool_over_its_file(monkeypatch, tmp_pat
     X = rng.standard_normal((n, d)) * np.exp(rng.standard_normal((n, 1)))
     calls = _counting(monkeypatch, proposal._RowStore, "_merge")
     pools = {}
-    for name, source in _held_and_streamed_sources(X, tmp_path).items():
+    for name, source in array_and_file_sources(X, tmp_path).items():
         calls.clear()
         pools[name] = draw_mixture_pool(source, 3.0, slots, np.random.default_rng(5))
         assert len(calls) == merges
